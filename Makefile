@@ -21,12 +21,11 @@ bench:
 	$(GO) test $(BENCHFLAGS) ./... | tee bench.out
 	$(GO) run ./cmd/benchcmp -baseline $(BASELINE) -fail-over 10 bench.out
 
-# Price the checkpoint: the fork microbenchmark (wall cost of one fork plus
-# its deterministic copy accounting) and the full suite with and without
-# world forking. The sim_fork_* metrics are gated by `make bench`; this is
-# the quick local view of what forking buys.
+# Price the checkpoint the serve warm pool relies on: the wall cost of one
+# fork plus its deterministic copy accounting. The sim_fork_* metrics are
+# gated by `make bench`; this is the quick local view.
 bench-fork:
-	$(GO) test -run=NONE -bench='BenchmarkFork$$|BenchmarkSuiteForked' -benchtime=1x -benchmem .
+	$(GO) test -run=NONE -bench='BenchmarkFork$$' -benchtime=1x -benchmem .
 
 # Re-record the baseline (run on a quiet machine; commit the result).
 bench-baseline:

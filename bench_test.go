@@ -15,7 +15,6 @@
 package nemesis
 
 import (
-	"context"
 	"fmt"
 	"strconv"
 	"strings"
@@ -164,11 +163,12 @@ func BenchmarkFig9Isolation(b *testing.B) {
 
 // BenchmarkFork prices the checkpoint itself: one warmed Fig. 7 world,
 // forked once per iteration. ns/op is the wall-clock cost of a fork — what
-// a sweep cell pays instead of re-running the warm-up — and the sim_fork_*
-// metrics are the fork's deterministic copy accounting: frame-store bytes
-// copied outright and populated disk chunks shared copy-on-write. Those
-// byte counts are pinned by the gate; if they drift, the snapshot either
-// started copying what it used to share or stopped capturing state.
+// a nemesis-serve warm-pool hit pays instead of re-running the warm-up —
+// and the sim_fork_* metrics are the fork's deterministic copy accounting:
+// frame-store bytes copied outright and populated disk chunks shared
+// copy-on-write. Those byte counts are pinned by the gate; if they drift,
+// the snapshot either started copying what it used to share or stopped
+// capturing state.
 func BenchmarkFork(b *testing.B) {
 	warm, err := experiments.WarmPaging(benchPagingOpts())
 	if err != nil {
@@ -193,32 +193,6 @@ func BenchmarkFork(b *testing.B) {
 	b.ReportMetric(frameBytes, "sim_fork_frame_bytes")
 	b.ReportMetric(sharedChunks, "sim_fork_shared_chunks")
 	b.ReportMetric(cowBytes, "sim_fork_cow_bytes")
-}
-
-// BenchmarkSuiteForked prices the whole evaluation suite with and without
-// world forking: the cold sub-benchmark boots every heavy cell from
-// scratch, the forked one warms each harness once and forks per cell.
-// Comparing the two ns/op figures is the headline wall-clock win of the
-// checkpoint work; the fork-equivalence tests pin that both produce the
-// same bytes.
-func BenchmarkSuiteForked(b *testing.B) {
-	for _, mode := range []struct {
-		name   string
-		forked bool
-	}{{"cold", false}, {"forked", true}} {
-		b.Run(mode.name, func(b *testing.B) {
-			b.ReportAllocs()
-			var cells int
-			for i := 0; i < b.N; i++ {
-				out, err := experiments.RunSuiteForked(context.Background(), time.Second, 4, mode.forked)
-				if err != nil {
-					b.Fatal(err)
-				}
-				cells = len(out)
-			}
-			b.ReportMetric(float64(cells), "suite_cells")
-		})
-	}
 }
 
 func BenchmarkAblationLaxity(b *testing.B) {

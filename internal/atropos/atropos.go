@@ -41,9 +41,10 @@
 // consider only ready clients; the generic PickEDFWith/PickSlack remain for
 // drivers with few clients (internal/usd).
 //
-// ReferenceCore (reference.go) retains the original linear implementation;
-// the package tests co-run both over seeded random contract sets to pin the
-// decisions of this implementation to the reference, operation by operation.
+// ReferenceCore (reference_test.go) retains the original linear
+// implementation; the package tests co-run both over seeded random contract
+// sets to pin the decisions of this implementation to the reference,
+// operation by operation.
 package atropos
 
 import (

@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"sync"
 	"testing"
 	"time"
@@ -40,7 +41,7 @@ func TestSuiteAttributionConservation(t *testing.T) {
 		core.ShutdownHook = nil
 	}()
 
-	cells, err := RunSuite(2*time.Second, 4)
+	cells, err := RunSuite(context.Background(), 2*time.Second, 4)
 	if err != nil {
 		t.Fatal(err)
 	}

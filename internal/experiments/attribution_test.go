@@ -7,6 +7,7 @@ import (
 
 	"nemesis/internal/experiments/sweep"
 	"nemesis/internal/obs"
+	"nemesis/internal/sim"
 )
 
 func attrOpts(hog bool) AttributionOptions {
@@ -78,6 +79,35 @@ func TestAttributionHogIsolation(t *testing.T) {
 	mb := hogged.Paging.MeanMbps
 	if len(mb) != 4 || mb[3] >= mb[0] {
 		t.Errorf("hog bandwidth %v should trail app1", mb)
+	}
+}
+
+// TestAttributionCoversMeasuredWindow: the accounts restart at the measure
+// instant, so every profile spans exactly the measured window — not the
+// initialisation before it — and its accounts conserve that span.
+func TestAttributionCoversMeasuredWindow(t *testing.T) {
+	for _, hog := range []bool{false, true} {
+		opt := attrOpts(hog)
+		r, err := RunAttribution(opt)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, p := range r.Profiles {
+			if p.Elapsed() != opt.Measure || p.Start != sim.Time(r.Paging.MeasureStart) {
+				t.Errorf("hog=%v %s: profile spans [%v, %v], want the %v window from %v",
+					hog, p.Domain, p.Start, p.End, opt.Measure, r.Paging.MeasureStart)
+			}
+			var sum time.Duration
+			for _, acc := range p.Accounts {
+				sum += acc.Total
+			}
+			if sum != p.Elapsed() {
+				t.Errorf("hog=%v %s: accounts sum to %v over a %v window", hog, p.Domain, sum, p.Elapsed())
+			}
+		}
+		if err := r.Paging.Sys.CheckAttribution(); err != nil {
+			t.Errorf("hog=%v: %v", hog, err)
+		}
 	}
 }
 

@@ -280,8 +280,8 @@ func runClusterMachine(machine int, opt ClusterOptions) (*ClusterMachine, error)
 	var bytesTouched int64
 	doms := make([]*domain.Domain, 0, n)
 	for i := 0; i < n; i++ {
-		// Domains are named machine-locally ("d0"…), matching the forked
-		// path; the machine lane ("m0") qualifies them in merged artifacts.
+		// Domains are named machine-locally ("d0"…); the machine lane
+		// ("m0") qualifies them in merged artifacts.
 		name := fmt.Sprintf("d%d", i)
 		dom, err := sys.NewDomain(name, cpuQoS, mem.Contract{Guaranteed: uint64(opt.PhysFrames)})
 		if err != nil {
@@ -366,8 +366,7 @@ func runClusterMachine(machine int, opt ClusterOptions) (*ClusterMachine, error)
 
 // collectClusterObs captures one finished machine's rollup and — on traced
 // runs — its timeline lanes: the client machine ("m2") plus one lane per
-// swap server ("m2.swap0"). Shared by the cold and forked cluster paths so
-// both produce identical artifacts.
+// swap server ("m2.swap0").
 func collectClusterObs(cell *ClusterMachine, machine int, reg *obs.Registry, pool *netswap.Pool, trace bool) {
 	lane := fmt.Sprintf("m%d", machine)
 	sum := reg.Summarize(clusterTopK)

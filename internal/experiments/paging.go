@@ -3,6 +3,22 @@
 // harness builds a fresh simulated machine, runs the paper's workload and
 // returns the series/rows the paper plots, so cmd/ tools and benchmarks can
 // regenerate every result.
+//
+// The paper's figures are steady-state numbers taken after an
+// initialisation phase (§7.2), and the heavy harnesses (Table 1, Figs.
+// 7–9) share one protocol around that boundary:
+//
+//	warm    — boot the machine and run the expensive initialisation
+//	          (demand-zero faults, swap population) in threads that EXIT
+//	          when done, leaving the world quiesced;
+//	measure — on the same world, start everything that observes the
+//	          window at its first instant (attribution accounts, crosstalk
+//	          monitor, timeline recorder, snapshot callback), attach the
+//	          steady-state workload and run the measured window.
+//
+// A quiesced warm world can also be checkpointed with core.System.Fork;
+// nemesis-serve's warm pool does exactly that (PagingWarm.Fork), and
+// fork-then-measure is byte-identical to measuring in place.
 package experiments
 
 import (
@@ -122,8 +138,21 @@ func (r *PagingResult) Ratios() []float64 {
 	return out
 }
 
-// RunPaging executes a Fig. 7/8-style experiment.
-func RunPaging(opt PagingOptions) (*PagingResult, error) {
+// PagingWarm is a warmed Fig. 7/8-style world: applications admitted and
+// initialised by threads that have exited, leaving the world quiesced and
+// forkable. Measure it (consuming it), or Fork it per measurement.
+type PagingWarm struct {
+	Opts   PagingOptions
+	Sys    *core.System
+	Pagers []*workload.Pager
+	Set    *trace.SeriesSet
+}
+
+// WarmPaging boots the Fig. 7/8 machine and runs only the initialisation
+// phase. The returned world is quiesced: every application has faulted its
+// working set in (and, for the paging-out variants, populated swap), and
+// the init threads have exited.
+func WarmPaging(opt PagingOptions) (*PagingWarm, error) {
 	if opt.Timeline {
 		opt.Telemetry = true
 	}
@@ -134,13 +163,9 @@ func RunPaging(opt PagingOptions) (*PagingResult, error) {
 	sys := core.New(cfg)
 	sys.USD.LaxityEnabled = opt.LaxityEnabled
 	sys.USD.FCFS = opt.FCFS
-	if opt.Telemetry {
-		sys.StartCrosstalkMonitor(obs.DefaultCrosstalkConfig())
-	}
 
-	res := &PagingResult{Opts: opt, Sys: sys, Set: &trace.SeriesSet{}, Log: sys.USDLog}
-	for i, slice := range opt.Slices {
-		name := fmt.Sprintf("app%d-%d%%", i+1, int(100*float64(slice)/float64(opt.Period)))
+	w := &PagingWarm{Opts: opt, Sys: sys, Set: &trace.SeriesSet{}}
+	add := func(name string, slice time.Duration, app bool) error {
 		pc := workload.DefaultPagerConfig(name, slice)
 		pc.DiskQoS = atropos.QoS{P: opt.Period, S: slice, X: false, L: opt.Laxity}
 		pc.VirtBytes = opt.VirtBytes
@@ -148,95 +173,135 @@ func RunPaging(opt PagingOptions) (*PagingResult, error) {
 		pc.SwapBytes = opt.SwapBytes
 		pc.Write = opt.Write
 		pc.Forgetful = opt.Forgetful
-		pc.Policy = opt.Policy
-		pc.Writeback = opt.Writeback
-		pc.ClusterSize = opt.ClusterSize
 		pc.SampleEvery = opt.SampleEvery
-		pg, err := workload.StartPager(sys, pc, res.Set.New(name))
+		if app {
+			pc.Policy = opt.Policy
+			pc.Writeback = opt.Writeback
+			pc.ClusterSize = opt.ClusterSize
+		}
+		pg, err := workload.WarmPager(sys, pc, w.Set.New(name))
 		if err != nil {
+			return err
+		}
+		w.Pagers = append(w.Pagers, pg)
+		return nil
+	}
+	for i, slice := range opt.Slices {
+		name := fmt.Sprintf("app%d-%d%%", i+1, int(100*float64(slice)/float64(opt.Period)))
+		if err := add(name, slice, true); err != nil {
 			return nil, err
 		}
-		res.Pagers = append(res.Pagers, pg)
 	}
 	if opt.Hog {
 		// 5% of the period: a starved contract, so the hog's demand piles
 		// up in its own usd.queue account instead of on the victims.
-		slice := opt.Period / 20
-		pc := workload.DefaultPagerConfig("hog-5%", slice)
-		pc.DiskQoS = atropos.QoS{P: opt.Period, S: slice, X: false, L: opt.Laxity}
-		pc.VirtBytes = opt.VirtBytes
-		pc.PhysFrames = opt.PhysFrames
-		pc.SwapBytes = opt.SwapBytes
-		pc.Write = opt.Write
-		pc.Forgetful = opt.Forgetful
-		pc.SampleEvery = opt.SampleEvery
-		pg, err := workload.StartPager(sys, pc, res.Set.New("hog-5%"))
-		if err != nil {
+		if err := add("hog-5%", opt.Period/20, false); err != nil {
 			return nil, err
 		}
-		res.Pagers = append(res.Pagers, pg)
 	}
+	if err := awaitInit(sys, w.Pagers, opt.InitLimit); err != nil {
+		sys.Shutdown()
+		return nil, err
+	}
+	return w, nil
+}
 
-	// Initialisation: run until every application reports ready.
-	deadline := sys.Sim.Now().Add(opt.InitLimit)
+// awaitInit runs sys until every pager has initialised, failing once limit
+// of simulated time has passed.
+func awaitInit(sys *core.System, pagers []*workload.Pager, limit time.Duration) error {
+	deadline := sys.Sim.Now().Add(limit)
 	for {
 		ready := true
-		for _, pg := range res.Pagers {
+		for _, pg := range pagers {
 			if !pg.Initialised {
 				ready = false
 			}
 		}
 		if ready {
-			break
+			return nil
 		}
 		if sys.Sim.Now() >= deadline {
-			return nil, fmt.Errorf("experiments: initialisation exceeded %v", opt.InitLimit)
+			return fmt.Errorf("experiments: initialisation exceeded %v", limit)
 		}
 		sys.Run(time.Second)
 	}
-	res.MeasureStart = sys.Sim.Now().Duration()
+}
 
+// Fork checkpoints the warmed world and returns an independent copy with
+// its own series set, ready to Measure. The parent stays warm and can be
+// forked again (forks of one parent must be taken serially; measuring the
+// forks may proceed in parallel).
+func (w *PagingWarm) Fork() (*PagingWarm, error) {
+	snap, err := w.Sys.Fork()
+	if err != nil {
+		return nil, err
+	}
+	nw := &PagingWarm{Opts: w.Opts, Sys: snap.Sys, Set: &trace.SeriesSet{}}
+	for _, pg := range w.Pagers {
+		np, err := pg.Remap(snap)
+		if err != nil {
+			return nil, err
+		}
+		np.Series = nw.Set.New(np.Cfg.Name)
+		nw.Pagers = append(nw.Pagers, np)
+	}
+	return nw, nil
+}
+
+// Measure runs the measured window on a warmed world and consumes it: the
+// system is shut down before Measure returns. At the window's first instant
+// the attribution accounts restart, the crosstalk monitor starts (with
+// Telemetry), and the timeline recorder and its revocation episode start
+// (with Timeline); then the steady-state threads resume. With Telemetry and
+// SnapshotEvery, OnSnapshot fires periodically through the window.
+func (w *PagingWarm) Measure(measure time.Duration) (*PagingResult, error) {
+	opt := w.Opts
+	opt.Measure = measure
+	sys := w.Sys
+	res := &PagingResult{Opts: opt, Sys: sys, Pagers: w.Pagers, Set: w.Set, Log: sys.USDLog}
+	res.MeasureStart = sys.Sim.Now().Duration()
+	sys.Obs.Attr().Restart()
+	if opt.Telemetry {
+		sys.StartCrosstalkMonitor(obs.DefaultCrosstalkConfig())
+	}
 	if opt.Timeline {
 		sys.StartRecorder(opt.Recorder)
-		if err := startRevocationEpisode(sys, opt.Measure/2); err != nil {
+		if err := startRevocationEpisode(sys, measure/2); err != nil {
+			sys.Shutdown()
 			return nil, err
 		}
 	}
+	for _, pg := range w.Pagers {
+		pg.Resume()
+	}
 
 	if opt.Telemetry && opt.SnapshotEvery > 0 && opt.OnSnapshot != nil {
-		for remaining := opt.Measure; remaining > 0; {
-			step := opt.SnapshotEvery
-			if step > remaining {
-				step = remaining
-			}
+		for remaining := measure; remaining > 0; {
+			step := min(opt.SnapshotEvery, remaining)
 			sys.Run(step)
 			remaining -= step
 			opt.OnSnapshot(sys)
 		}
 	} else {
-		sys.Run(opt.Measure)
+		sys.Run(measure)
 	}
 
-	start := sys.Sim.Now().Add(-opt.Measure)
-	for _, pg := range res.Pagers {
+	start := sys.Sim.Now().Add(-measure)
+	for _, pg := range w.Pagers {
 		res.MeanMbps = append(res.MeanMbps, pg.Series.MeanAfter(start))
 	}
 	sys.Shutdown()
 	return res, nil
 }
 
-// Fig7 runs the paging-in experiment with the paper's parameters.
-func Fig7() (*PagingResult, error) {
-	return RunPaging(DefaultPagingOptions())
-}
-
-// Fig8 runs the paging-out experiment: the modified ("forgetful") stretch
-// driver never pages in, and the main loop writes every byte.
-func Fig8() (*PagingResult, error) {
-	opt := DefaultPagingOptions()
-	opt.Write = true
-	opt.Forgetful = true
-	return RunPaging(opt)
+// RunPaging executes a Fig. 7/8-style experiment: warm the machine, then
+// measure on the same world.
+func RunPaging(opt PagingOptions) (*PagingResult, error) {
+	w, err := WarmPaging(opt)
+	if err != nil {
+		return nil, err
+	}
+	return w.Measure(opt.Measure)
 }
 
 // Fig9Options parameterises the file-system isolation experiment.
@@ -295,13 +360,10 @@ func (r *Fig9Result) Isolation() float64 {
 	return r.ContendedMbps / r.AloneMbps
 }
 
-// Fig9 runs the file-system isolation experiment: the FS client alone,
-// then again alongside two paging applications.
-func Fig9() (*Fig9Result, error) {
-	return RunFig9(DefaultFig9Options())
-}
-
-// RunFig9 executes the experiment with explicit options.
+// RunFig9 executes the file-system isolation experiment: the FS client
+// alone, then again alongside two paging applications. The pagers warm
+// first; the FS client, the pagers' steady-state threads and (with
+// Timeline) the recorder all start at the measured window's first instant.
 func RunFig9(opt Fig9Options) (*Fig9Result, error) {
 	res := &Fig9Result{Opts: opt}
 
@@ -311,18 +373,7 @@ func RunFig9(opt Fig9Options) (*Fig9Result, error) {
 		cfg.MemoryFrames = 2048
 		cfg.Telemetry = opt.Timeline && withPagers
 		sys := core.New(cfg)
-		// FS data lives on the first quarter of the disk; swap files are
-		// in the second half (DefaultConfig's partition).
-		part := usd.Extent{Start: 0, Count: sys.Disk.Geom.TotalBlocks / 4}
-		fcfg := workload.DefaultFSClientConfig("fs", part)
-		fcfg.DiskQoS = opt.FSQoS
-		fcfg.Depth = opt.Depth
-		fcfg.SampleEvery = opt.SampleEvery
 		var set trace.SeriesSet
-		fc, err := workload.StartFSClient(sys, fcfg, set.New("fs"))
-		if err != nil {
-			return nil, 0, nil, err
-		}
 		var pagers []*workload.Pager
 		if withPagers {
 			for i, slice := range opt.PagerSlices {
@@ -330,24 +381,46 @@ func RunFig9(opt Fig9Options) (*Fig9Result, error) {
 				pc := workload.DefaultPagerConfig(name, slice)
 				pc.DiskQoS = atropos.QoS{P: opt.Period, S: slice, X: false, L: opt.Laxity}
 				pc.SampleEvery = opt.SampleEvery
-				pg, err := workload.StartPager(sys, pc, set.New(name))
+				pg, err := workload.WarmPager(sys, pc, set.New(name))
 				if err != nil {
 					return nil, 0, nil, err
 				}
 				pagers = append(pagers, pg)
 			}
+			if err := awaitInit(sys, pagers, 10*time.Minute); err != nil {
+				sys.Shutdown()
+				return nil, 0, nil, err
+			}
 		}
-		if opt.Timeline && withPagers {
+
+		measureStart := sys.Sim.Now()
+		sys.Obs.Attr().Restart()
+		if cfg.Telemetry {
 			sys.StartRecorder(opt.Recorder)
 			res.ContendedSys = sys
+		}
+		// FS data lives on the first quarter of the disk; swap files are
+		// in the second half (DefaultConfig's partition).
+		part := usd.Extent{Start: 0, Count: sys.Disk.Geom.TotalBlocks / 4}
+		fcfg := workload.DefaultFSClientConfig("fs", part)
+		fcfg.DiskQoS = opt.FSQoS
+		fcfg.Depth = opt.Depth
+		fcfg.SampleEvery = opt.SampleEvery
+		fc, err := workload.StartFSClient(sys, fcfg, set.New("fs"))
+		if err != nil {
+			sys.Shutdown()
+			return nil, 0, nil, err
+		}
+		for _, pg := range pagers {
+			pg.Resume()
 		}
 		sys.Run(opt.Measure)
 		fc.Stop()
 		var pagerMbps []float64
 		for _, pg := range pagers {
-			pagerMbps = append(pagerMbps, pg.Series.Mean())
+			pagerMbps = append(pagerMbps, pg.Series.MeanAfter(measureStart))
 		}
-		mean := set.Get("fs").MeanAfter(0)
+		mean := set.Get("fs").MeanAfter(measureStart)
 		sys.Shutdown()
 		return set.Get("fs"), mean, pagerMbps, nil
 	}

@@ -277,12 +277,7 @@ func RunSpec(ctx context.Context, spec Spec, workers int) (*Outcome, error) {
 	out := &Outcome{Result: res}
 	switch spec.Kind {
 	case KindSuite:
-		// The suite runs under the warm+measure protocol with world
-		// forking: each heavy harness warms once and every cell measures on
-		// a fork, which the fork-equivalence tests pin byte-identical to
-		// cold boots. The legacy in-place suite remains available as
-		// RunSuite for the trace-shaped comparisons that need it.
-		cells, err := RunSuiteForked(ctx, spec.Measure.D(), workers, true)
+		cells, err := RunSuite(ctx, spec.Measure.D(), workers)
 		if err != nil {
 			return nil, err
 		}
@@ -390,81 +385,48 @@ func FigureFromWarm(world *PagingWarm, spec Spec) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &Result{Spec: spec, Figure: &FigureSummary{
-		Fig:      spec.Figure,
-		MeanMbps: r.MeanMbps,
-		Ratios:   r.Ratios(),
-		MaxLax:   r.Log.MaxLax(),
-	}}, nil
+	return &Result{Spec: spec, Figure: pagingSummary(spec.Figure, r)}, nil
 }
 
-// runFigureSpec executes one figure cell, capturing trace/audit artifacts
-// when the spec asks for them. Untraced figure runs use the warm+measure
-// protocol (measuring on a fork of a warmed world — the same composition
-// nemesis-serve's warm pool performs); traced runs keep the legacy
-// in-place harness, which the recorder requires.
+func pagingSummary(fig int, r *PagingResult) *FigureSummary {
+	return &FigureSummary{Fig: fig, MeanMbps: r.MeanMbps, Ratios: r.Ratios(), MaxLax: r.Log.MaxLax()}
+}
+
+// runFigureSpec executes one figure cell in place — warm, then measure on
+// the same world — capturing the trace/audit artifacts when the spec asks
+// for them.
 func runFigureSpec(spec Spec, out *Outcome) error {
-	sum := &FigureSummary{Fig: spec.Figure}
 	switch spec.Figure {
 	case 7, 8:
-		if !spec.Trace {
-			warm, err := WarmPagingSpec(spec)
-			if err != nil {
-				return err
-			}
-			world, err := warm.Fork()
-			if err != nil {
-				return err
-			}
-			warm.Sys.Shutdown()
-			res, err := FigureFromWarm(world, spec)
-			if err != nil {
-				return err
-			}
-			out.Result.Figure = res.Figure
-			return nil
-		}
 		opt := PagingOptionsFromSpec(spec)
-		opt.Timeline = true
+		opt.Timeline = spec.Trace
 		r, err := RunPaging(opt)
 		if err != nil {
 			return err
 		}
-		sum.MeanMbps = r.MeanMbps
-		sum.Ratios = r.Ratios()
-		sum.MaxLax = r.Log.MaxLax()
-		if err := captureArtifacts(out, r.Sys.WriteTimeline, r.Sys.Obs.WriteAuditJSON); err != nil {
-			return err
+		out.Result.Figure = pagingSummary(spec.Figure, r)
+		if spec.Trace {
+			return captureArtifacts(out, r.Sys.WriteTimeline, r.Sys.Obs.WriteAuditJSON)
 		}
 	case 9:
 		opt := DefaultFig9Options()
 		opt.Measure = spec.Measure.D()
 		opt.Seed = spec.Seed
-		if !spec.Trace {
-			r, err := RunFig9Forked(opt, true)
-			if err != nil {
-				return err
-			}
-			sum.AloneMbps = r.AloneMbps
-			sum.ContendedMbps = r.ContendedMbps
-			sum.Isolation = r.Isolation()
-			break
-		}
-		opt.Timeline = true
+		opt.Timeline = spec.Trace
 		r, err := RunFig9(opt)
 		if err != nil {
 			return err
 		}
-		sum.AloneMbps = r.AloneMbps
-		sum.ContendedMbps = r.ContendedMbps
-		sum.Isolation = r.Isolation()
+		out.Result.Figure = &FigureSummary{
+			Fig:           9,
+			AloneMbps:     r.AloneMbps,
+			ContendedMbps: r.ContendedMbps,
+			Isolation:     r.Isolation(),
+		}
 		if r.ContendedSys != nil {
-			if err := captureArtifacts(out, r.ContendedSys.WriteTimeline, r.ContendedSys.Obs.WriteAuditJSON); err != nil {
-				return err
-			}
+			return captureArtifacts(out, r.ContendedSys.WriteTimeline, r.ContendedSys.Obs.WriteAuditJSON)
 		}
 	}
-	out.Result.Figure = sum
 	return nil
 }
 

@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"testing"
 	"time"
 )
@@ -11,11 +12,11 @@ import (
 // goroutine interleaving between cells cannot leak into results).
 func TestSuiteSerialEqualsParallel(t *testing.T) {
 	const measure = time.Second
-	serial, err := RunSuite(measure, 1)
+	serial, err := RunSuite(context.Background(), measure, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	parallel, err := RunSuite(measure, 4)
+	parallel, err := RunSuite(context.Background(), measure, 4)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -86,6 +86,22 @@ func (a *Attribution) Track(domain string) *DomainAttr {
 	return d
 }
 
+// Restart discards every domain's accrued accounts and restarts the
+// conservation clock at the current instant, keeping each domain's live
+// state (open fault spans, threads running or waiting for the CPU). A
+// harness calls it at the first instant of its measured window, so profiles
+// cover that window and not the initialisation before it. Safe on nil.
+func (a *Attribution) Restart() {
+	if a == nil {
+		return
+	}
+	now := a.now()
+	for _, d := range a.domains {
+		d.accounts = nil
+		d.start, d.since = now, now
+	}
+}
+
 // Domains returns the tracked domain names in first-tracked order.
 func (a *Attribution) Domains() []string {
 	if a == nil {

@@ -328,10 +328,22 @@ func writeError(w http.ResponseWriter, status int, msg string) {
 	writeJSON(w, status, map[string]string{"error": msg})
 }
 
+// maxSpecBytes bounds a submitted spec body. A spec is a few hundred bytes
+// even with long netswap axes; anything near this size is not one.
+const maxSpecBytes = 64 << 10
+
 func (s *Server) submitFromRequest(w http.ResponseWriter, r *http.Request) (*Job, bool, bool) {
 	var spec experiments.Spec
-	if err := json.NewDecoder(r.Body).Decode(&spec); err != nil {
-		writeError(w, http.StatusBadRequest, fmt.Sprintf("bad spec: %v", err))
+	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxSpecBytes))
+	// A misspelled knob must fail loudly, not silently run the defaults.
+	dec.DisallowUnknownFields()
+	if err := dec.Decode(&spec); err != nil {
+		status := http.StatusBadRequest
+		var tooBig *http.MaxBytesError
+		if errors.As(err, &tooBig) {
+			status = http.StatusRequestEntityTooLarge
+		}
+		writeError(w, status, fmt.Sprintf("bad spec: %v", err))
 		return nil, false, false
 	}
 	j, coalesced, err := s.Submit(spec)

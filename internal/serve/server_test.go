@@ -436,6 +436,55 @@ func TestBadSpecRejected(t *testing.T) {
 	}
 }
 
+// TestMisspelledSpecFieldRejected: an unknown field is a client error, not
+// a request for the defaults — "mesure" must not silently run the 40 s
+// default window.
+func TestMisspelledSpecFieldRejected(t *testing.T) {
+	s := New(Config{Workers: 1})
+	defer s.Close()
+	ts := httptest.NewServer(s.Handler())
+	defer ts.Close()
+	resp, err := ts.Client().Post(ts.URL+"/run", "application/json",
+		strings.NewReader(`{"kind":"figure","figure":7,"mesure":"5s"}`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	body := readBody(t, resp)
+	if resp.StatusCode != http.StatusBadRequest || !strings.Contains(string(body), "mesure") {
+		t.Errorf("status %d (%s), want 400 naming the unknown field", resp.StatusCode, body)
+	}
+	if n := jobCount(s); n != 0 {
+		t.Errorf("a rejected spec created %d jobs", n)
+	}
+}
+
+func jobCount(s *Server) int {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return len(s.jobs)
+}
+
+// TestOversizedSpecRejected: spec bodies are bounded, so a huge upload is
+// refused rather than buffered.
+func TestOversizedSpecRejected(t *testing.T) {
+	s := New(Config{Workers: 1})
+	defer s.Close()
+	ts := httptest.NewServer(s.Handler())
+	defer ts.Close()
+	body := `{"kind":"cluster",` + strings.Repeat(" ", maxSpecBytes) + `"seed":1}`
+	resp, err := ts.Client().Post(ts.URL+"/jobs", "application/json", strings.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	reply := readBody(t, resp)
+	if resp.StatusCode != http.StatusRequestEntityTooLarge {
+		t.Errorf("status %d (%s), want 413", resp.StatusCode, reply)
+	}
+	if n := jobCount(s); n != 0 {
+		t.Errorf("a rejected spec created %d jobs", n)
+	}
+}
+
 func TestStatsEndpoint(t *testing.T) {
 	s := New(Config{Workers: 1, QueueDepth: 9})
 	defer s.Close()

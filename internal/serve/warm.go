@@ -8,26 +8,25 @@ import (
 	"nemesis/internal/experiments"
 )
 
-// The warm-world pool is the second exploitation of core.System.Fork (the
-// first is the experiments sweeps): the result cache already answers
-// repeat submissions of *identical* specs, but specs that share only their
-// expensive warm prefix — a fig. 7 run at 10 s and the same run at 40 s —
-// still re-paid the whole ~10-minute (simulated) initialisation phase.
-// The pool keeps a bounded LRU of *resident simulations*: warmed
-// experiments.PagingWarm worlds keyed by the content hash of the spec with
-// its measured window stripped. A poolable job forks the resident world
-// and measures only its own window. Because fork-then-measure is
-// byte-identical to cold-boot-then-measure (the fork-equivalence tests pin
-// this), pooled answers are the same bytes experiments.RunSpec produces —
-// residency is purely a latency optimisation, never part of result
-// identity.
+// The warm-world pool is the one production use of core.System.Fork: the
+// result cache already answers repeat submissions of *identical* specs, but
+// specs that share only their expensive warm prefix — a fig. 7 run at 10 s
+// and the same run at 40 s — would still re-pay the whole (simulated)
+// initialisation phase. The pool keeps a bounded LRU of *resident
+// simulations*: warmed experiments.PagingWarm worlds keyed by the content
+// hash of the spec with its measured window stripped. A poolable job forks
+// the resident world and measures only its own window. Because
+// fork-then-measure is byte-identical to measuring the warmed world in
+// place (TestPagingForkEquivalence pins this), pooled answers are the same
+// bytes experiments.RunSpec produces — residency is purely a latency
+// optimisation, never part of result identity.
 
 // warmPrefixKey content-addresses the warm prefix of a spec: the hex
 // SHA-256 of the canonical JSON of the normalized spec with Measure
 // cleared. ok is false for specs whose world the pool cannot hold —
-// only untraced figure 7/8 specs are poolable today (their warm phase is
-// by far the most expensive, and the traced variants need the legacy
-// in-place harness).
+// only untraced figure 7/8 specs are poolable today: their warm phase is
+// by far the most expensive, and TestPagingForkEquivalence pins
+// fork-then-measure parity for untraced worlds only.
 func warmPrefixKey(spec experiments.Spec) (string, bool) {
 	if spec.Kind != experiments.KindFigure || spec.Trace || (spec.Figure != 7 && spec.Figure != 8) {
 		return "", false
@@ -49,6 +48,42 @@ type warmEntry struct {
 	key  string
 	mu   sync.Mutex
 	warm *experiments.PagingWarm
+	// evicted is set once the pool has dropped the entry. A job that took
+	// the entry before the eviction must not make it resident again:
+	// nothing would ever shut that world down.
+	evicted bool
+}
+
+// fork returns a fresh fork of the entry's world, warming it with build on
+// first use. An evicted entry holds no world, so the job warms a one-shot
+// world, forks it and shuts it down again.
+func (e *warmEntry) fork(build func() (*experiments.PagingWarm, error)) (*experiments.PagingWarm, error) {
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	if e.warm == nil {
+		w, err := build()
+		if err != nil {
+			return nil, err
+		}
+		if e.evicted {
+			defer w.Sys.Shutdown()
+			return w.Fork()
+		}
+		e.warm = w
+	}
+	return e.warm.Fork()
+}
+
+// evict marks the entry dropped and shuts its resident world down. The
+// entry lock fences any fork still in flight.
+func (e *warmEntry) evict() {
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	e.evicted = true
+	if e.warm != nil {
+		e.warm.Sys.Shutdown()
+		e.warm = nil
+	}
 }
 
 // warmPool is the bounded LRU of resident warmed worlds.
@@ -85,47 +120,38 @@ func (p *warmPool) fork(key string, build func() (*experiments.PagingWarm, error
 		p.order = append([]*warmEntry{e}, p.order...)
 		for len(p.order) > p.max {
 			victim := p.order[len(p.order)-1]
-			p.order = p.order[:len(p.order)-1]
-			delete(p.items, victim.key)
-			// Shut the evicted world down off the pool lock; its entry
-			// lock fences any fork still in flight. A racer that already
-			// held the entry rebuilds it as an unpooled one-shot — correct,
-			// just unshared.
-			go func() {
-				victim.mu.Lock()
-				if victim.warm != nil {
-					victim.warm.Sys.Shutdown()
-					victim.warm = nil
-				}
-				victim.mu.Unlock()
-			}()
+			p.removeLocked(victim)
+			// Shut the evicted world down off the pool lock.
+			go victim.evict()
 		}
 	}
 	p.mu.Unlock()
 
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	if e.warm == nil {
-		w, err := build()
-		if err != nil {
-			// Never cache failures: drop the entry so the next submission
-			// retries the warm-up.
-			p.mu.Lock()
-			if p.items[key] == e {
-				delete(p.items, key)
-				for i, o := range p.order {
-					if o == e {
-						p.order = append(p.order[:i], p.order[i+1:]...)
-						break
-					}
-				}
-			}
-			p.mu.Unlock()
-			return nil, err
-		}
-		e.warm = w
+	w, err := e.fork(build)
+	if err != nil {
+		// Never cache failures: drop the entry so the next submission
+		// retries the warm-up.
+		p.mu.Lock()
+		p.removeLocked(e)
+		p.mu.Unlock()
+		e.evict()
+		return nil, err
 	}
-	return e.warm.Fork()
+	return w, nil
+}
+
+// removeLocked drops e from the LRU if it is still pooled.
+func (p *warmPool) removeLocked(e *warmEntry) {
+	if p.items[e.key] != e {
+		return
+	}
+	delete(p.items, e.key)
+	for i, o := range p.order {
+		if o == e {
+			p.order = append(p.order[:i], p.order[i+1:]...)
+			return
+		}
+	}
 }
 
 func (p *warmPool) touchLocked(e *warmEntry) {
@@ -152,11 +178,6 @@ func (p *warmPool) close() {
 	p.order, p.items = nil, make(map[string]*warmEntry)
 	p.mu.Unlock()
 	for _, e := range order {
-		e.mu.Lock()
-		if e.warm != nil {
-			e.warm.Sys.Shutdown()
-			e.warm = nil
-		}
-		e.mu.Unlock()
+		e.evict()
 	}
 }

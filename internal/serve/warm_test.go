@@ -6,6 +6,8 @@ import (
 	"encoding/json"
 	"net/http"
 	"net/http/httptest"
+	"runtime"
+	"sync"
 	"testing"
 	"time"
 
@@ -123,5 +125,81 @@ func TestWarmPoolEviction(t *testing.T) {
 	resident, hits, misses := p.stats()
 	if resident != 1 || hits != 0 || misses != 3 {
 		t.Errorf("stats: resident=%d hits=%d misses=%d, want 1/0/3", resident, hits, misses)
+	}
+}
+
+// TestWarmEntryEvictedBeforeFork drives the eviction race deterministically:
+// a job holds an entry the pool has already evicted (the eviction goroutine
+// ran first). The job must still get a working fork, but the world it warms
+// for that must not become resident in the orphaned entry — nothing would
+// ever shut it down, and its service procs would stay parked forever.
+func TestWarmEntryEvictedBeforeFork(t *testing.T) {
+	before := runtime.NumGoroutine()
+	e := &warmEntry{key: "k"}
+	e.evict()
+
+	var oneShot *experiments.PagingWarm
+	world, err := e.fork(func() (*experiments.PagingWarm, error) {
+		opt := experiments.DefaultPagingOptions()
+		opt.VirtBytes = 1 << 20
+		w, err := experiments.WarmPaging(opt)
+		oneShot = w
+		return w, err
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if e.warm != nil {
+		t.Error("evicted entry became resident again")
+	}
+	if n := oneShot.Sys.Sim.Live(); n != 0 {
+		t.Errorf("one-shot world still has %d live procs after the fork", n)
+	}
+	if _, err := world.Measure(time.Second); err != nil {
+		t.Fatal(err)
+	}
+	deadline := time.Now().Add(5 * time.Second)
+	for runtime.NumGoroutine() > before && time.Now().Before(deadline) {
+		time.Sleep(10 * time.Millisecond)
+	}
+	if n := runtime.NumGoroutine(); n > before {
+		t.Errorf("goroutines = %d after the job, baseline %d: leak", n, before)
+	}
+}
+
+// TestWarmPoolConcurrentEviction races jobs on two prefixes through a
+// one-world pool, so evictions land while other jobs hold or build
+// entries. Every job must get a working fork, and once the pool closes no
+// world may be left running.
+func TestWarmPoolConcurrentEviction(t *testing.T) {
+	before := runtime.NumGoroutine()
+	p := newWarmPool(1)
+	build := func() (*experiments.PagingWarm, error) {
+		opt := experiments.DefaultPagingOptions()
+		opt.VirtBytes = 256 << 10
+		return experiments.WarmPaging(opt)
+	}
+	var wg sync.WaitGroup
+	for i := 0; i < 8; i++ {
+		key := []string{"a", "b"}[i%2]
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			w, err := p.fork(key, build)
+			if err != nil {
+				t.Error(err)
+				return
+			}
+			w.Sys.Shutdown()
+		}()
+	}
+	wg.Wait()
+	p.close()
+	deadline := time.Now().Add(5 * time.Second)
+	for runtime.NumGoroutine() > before && time.Now().Before(deadline) {
+		time.Sleep(10 * time.Millisecond)
+	}
+	if n := runtime.NumGoroutine(); n > before {
+		t.Errorf("goroutines = %d after close, baseline %d: leak", n, before)
 	}
 }
