@@ -71,3 +71,19 @@ func BenchmarkQueueSendRecv(b *testing.B) {
 	b.ResetTimer()
 	s.RunUntilIdle(8*b.N + 100)
 }
+
+// BenchmarkSpawnShutdown prices a process's whole life outside the switch
+// loop: spawn 100 processes that park in a long Sleep, run 1 ms, and
+// release them all with Shutdown. The cluster and the serve warm pool's
+// respawn pay this per process.
+func BenchmarkSpawnShutdown(b *testing.B) {
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		s := New(1)
+		for j := 0; j < 100; j++ {
+			s.Spawn("sleeper", func(p *Proc) { p.Sleep(time.Hour) })
+		}
+		s.RunFor(time.Millisecond)
+		s.Shutdown()
+	}
+}

@@ -1,7 +1,16 @@
+//go:build go1.23
+
+// The build line above sets this file's language version to go1.23, which
+// iter.Pull needs, while go.mod stays at go 1.22 (see README).
+
 package sim
 
 import (
+	"errors"
 	"fmt"
+	"iter"
+	"runtime"
+	"runtime/debug"
 	"time"
 )
 
@@ -9,20 +18,48 @@ import (
 // escapes the package: the process trampoline recovers it.
 type killSentinel struct{ name string }
 
-// ErrKilled is returned by blocking operations that can observe their own
-// process being killed (none currently do — kill unwinds the stack — but the
-// sentinel is exported as an error for tests that inspect termination).
-var ErrKilled = fmt.Errorf("sim: process killed")
+// ErrProcPanic is the sentinel every *ProcPanic unwraps to, so a caller can
+// tell a failed process from any other panic with errors.Is.
+var ErrProcPanic = errors.New("sim: process panicked")
 
-// Proc is a simulated process: a goroutine that runs only when the simulator
-// dispatches it and that returns control by blocking on one of the Proc
-// primitives (Sleep, Yield, Cond.Wait, ...). At most one Proc executes at any
-// moment.
+// ProcPanic is what a genuine panic inside a process becomes. It is
+// re-raised on the goroutine that dispatched the process: the caller of Run,
+// RunFor, RunUntilIdle or Shutdown, which can recover it as an error. The
+// failed process is already marked done, and the simulator's other processes
+// stay parked, so Shutdown still releases them.
+type ProcPanic struct {
+	Proc  string // name given at Spawn
+	Value any    // the value the process panicked with
+	Stack []byte // the process's stack at the panic; the re-raise loses it
+}
+
+func (e *ProcPanic) Error() string {
+	return fmt.Sprintf("sim: process %q panicked: %v", e.Proc, e.Value)
+}
+
+// Unwrap returns ErrProcPanic.
+func (e *ProcPanic) Unwrap() error { return ErrProcPanic }
+
+// gcYieldEvery is how many process dispatches pass between turns handed to
+// the Go scheduler. A coroutine switch goes from one goroutine straight to
+// the next without entering the runtime's scheduler, so at GOMAXPROCS=1 the
+// GC's background mark worker would run only when forced preemption caught
+// it: in Fig. 8, concurrent marking then took about 4.5 ms instead of 1 ms
+// and the peak heap goal rose from 29 to 40 MB (DESIGN §8). A power of two
+// keeps the check a mask.
+const gcYieldEvery = 256
+
+// Proc is a simulated process: a coroutine (iter.Pull) that runs only when
+// the simulator dispatches it and that returns control by blocking on one of
+// the Proc primitives (Sleep, Yield, Cond.Wait, ...). Dispatch and park are
+// direct coroutine switches between the dispatching goroutine and the
+// process's own, so at most one Proc executes at any moment and no handoff
+// waits in the Go scheduler.
 type Proc struct {
 	sim    *Simulator
 	name   string
-	sched  chan struct{} // scheduler -> process: run now
-	parked chan struct{} // process -> scheduler: parked (or exited)
+	next   func() (struct{}, bool) // run the process until it parks or ends
+	yield  func(struct{}) bool     // from inside the process: back to next's caller
 	done   bool
 	killed bool
 	// wakeSeq invalidates stale wakeups: every park increments it and a
@@ -32,43 +69,42 @@ type Proc struct {
 }
 
 // Spawn creates a process executing fn and schedules its first dispatch at
-// the current instant. fn runs entirely on the simulated timeline.
+// the current instant. fn runs entirely on the simulated timeline. The
+// process's goroutine lives until fn returns or the process unwinds from a
+// kill; Shutdown ends every one still parked, so iter.Pull's stop is never
+// needed.
 func (s *Simulator) Spawn(name string, fn func(p *Proc)) *Proc {
-	p := &Proc{
-		sim:    s,
-		name:   name,
-		sched:  make(chan struct{}),
-		parked: make(chan struct{}),
-	}
+	p := &Proc{sim: s, name: name}
 	s.live++
 	s.procs = append(s.procs, p)
-	go func() {
-		<-p.sched // wait for first dispatch
-		defer func() {
-			r := recover()
-			if r != nil {
-				if _, ok := r.(killSentinel); !ok {
-					// Re-panic genuine failures after marking the
-					// process dead so the scheduler is not wedged.
-					p.done = true
-					s.live--
-					close(p.parked)
-					panic(r)
-				}
-			}
-			p.done = true
-			s.live--
-			p.parked <- struct{}{}
-		}()
+	p.next, _ = iter.Pull(func(yield func(struct{}) bool) {
+		p.yield = yield
+		defer p.exit()
 		if p.killed {
 			// Killed (e.g. by Shutdown) before ever running: unwind without
 			// starting fn.
 			panic(killSentinel{p.name})
 		}
 		fn(p)
-	}()
+	})
 	s.atWake(s.now, p, p.prepare())
 	return p
+}
+
+// exit marks the process finished. Deferred by the coroutine body, it
+// recovers the kill sentinel and re-raises any other panic as a *ProcPanic,
+// which iter.Pull carries to the goroutine that dispatched the process.
+func (p *Proc) exit() {
+	r := recover()
+	p.done = true
+	p.sim.live--
+	if r == nil {
+		return
+	}
+	if _, ok := r.(killSentinel); ok {
+		return
+	}
+	panic(&ProcPanic{Proc: p.name, Value: r, Stack: debug.Stack()})
 }
 
 // Name returns the process name given at Spawn.
@@ -103,20 +139,24 @@ func (p *Proc) wake(tok uint64) {
 	p.dispatch()
 }
 
-// dispatch hands the CPU to the process and blocks until it parks again.
+// dispatch switches to the process and returns when it parks again or ends.
+// Every gcYieldEvery-th dispatch first gives the Go scheduler a turn.
 func (p *Proc) dispatch() {
-	prev := p.sim.current
-	p.sim.current = p
-	p.sched <- struct{}{}
-	<-p.parked
-	p.sim.current = prev
+	s := p.sim
+	s.switches++
+	if s.switches%gcYieldEvery == 0 {
+		runtime.Gosched()
+	}
+	prev := s.current
+	s.current = p
+	defer func() { s.current = prev }() // also when a *ProcPanic passes through
+	p.next()
 }
 
 // park returns control to the scheduler. The caller must already have
 // arranged a wakeup (via prepare + some event calling wake).
 func (p *Proc) park() {
-	p.parked <- struct{}{}
-	<-p.sched
+	p.yield(struct{}{})
 	if p.killed {
 		panic(killSentinel{p.name})
 	}

@@ -1,7 +1,9 @@
 package sim
 
 import (
+	"errors"
 	"runtime"
+	"strings"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -205,15 +207,32 @@ func TestNegativeSleepIsImmediate(t *testing.T) {
 func TestShutdownReleasesGoroutines(t *testing.T) {
 	before := runtime.NumGoroutine()
 	s := New(1)
-	var defers atomic.Int32
-	// A mix of states at shutdown: parked mid-sleep, never dispatched, and
-	// already finished.
-	for i := 0; i < 50; i++ {
-		s.Spawn("sleeper", func(p *Proc) {
-			defer defers.Add(1)
-			p.Sleep(time.Hour)
-			t.Error("killed process ran past its park point")
-		})
+	c := NewCond(s)
+	full := NewQueue[int](s, 1)
+	full.TrySend(0)
+	empty := NewQueue[int](s, 1)
+	// A mix of states at shutdown: parked at every park point, never
+	// dispatched, and already finished.
+	parkPoints := []struct {
+		name string
+		park func(p *Proc)
+	}{
+		{"Sleep", func(p *Proc) { p.Sleep(time.Hour) }},
+		{"Cond.Wait", func(p *Proc) { c.Wait(p) }},
+		{"Cond.WaitTimeout", func(p *Proc) { c.WaitTimeout(p, time.Hour) }},
+		{"Queue.Send on a full queue", func(p *Proc) { full.Send(p, 1) }},
+		{"Queue.Recv on an empty queue", func(p *Proc) { empty.Recv(p) }},
+	}
+	const each = 10
+	defers := make([]atomic.Int32, len(parkPoints))
+	for i, pp := range parkPoints {
+		for j := 0; j < each; j++ {
+			s.Spawn(pp.name, func(p *Proc) {
+				defer defers[i].Add(1)
+				pp.park(p)
+				t.Errorf("killed process ran past its park point in %s", pp.name)
+			})
+		}
 	}
 	s.Spawn("quick", func(p *Proc) {})
 	s.RunFor(time.Millisecond)
@@ -226,9 +245,18 @@ func TestShutdownReleasesGoroutines(t *testing.T) {
 	if s.Live() != 0 {
 		t.Fatalf("Live = %d after Shutdown", s.Live())
 	}
-	if n := defers.Load(); n != 50 {
-		t.Errorf("%d deferred cleanups ran, want 50 (kill must unwind the stack)", n)
+	for i, pp := range parkPoints {
+		if n := defers[i].Load(); n != each {
+			t.Errorf("%s: %d deferred cleanups ran, want %d (kill must unwind the stack)", pp.name, n, each)
+		}
 	}
+	waitGoroutines(t, before)
+}
+
+// waitGoroutines fails the test unless the goroutine count falls back to
+// before within a few seconds.
+func waitGoroutines(t *testing.T, before int) {
+	t.Helper()
 	deadline := time.Now().Add(5 * time.Second)
 	for runtime.NumGoroutine() > before && time.Now().Before(deadline) {
 		time.Sleep(time.Millisecond)
@@ -236,6 +264,57 @@ func TestShutdownReleasesGoroutines(t *testing.T) {
 	if n := runtime.NumGoroutine(); n > before {
 		t.Errorf("goroutines = %d, baseline %d: Shutdown leaked", n, before)
 	}
+}
+
+func TestProcPanicReachesRunCaller(t *testing.T) {
+	before := runtime.NumGoroutine()
+	s := New(1)
+	var unwound atomic.Bool
+	s.Spawn("bystander", func(p *Proc) {
+		defer unwound.Store(true)
+		p.Sleep(time.Hour)
+		t.Error("bystander ran past its park point")
+	})
+	s.Spawn("faulty", func(p *Proc) {
+		p.Sleep(time.Millisecond)
+		panic("page table corrupt")
+	})
+	var r any
+	func() {
+		defer func() { r = recover() }()
+		s.RunFor(time.Second)
+	}()
+	err, ok := r.(error)
+	if !ok {
+		t.Fatalf("Run raised %v (%T), want an error", r, r)
+	}
+	if !errors.Is(err, ErrProcPanic) {
+		t.Errorf("errors.Is(%v, ErrProcPanic) = false", err)
+	}
+	var pp *ProcPanic
+	if !errors.As(err, &pp) {
+		t.Fatalf("errors.As(%v, *ProcPanic) = false", err)
+	}
+	if pp.Proc != "faulty" || pp.Value != "page table corrupt" {
+		t.Errorf("ProcPanic{Proc: %q, Value: %v}, want faulty / page table corrupt", pp.Proc, pp.Value)
+	}
+	if !strings.Contains(string(pp.Stack), "TestProcPanicReachesRunCaller") {
+		t.Errorf("Stack does not reach the panicking function:\n%s", pp.Stack)
+	}
+	if s.Current() != nil {
+		t.Errorf("Current() = %q after the panic, want nil", s.Current().Name())
+	}
+	if s.Now() != Time(time.Millisecond) {
+		t.Errorf("Now = %v, want the panic's instant 1ms", s.Now())
+	}
+	if s.Live() != 1 {
+		t.Errorf("Live = %d, want 1 (the bystander)", s.Live())
+	}
+	s.Shutdown()
+	if !unwound.Load() {
+		t.Error("Shutdown did not unwind the parked bystander")
+	}
+	waitGoroutines(t, before)
 }
 
 func TestShutdownIdempotentOnFinishedSim(t *testing.T) {

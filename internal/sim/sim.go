@@ -109,6 +109,10 @@ type Simulator struct {
 	live    int     // spawned processes that have not yet finished
 	procs   []*Proc // every spawned process, for Shutdown
 
+	// switches counts dispatches into processes; every gcYieldEvery-th one
+	// yields to the Go scheduler first (see proc.go).
+	switches uint64
+
 	// dispatched counts events run since construction; a deterministic
 	// measure of how much simulated work a run performed.
 	dispatched int64

@@ -8,8 +8,9 @@
 //   - A time-ordered event queue (Simulator.At / Simulator.After) with FIFO
 //     ordering among simultaneous events.
 //   - A cooperative process model (Simulator.Spawn) in which each process is
-//     a goroutine, but exactly one process runs at any instant; control is
-//     handed between the scheduler and processes over unbuffered channels.
+//     a coroutine (iter.Pull) on its own goroutine, but exactly one process
+//     runs at any instant; control passes between the scheduler and a
+//     process by direct coroutine switches.
 //     This keeps application-style code (threads that block on page faults,
 //     worker threads, schedulers) natural to write while preserving strict
 //     determinism.
