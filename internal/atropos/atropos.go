@@ -25,8 +25,9 @@
 //
 // # Indexed core
 //
-// The core scales to thousands of clients: picks and refreshes run off
-// (deadline, admission) min-heaps instead of scanning the client slice.
+// The core scales to thousands of clients: EDF picks and refreshes run off
+// (deadline, admission) min-heaps, and slack picks off a bitmap, instead of
+// scanning the client slice.
 // Heap entries are invalidated lazily — a state change never touches the
 // heaps; stale entries are recognised and dropped when they surface at the
 // top. Dropping is safe because, within one deadline epoch, eligibility only
@@ -39,7 +40,10 @@
 // Drivers that track work availability per client (internal/cpu) should
 // mirror it through SetReady and pick via PickEDFReady/PickSlackReady, which
 // consider only ready clients; the generic PickEDFWith/PickSlack remain for
-// drivers with few clients (internal/usd).
+// drivers with few clients (internal/usd). Slack goes round-robin in client
+// order, not by deadline, so its index is a bitmap over client positions
+// with a bit per ready x=true client; PickSlackReady reads it a 64-bit word
+// at a time from the cursor on.
 //
 // ReferenceCore (reference_test.go) retains the original linear
 // implementation; the package tests co-run both over seeded random contract
@@ -50,6 +54,7 @@ package atropos
 import (
 	"errors"
 	"fmt"
+	"math/bits"
 	"sort"
 	"time"
 
@@ -131,7 +136,6 @@ type Client struct {
 	removed  bool   // invalidates any heap entries still referencing c
 	ready    bool   // driver-reported work availability (SetReady)
 	readyGen uint32 // bumped on every readiness flip; invalidates readyq entries
-	readyPos int    // position in Core.readyList, -1 when not ready
 }
 
 // Name returns the client's registration name.
@@ -240,11 +244,17 @@ type Core struct {
 	slackIdx   int     // round-robin cursor for slack distribution
 	nextSeq    uint64
 
-	runq      entryHeap // runnable clients by (deadline, seq); lazy
-	relq      entryHeap // one release-time entry per live client; lazy
-	readyq    entryHeap // ready ∧ runnable clients by (deadline, seq); lazy
-	readyList []*Client // unordered set of ready clients (PickSlackReady)
-	scratch   []qentry  // PickEDFWith spill buffer, reused across calls
+	runq    entryHeap // runnable clients by (deadline, seq); lazy
+	relq    entryHeap // one release-time entry per live client; lazy
+	readyq  entryHeap // ready ∧ runnable clients by (deadline, seq); lazy
+	scratch []qentry  // PickEDFWith spill buffer, reused across calls
+
+	// slackBits has bit i set iff clients[i] is ready and has x = true: the
+	// candidates of PickSlackReady, in round-robin order. It holds exactly
+	// ceil(len(clients)/64) words and no bit at or beyond len(clients). QoS
+	// is fixed at Admit, so x never changes under a set bit; SetReady and
+	// Remove are the only writers.
+	slackBits []uint64
 
 	// MinRemain is the "reasonable amount of time remaining" threshold of
 	// the roll-over scheme: a client may start a transaction while
@@ -307,7 +317,9 @@ func (co *Core) Admit(name string, q QoS, now sim.Time) (*Client, error) {
 		allocations: 1,
 		seq:         co.nextSeq,
 		idx:         len(co.clients),
-		readyPos:    -1,
+	}
+	if c.idx>>6 == len(co.slackBits) {
+		co.slackBits = append(co.slackBits, 0)
 	}
 	co.nextSeq++
 	co.clients = append(co.clients, c)
@@ -331,12 +343,18 @@ func (co *Core) Remove(name string) error {
 	delete(co.byName, name)
 	i := c.idx
 	co.clients = append(co.clients[:i], co.clients[i+1:]...)
+	// Every client after i moves down a slot, and its slack bit with it:
+	// clear the bits from i on and set them again as the loop re-indexes.
+	co.slackBits[i>>6] &= 1<<(i&63) - 1
+	clear(co.slackBits[i>>6+1:])
 	for ; i < len(co.clients); i++ {
-		co.clients[i].idx = i
+		d := co.clients[i]
+		d.idx = i
+		if d.ready && d.qos.X {
+			co.slackBits[i>>6] |= 1 << (i & 63)
+		}
 	}
-	if c.readyPos >= 0 {
-		co.readyRemove(c)
-	}
+	co.slackBits = co.slackBits[:(len(co.clients)+63)>>6]
 	co.recontract()
 	return nil
 }
@@ -443,33 +461,20 @@ func (co *Core) PickEDFWith(pred func(*Client) bool) *Client {
 
 // SetReady records whether the driver has work queued for c. Readiness feeds
 // PickEDFReady and PickSlackReady; it is the indexed replacement for passing
-// a has-work predicate to every pick.
+// a has-work predicate to every pick. A flip of an x=true client flips its
+// slack bit, and a newly ready runnable client enters the ready heap.
 func (co *Core) SetReady(c *Client, ready bool) {
 	if c.ready == ready || c.removed {
 		return
 	}
 	c.ready = ready
 	c.readyGen++
-	if ready {
-		c.readyPos = len(co.readyList)
-		co.readyList = append(co.readyList, c)
-		if co.runnable(c) {
-			co.readyq.push(qentry{deadline: c.deadline, seq: c.seq, gen: c.readyGen, c: c})
-		}
-		return
+	if c.qos.X {
+		co.slackBits[c.idx>>6] ^= 1 << (c.idx & 63)
 	}
-	co.readyRemove(c)
-}
-
-// readyRemove drops c from the unordered ready list by swap-delete.
-func (co *Core) readyRemove(c *Client) {
-	last := len(co.readyList) - 1
-	moved := co.readyList[last]
-	co.readyList[c.readyPos] = moved
-	moved.readyPos = c.readyPos
-	co.readyList[last] = nil
-	co.readyList = co.readyList[:last]
-	c.readyPos = -1
+	if ready && co.runnable(c) {
+		co.readyq.push(qentry{deadline: c.deadline, seq: c.seq, gen: c.readyGen, c: c})
+	}
 }
 
 // PickEDFReady returns the earliest-deadline runnable client marked ready,
@@ -500,35 +505,37 @@ func (co *Core) PickSlack(pred func(*Client) bool) *Client {
 	return nil
 }
 
-// PickSlackReady is PickSlack with a ready predicate, scanning only the
-// ready set: it returns the slack-eligible ready client closest after the
-// round-robin cursor and advances the cursor past it — exactly the client
-// the linear scan would have stopped at.
+// PickSlackReady is PickSlack with a ready predicate, read off the slack
+// bitmap: it takes the first set bit at or after the round-robin cursor
+// (slackIdx mod n, as the cursor may point past the end after a Remove),
+// wrapping to 0, and advances the cursor past it. That is exactly the client
+// the linear scan would have stopped at, found a word at a time.
 func (co *Core) PickSlackReady() *Client {
 	n := len(co.clients)
 	if n == 0 {
 		return nil
 	}
-	var best *Client
-	bestDist := n
-	for _, c := range co.readyList {
-		if !c.qos.X {
-			continue
-		}
-		d := (c.idx - co.slackIdx) % n
-		if d < 0 {
-			d += n
-		}
-		if d < bestDist {
-			bestDist = d
-			best = c
+	start := co.slackIdx % n
+	w := start >> 6
+	i := -1
+	if word := co.slackBits[w] >> (start & 63); word != 0 {
+		i = start + bits.TrailingZeros64(word)
+	} else {
+		// Words after the cursor's, then from 0 round to the cursor's own
+		// word again, whose bits below the cursor are the last candidates.
+		for k := 1; k <= len(co.slackBits); k++ {
+			wk := (w + k) % len(co.slackBits)
+			if word := co.slackBits[wk]; word != 0 {
+				i = wk<<6 + bits.TrailingZeros64(word)
+				break
+			}
 		}
 	}
-	if best == nil {
+	if i < 0 {
 		return nil
 	}
-	co.slackIdx = (best.idx + 1) % n
-	return best
+	co.slackIdx = (i + 1) % n
+	return co.clients[i]
 }
 
 // Charge debits d of real service time from c. If the balance reaches zero

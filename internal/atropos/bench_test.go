@@ -99,3 +99,62 @@ func BenchmarkChargeRefresh(b *testing.B) {
 		co.Refresh(now)
 	}
 }
+
+// slackQoS is the contract of every slack-benchmark client: x = true, so
+// each one competes for slack, with shares summing to 0.8 at any n.
+func slackQoS(n int) QoS {
+	return QoS{P: 250 * time.Millisecond, S: time.Duration(int64(200*time.Millisecond) / int64(n)), X: true}
+}
+
+// BenchmarkSlackPick prices one round-robin slack pick over n x=true
+// clients, 7 of every 8 ready — the call the CPU scheduler makes whenever
+// no ready client has guaranteed time left. The pick reads the next set bit
+// after the cursor, so its cost should not grow with n.
+func BenchmarkSlackPick(b *testing.B) {
+	for _, n := range []int{10, 100, 1000, 5000} {
+		b.Run(strconv.Itoa(n), func(b *testing.B) {
+			co := NewCore(1.0)
+			for i := 0; i < n; i++ {
+				c, err := co.Admit(strconv.Itoa(i), slackQoS(n), 0)
+				if err != nil {
+					b.Fatal(err)
+				}
+				co.SetReady(c, i%8 != 7)
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if co.PickSlackReady() == nil {
+					b.Fatal("no pick")
+				}
+			}
+		})
+	}
+}
+
+// BenchmarkReferenceSlackPick is the same pick on the retained linear core,
+// with readiness as a predicate: it walks from the cursor to the next ready
+// client, one or two steps at this density.
+func BenchmarkReferenceSlackPick(b *testing.B) {
+	for _, n := range []int{10, 100, 1000, 5000} {
+		b.Run(strconv.Itoa(n), func(b *testing.B) {
+			co := NewReferenceCore(1.0)
+			ready := make(map[*ReferenceClient]bool, n)
+			for i := 0; i < n; i++ {
+				c, err := co.Admit(strconv.Itoa(i), slackQoS(n), 0)
+				if err != nil {
+					b.Fatal(err)
+				}
+				ready[c] = i%8 != 7
+			}
+			pred := func(c *ReferenceClient) bool { return ready[c] }
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if co.PickSlack(pred) == nil {
+					b.Fatal("no pick")
+				}
+			}
+		})
+	}
+}

@@ -24,6 +24,7 @@ type pair struct {
 	heap  *Core
 	ref   *ReferenceCore
 	ready map[string]bool // driver-side work availability, mirrored via SetReady
+	names []string        // the names random admits and removals draw from
 	now   sim.Time
 	step  int
 }
@@ -35,10 +36,65 @@ func newPair(t *testing.T, seed int64, capacity float64, minRemain time.Duration
 		heap:  NewCore(capacity),
 		ref:   NewReferenceCore(capacity),
 		ready: make(map[string]bool),
+		names: []string{"a", "b", "c", "d", "e", "f", "g", "h"},
 	}
 	p.heap.MinRemain = minRemain
 	p.ref.MinRemain = minRemain
 	return p
+}
+
+// populate admits n uniquely named clients d0…d(n-1) into both cores, each
+// ready with probability 1/2, and adds their names to the random op pool.
+// qos draws each contract.
+func (p *pair) populate(rng *rand.Rand, n int, qos func(*rand.Rand) QoS) {
+	p.t.Helper()
+	for i := 0; i < n; i++ {
+		name := fmt.Sprintf("d%d", i)
+		q := qos(rng)
+		hc, err := p.heap.Admit(name, q, p.now)
+		if err != nil {
+			p.t.Fatalf("heap admit: %v", err)
+		}
+		if _, err := p.ref.Admit(name, q, p.now); err != nil {
+			p.t.Fatalf("ref admit: %v", err)
+		}
+		p.names = append(p.names, name)
+		p.setReady(hc, rng.Intn(2) == 0)
+	}
+	p.checkState()
+}
+
+// setReady mirrors driver-side readiness into the indexed core.
+func (p *pair) setReady(c *Client, ready bool) {
+	p.ready[c.name] = ready
+	p.heap.SetReady(c, ready)
+}
+
+// remove deregisters name from both cores; their errors must agree.
+func (p *pair) remove(name string) {
+	p.t.Helper()
+	herr := p.heap.Remove(name)
+	rerr := p.ref.Remove(name)
+	if (herr == nil) != (rerr == nil) {
+		p.fatalf("remove %q: heap err %v, ref err %v", name, herr, rerr)
+	}
+	delete(p.ready, name)
+}
+
+// pickSlackReady takes a slack pick from both cores (the reference under a
+// ready predicate), requires the same client and the same cursor, and
+// returns the pick.
+func (p *pair) pickSlackReady() string {
+	p.t.Helper()
+	got := cname(p.heap.PickSlackReady())
+	want := rname(p.ref.PickSlack(func(c *ReferenceClient) bool { return p.ready[c.name] }))
+	if got != want {
+		p.fatalf("PickSlackReady: heap %q ref %q", got, want)
+	}
+	if p.heap.slackIdx != p.ref.slackIdx {
+		p.fatalf("slack cursor: heap %d ref %d", p.heap.slackIdx, p.ref.slackIdx)
+	}
+	return got
 }
 
 func (p *pair) fatalf(format string, args ...any) {
@@ -108,130 +164,131 @@ func randQoS(rng *rand.Rand) QoS {
 
 func (p *pair) run(rng *rand.Rand, ops int) {
 	p.t.Helper()
-	names := []string{"a", "b", "c", "d", "e", "f", "g", "h"}
-	for p.step = 0; p.step < ops; p.step++ {
-		switch op := rng.Intn(16); op {
-		case 0, 1: // admit (often over capacity — errors must agree)
-			name := names[rng.Intn(len(names))]
-			q := randQoS(rng)
-			hc, herr := p.heap.Admit(name, q, p.now)
-			rc, rerr := p.ref.Admit(name, q, p.now)
-			if (herr == nil) != (rerr == nil) {
-				p.fatalf("admit %q: heap err %v, ref err %v", name, herr, rerr)
+	for i := 0; i < ops; i++ {
+		p.op(rng)
+	}
+}
+
+// op draws one random operation, applies it to both cores, checks every
+// decision and the full client population, and returns what the indexed
+// core decided ("" for operations that decide nothing), so two pairs driven
+// by equal random streams can be compared op by op.
+func (p *pair) op(rng *rand.Rand) string {
+	p.t.Helper()
+	p.step++
+	out := ""
+	switch op := rng.Intn(16); op {
+	case 0, 1: // admit (often over capacity — errors must agree)
+		name := p.names[rng.Intn(len(p.names))]
+		q := randQoS(rng)
+		hc, herr := p.heap.Admit(name, q, p.now)
+		rc, rerr := p.ref.Admit(name, q, p.now)
+		if (herr == nil) != (rerr == nil) {
+			p.fatalf("admit %q: heap err %v, ref err %v", name, herr, rerr)
+		}
+		if herr != nil {
+			if !errors.Is(herr, ErrOvercommitted) && !errors.Is(herr, ErrDuplicate) && !errors.Is(herr, ErrBadQoS) {
+				p.fatalf("admit %q: unexpected error %v", name, herr)
 			}
-			if herr != nil {
-				if !errors.Is(herr, ErrOvercommitted) && !errors.Is(herr, ErrDuplicate) && !errors.Is(herr, ErrBadQoS) {
-					p.fatalf("admit %q: unexpected error %v", name, herr)
-				}
-				if herr.Error() != rerr.Error() {
-					p.fatalf("admit %q: error text heap %q ref %q", name, herr, rerr)
-				}
-				continue
+			if herr.Error() != rerr.Error() {
+				p.fatalf("admit %q: error text heap %q ref %q", name, herr, rerr)
 			}
-			if hc.name != rc.name {
-				p.fatalf("admit returned %q vs %q", hc.name, rc.name)
-			}
-		case 2: // remove
-			name := names[rng.Intn(len(names))]
-			herr := p.heap.Remove(name)
-			rerr := p.ref.Remove(name)
-			if (herr == nil) != (rerr == nil) {
-				p.fatalf("remove %q: heap err %v, ref err %v", name, herr, rerr)
-			}
-			delete(p.ready, name)
-		case 3, 4: // charge, sometimes into overrun
-			hc, rc := p.pickClient(rng)
-			if hc == nil {
-				continue
-			}
-			d := time.Duration(rng.Int63n(int64(2 * hc.qos.S)))
-			p.heap.Charge(hc, d)
-			p.ref.Charge(rc, d)
-		case 5: // lax charge
-			hc, rc := p.pickClient(rng)
-			if hc == nil {
-				continue
-			}
-			d := time.Duration(rng.Int63n(int64(2 * time.Millisecond)))
-			p.heap.ChargeLax(hc, d)
-			p.ref.ChargeLax(rc, d)
-		case 6: // note work
-			hc, rc := p.pickClient(rng)
-			if hc == nil {
-				continue
-			}
-			p.heap.NoteWork(hc)
-			p.ref.NoteWork(rc)
-		case 7: // park idle
-			hc, rc := p.pickClient(rng)
-			if hc == nil {
-				continue
-			}
-			p.heap.Idle(hc)
-			p.ref.Idle(rc)
-		case 8: // readiness flip
-			hc, _ := p.pickClient(rng)
-			if hc == nil {
-				continue
-			}
-			r := rng.Intn(2) == 0
-			p.ready[hc.name] = r
-			p.heap.SetReady(hc, r)
-		case 9, 10: // refresh after a time step (occasionally a long gap)
-			var dt time.Duration
-			if rng.Intn(8) == 0 {
-				dt = time.Duration(rng.Int63n(int64(500 * time.Millisecond)))
-			} else {
-				dt = time.Duration(rng.Int63n(int64(30 * time.Millisecond)))
-			}
-			p.now = p.now.Add(dt)
-			hg := p.heap.Refresh(p.now)
-			rg := p.ref.Refresh(p.now)
-			if len(hg) != len(rg) {
-				p.fatalf("refresh granted %d vs %d", len(hg), len(rg))
-			}
-			for i := range hg {
-				if hg[i].name != rg[i].name {
-					p.fatalf("refresh grant %d: %q vs %q", i, hg[i].name, rg[i].name)
-				}
-			}
-		case 11: // EDF pick
-			if got, want := cname(p.heap.PickEDF()), rname(p.ref.PickEDF()); got != want {
-				p.fatalf("PickEDF: heap %q ref %q", got, want)
-			}
-		case 12: // predicated EDF pick (readiness as the predicate)
-			got := cname(p.heap.PickEDFWith(func(c *Client) bool { return p.ready[c.name] }))
-			want := rname(p.ref.PickEDFWith(func(c *ReferenceClient) bool { return p.ready[c.name] }))
-			if got != want {
-				p.fatalf("PickEDFWith(ready): heap %q ref %q", got, want)
-			}
-			if indexed := cname(p.heap.PickEDFReady()); indexed != want {
-				p.fatalf("PickEDFReady: heap %q ref-pred %q", indexed, want)
-			}
-		case 13: // slack round-robin over the ready set (advances both cursors)
-			got := cname(p.heap.PickSlackReady())
-			want := rname(p.ref.PickSlack(func(c *ReferenceClient) bool { return p.ready[c.name] }))
-			if got != want {
-				p.fatalf("PickSlackReady: heap %q ref %q", got, want)
-			}
-			if p.heap.slackIdx != p.ref.slackIdx {
-				p.fatalf("slack cursor: heap %d ref %d", p.heap.slackIdx, p.ref.slackIdx)
-			}
-		case 14: // generic slack pick with an unconditional predicate
-			got := cname(p.heap.PickSlack(func(*Client) bool { return true }))
-			want := rname(p.ref.PickSlack(func(*ReferenceClient) bool { return true }))
-			if got != want {
-				p.fatalf("PickSlack(true): heap %q ref %q", got, want)
-			}
-		case 15: // next period boundary
-			hb, hok := p.heap.NextBoundary()
-			rb, rok := p.ref.NextBoundary()
-			if hok != rok || (hok && hb != rb) {
-				p.fatalf("NextBoundary: heap %v,%v ref %v,%v", hb, hok, rb, rok)
+			break
+		}
+		if hc.name != rc.name {
+			p.fatalf("admit returned %q vs %q", hc.name, rc.name)
+		}
+	case 2: // remove
+		p.remove(p.names[rng.Intn(len(p.names))])
+	case 3, 4: // charge, sometimes into overrun
+		hc, rc := p.pickClient(rng)
+		if hc == nil {
+			break
+		}
+		d := time.Duration(rng.Int63n(int64(2 * hc.qos.S)))
+		p.heap.Charge(hc, d)
+		p.ref.Charge(rc, d)
+	case 5: // lax charge
+		hc, rc := p.pickClient(rng)
+		if hc == nil {
+			break
+		}
+		d := time.Duration(rng.Int63n(int64(2 * time.Millisecond)))
+		p.heap.ChargeLax(hc, d)
+		p.ref.ChargeLax(rc, d)
+	case 6: // note work
+		hc, rc := p.pickClient(rng)
+		if hc == nil {
+			break
+		}
+		p.heap.NoteWork(hc)
+		p.ref.NoteWork(rc)
+	case 7: // park idle
+		hc, rc := p.pickClient(rng)
+		if hc == nil {
+			break
+		}
+		p.heap.Idle(hc)
+		p.ref.Idle(rc)
+	case 8: // readiness flip
+		hc, _ := p.pickClient(rng)
+		if hc == nil {
+			break
+		}
+		p.setReady(hc, rng.Intn(2) == 0)
+	case 9, 10: // refresh after a time step (occasionally a long gap)
+		var dt time.Duration
+		if rng.Intn(8) == 0 {
+			dt = time.Duration(rng.Int63n(int64(500 * time.Millisecond)))
+		} else {
+			dt = time.Duration(rng.Int63n(int64(30 * time.Millisecond)))
+		}
+		p.now = p.now.Add(dt)
+		hg := p.heap.Refresh(p.now)
+		rg := p.ref.Refresh(p.now)
+		if len(hg) != len(rg) {
+			p.fatalf("refresh granted %d vs %d", len(hg), len(rg))
+		}
+		for i := range hg {
+			if hg[i].name != rg[i].name {
+				p.fatalf("refresh grant %d: %q vs %q", i, hg[i].name, rg[i].name)
 			}
 		}
-		p.checkState()
+	case 11: // EDF pick
+		got, want := cname(p.heap.PickEDF()), rname(p.ref.PickEDF())
+		if got != want {
+			p.fatalf("PickEDF: heap %q ref %q", got, want)
+		}
+		out = "PickEDF " + got
+	case 12: // predicated EDF pick (readiness as the predicate)
+		got := cname(p.heap.PickEDFWith(func(c *Client) bool { return p.ready[c.name] }))
+		want := rname(p.ref.PickEDFWith(func(c *ReferenceClient) bool { return p.ready[c.name] }))
+		if got != want {
+			p.fatalf("PickEDFWith(ready): heap %q ref %q", got, want)
+		}
+		if indexed := cname(p.heap.PickEDFReady()); indexed != want {
+			p.fatalf("PickEDFReady: heap %q ref-pred %q", indexed, want)
+		}
+		out = "PickEDFReady " + got
+	case 13: // slack round-robin over the ready set (advances both cursors)
+		out = fmt.Sprintf("PickSlackReady %s %d", p.pickSlackReady(), p.heap.slackIdx)
+	case 14: // generic slack pick with an unconditional predicate
+		got := cname(p.heap.PickSlack(func(*Client) bool { return true }))
+		want := rname(p.ref.PickSlack(func(*ReferenceClient) bool { return true }))
+		if got != want {
+			p.fatalf("PickSlack(true): heap %q ref %q", got, want)
+		}
+		out = fmt.Sprintf("PickSlack %s %d", got, p.heap.slackIdx)
+	case 15: // next period boundary
+		hb, hok := p.heap.NextBoundary()
+		rb, rok := p.ref.NextBoundary()
+		if hok != rok || (hok && hb != rb) {
+			p.fatalf("NextBoundary: heap %v,%v ref %v,%v", hb, hok, rb, rok)
+		}
+		out = fmt.Sprintf("NextBoundary %v %v", hb, hok)
 	}
+	p.checkState()
+	return out
 }
 
 // TestHeapMatchesReference is the headline equivalence property: 1,200
@@ -260,24 +317,123 @@ func TestHeapMatchesReference(t *testing.T) {
 	}
 }
 
-// TestHeapMatchesReferenceLargePopulation stresses the heaps with hundreds
-// of concurrent clients per core (high capacity, rare removals).
+// TestHeapMatchesReferenceLargePopulation stresses the heaps and the slack
+// bitmap with hundreds of concurrent clients per core (high capacity), ready
+// clients spread over every bitmap word. Admits and removals draw from the
+// d* population as well as a–h, so removals land in every word and shift the
+// bits of all the words after them, and removed d* names come back.
 func TestHeapMatchesReferenceLargePopulation(t *testing.T) {
 	for seed := int64(0); seed < 10; seed++ {
 		rng := rand.New(rand.NewSource(1000 + seed))
 		p := newPair(t, seed, 1e9, 0)
-		// Admit a few hundred uniquely named clients into both cores.
-		for i := 0; i < 300; i++ {
-			name := fmt.Sprintf("d%d", i)
-			q := randQoS(rng)
-			if _, err := p.heap.Admit(name, q, p.now); err != nil {
-				t.Fatalf("heap admit: %v", err)
-			}
-			if _, err := p.ref.Admit(name, q, p.now); err != nil {
-				t.Fatalf("ref admit: %v", err)
+		p.populate(rng, 300, randQoS)
+		p.run(rng, 400)
+	}
+}
+
+// TestSlackPickAcrossWordBoundaries pins PickSlackReady to the reference
+// around removals at the edges of the slack bitmap's 64-bit words: the
+// first and last client of a word (0, 63, 64, 127) and the last client. A
+// removal shifts every later client down a slot, so a bit that fails to
+// carry across a word boundary shows up as a pick of the wrong client. The
+// cursor sits just before, at and just after the removed index, or at the
+// old last slot, which after the removal is ≥ n.
+func TestSlackPickAcrossWordBoundaries(t *testing.T) {
+	allSlack := func(*rand.Rand) QoS {
+		return QoS{P: 100 * time.Millisecond, S: time.Millisecond, X: true}
+	}
+	for seed := int64(0); seed < 8; seed++ {
+		for _, cursor := range []func(at, n int) int{
+			func(at, n int) int { return (at + n - 1) % n },
+			func(at, n int) int { return at },
+			func(at, n int) int { return (at + 1) % n },
+			func(at, n int) int { return n - 1 },
+		} {
+			rng := rand.New(rand.NewSource(3000 + seed))
+			p := newPair(t, seed, 1e9, 0)
+			p.populate(rng, 200, allSlack)
+			for _, at := range []int{0, 63, 64, 127, -1} {
+				n := len(p.heap.Clients())
+				if at < 0 {
+					at = n - 1
+				}
+				c := cursor(at, n)
+				p.heap.slackIdx, p.ref.slackIdx = c, c
+				p.remove(p.heap.Clients()[at].name)
+				// Two laps of picks from the post-removal cursor, with
+				// readiness flips on the way.
+				for k := 0; k < 2*n; k++ {
+					p.step++
+					if rng.Intn(4) == 0 {
+						cs := p.heap.Clients()
+						p.setReady(cs[rng.Intn(len(cs))], rng.Intn(2) == 0)
+					}
+					p.pickSlackReady()
+				}
+				p.checkState()
 			}
 		}
-		p.checkState()
-		p.run(rng, 400)
+	}
+}
+
+// clone returns an independent copy of the reference core.
+func (co *ReferenceCore) clone() *ReferenceCore {
+	nc := *co
+	nc.clients = make([]*ReferenceClient, len(co.clients))
+	for i, c := range co.clients {
+		cc := *c
+		nc.clients[i] = &cc
+	}
+	return &nc
+}
+
+// TestForkMatchesParent forks an indexed core mid-sequence, with ready
+// clients spread across several bitmap words, then drives parent and fork
+// through the same random operations in lockstep, each beside its own copy
+// of the reference. Parent and fork must make the same decisions — PickEDF,
+// PickEDFReady and PickSlackReady, with the same slack cursor — and hold the
+// same state for every client, index bookkeeping included. Since each core
+// also answers to its own reference after every operation, a fork that
+// shared a heap or the slack bitmap with its parent fails even though
+// lockstep applies every change to both.
+func TestForkMatchesParent(t *testing.T) {
+	for seed := int64(0); seed < 10; seed++ {
+		rng := rand.New(rand.NewSource(2000 + seed))
+		p := newPair(t, seed, 1e9, 0)
+		p.populate(rng, 300, randQoS)
+		p.run(rng, 200)
+
+		child, m := p.heap.Fork()
+		for _, c := range p.heap.Clients() {
+			if m[c] == nil || m[c] == c || m[c].name != c.name {
+				t.Fatalf("seed %d: fork map sends %q to %v", seed, c.name, m[c])
+			}
+		}
+		ready := make(map[string]bool, len(p.ready))
+		for name, r := range p.ready {
+			ready[name] = r
+		}
+		f := &pair{t: t, seed: seed, heap: child, ref: p.ref.clone(), ready: ready,
+			names: p.names, now: p.now, step: p.step}
+
+		prng := rand.New(rand.NewSource(seed))
+		frng := rand.New(rand.NewSource(seed))
+		for i := 0; i < 600; i++ {
+			if got, want := f.op(frng), p.op(prng); got != want {
+				t.Fatalf("seed %d step %d: fork decided %q, parent %q", seed, p.step, got, want)
+			}
+			if f.heap.slackIdx != p.heap.slackIdx {
+				t.Fatalf("seed %d step %d: slack cursor fork %d parent %d", seed, p.step, f.heap.slackIdx, p.heap.slackIdx)
+			}
+			pc, fc := p.heap.Clients(), f.heap.Clients()
+			if len(pc) != len(fc) {
+				t.Fatalf("seed %d step %d: fork has %d clients, parent %d", seed, p.step, len(fc), len(pc))
+			}
+			for j := range pc {
+				if *pc[j] != *fc[j] {
+					t.Fatalf("seed %d step %d: client %d diverged:\n fork   %+v\n parent %+v", seed, p.step, j, *fc[j], *pc[j])
+				}
+			}
+		}
 	}
 }

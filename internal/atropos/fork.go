@@ -3,9 +3,9 @@ package atropos
 // Fork returns a deep copy of the core and an identity map from each parent
 // client to its forked twin. Everything that influences future decisions is
 // copied exactly: client accounting, admission sequence numbers, the
-// round-robin slack cursor, and the lazily-invalidated heaps — including
-// their stale entries, re-pointed at the copied clients, so the forked core
-// drops them at the same instants the parent would.
+// round-robin slack cursor and slack bitmap, and the lazily-invalidated
+// heaps — including their stale entries, re-pointed at the copied clients,
+// so the forked core drops them at the same instants the parent would.
 func (co *Core) Fork() (*Core, map[*Client]*Client) {
 	m := make(map[*Client]*Client, len(co.clients))
 	nc := &Core{
@@ -48,9 +48,6 @@ func (co *Core) Fork() (*Core, map[*Client]*Client) {
 	nc.runq = remapHeap(co.runq)
 	nc.relq = remapHeap(co.relq)
 	nc.readyq = remapHeap(co.readyq)
-	nc.readyList = make([]*Client, len(co.readyList))
-	for i, c := range co.readyList {
-		nc.readyList[i] = clone(c)
-	}
+	nc.slackBits = append([]uint64(nil), co.slackBits...)
 	return nc, m
 }

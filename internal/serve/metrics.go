@@ -83,7 +83,7 @@ func (s *Server) WriteMetrics(w io.Writer) error {
 	sort.Slice(live, func(i, k int) bool { return live[i].id < live[k].id })
 
 	jobs := metricFamily{name: "nemesis_jobs", typ: "gauge",
-		help: "Jobs ever submitted, by lifecycle state."}
+		help: "Jobs in the job table, by lifecycle state (the oldest terminal jobs are evicted)."}
 	for _, st := range jobStates {
 		jobs.add(fmt.Sprintf(`{state=%q}`, st), float64(states[st]))
 	}
@@ -102,6 +102,9 @@ func (s *Server) WriteMetrics(w io.Writer) error {
 	runs := metricFamily{name: "nemesis_runs_total", typ: "counter",
 		help: "Simulations actually executed (cache hits and coalesced submissions bypass this)."}
 	runs.add("", float64(s.runs.Load()))
+	evicted := metricFamily{name: "nemesis_jobs_evicted_total", typ: "counter",
+		help: "Terminal jobs evicted from the job table; their ids answer 404."}
+	evicted.add("", float64(s.evicted.Load()))
 
 	cacheEntries := metricFamily{name: "nemesis_cache_entries", typ: "gauge",
 		help: "Results resident in the content-addressed cache."}
@@ -137,7 +140,7 @@ func (s *Server) WriteMetrics(w io.Writer) error {
 	}
 
 	for _, f := range []*metricFamily{
-		&jobs, &queue, &queueCap, &workers, &rejected, &runs,
+		&jobs, &evicted, &queue, &queueCap, &workers, &rejected, &runs,
 		&cacheEntries, &cacheHits, &cacheMisses,
 		&warmWorlds, &warmHitsF, &warmMissesF,
 		&cellsDone, &cellsTotal, &cellsRate,

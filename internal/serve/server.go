@@ -66,6 +66,13 @@ func (c *Config) fillDefaults() {
 // ErrQueueFull rejects submissions beyond the advertised queue bound.
 var ErrQueueFull = errors.New("serve: job queue full")
 
+// maxTerminalJobs bounds the finished (done, failed or canceled) jobs the
+// job table keeps for status and result lookups. Past it the oldest
+// finished job is evicted and its id answers 404; queued and running jobs
+// are never evicted. A cache hit is a job too, finished at birth, so
+// without the bound the table would grow with every request.
+const maxTerminalJobs = 4096
+
 // Server is the experiments-as-a-service engine: spec → hash → cache /
 // single-flight / bounded queue → sweep. It is transport-independent;
 // Handler exposes it over HTTP.
@@ -78,10 +85,11 @@ type Server struct {
 	// only exists alongside the production runner.
 	warm *warmPool
 
-	mu     sync.Mutex
-	jobs   map[string]*Job // every job ever submitted, by id
-	active map[string]*Job // queued/running job per spec key (single-flight)
-	seq    int64
+	mu       sync.Mutex
+	jobs     map[string]*Job // live jobs and the newest terminal ones, by id
+	terminal []string        // ids of the terminal jobs in jobs, oldest first
+	active   map[string]*Job // queued/running job per spec key (single-flight)
+	seq      int64
 
 	queue      chan *Job
 	baseCtx    context.Context
@@ -90,6 +98,7 @@ type Server struct {
 
 	runs     atomic.Int64 // simulations actually started (cache/coalesce bypass this)
 	rejected atomic.Int64 // submissions refused with ErrQueueFull
+	evicted  atomic.Int64 // terminal jobs dropped from the table (maxTerminalJobs)
 }
 
 // runFunc is the job runner — experiments.RunSpec in production, a stub in
@@ -163,6 +172,7 @@ func (s *Server) Submit(spec experiments.Spec) (job *Job, coalesced bool, err er
 		j.entry = e
 		close(j.finished)
 		s.jobs[j.ID] = j
+		s.retireLocked(j)
 		return j, false, nil
 	}
 	j := newJob(s.nextIDLocked(), key, norm)
@@ -175,6 +185,18 @@ func (s *Server) Submit(spec experiments.Spec) (job *Job, coalesced bool, err er
 	s.jobs[j.ID] = j
 	s.active[key] = j
 	return j, false, nil
+}
+
+// retireLocked records that j has reached a terminal state and evicts the
+// oldest terminal job once more than maxTerminalJobs are retained; callers
+// hold s.mu.
+func (s *Server) retireLocked(j *Job) {
+	s.terminal = append(s.terminal, j.ID)
+	if len(s.terminal) > maxTerminalJobs {
+		delete(s.jobs, s.terminal[0])
+		s.terminal = s.terminal[1:]
+		s.evicted.Add(1)
+	}
 }
 
 // nextIDLocked mints a job id; callers hold s.mu.
@@ -204,11 +226,14 @@ func (s *Server) worker() {
 }
 
 func (s *Server) runJob(j *Job) {
+	// Every path out of here leaves j terminal, including a job cancelled
+	// while it was queued.
 	defer func() {
 		s.mu.Lock()
 		if s.active[j.Key] == j {
 			delete(s.active, j.Key)
 		}
+		s.retireLocked(j)
 		s.mu.Unlock()
 	}()
 

@@ -7,6 +7,7 @@ import (
 	"encoding/json"
 	"net/http"
 	"net/http/httptest"
+	"strconv"
 	"strings"
 	"sync"
 	"testing"
@@ -510,5 +511,114 @@ func TestStatsEndpoint(t *testing.T) {
 	health.Write(readBody(t, hr))
 	if !strings.Contains(health.String(), "ok") {
 		t.Errorf("healthz = %q", health.String())
+	}
+}
+
+// TestJobTableRetention pins the bound on the job table. A running job and
+// then maxTerminalJobs+k cache hits (each a job finished at birth) enter it:
+// the oldest k hits are evicted and answer 404, the newest stay, the
+// running job is never evicted, and nemesis_jobs_evicted_total reads k.
+// Once the running job finishes it is the newest terminal job, and one more
+// hit goes.
+func TestJobTableRetention(t *testing.T) {
+	const k = 3
+	release := make(chan struct{})
+	s := newServer(Config{Workers: 1}, func(ctx context.Context, spec experiments.Spec, workers int) (*experiments.Outcome, error) {
+		select {
+		case <-release:
+		case <-ctx.Done():
+			return nil, ctx.Err()
+		}
+		return &experiments.Outcome{Result: &experiments.Result{Spec: spec}}, nil
+	})
+	defer s.Close()
+	ts := httptest.NewServer(s.Handler())
+	defer ts.Close()
+	status := func(id string) int {
+		t.Helper()
+		resp, err := ts.Client().Get(ts.URL + "/jobs/" + id)
+		if err != nil {
+			t.Fatal(err)
+		}
+		readBody(t, resp)
+		return resp.StatusCode
+	}
+	evicted := func() string {
+		t.Helper()
+		resp, err := ts.Client().Get(ts.URL + "/metrics")
+		if err != nil {
+			t.Fatal(err)
+		}
+		body := string(readBody(t, resp))
+		families, samples := parseProm(t, body)
+		if !families["nemesis_jobs_evicted_total"] {
+			t.Fatalf("nemesis_jobs_evicted_total missing from /metrics:\n%s", body)
+		}
+		for _, line := range samples {
+			if v, ok := strings.CutPrefix(line, "nemesis_jobs_evicted_total "); ok {
+				return v
+			}
+		}
+		t.Fatalf("no nemesis_jobs_evicted_total sample in:\n%s", body)
+		return ""
+	}
+
+	running, _, err := s.Submit(cheapSpec(2))
+	if err != nil {
+		t.Fatal(err)
+	}
+	hit := cheapSpec(1)
+	key, _, err := SpecKey(hit)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s.cache.Put(&Entry{Key: key, Body: []byte("{}")})
+	var ids []string
+	for i := 0; i < maxTerminalJobs+k; i++ {
+		j, _, err := s.Submit(hit)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !j.Cached {
+			t.Fatalf("submission %d missed the cache", i)
+		}
+		ids = append(ids, j.ID)
+	}
+
+	if n := jobCount(s); n != maxTerminalJobs+1 {
+		t.Errorf("job table holds %d jobs, want %d terminal + 1 live", n, maxTerminalJobs)
+	}
+	for _, c := range []struct{ i, want int }{
+		{0, http.StatusNotFound}, {k - 1, http.StatusNotFound},
+		{k, http.StatusOK}, {len(ids) - 1, http.StatusOK},
+	} {
+		if got := status(ids[c.i]); got != c.want {
+			t.Errorf("hit %d (%s): status %d, want %d", c.i, ids[c.i], got, c.want)
+		}
+	}
+	if got := status(running.ID); got != http.StatusOK {
+		t.Errorf("live job %s: status %d, want 200", running.ID, got)
+	}
+	if got := evicted(); got != strconv.Itoa(k) {
+		t.Errorf("nemesis_jobs_evicted_total = %s, want %d", got, k)
+	}
+
+	close(release)
+	<-running.Finished()
+	// The worker retires the job just after it finishes.
+	for deadline := time.Now().Add(5 * time.Second); s.evicted.Load() != k+1; {
+		if time.Now().After(deadline) {
+			t.Fatalf("evicted = %d after the live job finished, want %d", s.evicted.Load(), k+1)
+		}
+		time.Sleep(time.Millisecond)
+	}
+	if got := status(ids[k]); got != http.StatusNotFound {
+		t.Errorf("hit %d after the live job retired: status %d, want 404", k, got)
+	}
+	if got := status(running.ID); got != http.StatusOK {
+		t.Errorf("retired job %s: status %d, want 200", running.ID, got)
+	}
+	if n := jobCount(s); n != maxTerminalJobs {
+		t.Errorf("job table holds %d jobs, want %d", n, maxTerminalJobs)
 	}
 }
