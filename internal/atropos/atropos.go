@@ -37,6 +37,14 @@
 // configured before the core starts operating (lowering it mid-flight could
 // resurrect entries that were already dropped).
 //
+// A driver need not pop every heap: the CPU scheduler never picks through
+// runq. So a heap that grows past twice the client count plus heapSlack is
+// compacted: every entry that can never again speak for its client — its
+// client removed, its deadline passed by, or its readiness generation
+// superseded — is dropped at once, and the rest re-heapified. Picks depend
+// only on the (deadline, seq) order of the entries that remain, so
+// compaction changes no decision.
+//
 // Drivers that track work availability per client (internal/cpu) should
 // mirror it through SetReady and pick via PickEDFReady/PickSlackReady, which
 // consider only ready clients; the generic PickEDFWith/PickSlack remain for
@@ -52,10 +60,11 @@
 package atropos
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
 	"math/bits"
-	"sort"
+	"slices"
 	"time"
 
 	"nemesis/internal/sim"
@@ -178,7 +187,7 @@ func (c *Client) LaxCharged() time.Duration { return c.laxCharged }
 type qentry struct {
 	deadline sim.Time
 	seq      uint64
-	gen      uint32 // readiness generation (readyq entries only)
+	gen      uint32 // readiness generation (only readyq reads it)
 	c        *Client
 }
 
@@ -216,7 +225,13 @@ func (h *entryHeap) pop() qentry {
 	q[n] = qentry{}
 	q = q[:n]
 	*h = q
-	i := 0
+	q.down(0)
+	return top
+}
+
+// down sifts q[i] down to its place.
+func (q entryHeap) down(i int) {
+	n := len(q)
 	for {
 		l, r := 2*i+1, 2*i+2
 		min := i
@@ -232,7 +247,27 @@ func (h *entryHeap) pop() qentry {
 		q[i], q[min] = q[min], q[i]
 		i = min
 	}
-	return top
+}
+
+// heapSlack is the fixed part of the lazy heaps' size bound (see Core.push).
+const heapSlack = 64
+
+// compact drops the entries live rejects and re-heapifies the rest.
+func (h *entryHeap) compact(live func(*qentry) bool) {
+	q := *h
+	n := 0
+	for i := range q {
+		if live(&q[i]) {
+			q[n] = q[i]
+			n++
+		}
+	}
+	clear(q[n:])
+	q = q[:n]
+	for i := n/2 - 1; i >= 0; i-- {
+		q.down(i)
+	}
+	*h = q
 }
 
 // Core tracks a set of clients sharing one resource.
@@ -248,6 +283,7 @@ type Core struct {
 	relq    entryHeap // one release-time entry per live client; lazy
 	readyq  entryHeap // ready ∧ runnable clients by (deadline, seq); lazy
 	scratch []qentry  // PickEDFWith spill buffer, reused across calls
+	granted []*Client // Refresh's result, reused across calls
 
 	// slackBits has bit i set iff clients[i] is ready and has x = true: the
 	// candidates of PickSlackReady, in round-robin order. It holds exactly
@@ -325,9 +361,9 @@ func (co *Core) Admit(name string, q QoS, now sim.Time) (*Client, error) {
 	co.clients = append(co.clients, c)
 	co.byName[name] = c
 	co.contracted += q.Share()
-	co.relq.push(qentry{deadline: c.deadline, seq: c.seq, c: c})
+	co.push(&co.relq, c, current)
 	if co.runnable(c) {
-		co.runq.push(qentry{deadline: c.deadline, seq: c.seq, c: c})
+		co.push(&co.runq, c, current)
 	}
 	return c, nil
 }
@@ -362,13 +398,14 @@ func (co *Core) Remove(name string) error {
 // Refresh grants periodic allocations to every client whose deadline has
 // arrived, returning the clients that received one (in admission order).
 // Unused positive balance does not accumulate; negative balance (roll-over)
-// counts against the new slice.
+// counts against the new slice. The returned slice is valid until the next
+// Refresh, which reuses it.
 func (co *Core) Refresh(now sim.Time) []*Client {
-	var granted []*Client
+	granted := co.granted[:0]
 	for len(co.relq) > 0 {
 		e := &co.relq[0]
 		c := e.c
-		if c.removed || c.deadline != e.deadline {
+		if !current(e) {
 			co.relq.pop()
 			continue
 		}
@@ -391,11 +428,11 @@ func (co *Core) Refresh(now sim.Time) []*Client {
 		if c.state == Waiting || c.state == Idle {
 			c.state = Runnable
 		}
-		co.relq.push(qentry{deadline: c.deadline, seq: c.seq, c: c})
+		co.push(&co.relq, c, current)
 		if co.runnable(c) {
-			co.runq.push(qentry{deadline: c.deadline, seq: c.seq, c: c})
+			co.push(&co.runq, c, current)
 			if c.ready {
-				co.readyq.push(qentry{deadline: c.deadline, seq: c.seq, gen: c.readyGen, c: c})
+				co.push(&co.readyq, c, currentReady)
 			}
 		}
 		granted = append(granted, c)
@@ -403,9 +440,28 @@ func (co *Core) Refresh(now sim.Time) []*Client {
 	if len(granted) > 1 {
 		// The heap yields (deadline, seq) order; the contract is admission
 		// order. Deadlines mostly coincide, so this is a near-no-op sort.
-		sort.Slice(granted, func(i, j int) bool { return granted[i].seq < granted[j].seq })
+		slices.SortFunc(granted, func(a, b *Client) int { return cmp.Compare(a.seq, b.seq) })
 	}
+	co.granted = granted
 	return granted
+}
+
+// current reports whether e still holds its client's current deadline.
+// Deadlines only advance and removal is permanent, so an entry that fails
+// it never speaks for its client again.
+func current(e *qentry) bool { return !e.c.removed && e.c.deadline == e.deadline }
+
+// currentReady is current for readyq entries, which a readiness flip also
+// supersedes.
+func currentReady(e *qentry) bool { return current(e) && e.c.readyGen == e.gen }
+
+// push adds c's entry for its current deadline to h and, once h holds more
+// than 2·len(clients) + heapSlack entries, compacts it to those live keeps.
+func (co *Core) push(h *entryHeap, c *Client, live func(*qentry) bool) {
+	h.push(qentry{deadline: c.deadline, seq: c.seq, gen: c.readyGen, c: c})
+	if len(*h) > 2*len(co.clients)+heapSlack {
+		h.compact(live)
+	}
 }
 
 // runnable reports whether c may be given service now.
@@ -416,8 +472,7 @@ func (co *Core) runnable(c *Client) bool {
 // runValid reports whether a runq/readyq entry still speaks for a
 // currently-eligible client.
 func (co *Core) runValid(e *qentry) bool {
-	c := e.c
-	return !c.removed && c.deadline == e.deadline && co.runnable(c)
+	return current(e) && co.runnable(e.c)
 }
 
 // PickEDF returns the runnable client with the earliest deadline, or nil.
@@ -473,7 +528,7 @@ func (co *Core) SetReady(c *Client, ready bool) {
 		co.slackBits[c.idx>>6] ^= 1 << (c.idx & 63)
 	}
 	if ready && co.runnable(c) {
-		co.readyq.push(qentry{deadline: c.deadline, seq: c.seq, gen: c.readyGen, c: c})
+		co.push(&co.readyq, c, currentReady)
 	}
 }
 
@@ -482,7 +537,7 @@ func (co *Core) SetReady(c *Client, ready bool) {
 func (co *Core) PickEDFReady() *Client {
 	for len(co.readyq) > 0 {
 		e := &co.readyq[0]
-		if co.runValid(e) && e.c.ready && e.c.readyGen == e.gen {
+		if currentReady(e) && e.c.ready && co.runnable(e.c) {
 			return e.c
 		}
 		co.readyq.pop()
@@ -584,7 +639,7 @@ func (co *Core) Idle(c *Client) {
 func (co *Core) NextBoundary() (sim.Time, bool) {
 	for len(co.relq) > 0 {
 		e := &co.relq[0]
-		if !e.c.removed && e.c.deadline == e.deadline {
+		if current(e) {
 			return e.deadline, true
 		}
 		co.relq.pop()

@@ -2,6 +2,8 @@ package atropos
 
 import (
 	"errors"
+	"fmt"
+	"math/rand"
 	"testing"
 	"testing/quick"
 	"time"
@@ -372,5 +374,34 @@ func TestAdmissionInvariantProperty(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestLazyHeapsStayBounded drives a core the way cpu.Scheduler does — only
+// Refresh, SetReady, PickEDFReady and PickSlackReady, so nothing ever pops
+// runq — with 1,000 clients over 200 periods. Every Refresh pushes a runq
+// entry per runnable client; without compaction runq would end up holding
+// clients × periods entries.
+func TestLazyHeapsStayBounded(t *testing.T) {
+	const clients, periods, steps = 1000, 200, 10
+	co := NewCore(1.0)
+	q := QoS{P: ms(100), S: ms(100) / clients, X: true}
+	cs := make([]*Client, clients)
+	for i := range cs {
+		cs[i] = mustAdmit(t, co, fmt.Sprintf("c%d", i), q, 0)
+	}
+	rng := rand.New(rand.NewSource(1))
+	bound := 2*clients + heapSlack
+	for step := 1; step <= periods*steps; step++ {
+		co.Refresh(sim.Time(ms(100) / steps * time.Duration(step)))
+		for k := 0; k < clients/10; k++ {
+			co.SetReady(cs[rng.Intn(clients)], rng.Intn(2) == 0)
+		}
+		co.PickEDFReady()
+		co.PickSlackReady()
+		if len(co.runq) > bound || len(co.readyq) > bound || len(co.relq) > bound {
+			t.Fatalf("step %d: runq %d, readyq %d, relq %d entries, bound %d",
+				step, len(co.runq), len(co.readyq), len(co.relq), bound)
+		}
 	}
 }

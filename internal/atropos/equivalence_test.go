@@ -27,6 +27,10 @@ type pair struct {
 	names []string        // the names random admits and removals draw from
 	now   sim.Time
 	step  int
+	// compactions counts Refresh and SetReady calls after which runq or
+	// readyq was shorter than before: only a compaction shortens a heap
+	// those operations push to.
+	compactions int
 }
 
 func newPair(t *testing.T, seed int64, capacity float64, minRemain time.Duration) *pair {
@@ -67,7 +71,11 @@ func (p *pair) populate(rng *rand.Rand, n int, qos func(*rand.Rand) QoS) {
 // setReady mirrors driver-side readiness into the indexed core.
 func (p *pair) setReady(c *Client, ready bool) {
 	p.ready[c.name] = ready
+	n := len(p.heap.readyq)
 	p.heap.SetReady(c, ready)
+	if len(p.heap.readyq) < n {
+		p.compactions++
+	}
 }
 
 // remove deregisters name from both cores; their errors must agree.
@@ -244,7 +252,11 @@ func (p *pair) op(rng *rand.Rand) string {
 			dt = time.Duration(rng.Int63n(int64(30 * time.Millisecond)))
 		}
 		p.now = p.now.Add(dt)
+		nrun, nready := len(p.heap.runq), len(p.heap.readyq)
 		hg := p.heap.Refresh(p.now)
+		if len(p.heap.runq) < nrun || len(p.heap.readyq) < nready {
+			p.compactions++
+		}
 		rg := p.ref.Refresh(p.now)
 		if len(hg) != len(rg) {
 			p.fatalf("refresh granted %d vs %d", len(hg), len(rg))
@@ -321,13 +333,17 @@ func TestHeapMatchesReference(t *testing.T) {
 // bitmap with hundreds of concurrent clients per core (high capacity), ready
 // clients spread over every bitmap word. Admits and removals draw from the
 // d* population as well as a–h, so removals land in every word and shift the
-// bits of all the words after them, and removed d* names come back.
+// bits of all the words after them, and removed d* names come back. Each
+// sequence runs long enough for the lazy heaps to be compacted.
 func TestHeapMatchesReferenceLargePopulation(t *testing.T) {
 	for seed := int64(0); seed < 10; seed++ {
 		rng := rand.New(rand.NewSource(1000 + seed))
 		p := newPair(t, seed, 1e9, 0)
 		p.populate(rng, 300, randQoS)
 		p.run(rng, 400)
+		if p.compactions == 0 {
+			t.Errorf("seed %d: no heap compaction in %d operations", seed, p.step)
+		}
 	}
 }
 

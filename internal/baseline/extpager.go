@@ -197,7 +197,7 @@ func (ep *ExternalPager) handle(t *domain.Thread, f *vm.Fault) bool {
 			}
 			r := ep.wreq
 			r.Block, r.Err = ep.base+ep.blok.BlockOffset(victim.blok), nil
-			copy(r.Data, sys.Store.Frame(vpfn))
+			copy(r.Data, sys.Store.View(vpfn))
 			if _, err := ep.ch.Do(t.Proc(), r); err != nil {
 				return false
 			}

@@ -125,7 +125,7 @@ func (t *Thread) ReadAt(va vm.VA, buf []byte) error {
 		if chunk > len(buf) {
 			chunk = len(buf)
 		}
-		frame := t.dom.env.Store.Frame(pte.PFN)
+		frame := t.dom.env.Store.View(pte.PFN)
 		copy(buf[:chunk], frame[off:off+chunk])
 		t.Compute(time.Duration(chunk) * t.dom.env.Costs.ComputePerByte)
 		t.dom.stats.BytesTouched += int64(chunk)

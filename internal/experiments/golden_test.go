@@ -1,6 +1,8 @@
 package experiments
 
 import (
+	"bytes"
+	"context"
 	"crypto/sha256"
 	"flag"
 	"fmt"
@@ -10,7 +12,7 @@ import (
 	"time"
 )
 
-var updateGolden = flag.Bool("update", false, "rewrite golden trace fingerprints")
+var updateGolden = flag.Bool("update", false, "rewrite golden files")
 
 // fig7Fingerprint runs a short Fig. 7 configuration and reduces the full USD
 // scheduler trace plus the bandwidth summary to a stable string. Any drift in
@@ -62,5 +64,39 @@ func TestFig7GoldenTrace(t *testing.T) {
 	}
 	if got+"\n" != string(want) {
 		t.Errorf("Fig. 7 trace fingerprint drifted\n got: %s\nwant: %s", got, string(want))
+	}
+}
+
+// TestSuiteGolden pins every simulated number of the 19-cell suite, Table 1
+// rows included: the canonical 5 s suite body (the bytes `nemesis-paging
+// -suite -measure 5s -suite-json` writes and nemesis-serve returns) must
+// match testdata/suite_golden.json byte for byte. Regenerate with
+// `go test -run SuiteGolden -update` only for a deliberate re-baseline.
+func TestSuiteGolden(t *testing.T) {
+	if testing.Short() {
+		t.Skip("short mode")
+	}
+	out, err := RunSpec(context.Background(), Spec{Kind: KindSuite, Measure: Duration(5 * time.Second)}, 0)
+	if err != nil {
+		t.Fatalf("RunSpec: %v", err)
+	}
+	got, err := EncodeResult(out.Result)
+	if err != nil {
+		t.Fatal(err)
+	}
+	path := filepath.Join("testdata", "suite_golden.json")
+	if *updateGolden {
+		if err := os.WriteFile(path, got, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		t.Logf("wrote %s: %d bytes", path, len(got))
+		return
+	}
+	want, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatalf("reading golden file (run with -update to generate): %v", err)
+	}
+	if !bytes.Equal(got, want) {
+		t.Errorf("suite body drifted from %s (%d bytes, want %d)\n got:\n%s\nwant:\n%s", path, len(got), len(want), got, want)
 	}
 }

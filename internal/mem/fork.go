@@ -7,7 +7,7 @@ import (
 	"nemesis/internal/sim"
 )
 
-// Fork returns a deep copy of the frame store. Touched frames are copied
+// Fork returns a deep copy of the frame store. Written frames are copied
 // outright — frame contents are live mutable memory on both sides of a fork,
 // so unlike disk chunks they cannot be shared copy-on-write without putting
 // a check on every byte access. bytes reports how much was copied.

@@ -1,8 +1,9 @@
 // Package mem implements the physical-memory side of the Nemesis VM system:
-// the frame store (simulated RAM with real contents), the RamTab recording
-// per-frame ownership and state, per-domain frame stacks ordered by
-// revocation preference, and the frames allocator with guaranteed/optimistic
-// contracts and the two-phase (transparent/intrusive) revocation protocol.
+// the frame store (simulated RAM with real contents, allocated only for
+// frames something has written), the RamTab recording per-frame ownership
+// and state, per-domain frame stacks ordered by revocation preference, and
+// the frames allocator with guaranteed/optimistic contracts and the
+// two-phase (transparent/intrusive) revocation protocol.
 package mem
 
 import (
@@ -45,11 +46,19 @@ var (
 var ErrQuota = ErrContractExhausted
 
 // FrameStore is the simulated physical memory: nframes frames of PageSize
-// bytes, allocated lazily so large memories cost only what is touched.
+// bytes. A frame costs host memory only once something writes it: Frame,
+// the writers' entry point, allocates it, while View and Zero treat a
+// never-written frame as the page of zeros it holds, as the disk treats an
+// unwritten chunk. Zero-filled pages that are only read or copied out, the
+// common case at cluster scale, never allocate, and Fork copies written
+// frames only.
 type FrameStore struct {
 	nframes int
 	data    [][]byte
 }
+
+// zeroPage is what View returns for a never-written frame. Nothing writes it.
+var zeroPage [PageSize]byte
 
 // NewFrameStore creates a store of nframes frames.
 func NewFrameStore(nframes int) *FrameStore {
@@ -59,21 +68,35 @@ func NewFrameStore(nframes int) *FrameStore {
 // NFrames returns the number of frames of main memory.
 func (fs *FrameStore) NFrames() int { return fs.nframes }
 
-// Frame returns the backing bytes of pfn, allocating them on first touch.
-func (fs *FrameStore) Frame(pfn PFN) []byte {
+func (fs *FrameStore) check(pfn PFN) {
 	if int(pfn) >= fs.nframes {
 		panic(fmt.Sprintf("mem: frame %d out of range (%d frames)", pfn, fs.nframes))
 	}
+}
+
+// Frame returns the bytes of pfn for writing, allocating them on first use.
+func (fs *FrameStore) Frame(pfn PFN) []byte {
+	fs.check(pfn)
 	if fs.data[pfn] == nil {
 		fs.data[pfn] = make([]byte, PageSize)
 	}
 	return fs.data[pfn]
 }
 
-// Zero clears a frame (hardware-assist page zeroing).
-func (fs *FrameStore) Zero(pfn PFN) {
-	f := fs.Frame(pfn)
-	for i := range f {
-		f[i] = 0
+// View returns the bytes of pfn for reading: the frame itself once written,
+// else a shared page of zeros. Callers must not write through it, and it
+// shows the frame's contents only until the frame is next written or zeroed.
+func (fs *FrameStore) View(pfn PFN) []byte {
+	fs.check(pfn)
+	if f := fs.data[pfn]; f != nil {
+		return f
 	}
+	return zeroPage[:]
+}
+
+// Zero clears a frame (hardware-assist page zeroing). A never-written frame
+// already reads as zeros, so it stays unallocated.
+func (fs *FrameStore) Zero(pfn PFN) {
+	fs.check(pfn)
+	clear(fs.data[pfn])
 }

@@ -1,6 +1,7 @@
 package mem
 
 import (
+	"bytes"
 	"errors"
 	"testing"
 	"testing/quick"
@@ -30,6 +31,52 @@ func TestFrameStore(t *testing.T) {
 		}
 	}()
 	fs.Frame(4)
+}
+
+// TestFrameStoreLazyFrames pins the store's allocation contract: a frame
+// nothing has written reads as zeros and costs no memory, Zero leaves it
+// that way, a written frame keeps its bytes until zeroed, and Fork copies
+// the written frames only.
+func TestFrameStoreLazyFrames(t *testing.T) {
+	fs := NewFrameStore(4)
+	zeros := make([]byte, PageSize)
+	fs.Zero(1)
+	for pfn := PFN(0); pfn < 4; pfn++ {
+		if v := fs.View(pfn); len(v) != PageSize || !bytes.Equal(v, zeros) {
+			t.Fatalf("never-written frame %d does not read as a page of zeros", pfn)
+		}
+	}
+	if n := testing.AllocsPerRun(100, func() { fs.Zero(3) }); n != 0 {
+		t.Fatalf("Zero on a never-written frame allocated %v times", n)
+	}
+	if _, n := fs.Fork(); n != 0 {
+		t.Fatalf("fork of a never-written store copied %d bytes", n)
+	}
+
+	f := fs.Frame(2)
+	f[0], f[PageSize-1] = 0xAA, 0xBB
+	if v := fs.View(2); v[0] != 0xAA || v[PageSize-1] != 0xBB {
+		t.Fatal("View does not show a written frame's bytes")
+	}
+	nfs, n := fs.Fork()
+	if n != PageSize {
+		t.Fatalf("fork copied %d bytes, want one written frame (%d)", n, PageSize)
+	}
+	for pfn := PFN(0); pfn < 4; pfn++ {
+		if written := nfs.data[pfn] != nil; written != (pfn == 2) {
+			t.Fatalf("forked frame %d allocated = %v", pfn, written)
+		}
+	}
+	if v := nfs.View(2); v[0] != 0xAA || v[PageSize-1] != 0xBB {
+		t.Fatal("forked frame lost its bytes")
+	}
+	fs.Zero(2)
+	if !bytes.Equal(fs.View(2), zeros) {
+		t.Fatal("a zeroed frame does not read as zeros")
+	}
+	if v := nfs.View(2); v[0] != 0xAA {
+		t.Fatal("zeroing the parent's frame reached the fork's")
+	}
 }
 
 func TestRamTabLifecycle(t *testing.T) {

@@ -282,6 +282,10 @@ func (r *RemoteBacking) ReadPage(p *sim.Proc, va vm.VA, buf []byte, sp *obs.Span
 // multi-page write RPCs of up to MaxBatch pages each, pipelined through the
 // in-flight window, and the pages are marked remote-current only when their
 // RPC is acknowledged. Returns the server-side disk transaction count.
+//
+// Each RPC's payload is the one copy of its pages, taken before the first
+// send. Every attempt of the call carries it, and nothing writes it again:
+// a call that gives up can leave an attempt queued at the server.
 func (r *RemoteBacking) WritePages(p *sim.Proc, pages []stretchdrv.DirtyPage, sp *obs.Span) (int, error) {
 	sp.BeginHop("net.out")
 	flow := sp.EnsureFlow()
@@ -291,7 +295,11 @@ func (r *RemoteBacking) WritePages(p *sim.Proc, pages []stretchdrv.DirtyPage, sp
 		if end > len(pages) {
 			end = len(pages)
 		}
-		req := &request{Client: r.client, Op: opWrite, Flow: flow}
+		req := &request{
+			Client: r.client, Op: opWrite, Flow: flow,
+			VPNs: make([]vm.VPN, 0, end-at),
+			Data: make([]byte, 0, (end-at)*vm.PageSize),
+		}
 		for _, pg := range pages[at:end] {
 			req.VPNs = append(req.VPNs, vm.PageOf(pg.VA))
 			req.Data = append(req.Data, pg.Data...)

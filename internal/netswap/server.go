@@ -307,10 +307,23 @@ func (srv *Server) writeBatch(p *sim.Proc, req *request) (int, error) {
 		for at+run < len(order) && bloks[order[at+run]] == bloks[order[at+run-1]]+1 {
 			run++
 		}
-		buf := make([]byte, 0, run*int(vm.PageSize))
-		for k := 0; k < run; k++ {
-			i := order[at+k]
-			buf = append(buf, req.Data[i*int(vm.PageSize):(i+1)*int(vm.PageSize)]...)
+		// A run whose pages already sit side by side in the payload (every
+		// one-page run does) is written straight from it: the client never
+		// writes a payload after sending it.
+		i0 := order[at]
+		inPlace := true
+		for k := 1; k < run && inPlace; k++ {
+			inPlace = order[at+k] == i0+k
+		}
+		var buf []byte
+		if inPlace {
+			buf = req.Data[i0*int(vm.PageSize) : (i0+run)*int(vm.PageSize)]
+		} else {
+			buf = make([]byte, 0, run*int(vm.PageSize))
+			for k := 0; k < run; k++ {
+				i := order[at+k]
+				buf = append(buf, req.Data[i*int(vm.PageSize):(i+1)*int(vm.PageSize)]...)
+			}
 		}
 		if err := srv.store.Write(p, srv.blok.BlockOffset(bloks[order[at]]), run*blocks, buf); err != nil {
 			return txns, err

@@ -206,9 +206,7 @@ func (t *TieredBacking) ReadPage(p *sim.Proc, va vm.VA, buf []byte, sp *obs.Span
 // promote writes a remote-read page into the local tier so the next fault on
 // it stays off the network. A full local tier just skips the promotion.
 func (t *TieredBacking) promote(p *sim.Proc, va vm.VA, buf []byte) {
-	data := make([]byte, len(buf))
-	copy(data, buf)
-	if _, err := t.local.WritePages(p, []stretchdrv.DirtyPage{{VA: va, Data: data}}, nil); err != nil {
+	if _, err := t.local.WritePages(p, []stretchdrv.DirtyPage{{VA: va, Data: buf}}, nil); err != nil {
 		t.Stats.PromoteSkips++
 		return
 	}
@@ -222,7 +220,11 @@ func (t *TieredBacking) promote(p *sim.Proc, va vm.VA, buf []byte) {
 // outage, stay local. Degraded (or on a remote failure): the batch falls
 // over to the local tier and the remote copies are invalidated. A full
 // local tier falls back to the remote as a last resort.
+//
+// The pages are written up to three times, with blocking calls in between,
+// so the batch is snapshotted at entry and every tier writes the snapshot.
 func (t *TieredBacking) WritePages(p *sim.Proc, pages []stretchdrv.DirtyPage, sp *obs.Span) (int, error) {
+	pages = snapshot(pages)
 	if !t.degradedNow() {
 		start := t.s.Now()
 		txns, err := t.remote.WritePages(p, pages, sp)
@@ -261,4 +263,16 @@ func (t *TieredBacking) WritePages(p *sim.Proc, pages []stretchdrv.DirtyPage, sp
 		t.cDemotions.Add(int64(len(pages)))
 	}
 	return txns + txns2, err2
+}
+
+// snapshot copies a cleaning batch's page views into one fresh buffer.
+func snapshot(pages []stretchdrv.DirtyPage) []stretchdrv.DirtyPage {
+	out := make([]stretchdrv.DirtyPage, len(pages))
+	buf := make([]byte, len(pages)*vm.PageSize)
+	for i, pg := range pages {
+		data := buf[i*vm.PageSize : (i+1)*vm.PageSize]
+		copy(data, pg.Data)
+		out[i] = stretchdrv.DirtyPage{VA: pg.VA, Data: data}
+	}
+	return out
 }

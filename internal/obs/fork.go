@@ -9,9 +9,9 @@ import "fmt"
 // the parent would have produced.
 //
 // Pointer identity between the maps is preserved: spanStats caches the very
-// *Histogram values hists/hopHists index, so the copy goes through an
-// identity map. The span free list is not copied — it is a transparent
-// allocation cache; a fork that records spans simply allocates fresh ones.
+// histograms hists and hopHists index, so the copy goes through an identity
+// map. The span free list is not copied — it is a transparent allocation
+// cache; a fork that records spans simply allocates fresh ones.
 //
 // Preconditions: no fault span may be open (an open span is referenced by a
 // live fault in flight, which contradicts a quiesced fork point). Crosstalk
@@ -27,11 +27,11 @@ func (r *Registry) Fork(now Clock) (*Registry, error) {
 		counters:   make(map[Key]*Counter, len(r.counters)),
 		gauges:     make(map[Key]*Gauge, len(r.gauges)),
 		hists:      make(map[Key]*Histogram, len(r.hists)),
-		corder:     append([]Key(nil), r.corder...),
-		gorder:     append([]Key(nil), r.gorder...),
-		horder:     append([]Key(nil), r.horder...),
-		hopHists:   make(map[hopKey]*Histogram, len(r.hopHists)),
-		hopOrder:   append([]hopKey(nil), r.hopOrder...),
+		corder:     make([]*Counter, len(r.corder)),
+		gorder:     make([]*Gauge, len(r.gorder)),
+		horder:     make([]*Histogram, len(r.horder)),
+		hopHists:   make(map[hopKey]*hopHist, len(r.hopHists)),
+		hopOrder:   make([]*hopHist, len(r.hopOrder)),
 		spanStats:  make(map[spanKey]*spanStats, len(r.spanStats)),
 		spanCap:    r.spanCap,
 		spanHead:   r.spanHead,
@@ -44,22 +44,19 @@ func (r *Registry) Fork(now Clock) (*Registry, error) {
 		auditHead:  r.auditHead,
 		auditTotal: r.auditTotal,
 	}
-	for k, c := range r.counters {
-		nr.counters[k] = &Counter{r: nr, v: c.v, at: c.at}
+	for i, c := range r.corder {
+		nc := &Counter{r: nr, key: c.key, v: c.v, at: c.at}
+		nr.corder[i], nr.counters[c.key] = nc, nc
 	}
-	for k, g := range r.gauges {
-		nr.gauges[k] = &Gauge{r: nr, v: g.v, at: g.at}
+	for i, g := range r.gorder {
+		ng := &Gauge{r: nr, key: g.key, v: g.v, at: g.at}
+		nr.gorder[i], nr.gauges[g.key] = ng, ng
 	}
 	hm := make(map[*Histogram]*Histogram, len(r.hists)+len(r.hopHists))
-	cloneHist := func(h *Histogram) *Histogram {
-		if h == nil {
-			return nil
-		}
-		if nh, ok := hm[h]; ok {
-			return nh
-		}
-		nh := &Histogram{
+	cloneHist := func(nh, h *Histogram) {
+		*nh = Histogram{
 			r:      nr,
+			key:    h.key,
 			counts: append([]int64(nil), h.counts...),
 			count:  h.count,
 			sum:    h.sum,
@@ -68,18 +65,21 @@ func (r *Registry) Fork(now Clock) (*Registry, error) {
 			at:     h.at,
 		}
 		hm[h] = nh
-		return nh
 	}
-	for k, h := range r.hists {
-		nr.hists[k] = cloneHist(h)
+	for i, h := range r.horder {
+		nh := &Histogram{}
+		cloneHist(nh, h)
+		nr.horder[i], nr.hists[h.key] = nh, nh
 	}
-	for k, h := range r.hopHists {
-		nr.hopHists[k] = cloneHist(h)
+	for i, hh := range r.hopOrder {
+		nhh := &hopHist{hopKey: hh.hopKey}
+		cloneHist(&nhh.Histogram, &hh.Histogram)
+		nr.hopOrder[i], nr.hopHists[hh.hopKey] = nhh, nhh
 	}
 	for k, ss := range r.spanStats {
-		nss := &spanStats{e2e: cloneHist(ss.e2e), hops: make([]hopSlot, len(ss.hops))}
+		nss := &spanStats{e2e: hm[ss.e2e], hops: make([]hopSlot, len(ss.hops))}
 		for i, hs := range ss.hops {
-			nss.hops[i] = hopSlot{name: hs.name, h: cloneHist(hs.h)}
+			nss.hops[i] = hopSlot{name: hs.name, h: hm[hs.h]}
 		}
 		nr.spanStats[k] = nss
 	}

@@ -57,12 +57,14 @@ type Registry struct {
 	counters map[Key]*Counter
 	gauges   map[Key]*Gauge
 	hists    map[Key]*Histogram
-	corder   []Key
-	gorder   []Key
-	horder   []Key
+	// corder, gorder and horder hold each kind of metric in creation order,
+	// the order every export walks. Each metric carries its own key.
+	corder []*Counter
+	gorder []*Gauge
+	horder []*Histogram
 
-	hopHists map[hopKey]*Histogram
-	hopOrder []hopKey
+	hopHists map[hopKey]*hopHist
+	hopOrder []*hopHist
 
 	// spanStats caches, per (domain, class), the e2e histogram and the hop
 	// histograms a finished span observes into, so the per-fault recording
@@ -111,7 +113,7 @@ func NewRegistry(now Clock) *Registry {
 		counters:  make(map[Key]*Counter),
 		gauges:    make(map[Key]*Gauge),
 		hists:     make(map[Key]*Histogram),
-		hopHists:  make(map[hopKey]*Histogram),
+		hopHists:  make(map[hopKey]*hopHist),
 		spanStats: make(map[spanKey]*spanStats),
 		spanCap:   DefaultSpanCap,
 		auditCap:  DefaultAuditCap,
@@ -181,7 +183,10 @@ func (r *Registry) HopHistogram(domain, class, hop string) *Histogram {
 	if r == nil {
 		return nil
 	}
-	return r.hopHists[hopKey{domain, class, hop}]
+	if hh := r.hopHists[hopKey{domain, class, hop}]; hh != nil {
+		return &hh.Histogram
+	}
+	return nil
 }
 
 // Now returns the registry's current simulated time (zero for nil).
@@ -201,9 +206,9 @@ func (r *Registry) Counter(subsystem, name, domain string) *Counter {
 	k := Key{subsystem, name, domain}
 	c, ok := r.counters[k]
 	if !ok {
-		c = &Counter{r: r}
+		c = &Counter{r: r, key: k}
 		r.counters[k] = c
-		r.corder = append(r.corder, k)
+		r.corder = append(r.corder, c)
 	}
 	return c
 }
@@ -216,9 +221,9 @@ func (r *Registry) Gauge(subsystem, name, domain string) *Gauge {
 	k := Key{subsystem, name, domain}
 	g, ok := r.gauges[k]
 	if !ok {
-		g = &Gauge{r: r}
+		g = &Gauge{r: r, key: k}
 		r.gauges[k] = g
-		r.gorder = append(r.gorder, k)
+		r.gorder = append(r.gorder, g)
 	}
 	return g
 }
@@ -232,9 +237,9 @@ func (r *Registry) Histogram(subsystem, name, domain string) *Histogram {
 	k := Key{subsystem, name, domain}
 	h, ok := r.hists[k]
 	if !ok {
-		h = newHistogram(r)
+		h = &Histogram{r: r, key: k, counts: newCounts()}
 		r.hists[k] = h
-		r.horder = append(r.horder, k)
+		r.horder = append(r.horder, h)
 	}
 	return h
 }
@@ -270,9 +275,10 @@ func (r *Registry) LookupHistogram(subsystem, name, domain string) *Histogram {
 // Counter is a monotonically increasing count, stamped with the simulated
 // time of its last update.
 type Counter struct {
-	r  *Registry
-	v  int64
-	at sim.Time
+	r   *Registry
+	key Key
+	v   int64
+	at  sim.Time
 }
 
 // Inc adds one.
@@ -305,9 +311,10 @@ func (c *Counter) Updated() sim.Time {
 
 // Gauge is an instantaneous level (queue depth, free frames, stack depth).
 type Gauge struct {
-	r  *Registry
-	v  int64
-	at sim.Time
+	r   *Registry
+	key Key
+	v   int64
+	at  sim.Time
 }
 
 // Set stores v. Safe on a nil receiver.
@@ -361,6 +368,7 @@ var histBuckets = func() []time.Duration {
 // and max, and bucket-interpolated quantiles.
 type Histogram struct {
 	r      *Registry
+	key    Key     // zero for a hop histogram, whose hopHist holds its key
 	counts []int64 // len(histBuckets)+1; last is overflow
 	count  int64
 	sum    time.Duration
@@ -369,9 +377,8 @@ type Histogram struct {
 	at     sim.Time
 }
 
-func newHistogram(r *Registry) *Histogram {
-	return &Histogram{r: r, counts: make([]int64, len(histBuckets)+1)}
-}
+// newCounts returns an empty bucket array.
+func newCounts() []int64 { return make([]int64, len(histBuckets)+1) }
 
 // Observe records one latency sample. Safe on a nil receiver.
 func (h *Histogram) Observe(d time.Duration) {
@@ -515,19 +522,16 @@ func msStr(d time.Duration) *string {
 
 func (r *Registry) metricRows() []metricRow {
 	var rows []metricRow
-	for _, k := range r.corder {
-		c := r.counters[k]
-		v := c.v
+	for _, c := range r.corder {
+		k, v := c.key, c.v
 		rows = append(rows, metricRow{Type: "counter", Subsystem: k.Subsystem, Name: k.Name, Domain: k.Domain, Value: &v, UpdatedMs: c.at.Milliseconds()})
 	}
-	for _, k := range r.gorder {
-		g := r.gauges[k]
-		v := g.v
+	for _, g := range r.gorder {
+		k, v := g.key, g.v
 		rows = append(rows, metricRow{Type: "gauge", Subsystem: k.Subsystem, Name: k.Name, Domain: k.Domain, Value: &v, UpdatedMs: g.at.Milliseconds()})
 	}
-	for _, k := range r.horder {
-		h := r.hists[k]
-		n := h.count
+	for _, h := range r.horder {
+		k, n := h.key, h.count
 		rows = append(rows, metricRow{
 			Type: "histogram", Subsystem: k.Subsystem, Name: k.Name, Domain: k.Domain,
 			Count: &n, SumMs: msStr(h.sum),

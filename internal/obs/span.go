@@ -212,6 +212,12 @@ type hopKey struct {
 	Hop    string
 }
 
+// hopHist is one hop's latency histogram together with its key.
+type hopHist struct {
+	hopKey
+	Histogram
+}
+
 // spanKey identifies one (domain, fault class) span population.
 type spanKey struct {
 	Domain string
@@ -258,13 +264,13 @@ func (r *Registry) recordSpan(s *Span) {
 		}
 		if hist == nil {
 			k := hopKey{s.Domain, s.Class, h.Name}
-			var ok bool
-			hist, ok = r.hopHists[k]
+			hh, ok := r.hopHists[k]
 			if !ok {
-				hist = newHistogram(r)
-				r.hopHists[k] = hist
-				r.hopOrder = append(r.hopOrder, k)
+				hh = &hopHist{hopKey: k, Histogram: Histogram{r: r, counts: newCounts()}}
+				r.hopHists[k] = hh
+				r.hopOrder = append(r.hopOrder, hh)
 			}
+			hist = &hh.Histogram
 			ss.hops = append(ss.hops, hopSlot{h.Name, hist})
 		}
 		hist.Observe(h.Duration())
@@ -333,10 +339,10 @@ func (r *Registry) HopSummaries() []HopSummary {
 		return nil
 	}
 	out := make([]HopSummary, 0, len(r.hopOrder))
-	for _, k := range r.hopOrder {
-		h := r.hopHists[k]
+	for _, hh := range r.hopOrder {
+		h := &hh.Histogram
 		out = append(out, HopSummary{
-			Domain: k.Domain, Class: k.Class, Hop: k.Hop, Count: h.Count(),
+			Domain: hh.Domain, Class: hh.Class, Hop: hh.Hop, Count: h.Count(),
 			P50Ms: float64(h.Quantile(0.50)) / 1e6,
 			P95Ms: float64(h.Quantile(0.95)) / 1e6,
 			P99Ms: float64(h.Quantile(0.99)) / 1e6,

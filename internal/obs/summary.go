@@ -196,7 +196,8 @@ func (r *Registry) Summarize(topK int) *Summary {
 	s.Flags = int64(len(r.flags))
 
 	cidx := map[[2]string]int{}
-	for _, k := range r.corder {
+	for _, c := range r.corder {
+		k := c.key
 		key := [2]string{k.Subsystem, k.Name}
 		i, ok := cidx[key]
 		if !ok {
@@ -204,19 +205,19 @@ func (r *Registry) Summarize(topK int) *Summary {
 			cidx[key] = i
 			s.Counters = append(s.Counters, SummaryCounter{Subsystem: k.Subsystem, Name: k.Name})
 		}
-		s.Counters[i].Value += r.counters[k].v
+		s.Counters[i].Value += c.v
 	}
 	sortCounters(s.Counters)
 
 	hidx := map[string]int{}
-	for _, k := range r.hopOrder {
-		i, ok := hidx[k.Hop]
+	for _, hh := range r.hopOrder {
+		i, ok := hidx[hh.Hop]
 		if !ok {
 			i = len(s.Hops)
-			hidx[k.Hop] = i
-			s.Hops = append(s.Hops, SummaryHop{Hop: k.Hop})
+			hidx[hh.Hop] = i
+			s.Hops = append(s.Hops, SummaryHop{Hop: hh.Hop})
 		}
-		s.Hops[i].Hist.Merge(r.hopHists[k].Snapshot())
+		s.Hops[i].Hist.Merge(hh.Snapshot())
 	}
 	sortHops(s.Hops)
 
@@ -224,11 +225,11 @@ func (r *Registry) Summarize(topK int) *Summary {
 	// latency into a ("span", "e2e."+class, domain) histogram, so the sums
 	// survive span-ring eviction.
 	didx := map[string]int{}
-	for _, k := range r.horder {
+	for _, h := range r.horder {
+		k := h.key
 		if k.Subsystem != "span" || !strings.HasPrefix(k.Name, "e2e.") {
 			continue
 		}
-		h := r.hists[k]
 		i, ok := didx[k.Domain]
 		if !ok {
 			i = len(s.TopDomains)

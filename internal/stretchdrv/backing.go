@@ -13,7 +13,8 @@ import (
 )
 
 // DirtyPage is one page of a cleaning batch: the page's base address and a
-// snapshot of its contents taken before the write was issued.
+// read-only view of its contents, valid only until the backing first blocks
+// (see Backing.WritePages).
 type DirtyPage struct {
 	VA   vm.VA
 	Data []byte
@@ -33,6 +34,10 @@ type Backing interface {
 	ReadPage(p *sim.Proc, va vm.VA, buf []byte, sp *obs.Span) error
 	// WritePages cleans a batch, returning how many disk transactions it
 	// took. On return every written page has a current copy (HasCopy true).
+	// Each page's Data is a view of a live frame, valid only until the
+	// backing first blocks: once p waits, another process may reuse or
+	// rewrite the frame. A backing copies whatever it will still read
+	// afterwards before its first blocking call, and never writes to Data.
 	WritePages(p *sim.Proc, pages []DirtyPage, sp *obs.Span) (txns int, err error)
 }
 
@@ -41,10 +46,11 @@ type Backing interface {
 // check HasCopy first, so seeing it indicates a pager bug or a raced drop.
 var ErrNoCopy = errors.New("stretchdrv: no backing copy of page")
 
-// writeScratch is the per-WritePages working set: the merged write buffer
-// and the batch-ordering slices. Scratches are pooled per backing and
-// checked out for the duration of a call, so overlapping WritePages calls
-// (worker eviction racing a user-thread Sync) each hold their own.
+// writeScratch is the per-WritePages working set: the write buffer holding
+// the whole batch in disk order, and the batch-ordering slices. Scratches
+// are pooled per backing and checked out for the duration of a call, so
+// overlapping WritePages calls (worker eviction racing a user-thread Sync)
+// each hold their own.
 type writeScratch struct {
 	buf   []byte
 	infos []*pageInfo
@@ -62,6 +68,17 @@ func (p *scratchPool) get() *writeScratch {
 		return s
 	}
 	return &writeScratch{}
+}
+
+// fill copies every page of the batch into the scratch buffer in sc.order,
+// so the k'th page in disk order occupies buf[k*PageSize:(k+1)*PageSize].
+func (sc *writeScratch) fill(pages []DirtyPage) []byte {
+	buf := sc.buf[:0]
+	for _, i := range sc.order {
+		buf = append(buf, pages[i].Data...)
+	}
+	sc.buf = buf
+	return buf
 }
 
 func (p *scratchPool) put(s *writeScratch) {
@@ -169,7 +186,8 @@ func (b *SwapBacking) Drop(va vm.VA) {
 // WritePages implements Backing. Pages without a blok get one allocated
 // lazily — as a contiguous run when the batch needs several, so the batch
 // can merge into few transactions — then disk-adjacent pages are written as
-// single multi-block spanned writes: one USD request, one seek.
+// single multi-block spanned writes: one USD request, one seek. The whole
+// batch is copied into the scratch buffer before the first write blocks.
 func (b *SwapBacking) WritePages(p *sim.Proc, pages []DirtyPage, sp *obs.Span) (int, error) {
 	sc := b.scratch.get()
 	defer b.scratch.put(sc)
@@ -214,20 +232,16 @@ func (b *SwapBacking) WritePages(p *sim.Proc, pages []DirtyPage, sp *obs.Span) (
 	sc.order = order
 	sort.Slice(order, func(i, j int) bool { return infos[order[i]].blok < infos[order[j]].blok })
 
+	buf := sc.fill(pages)
+	blocks := int(b.blok.BlokBlocks())
 	txns := 0
 	for at := 0; at < len(order); {
 		run := 1
 		for at+run < len(order) && infos[order[at+run]].blok == infos[order[at+run-1]].blok+1 {
 			run++
 		}
-		blocks := int(b.blok.BlokBlocks())
-		buf := sc.buf[:0]
-		for k := 0; k < run; k++ {
-			buf = append(buf, pages[order[at+k]].Data...)
-		}
-		sc.buf = buf
 		off := b.blok.BlockOffset(infos[order[at]].blok)
-		if err := b.swap.WriteSpanned(p, off, run*blocks, buf, sp); err != nil {
+		if err := b.swap.WriteSpanned(p, off, run*blocks, buf[at*vm.PageSize:(at+run)*vm.PageSize], sp); err != nil {
 			return txns, err
 		}
 		txns++
@@ -275,7 +289,8 @@ func (b *MappedBacking) ReadPage(p *sim.Proc, va vm.VA, buf []byte, sp *obs.Span
 }
 
 // WritePages implements Backing, merging file-adjacent pages into single
-// spanned writes.
+// spanned writes. The whole batch is copied into the scratch buffer before
+// the first write blocks.
 func (b *MappedBacking) WritePages(p *sim.Proc, pages []DirtyPage, sp *obs.Span) (int, error) {
 	sc := b.scratch.get()
 	defer b.scratch.put(sc)
@@ -286,6 +301,7 @@ func (b *MappedBacking) WritePages(p *sim.Proc, pages []DirtyPage, sp *obs.Span)
 	sc.order = order
 	sort.Slice(order, func(i, j int) bool { return pages[order[i]].VA < pages[order[j]].VA })
 
+	buf := sc.fill(pages)
 	pageBlocks := int(vm.PageSize / int64(disk.BlockSize))
 	txns := 0
 	for at := 0; at < len(order); {
@@ -293,13 +309,8 @@ func (b *MappedBacking) WritePages(p *sim.Proc, pages []DirtyPage, sp *obs.Span)
 		for at+run < len(order) && pages[order[at+run]].VA == pages[order[at+run-1]].VA+vm.VA(vm.PageSize) {
 			run++
 		}
-		buf := sc.buf[:0]
-		for k := 0; k < run; k++ {
-			buf = append(buf, pages[order[at+k]].Data...)
-		}
-		sc.buf = buf
 		off := b.fileOffset(pages[order[at]].VA)
-		if err := b.file.WriteSpanned(p, off, run*pageBlocks, buf, sp); err != nil {
+		if err := b.file.WriteSpanned(p, off, run*pageBlocks, buf[at*vm.PageSize:(at+run)*vm.PageSize], sp); err != nil {
 			return txns, err
 		}
 		txns++

@@ -56,14 +56,15 @@ type Engine struct {
 
 	Stats PagerStats
 
-	// bufs and batches are free lists of page-sized buffers and cleaning
-	// batches. Page contents only live in them transiently (page-in reads,
-	// write-back snapshots); every backing copies payloads into its own
-	// buffers before its blocking call returns, so a checked-out buffer can
-	// be recycled as soon as the read or write completes. The cooperative
-	// process model makes get/put pairs atomic between blocking points, so
-	// concurrent checkouts (worker eviction vs. a user-thread Sync) simply
-	// draw different buffers.
+	// bufs is a free list of page-sized buffers for page-ins: a page is
+	// read into one and then copied into its frame, since another process
+	// could claim the frame while the read blocks. batches is a free list of
+	// cleaning batches, whose pages are read-only views of frames
+	// (FrameStore.View), not buffers: a backing copies them before it first
+	// blocks. A view must never enter bufs, or a page-in would write into a
+	// live frame. The cooperative process model makes get/put pairs atomic
+	// between blocking points, so concurrent checkouts (worker eviction vs.
+	// a user-thread Sync) simply draw different entries.
 	bufs    [][]byte
 	batches [][]DirtyPage
 
@@ -139,15 +140,31 @@ func (e *Engine) getBatch() []DirtyPage {
 	return nil
 }
 
-// putBatch recycles a finished cleaning batch and every page buffer in it.
+// putBatch recycles a finished cleaning batch. Its pages are frame views,
+// so none of them goes back to the page-buffer free list.
 func (e *Engine) putBatch(b []DirtyPage) {
-	for i := range b {
-		if b[i].Data != nil {
-			e.putPageBuf(b[i].Data)
-		}
-		b[i] = DirtyPage{}
-	}
+	clear(b)
 	e.batches = append(e.batches, b[:0])
+}
+
+// cleaned marks a mapped page clean and re-arms fault-on-write, so a write
+// from here on dirties it again. The engine calls it as it takes the page's
+// view for a write-back, not after the write returns: a write that lands
+// while the write-back blocks must not be marked clean with it.
+func cleaned(pte *vm.PTE) {
+	pte.Dirty = false
+	pte.Attr.FOW = true
+}
+
+// redirty marks the still-mapped pages of a failed write-back dirty again.
+func (e *Engine) redirty(pages []DirtyPage) {
+	pt := e.env().TS.PageTable()
+	for _, pg := range pages {
+		if pte := pt.Lookup(vm.PageOf(pg.VA)); pte != nil && pte.Valid {
+			pte.Dirty = true
+			pte.Attr.FOW = false
+		}
+	}
 }
 
 // DriverName implements domain.Driver.
@@ -284,6 +301,7 @@ func (e *Engine) evictOne(p *sim.Proc, sp *obs.Span) (mem.PFN, error) {
 			batch := e.gatherCluster(va, pfn)
 			txns, err := e.backing.WritePages(p, batch, sp)
 			if err != nil {
+				e.redirty(batch[1:])
 				e.putBatch(batch)
 				return 0, err
 			}
@@ -294,15 +312,6 @@ func (e *Engine) evictOne(p *sim.Proc, sp *obs.Span) (mem.PFN, error) {
 			e.Stats.CleanBatches++
 			e.cCleanBatches.Inc()
 			e.Stats.CleanTxns += int64(txns)
-			// The extra pages stay mapped but are now clean on disk:
-			// reset their dirty state and re-arm fault-on-write.
-			ts := e.env().TS
-			for _, extra := range batch[1:] {
-				if pte := ts.PageTable().Lookup(vm.PageOf(extra.VA)); pte != nil {
-					pte.Dirty = false
-					pte.Attr.FOW = true
-				}
-			}
 			e.putBatch(batch)
 		}
 	} else {
@@ -315,74 +324,64 @@ func (e *Engine) evictOne(p *sim.Proc, sp *obs.Span) (mem.PFN, error) {
 	return pfn, nil
 }
 
-// gatherCluster snapshots the victim page plus up to ClusterSize-1 further
-// dirty resident pages (in eviction order, so the pages cleaned early are
-// the ones leaving soonest anyway) into one cleaning batch.
+// gatherCluster batches views of the victim page plus up to ClusterSize-1
+// further dirty resident pages (in eviction order, so the pages cleaned
+// early are the ones leaving soonest anyway) for one write-back, marking the
+// extra pages clean as it takes them.
 func (e *Engine) gatherCluster(va vm.VA, pfn mem.PFN) []DirtyPage {
-	buf := e.getPageBuf()
-	copy(buf, e.env().Store.Frame(pfn))
-	batch := append(e.getBatch(), DirtyPage{VA: va, Data: buf})
+	store := e.env().Store
+	batch := append(e.getBatch(), DirtyPage{VA: va, Data: store.View(pfn)})
 	if e.cluster <= 1 {
 		return batch
 	}
-	ts := e.env().TS
+	pt := e.env().TS.PageTable()
 	for _, other := range e.policy.Resident() {
 		if len(batch) >= e.cluster {
 			break
 		}
-		pte := ts.PageTable().Lookup(vm.PageOf(other))
+		pte := pt.Lookup(vm.PageOf(other))
 		if pte == nil || !pte.Valid || !pte.Dirty {
 			continue
 		}
-		data := e.getPageBuf()
-		copy(data, e.env().Store.Frame(pte.PFN))
-		batch = append(batch, DirtyPage{VA: other, Data: data})
+		cleaned(pte)
+		batch = append(batch, DirtyPage{VA: other, Data: store.View(pte.PFN)})
 	}
 	return batch
 }
 
 // Sync writes every dirty resident page to the backing store (msync), in
-// cleaning batches of up to ClusterSize. Pages stay mapped; their dirty
-// state is reset and fault-on-write re-armed so future writes dirty them
-// again.
+// cleaning batches of up to ClusterSize. Pages stay mapped; each is marked
+// clean, with fault-on-write re-armed, as it joins a batch, and marked dirty
+// again if its batch fails.
 func (e *Engine) Sync(p *sim.Proc) error {
 	e.Stats.Syncs++
 	if e.backing == nil {
 		return nil
 	}
-	ts := e.env().TS
+	store, pt := e.env().Store, e.env().TS.PageTable()
 	batch := e.getBatch()
 	defer func() { e.putBatch(batch) }()
-	var ptes []*vm.PTE
 	flush := func() error {
 		if len(batch) == 0 {
 			return nil
 		}
 		if _, err := e.backing.WritePages(p, batch, nil); err != nil {
+			e.redirty(batch)
 			return err
 		}
 		e.Stats.PageOuts += int64(len(batch))
 		e.cPageOuts.Add(int64(len(batch)))
-		for _, pte := range ptes {
-			pte.Dirty = false
-			pte.Attr.FOW = true
-		}
-		for i := range batch {
-			e.putPageBuf(batch[i].Data)
-			batch[i] = DirtyPage{}
-		}
-		batch, ptes = batch[:0], ptes[:0]
+		clear(batch)
+		batch = batch[:0]
 		return nil
 	}
 	for _, va := range e.policy.Resident() {
-		pte := ts.PageTable().Lookup(vm.PageOf(va))
+		pte := pt.Lookup(vm.PageOf(va))
 		if pte == nil || !pte.Valid || !pte.Dirty {
 			continue
 		}
-		data := e.getPageBuf()
-		copy(data, e.env().Store.Frame(pte.PFN))
-		batch = append(batch, DirtyPage{VA: va, Data: data})
-		ptes = append(ptes, pte)
+		cleaned(pte)
+		batch = append(batch, DirtyPage{VA: va, Data: store.View(pte.PFN)})
 		if len(batch) >= e.cluster {
 			if err := flush(); err != nil {
 				return err
