@@ -1,21 +1,14 @@
-// Command benchcmp compares `go test -bench` output against a committed
-// baseline (BENCH_BASELINE.json), in the spirit of benchstat but with no
-// external dependencies and a gate suited to a deterministic simulator:
-//
-//   - Metrics whose unit matches -gate (default "sim_us|sim_attr|
-//     sim_events|sim_fork|sim_summary") are simulated-time or
-//     snapshot-accounting results. They are deterministic — any drift
-//     beyond -fail-over percent means the simulation's behaviour changed,
-//     and the comparison fails.
-//   - Wall-clock results (ns/op) and allocation counts (B/op, allocs/op)
-//     are reported informationally; they vary with hardware and load, so
-//     they never fail the comparison by default. Use -fail-allocs to also
-//     gate allocs/op, which is deterministic for a fixed workload.
+// Command benchcmp checks `go test -bench` output against a committed
+// baseline (BENCH_BASELINE.json). Every custom metric a benchmark reports
+// (any unit other than ns/op, B/op and allocs/op) is a simulated result, a
+// pure function of the workload and its seed, so each must equal its
+// baseline value exactly: any difference fails and prints the old and new
+// value. Host speed is not recorded here; hostbench measures it.
 //
 // Usage:
 //
-//	go test -run=NONE -bench=. -benchtime=1x -benchmem ./... | \
-//	    go run ./cmd/benchcmp -baseline BENCH_BASELINE.json -fail-over 10
+//	go test -run=NONE -bench=. -benchtime=1x ./... | \
+//	    go run ./cmd/benchcmp -baseline BENCH_BASELINE.json
 //	go test ... | go run ./cmd/benchcmp -baseline BENCH_BASELINE.json -update
 package main
 
@@ -33,33 +26,29 @@ import (
 	"strings"
 )
 
-// Result is one benchmark's parsed measurements.
-type Result struct {
-	NsPerOp     float64            `json:"ns_per_op"`
-	BytesPerOp  float64            `json:"bytes_per_op,omitempty"`
-	AllocsPerOp float64            `json:"allocs_per_op,omitempty"`
-	Metrics     map[string]float64 `json:"metrics,omitempty"`
-}
+// Metrics maps a benchmark's custom units to their values.
+type Metrics map[string]float64
 
 // Baseline is the committed file format.
 type Baseline struct {
 	// Note documents how to regenerate the file.
-	Note       string            `json:"note"`
-	Benchmarks map[string]Result `json:"benchmarks"`
+	Note       string             `json:"note"`
+	Benchmarks map[string]Metrics `json:"benchmarks"`
 }
 
 var benchLine = regexp.MustCompile(`^(Benchmark\S+?)(?:-\d+)?\s+\d+\s+(.*)$`)
 
-// parseBench parses `go test -bench` output into per-benchmark results.
-func parseBench(r io.Reader) (map[string]Result, error) {
-	out := map[string]Result{}
+// parseBench returns the custom metrics of each benchmark in `go test
+// -bench` output. Benchmarks that report none are left out.
+func parseBench(r io.Reader) (map[string]Metrics, error) {
+	out := map[string]Metrics{}
 	sc := bufio.NewScanner(r)
 	for sc.Scan() {
 		m := benchLine.FindStringSubmatch(sc.Text())
 		if m == nil {
 			continue
 		}
-		res := Result{Metrics: map[string]float64{}}
+		metrics := Metrics{}
 		fields := strings.Fields(m[2])
 		for i := 0; i+1 < len(fields); i += 2 {
 			val, err := strconv.ParseFloat(fields[i], 64)
@@ -67,98 +56,65 @@ func parseBench(r io.Reader) (map[string]Result, error) {
 				return nil, fmt.Errorf("benchcmp: bad value %q on %q", fields[i], sc.Text())
 			}
 			switch unit := fields[i+1]; unit {
-			case "ns/op":
-				res.NsPerOp = val
-			case "B/op":
-				res.BytesPerOp = val
-			case "allocs/op":
-				res.AllocsPerOp = val
+			case "ns/op", "B/op", "allocs/op":
 			default:
-				res.Metrics[unit] = val
+				metrics[unit] = val
 			}
 		}
-		if len(res.Metrics) == 0 {
-			res.Metrics = nil
+		if len(metrics) > 0 {
+			out[m[1]] = metrics
 		}
-		out[m[1]] = res
 	}
 	return out, sc.Err()
 }
 
-func pctDelta(old, new float64) float64 {
-	if old == 0 {
-		if new == 0 {
-			return 0
-		}
-		return 100
+// sortedKeys returns m's keys in order.
+func sortedKeys[V any](m map[string]V) []string {
+	keys := make([]string, 0, len(m))
+	for k := range m {
+		keys = append(keys, k)
 	}
-	return (new - old) / old * 100
+	sort.Strings(keys)
+	return keys
 }
 
-// compare renders the comparison table to w and returns the gate failures:
-// baseline benchmarks missing from the input, gated metrics drifted beyond
-// failOver percent (including metrics that vanished — they read as zero),
-// and, when failAllocs is set, allocs/op growth. Benchmarks or gated metrics
-// that are new (absent from the baseline) are noted but never fail.
-func compare(w io.Writer, base Baseline, current map[string]Result, gateRe *regexp.Regexp, failOver float64, failAllocs bool) []string {
-	names := make([]string, 0, len(base.Benchmarks))
-	for name := range base.Benchmarks {
-		names = append(names, name)
-	}
-	sort.Strings(names)
-
+// compare writes one line per baseline benchmark to w and returns the
+// failures: a baseline benchmark missing from the input, and a baseline
+// metric that is missing or differs in any digit. Benchmarks and metrics
+// absent from the baseline are noted but never fail.
+func compare(w io.Writer, base Baseline, current map[string]Metrics) []string {
 	var failures []string
-	fmt.Fprintf(w, "%-36s %14s %14s %14s\n", "benchmark", "ns/op Δ%", "allocs/op Δ%", "gated")
-	for _, name := range names {
+	for _, name := range sortedKeys(base.Benchmarks) {
 		old := base.Benchmarks[name]
 		cur, ok := current[name]
 		if !ok {
 			failures = append(failures, fmt.Sprintf("%s: present in baseline but missing from input", name))
 			continue
 		}
-		gated := "-"
-		units := make([]string, 0, len(old.Metrics))
-		for unit := range old.Metrics {
-			units = append(units, unit)
-		}
-		sort.Strings(units)
-		for _, unit := range units {
-			if !gateRe.MatchString(unit) {
+		status := "identical"
+		for _, unit := range sortedKeys(old) {
+			v, ok := cur[unit]
+			switch {
+			case !ok:
+				failures = append(failures, fmt.Sprintf("%s: %s %g -> missing", name, unit, old[unit]))
+			case v != old[unit]:
+				failures = append(failures, fmt.Sprintf("%s: %s %g -> %g", name, unit, old[unit], v))
+			default:
 				continue
 			}
-			d := pctDelta(old.Metrics[unit], cur.Metrics[unit])
-			gated = fmt.Sprintf("%s %+.1f%%", unit, d)
-			if d > failOver || d < -failOver {
-				failures = append(failures, fmt.Sprintf("%s: %s drifted %+.1f%% (%.4g -> %.4g); deterministic sim metric, behaviour changed",
-					name, unit, d, old.Metrics[unit], cur.Metrics[unit]))
+			status = "CHANGED"
+		}
+		for _, unit := range sortedKeys(cur) {
+			if _, ok := old[unit]; !ok {
+				fmt.Fprintf(w, "# new metric (not in baseline): %s %s\n", name, unit)
 			}
 		}
-		curUnits := make([]string, 0, len(cur.Metrics))
-		for unit := range cur.Metrics {
-			curUnits = append(curUnits, unit)
-		}
-		sort.Strings(curUnits)
-		for _, unit := range curUnits {
-			if _, ok := old.Metrics[unit]; !ok && gateRe.MatchString(unit) {
-				fmt.Fprintf(w, "# new gated metric (not in baseline): %s %s\n", name, unit)
-			}
-		}
-		allocD := pctDelta(old.AllocsPerOp, cur.AllocsPerOp)
-		if failAllocs && allocD > failOver {
-			failures = append(failures, fmt.Sprintf("%s: allocs/op grew %+.1f%% (%.0f -> %.0f)",
-				name, allocD, old.AllocsPerOp, cur.AllocsPerOp))
-		}
-		fmt.Fprintf(w, "%-36s %+13.1f%% %+13.1f%% %14s\n", name, pctDelta(old.NsPerOp, cur.NsPerOp), allocD, gated)
+		fmt.Fprintf(w, "%-40s %3d metrics %s\n", name, len(old), status)
 	}
-	newNames := make([]string, 0, len(current))
-	for name := range current {
+	for _, name := range sortedKeys(current) {
 		if _, ok := base.Benchmarks[name]; !ok {
-			newNames = append(newNames, name)
+			fmt.Fprintf(w, "# new benchmark (not in baseline): %s\n", name)
 		}
-	}
-	sort.Strings(newNames)
-	for _, name := range newNames {
-		fmt.Fprintf(w, "# new benchmark (not in baseline): %s\n", name)
 	}
 	return failures
 }
@@ -167,9 +123,6 @@ func main() {
 	log.SetFlags(0)
 	baselinePath := flag.String("baseline", "BENCH_BASELINE.json", "baseline file to compare against")
 	update := flag.Bool("update", false, "rewrite the baseline from the input instead of comparing")
-	failOver := flag.Float64("fail-over", 10, "fail when a gated metric drifts more than this percent")
-	gate := flag.String("gate", "sim_us|sim_attr|sim_events|sim_fork|sim_summary", "regexp: metric units to gate (deterministic simulated-time results)")
-	failAllocs := flag.Bool("fail-allocs", false, "also gate allocs/op increases beyond -fail-over percent")
 	flag.Parse()
 
 	in := os.Stdin
@@ -186,7 +139,7 @@ func main() {
 		log.Fatal(err)
 	}
 	if len(current) == 0 {
-		log.Fatal("benchcmp: no benchmark results in input")
+		log.Fatal("benchcmp: no benchmark metrics in input")
 	}
 
 	if *update {
@@ -213,12 +166,8 @@ func main() {
 	if err := json.Unmarshal(data, &base); err != nil {
 		log.Fatalf("benchcmp: %s: %v", *baselinePath, err)
 	}
-	gateRe, err := regexp.Compile(*gate)
-	if err != nil {
-		log.Fatalf("benchcmp: bad -gate: %v", err)
-	}
 
-	failures := compare(os.Stdout, base, current, gateRe, *failOver, *failAllocs)
+	failures := compare(os.Stdout, base, current)
 	if len(failures) > 0 {
 		fmt.Println()
 		for _, f := range failures {

@@ -119,6 +119,12 @@ var ForceTelemetry bool
 // calls when suites fan out across workers.
 var ShutdownHook func(*System)
 
+// NewHook, when set, is invoked on every System New builds, just before New
+// returns. Tests use it to plant a process in an experiment's world, such as
+// one that panics, to check that a process panic fails only its own run. The
+// hook must be safe for concurrent calls when runs fan out across workers.
+var NewHook func(*System)
+
 // New builds a System from cfg.
 func New(cfg Config) *System {
 	if cfg.MemoryFrames == 0 {
@@ -185,6 +191,9 @@ func New(cfg Config) *System {
 		if dom := sys.domains[id]; dom != nil {
 			dom.Kill()
 		}
+	}
+	if NewHook != nil {
+		NewHook(sys)
 	}
 	return sys
 }
@@ -599,8 +608,21 @@ func PreallocateFrames(t *domain.Thread, n int) error {
 	return nil
 }
 
-// Run advances the simulation by d.
-func (sys *System) Run(d time.Duration) { sys.Sim.RunFor(d) }
+// Run advances the simulation by d. A process panic arrives as a
+// *sim.ProcPanic: Run unwinds every other process with Shutdown, so a caller
+// that recovers the panic leaks no parked goroutine, and re-raises it. The
+// world is unusable after that.
+func (sys *System) Run(d time.Duration) {
+	defer func() {
+		if r := recover(); r != nil {
+			if _, ok := r.(*sim.ProcPanic); ok {
+				sys.Sim.Shutdown()
+			}
+			panic(r)
+		}
+	}()
+	sys.Sim.RunFor(d)
+}
 
 // RunUntilIdle drains the event queue (bounded by maxEvents).
 func (sys *System) RunUntilIdle(maxEvents int) { sys.Sim.RunUntilIdle(maxEvents) }

@@ -4,8 +4,13 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
+	"runtime"
 	"testing"
 	"time"
+
+	"nemesis/internal/core"
+	"nemesis/internal/sim"
 )
 
 func TestDurationUnmarshalFormats(t *testing.T) {
@@ -151,5 +156,34 @@ func TestRunSpecCancelled(t *testing.T) {
 	cancel()
 	if _, err := RunSpec(ctx, Spec{Kind: KindSuite}, 2); err == nil {
 		t.Error("pre-cancelled RunSpec returned no error")
+	}
+}
+
+// TestRunSpecProcPanicIsError plants a panicking process in every world a
+// spec builds: RunSpec reports it as an error wrapping sim.ErrProcPanic, on
+// a single-cell kind and on a sweep of cells, and leaks no goroutine.
+func TestRunSpecProcPanicIsError(t *testing.T) {
+	before := runtime.NumGoroutine()
+	core.NewHook = func(sys *core.System) {
+		sys.Sim.Spawn("faulty", func(p *sim.Proc) {
+			p.Sleep(time.Millisecond)
+			panic("planted fault")
+		})
+	}
+	defer func() { core.NewHook = nil }()
+	for _, spec := range []Spec{
+		{Kind: KindFigure, Figure: 8, Measure: Duration(time.Second)},
+		{Kind: KindCluster, Machines: 3, DomainsPerMachine: 2, Servers: 1, Measure: Duration(50 * time.Millisecond)},
+	} {
+		if _, err := RunSpec(context.Background(), spec, 2); !errors.Is(err, sim.ErrProcPanic) {
+			t.Errorf("%s: err = %v, want a sim.ErrProcPanic", spec.Kind, err)
+		}
+	}
+	deadline := time.Now().Add(5 * time.Second)
+	for runtime.NumGoroutine() > before && time.Now().Before(deadline) {
+		time.Sleep(10 * time.Millisecond)
+	}
+	if n := runtime.NumGoroutine(); n > before {
+		t.Errorf("goroutines = %d, baseline %d: a failed world leaked", n, before)
 	}
 }

@@ -23,6 +23,8 @@ import (
 	"strconv"
 	"sync"
 	"sync/atomic"
+
+	"nemesis/internal/sim"
 )
 
 // EnvWorkers is the environment variable overriding the fan-out width.
@@ -95,6 +97,9 @@ func MapContext[I, O any](ctx context.Context, items []I, fn func(context.Contex
 //     each successful cell. The ctx passed to fn has the callback stripped,
 //     so a cell that itself sweeps (a suite cell running a nested netswap
 //     sweep) cannot double-report.
+//   - Process panics: a cell whose simulated process panicked (a
+//     *sim.ProcPanic, and only that) fails with it as its error, so one bad
+//     cell neither kills the caller nor hides a lower-index failure.
 func MapWorkersContext[I, O any](ctx context.Context, workers int, items []I, fn func(context.Context, I) (O, error)) ([]O, error) {
 	prog := progressFrom(ctx)
 	inner := ctx
@@ -118,7 +123,7 @@ func MapWorkersContext[I, O any](ctx context.Context, workers int, items []I, fn
 			if err := ctx.Err(); err != nil {
 				return nil, err
 			}
-			o, err := fn(inner, it)
+			o, err := call(inner, it, fn)
 			if err != nil {
 				return nil, err
 			}
@@ -144,7 +149,7 @@ func MapWorkersContext[I, O any](ctx context.Context, workers int, items []I, fn
 				if i >= len(items) {
 					return
 				}
-				out[i], errs[i] = fn(inner, items[i])
+				out[i], errs[i] = call(inner, items[i], fn)
 				if errs[i] == nil {
 					report()
 				}
@@ -161,4 +166,19 @@ func MapWorkersContext[I, O any](ctx context.Context, workers int, items []I, fn
 		}
 	}
 	return out, nil
+}
+
+// call runs one cell, turning a *sim.ProcPanic into its error. Any other
+// panic propagates.
+func call[I, O any](ctx context.Context, it I, fn func(context.Context, I) (O, error)) (o O, err error) {
+	defer func() {
+		if r := recover(); r != nil {
+			pp, ok := r.(*sim.ProcPanic)
+			if !ok {
+				panic(r)
+			}
+			err = pp
+		}
+	}()
+	return fn(ctx, it)
 }

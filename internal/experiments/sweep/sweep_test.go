@@ -8,6 +8,9 @@ import (
 	"sync"
 	"sync/atomic"
 	"testing"
+	"time"
+
+	"nemesis/internal/sim"
 )
 
 func TestMapOrdersResults(t *testing.T) {
@@ -252,4 +255,45 @@ func TestProgressStrippedFromNestedSweeps(t *testing.T) {
 	if n := events.Load(); n != int64(len(outer)) {
 		t.Fatalf("progress events = %d, want %d (nested sweeps must stay silent)", n, len(outer))
 	}
+}
+
+// A cell whose simulated process panics fails with the *sim.ProcPanic as its
+// error, and the lowest-index rule still picks among such cells.
+func TestMapProcPanicIsCellError(t *testing.T) {
+	items := []int{0, 1, 2, 3, 4, 5, 6, 7}
+	cell := func(i int) (int, error) {
+		if i == 2 || i == 5 {
+			s := sim.New(1)
+			s.Spawn(fmt.Sprintf("cell-%d", i), func(p *sim.Proc) {
+				p.Sleep(time.Millisecond)
+				panic("cell failed")
+			})
+			defer s.Shutdown()
+			s.RunFor(time.Second)
+		}
+		return i, nil
+	}
+	for _, workers := range []int{1, 8} {
+		_, err := MapWorkers(workers, items, cell)
+		var pp *sim.ProcPanic
+		if !errors.Is(err, sim.ErrProcPanic) || !errors.As(err, &pp) || pp.Proc != "cell-2" {
+			t.Errorf("workers=%d: err = %v, want cell-2's process panic", workers, err)
+		}
+	}
+}
+
+// Any other panic is not a cell error: it propagates.
+func TestMapOtherPanicPropagates(t *testing.T) {
+	defer func() {
+		if r := recover(); r != "not a process" {
+			t.Errorf("recovered %v, want the cell's own panic", r)
+		}
+	}()
+	MapWorkers(1, []int{0, 1}, func(i int) (int, error) {
+		if i == 1 {
+			panic("not a process")
+		}
+		return i, nil
+	})
+	t.Error("MapWorkers returned after a cell panicked")
 }

@@ -249,7 +249,7 @@ func (s *Server) runJob(j *Job) {
 	var out *experiments.Outcome
 	var err error
 	if key, poolable := warmPrefixKey(j.Spec); poolable && s.warm != nil {
-		out, err = s.runWarmFigure(key, j)
+		out, err = s.runWarmFigure(ctx, key, j)
 	} else {
 		out, err = s.run(ctx, j.Spec, s.cfg.SweepWorkers)
 	}
@@ -282,19 +282,26 @@ func (s *Server) runJob(j *Job) {
 // warmed world for its prefix (warming it on first use) and measuring only
 // the job's own window. The result bytes are identical to what the full
 // runner would produce for the same spec; only the boot phase is skipped.
-func (s *Server) runWarmFigure(key string, j *Job) (*experiments.Outcome, error) {
-	world, err := s.warm.fork(key, func() (*experiments.PagingWarm, error) {
-		return experiments.WarmPagingSpec(j.Spec)
+// It runs as one sweep cell, as RunSpec runs a figure: progress reports 1/1
+// and a process panic becomes the job's error.
+func (s *Server) runWarmFigure(ctx context.Context, key string, j *Job) (*experiments.Outcome, error) {
+	out, err := sweep.MapWorkersContext(ctx, 1, []int{0}, func(context.Context, int) (*experiments.Outcome, error) {
+		world, err := s.warm.fork(key, func() (*experiments.PagingWarm, error) {
+			return experiments.WarmPagingSpec(j.Spec)
+		})
+		if err != nil {
+			return nil, err
+		}
+		res, err := experiments.FigureFromWarm(world, j.Spec)
+		if err != nil {
+			return nil, err
+		}
+		return &experiments.Outcome{Result: res}, nil
 	})
 	if err != nil {
 		return nil, err
 	}
-	res, err := experiments.FigureFromWarm(world, j.Spec)
-	if err != nil {
-		return nil, err
-	}
-	j.progress(1, 1) // match the single-cell sweep contract
-	return &experiments.Outcome{Result: res}, nil
+	return out[0], nil
 }
 
 // ---- HTTP layer ----

@@ -7,14 +7,17 @@ import (
 	"encoding/json"
 	"net/http"
 	"net/http/httptest"
+	"runtime"
 	"strconv"
 	"strings"
 	"sync"
 	"testing"
 	"time"
 
+	"nemesis/internal/core"
 	"nemesis/internal/experiments"
 	"nemesis/internal/experiments/sweep"
+	"nemesis/internal/sim"
 )
 
 // cheapSpec is a cluster cell small enough to simulate in milliseconds.
@@ -621,4 +624,69 @@ func TestJobTableRetention(t *testing.T) {
 	if n := jobCount(s); n != maxTerminalJobs {
 		t.Errorf("job table holds %d jobs, want %d", n, maxTerminalJobs)
 	}
+}
+
+// TestProcPanicFailsOnlyItsJob plants a panicking process in a job's world
+// through core.NewHook, once on the RunSpec path (a cluster cell) and once
+// on the warm-pool path (an untraced Fig. 8). Each job fails with the panic
+// and counts as failed on /metrics, the daemon serves the same spec next,
+// and no goroutine of the failed worlds is left behind.
+func TestProcPanicFailsOnlyItsJob(t *testing.T) {
+	waitGoroutines := func(what string, before int) {
+		t.Helper()
+		deadline := time.Now().Add(5 * time.Second)
+		for runtime.NumGoroutine() > before && time.Now().Before(deadline) {
+			time.Sleep(10 * time.Millisecond)
+		}
+		if n := runtime.NumGoroutine(); n > before {
+			t.Errorf("%s: goroutines = %d, baseline %d: leak", what, n, before)
+		}
+	}
+	run := func(h http.Handler, spec experiments.Spec) *httptest.ResponseRecorder {
+		b, err := json.Marshal(spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/run", bytes.NewReader(b)))
+		return rec
+	}
+	plant := func(sys *core.System) {
+		sys.Sim.Spawn("faulty", func(p *sim.Proc) {
+			p.Sleep(time.Millisecond)
+			panic("planted fault")
+		})
+	}
+	defer func() { core.NewHook = nil }()
+
+	before := runtime.NumGoroutine()
+	s := New(Config{Workers: 1})
+	h := s.Handler()
+	running := runtime.NumGoroutine()
+	fig8 := experiments.Spec{Kind: experiments.KindFigure, Figure: 8, Measure: experiments.Duration(time.Second), Seed: 41}
+	for i, spec := range []experiments.Spec{cheapSpec(41), fig8} {
+		core.NewHook = plant
+		rec := run(h, spec)
+		core.NewHook = nil
+		if rec.Code != http.StatusInternalServerError || !strings.Contains(rec.Body.String(), "planted fault") {
+			t.Errorf("%s: planted panic answered %d %q, want 500 naming the panic", spec.Kind, rec.Code, rec.Body.String())
+		}
+		if i == 0 {
+			// No warm world is resident yet, so every goroutine the
+			// failed run started must be gone.
+			waitGoroutines("after the failed cluster job", running)
+		}
+		if rec = run(h, spec); rec.Code != http.StatusOK {
+			t.Errorf("%s: the next job answered %d %q, want 200", spec.Kind, rec.Code, rec.Body.String())
+		}
+	}
+	rec := httptest.NewRecorder()
+	h.ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/metrics", nil))
+	for _, want := range []string{`nemesis_jobs{state="failed"} 2`, `nemesis_jobs{state="done"} 2`} {
+		if !strings.Contains(rec.Body.String(), want+"\n") {
+			t.Errorf("/metrics lacks %q:\n%s", want, rec.Body.String())
+		}
+	}
+	s.Close()
+	waitGoroutines("after Close", before)
 }

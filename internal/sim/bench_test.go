@@ -14,6 +14,10 @@ func BenchmarkEventDispatch(b *testing.B) {
 	}
 }
 
+// BenchmarkProcContextSwitch prices a lone process sleeping: every wakeup
+// is its own next event, so after the first dispatch it resumes inline
+// inside its park, with no coroutine switch. BenchmarkProcSwitchPair prices
+// a real switch.
 func BenchmarkProcContextSwitch(b *testing.B) {
 	s := New(1)
 	n := 0
@@ -23,6 +27,28 @@ func BenchmarkProcContextSwitch(b *testing.B) {
 			n++
 		}
 	})
+	b.ReportAllocs()
+	b.ResetTimer()
+	s.RunUntilIdle(b.N + 10)
+}
+
+// BenchmarkProcSwitchPair prices a coroutine switch: two processes sleep
+// with their wakeups interleaved, so every wakeup belongs to the process
+// that is not running, and each costs a yield to the dispatching goroutine
+// and a switch into the other process.
+func BenchmarkProcSwitchPair(b *testing.B) {
+	s := New(1)
+	n := 0
+	for i := 1; i <= 2; i++ {
+		start := Time(time.Duration(i) * time.Microsecond)
+		s.Spawn("switcher", func(p *Proc) {
+			p.SleepUntil(start)
+			for n < b.N {
+				p.Sleep(2 * time.Microsecond)
+				n++
+			}
+		})
+	}
 	b.ReportAllocs()
 	b.ResetTimer()
 	s.RunUntilIdle(b.N + 10)

@@ -40,21 +40,24 @@ func (e *ProcPanic) Error() string {
 // Unwrap returns ErrProcPanic.
 func (e *ProcPanic) Unwrap() error { return ErrProcPanic }
 
-// gcYieldEvery is how many process dispatches pass between turns handed to
+// gcYieldEvery is how many process resumes pass between turns handed to
 // the Go scheduler. A coroutine switch goes from one goroutine straight to
-// the next without entering the runtime's scheduler, so at GOMAXPROCS=1 the
-// GC's background mark worker would run only when forced preemption caught
-// it: in Fig. 8, concurrent marking then took about 4.5 ms instead of 1 ms
-// and the peak heap goal rose from 29 to 40 MB (DESIGN §8). A power of two
-// keeps the check a mask.
+// the next without entering the runtime's scheduler, and an inline resume
+// (see park) does not switch at all, so at GOMAXPROCS=1 the GC's background
+// mark worker would run only when forced preemption caught it: in Fig. 8,
+// concurrent marking then took about 4.5 ms instead of 1 ms and the peak
+// heap goal rose from 29 to 40 MB (DESIGN §8). A power of two keeps the
+// check a mask.
 const gcYieldEvery = 256
 
 // Proc is a simulated process: a coroutine (iter.Pull) that runs only when
 // the simulator dispatches it and that returns control by blocking on one of
 // the Proc primitives (Sleep, Yield, Cond.Wait, ...). Dispatch and park are
 // direct coroutine switches between the dispatching goroutine and the
-// process's own, so at most one Proc executes at any moment and no handoff
-// waits in the Go scheduler.
+// process's own, so no handoff waits in the Go scheduler. A parking process
+// may first run the event callbacks queued ahead of its own wakeup on its own
+// goroutine (see park); still exactly one goroutine runs simulation code at
+// any moment.
 type Proc struct {
 	sim    *Simulator
 	name   string
@@ -130,8 +133,8 @@ func (p *Proc) prepare() uint64 {
 }
 
 // wake dispatches the process if tok is still current. Stale or post-mortem
-// wakeups are ignored. wake must be called from scheduler context (inside an
-// event callback), never from process context.
+// wakeups are ignored. Only the Run loop calls it, on the dispatching
+// goroutine, never a process.
 func (p *Proc) wake(tok uint64) {
 	if p.done || tok != p.wakeSeq {
 		return
@@ -139,27 +142,81 @@ func (p *Proc) wake(tok uint64) {
 	p.dispatch()
 }
 
-// dispatch switches to the process and returns when it parks again or ends.
-// Every gcYieldEvery-th dispatch first gives the Go scheduler a turn.
-func (p *Proc) dispatch() {
-	s := p.sim
-	s.switches++
-	if s.switches%gcYieldEvery == 0 {
+// resume counts a process resume, giving the Go scheduler a turn on every
+// gcYieldEvery-th.
+func (s *Simulator) resume() {
+	s.resumes++
+	if s.resumes%gcYieldEvery == 0 {
 		runtime.Gosched()
 	}
-	prev := s.current
-	s.current = p
-	defer func() { s.current = prev }() // also when a *ProcPanic passes through
-	p.next()
 }
 
-// park returns control to the scheduler. The caller must already have
-// arranged a wakeup (via prepare + some event calling wake).
+// dispatch switches to the process and returns when it yields or ends. A
+// callback panic the process recovered while draining is re-raised here.
+func (p *Proc) dispatch() {
+	s := p.sim
+	s.resume()
+	s.switches++
+	prev := s.current
+	s.current = p
+	defer func() { s.current = prev }() // also when a panic passes through
+	p.next()
+	if r := s.panicked; r != nil {
+		s.panicked = nil
+		panic(r)
+	}
+}
+
+// park blocks the process until its wakeup. The caller must already have
+// arranged one (via prepare + some event calling wake). Inside Run, park
+// first drains: on the process's own goroutine it runs the events ahead of
+// its next dispatch, in the order the Run loop would, and when the next
+// live event is its own wakeup it resumes with no coroutine switch. It
+// yields to the dispatching goroutine only at another process's live wakeup
+// or at the Run's bounds.
 func (p *Proc) park() {
-	p.yield(struct{}{})
+	if !p.sim.drain(p) {
+		p.yield(struct{}{})
+	}
 	if p.killed {
 		panic(killSentinel{p.name})
 	}
+}
+
+// drain runs events for parking process p, reporting true when it popped
+// p's own live wakeup. Callbacks see Current() == nil, as on the dispatching
+// goroutine; a panicking one is recovered and kept for dispatch to re-raise,
+// and p yields.
+func (s *Simulator) drain(p *Proc) bool {
+	s.current = nil
+	for {
+		fn, q, tok, ok := s.next(p)
+		switch {
+		case !ok:
+			return false
+		case q == nil:
+			if !s.call(fn) {
+				return false
+			}
+		case q == p && tok == p.wakeSeq:
+			s.current = p
+			s.resume()
+			return true
+		}
+		// Otherwise a stale wakeup, dropped as wake would drop it.
+	}
+}
+
+// call runs callback fn on a draining process's goroutine, reporting false
+// if it panicked, with the value kept in s.panicked.
+func (s *Simulator) call(fn func()) (ok bool) {
+	defer func() {
+		if !ok {
+			s.panicked = recover()
+		}
+	}()
+	fn()
+	return true
 }
 
 // Sleep suspends the process for d of simulated time.

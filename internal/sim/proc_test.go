@@ -2,7 +2,9 @@ package sim
 
 import (
 	"errors"
+	"fmt"
 	"runtime"
+	"runtime/debug"
 	"strings"
 	"sync/atomic"
 	"testing"
@@ -323,4 +325,158 @@ func TestShutdownIdempotentOnFinishedSim(t *testing.T) {
 	s.RunUntilIdle(100)
 	s.Shutdown()
 	s.Shutdown() // second call is a no-op
+}
+
+// inDrain reports whether the caller runs inside a parking process's drain,
+// on that process's goroutine, rather than on the goroutine that called Run.
+func inDrain() bool {
+	return strings.Contains(string(debug.Stack()), "(*Simulator).drain")
+}
+
+func TestDrainSwitchCounts(t *testing.T) {
+	const n = 100
+	s := New(1)
+	s.Spawn("lone", func(p *Proc) {
+		for i := 0; i < n; i++ {
+			p.Sleep(time.Microsecond)
+		}
+	})
+	s.Run(Time(time.Second))
+	// The first dispatch is the one switch; every later wakeup is the
+	// process's own next event, so it resumes inline.
+	if s.switches > 1 || s.resumes != n+1 {
+		t.Errorf("lone sleeper: %d switches, %d resumes; want at most 1 switch of %d resumes", s.switches, s.resumes, n+1)
+	}
+
+	// Two processes whose wakeups alternate: every wakeup is another
+	// process's, so each one still takes a coroutine switch.
+	s = New(1)
+	for i, name := range []string{"a", "b"} {
+		start := Time(time.Duration(i+1) * time.Microsecond)
+		s.Spawn(name, func(p *Proc) {
+			p.SleepUntil(start)
+			for j := 0; j < n; j++ {
+				p.Sleep(2 * time.Microsecond)
+			}
+		})
+	}
+	s.Run(Time(time.Second))
+	if s.switches != s.resumes || s.resumes != 2*(n+2) {
+		t.Errorf("alternating pair: %d switches, %d resumes; want %d of each", s.switches, s.resumes, 2*(n+2))
+	}
+}
+
+func TestDrainCallbackPanicReachesRunCaller(t *testing.T) {
+	before := runtime.NumGoroutine()
+	s := New(1)
+	var unwound atomic.Bool
+	p := s.Spawn("drainer", func(p *Proc) {
+		defer unwound.Store(true)
+		p.Sleep(2 * time.Millisecond)
+		t.Error("drainer resumed past the panicking callback")
+	})
+	inline := false
+	s.At(Time(time.Millisecond), func() {
+		inline = inDrain()
+		panic("callback failed")
+	})
+	var r any
+	func() {
+		defer func() { r = recover() }()
+		s.RunFor(time.Second)
+	}()
+	if !inline {
+		t.Error("the callback did not run inside the drainer's park")
+	}
+	if r != "callback failed" {
+		t.Errorf("Run raised %v (%T), want the callback's own value", r, r)
+	}
+	if s.Current() != nil {
+		t.Errorf("Current() = %q after the panic, want nil", s.Current().Name())
+	}
+	if p.Done() || s.Live() != 1 {
+		t.Errorf("Done = %v, Live = %d: the drainer must stay parked", p.Done(), s.Live())
+	}
+	s.Shutdown()
+	if !unwound.Load() {
+		t.Error("Shutdown did not unwind the parked drainer")
+	}
+	waitGoroutines(t, before)
+}
+
+func TestDrainStopsAtRunHorizon(t *testing.T) {
+	s := New(1)
+	var log []string
+	note := func(what string) { log = append(log, fmt.Sprintf("%s@%v", what, s.Now().Duration())) }
+	p := s.Spawn("p", func(p *Proc) {
+		p.Sleep(time.Millisecond)
+		note("p")
+		p.Sleep(10 * time.Millisecond)
+		note("p")
+	})
+	for _, at := range []time.Duration{5, 11, 12} {
+		s.At(Time(at*time.Millisecond), func() {
+			if s.Now() > s.until {
+				t.Errorf("callback ran at %v, past the horizon %v", s.Now(), s.until)
+			}
+			note("c")
+		})
+	}
+	s.Run(Time(8 * time.Millisecond))
+	if got, want := strings.Join(log, " "), "p@1ms c@5ms"; got != want {
+		t.Errorf("first Run: %s, want %s", got, want)
+	}
+	if s.Now() != Time(8*time.Millisecond) || p.Done() {
+		t.Errorf("after the first Run: Now = %v, Done = %v; want 8ms, parked", s.Now(), p.Done())
+	}
+	s.Run(Time(20 * time.Millisecond))
+	// At 11 ms the callback was queued before the process's wakeup.
+	if got, want := strings.Join(log, " "), "p@1ms c@5ms c@11ms p@11ms c@12ms"; got != want {
+		t.Errorf("both Runs: %s, want %s", got, want)
+	}
+	if !p.Done() {
+		t.Error("process did not finish in the second Run")
+	}
+}
+
+func TestDrainKillFromCallback(t *testing.T) {
+	// The same kill, issued from a callback the victim runs in its own
+	// drain and from one the dispatching goroutine runs while a second
+	// process holds the victim's place, must unwind the victim alike.
+	for _, viaDrain := range []bool{true, false} {
+		s := New(1)
+		var woke int
+		var unwoundAt Time = -1
+		victim := s.Spawn("victim", func(p *Proc) {
+			defer func() { unwoundAt = s.Now() }()
+			for {
+				p.Sleep(time.Millisecond)
+				woke++
+			}
+		})
+		if !viaDrain {
+			// Its wakeup at 2.5 ms is queued ahead of the kill, so the
+			// victim, parked at 2 ms, yields to it instead of running the
+			// kill itself, and the dispatching goroutine runs the kill
+			// after "other" ends.
+			s.Spawn("other", func(p *Proc) { p.SleepUntil(Time(2500 * time.Microsecond)) })
+		}
+		inline := false
+		s.At(Time(time.Millisecond), func() {
+			s.At(Time(2500*time.Microsecond), func() {
+				inline = inDrain()
+				victim.Kill()
+			})
+		})
+		s.RunUntilIdle(100)
+		if inline != viaDrain {
+			t.Errorf("viaDrain=%v: callback ran in a drain = %v", viaDrain, inline)
+		}
+		if woke != 2 || unwoundAt != Time(2500*time.Microsecond) {
+			t.Errorf("viaDrain=%v: woke %d times, unwound at %v; want 2, 2.5ms", viaDrain, woke, unwoundAt)
+		}
+		if !victim.Done() || !victim.Killed() || s.Live() != 0 {
+			t.Errorf("viaDrain=%v: Done = %v, Killed = %v, Live = %d", viaDrain, victim.Done(), victim.Killed(), s.Live())
+		}
+	}
 }

@@ -2,6 +2,7 @@ package sim
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 	"time"
 )
@@ -97,7 +98,9 @@ func (h *eventHeap) pop() *event {
 
 // Simulator owns the simulated clock and the event queue. It is not safe for
 // use from multiple goroutines except through the process model, which
-// guarantees only one goroutine touches it at a time.
+// guarantees only one goroutine touches it at a time: the goroutine that
+// called Run, or the process it is switched into (whose park may run event
+// callbacks itself, see Proc.park).
 type Simulator struct {
 	now     Time
 	events  eventHeap
@@ -109,9 +112,21 @@ type Simulator struct {
 	live    int     // spawned processes that have not yet finished
 	procs   []*Proc // every spawned process, for Shutdown
 
-	// switches counts dispatches into processes; every gcYieldEvery-th one
-	// yields to the Go scheduler first (see proc.go).
+	// until and stopAt bound the active Run: no event later than until and
+	// no dispatch past the stopAt-th runs. Outside a Run stopAt is 0, which
+	// also keeps a parking process from draining (see Proc.park).
+	until  Time
+	stopAt int64
+
+	// resumes counts every process resume, inline or not; every
+	// gcYieldEvery-th one yields to the Go scheduler first. switches counts
+	// the coroutine switches among them: calls of a process's next.
+	resumes  uint64
 	switches uint64
+
+	// panicked holds a callback's panic recovered on a draining process's
+	// goroutine, for dispatch to re-raise on the goroutine that called Run.
+	panicked any
 
 	// dispatched counts events run since construction; a deterministic
 	// measure of how much simulated work a run performed.
@@ -237,8 +252,18 @@ func (s *Simulator) After(d time.Duration, fn func()) Timer {
 }
 
 // peekLive returns the earliest pending live event, discarding cancelled
-// ones, or nil when the queue is (effectively) empty.
+// ones, or nil when the queue is (effectively) empty. The common case, a
+// live head, stays small enough to inline.
 func (s *Simulator) peekLive() *event {
+	if len(s.events) > 0 && !s.events[0].dead {
+		return s.events[0]
+	}
+	return s.skipDead()
+}
+
+// skipDead discards cancelled events from the head of the queue and returns
+// the first live one, or nil.
+func (s *Simulator) skipDead() *event {
 	for len(s.events) > 0 {
 		next := s.events[0]
 		if !next.dead {
@@ -250,34 +275,62 @@ func (s *Simulator) peekLive() *event {
 	return nil
 }
 
-// step pops and runs the next event. It reports false when the queue is
-// empty or the next event lies beyond limit.
-func (s *Simulator) step(limit Time) bool {
-	next := s.peekLive()
-	if next == nil || next.t > limit {
-		return false
+// next pops the earliest live event within the active Run's bounds,
+// advancing the clock, and returns what it does: a callback fn, or a wakeup
+// of p with token tok. It is the one place that decides event order, for
+// the Run loop and for a draining process alike. For a draining process
+// self, a live wakeup of any other process stays queued: only the
+// dispatching goroutine switches into a process. ok is false when nothing
+// is popped.
+func (s *Simulator) next(self *Proc) (fn func(), p *Proc, tok uint64, ok bool) {
+	if s.dispatched >= s.stopAt {
+		return nil, nil, 0, false
+	}
+	ev := s.peekLive()
+	if ev == nil || ev.t > s.until {
+		return nil, nil, 0, false
+	}
+	if q := ev.p; self != nil && q != nil && q != self && !q.done && ev.tok == q.wakeSeq {
+		return nil, nil, 0, false
 	}
 	s.events.pop()
 	s.dispatched++
-	if next.t > s.now {
-		s.now = next.t
+	if ev.t > s.now {
+		s.now = ev.t
 	}
-	fn, p, tok := next.fn, next.p, next.tok
-	s.recycle(next)
-	if p != nil {
-		p.wake(tok)
-	} else {
-		fn()
+	fn, p, tok = ev.fn, ev.p, ev.tok
+	s.recycle(ev)
+	return fn, p, tok, true
+}
+
+// run executes events up to instant until and up to the stopAt-th dispatch,
+// then restores the previous bounds. A panic leaves the bounds set; Shutdown,
+// the one dispatcher outside Run, clears them.
+func (s *Simulator) run(until Time, stopAt int64) {
+	prevUntil, prevStop := s.until, s.stopAt
+	s.until, s.stopAt = until, stopAt
+	for {
+		fn, p, tok, ok := s.next(nil)
+		if !ok {
+			break
+		}
+		if p != nil {
+			p.wake(tok)
+		} else {
+			fn()
+		}
 	}
-	return true
+	s.until, s.stopAt = prevUntil, prevStop
 }
 
 // Run executes events until the queue is exhausted or the clock would pass
 // until. On return the clock reads min(until, time of last event run), and
-// is advanced to until if the queue drained earlier.
+// is advanced to until if the queue drained earlier. Callbacks run on the
+// calling goroutine or on a parking process's (see Proc.park); either way
+// one goroutine runs simulation code at a time, and a panic in a callback
+// or a process reaches the caller of Run.
 func (s *Simulator) Run(until Time) {
-	for s.step(until) {
-	}
+	s.run(until, math.MaxInt64)
 	if s.now < until {
 		s.now = until
 	}
@@ -294,6 +347,7 @@ func (s *Simulator) RunFor(d time.Duration) { s.Run(s.now.Add(d)) }
 // The simulator must not be used afterwards. Must be called from scheduler
 // context (never from inside a process).
 func (s *Simulator) Shutdown() {
+	s.stopAt = 0 // no draining: each process runs only its own unwind
 	for _, p := range s.procs {
 		if p.done {
 			continue
@@ -307,13 +361,12 @@ func (s *Simulator) Shutdown() {
 
 // RunUntilIdle executes events until none remain. It panics if the
 // simulation exceeds maxEvents dispatches, which indicates a runaway loop.
+// The count covers events run anywhere, a draining process's included, so
+// a process that keeps waking itself is caught too.
 func (s *Simulator) RunUntilIdle(maxEvents int) {
-	for i := 0; ; i++ {
-		if i > maxEvents {
-			panic(fmt.Sprintf("sim: RunUntilIdle exceeded %d events at t=%v", maxEvents, s.now))
-		}
-		if !s.step(Time(1<<62 - 1)) {
-			return
-		}
+	start := s.dispatched
+	s.run(Time(1<<62-1), start+int64(maxEvents)+1)
+	if s.dispatched-start > int64(maxEvents) {
+		panic(fmt.Sprintf("sim: RunUntilIdle exceeded %d events at t=%v", maxEvents, s.now))
 	}
 }

@@ -118,16 +118,35 @@ func TestNestedScheduling(t *testing.T) {
 }
 
 func TestRunUntilIdlePanicsOnRunaway(t *testing.T) {
+	expectPanic := func(what string, s *Simulator) {
+		t.Helper()
+		defer func() {
+			if recover() == nil {
+				t.Errorf("%s: expected panic on runaway loop", what)
+			}
+			// The guard fires after its 1001st dispatch, wherever it ran.
+			if s.Dispatched() != 1001 {
+				t.Errorf("%s: Dispatched = %d at the panic, want 1001", what, s.Dispatched())
+			}
+			s.Shutdown()
+		}()
+		s.RunUntilIdle(1000)
+	}
 	s := New(1)
 	var loop func()
 	loop = func() { s.At(s.Now(), loop) }
 	s.At(0, loop)
-	defer func() {
-		if recover() == nil {
-			t.Fatal("expected panic on runaway event loop")
+	expectPanic("event loop", s)
+
+	// A lone process that keeps waking itself resumes inline, inside its
+	// own park, so only a guard that counts dispatched events stops it.
+	s = New(1)
+	s.Spawn("sleeper", func(p *Proc) {
+		for {
+			p.Sleep(time.Microsecond)
 		}
-	}()
-	s.RunUntilIdle(1000)
+	})
+	expectPanic("self-waking process", s)
 }
 
 // TestDeterminism runs the same random scenario twice and requires identical

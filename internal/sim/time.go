@@ -10,7 +10,12 @@
 //   - A cooperative process model (Simulator.Spawn) in which each process is
 //     a coroutine (iter.Pull) on its own goroutine, but exactly one process
 //     runs at any instant; control passes between the scheduler and a
-//     process by direct coroutine switches.
+//     process by direct coroutine switches. A parking process first runs
+//     the event callbacks queued ahead of its next dispatch itself, and
+//     resumes without a switch when the next live event is its own wakeup,
+//     so a callback may run on a process's goroutine. Events still run in
+//     one (time, seq) order, and exactly one goroutine runs simulation code
+//     at a time.
 //     This keeps application-style code (threads that block on page faults,
 //     worker threads, schedulers) natural to write while preserving strict
 //     determinism.
