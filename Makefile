@@ -2,7 +2,7 @@ GO ?= go
 BENCHFLAGS ?= -run=NONE -bench=. -benchtime=1x
 BASELINE ?= BENCH_BASELINE.json
 
-.PHONY: build test race bench bench-baseline bench-fork lint suite cluster serve loadtest
+.PHONY: build test race bench bench-baseline bench-fork lint loc suite cluster serve loadtest
 
 build:
 	$(GO) build ./...
@@ -35,6 +35,10 @@ bench-baseline:
 lint:
 	$(GO) vet ./...
 	@out=$$(gofmt -l .); if [ -n "$$out" ]; then echo "gofmt needed:"; echo "$$out"; exit 1; fi
+
+# Lines of non-test Go outside hostbench/: the size ROADMAP item 6 tracks.
+loc:
+	@find . -name '*.go' -not -path './hostbench/*' -not -name '*_test.go' | xargs cat | wc -l
 
 # Full experiment suite through the parallel sweep runner.
 suite:

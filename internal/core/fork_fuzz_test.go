@@ -12,8 +12,8 @@ import (
 )
 
 // fuzzSys is one randomized world: two paged domains under memory pressure
-// and a frame-burst domain that triggers revocations (and so audit-log
-// traffic), with telemetry on.
+// and a frame-burst domain that triggers revocations, with telemetry off as
+// in every world Fork carries.
 type fuzzSys struct {
 	sys    *System
 	a, b   *domain.Domain
@@ -28,7 +28,6 @@ func newFuzzSys(t *testing.T, seed int64) *fuzzSys {
 	cfg := DefaultConfig()
 	cfg.MemoryFrames = 96
 	cfg.Seed = seed
-	cfg.Telemetry = true
 	sys := New(cfg)
 	f := &fuzzSys{sys: sys}
 	var err error
@@ -106,7 +105,6 @@ type fuzzObs struct {
 	freeOrder []mem.PFN
 	statsA    domain.Stats
 	statsB    domain.Stats
-	audit     string
 	usdEvents int
 	allocated [3]uint64
 }
@@ -132,30 +130,27 @@ func (f *fuzzSys) observe() fuzzObs {
 			o.transB[pg] = ^mem.PFN(0)
 		}
 	}
-	for _, e := range f.sys.Obs.AuditLog() {
-		o.audit += string(e.Kind) + "/" + e.Domain + "/" + e.Other + "\n"
-	}
 	return o
 }
 
-// remap re-points the fuzz handles at a fork via the snapshot's identity maps.
+// remap re-points the fuzz handles at their twins in a fork, found by ID.
 func (f *fuzzSys) remap(t *testing.T, snap *Snapshot) *fuzzSys {
 	t.Helper()
 	nf := &fuzzSys{
 		sys: snap.Sys,
-		a:   snap.Dom[f.a], b: snap.Dom[f.b], c: snap.Dom[f.c],
-		stA: snap.Stretch[f.stA], stB: snap.Stretch[f.stB],
+		a:   snap.Sys.Domain(f.a.ID()), b: snap.Sys.Domain(f.b.ID()), c: snap.Sys.Domain(f.c.ID()),
+		stA: snap.Sys.SA.Lookup(f.stA.ID()), stB: snap.Sys.SA.Lookup(f.stB.ID()),
 	}
 	if nf.a == nil || nf.b == nil || nf.c == nil || nf.stA == nil || nf.stB == nil {
-		t.Fatal("snapshot identity maps incomplete")
+		t.Fatal("fork lacks a twin domain or stretch")
 	}
 	return nf
 }
 
 // TestForkFuzzSystem: random warmups, fork, identical random continuations —
-// page tables, frame free-list order, audit logs, USD trace and allocation
-// state must all match a never-forked control world, on both the fork and
-// the parent.
+// page tables, frame free-list order, domain stats (revocations included),
+// USD trace and allocation state must all match a never-forked control
+// world, on both the fork and the parent.
 func TestForkFuzzSystem(t *testing.T) {
 	for seed := int64(1); seed <= 4; seed++ {
 		warmSteps := 3 + int(seed)%3

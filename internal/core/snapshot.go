@@ -7,27 +7,19 @@ import (
 	"nemesis/internal/disk"
 	"nemesis/internal/domain"
 	"nemesis/internal/mem"
-	"nemesis/internal/obs"
-	"nemesis/internal/sfs"
 	"nemesis/internal/stretchdrv"
-	"nemesis/internal/vm"
 )
 
 // Snapshot is the result of System.Fork: a complete, independent copy of the
-// simulated machine at the fork instant, plus the identity maps callers need
-// to translate parent-world handles (domains, drivers, stretches, swap files)
-// into their forked twins. Forking a warmed world is how sweeps and the
-// experiment server avoid re-paying boot: warm once, fork per cell.
+// simulated machine at the fork instant. Fork keeps every domain and stretch
+// ID, so a caller finds the twin of a parent handle by ID: System.Domain,
+// SA.Lookup and Domain.DriverFor. Forking a warmed world is how the
+// experiment server avoids re-paying boot: warm once, fork per job.
 type Snapshot struct {
 	// Sys is the forked system. It shares nothing mutable with the parent
 	// except copy-on-write disk chunks, which are immutable once shared, so
 	// parent and fork may run on different goroutines.
 	Sys *System
-	// Dom, Driver, Stretch and File translate parent pointers to forked ones.
-	Dom     map[*domain.Domain]*domain.Domain
-	Driver  map[domain.Driver]domain.Driver
-	Stretch map[*vm.Stretch]*vm.Stretch
-	File    map[*sfs.SwapFile]*sfs.SwapFile
 	// Stats describes the copy cost of this fork.
 	Stats ForkStats
 }
@@ -43,73 +35,63 @@ type ForkStats struct {
 	SharedBytes  int64
 }
 
-// Fork deep-copies the system at the current instant. The fork point must be
-// quiesced: the simulator idle (not inside an event), every workload thread
-// exited, no IO in flight, no revocation round open, and no crosstalk monitor
-// or timeline recorder running. Service loops (the USD, each domain's
-// mm-worker) cannot have their goroutine stacks cloned; they are respawned in
-// the fork and re-derive their parked state, which at a quiesced instant is
-// provably identical. Everything else — clock, event queue, random stream,
-// page tables, TLB, frame contents, free lists, blok bitmaps, QoS accounting,
-// telemetry — is copied exactly, so a forked world's future event stream is
+// Fork deep-copies the system at the current instant. It carries only what
+// a pooled warm Fig. 7/8 world holds: telemetry off, paged stretches over
+// local swap files with FIFO replacement, and the linear page table. It
+// returns an error naming the cause for anything else: telemetry (and with
+// it any crosstalk monitor or timeline recorder), the netswap fabric, a
+// guarded page table, any other stretch driver, backing or replacement
+// policy, and custom fault handlers. The fork point must also be quiesced:
+// Fork is called from host context, every workload thread has exited, the
+// CPU is idle, no IO is in flight and no revocation round is open.
+//
+// Service loops (the USD, each domain's mm-worker) cannot have their
+// goroutine stacks cloned; they are respawned in the fork and re-derive
+// their parked state, which at a quiesced instant is provably identical.
+// Everything else — clock, event queue, random stream, page tables, TLB,
+// frame contents, free lists, blok bitmaps, QoS accounting, the USD trace —
+// is copied exactly, so a forked world's future event stream is
 // byte-identical to the future the parent would have had.
+//
+// A refused Fork leaves nothing running. Every refusal of a world shape or
+// of a busy fork point comes before the fork spawns a process or shares a
+// disk chunk. The event accounting and internal consistency checks come
+// later, and a failure there shuts the half-built world down; the parent's
+// disk chunks stay marked shared, which costs the parent a private copy of
+// each on its next write to it and changes no simulated byte.
 //
 // The parent remains fully usable and may be forked again; sharing disk
 // chunks CoW mutates only the parent's shared-flags, so concurrent Forks of
 // one parent must be serialised by the caller (run the forks' workloads in
 // parallel instead — that is safe).
-func (sys *System) Fork() (*Snapshot, error) {
-	if sys.Sim.Current() != nil {
-		return nil, fmt.Errorf("core: Fork must be called from host context, not from inside the simulation")
+func (sys *System) Fork() (_ *Snapshot, err error) {
+	if err := sys.forkable(); err != nil {
+		return nil, err
 	}
-	if sys.NetSwap != nil {
-		return nil, fmt.Errorf("core: cannot fork with the netswap fabric built — create remote stretches after forking")
-	}
-	if sys.monitor != nil {
-		return nil, fmt.Errorf("core: cannot fork with a crosstalk monitor running — start it after forking")
-	}
-	if sys.recorder != nil {
-		return nil, fmt.Errorf("core: cannot fork with a timeline recorder running — start it after forking")
-	}
-	allowed := map[string]bool{"usd": true}
-	for _, dom := range sys.domains {
-		allowed[dom.Name()+"/mm-worker"] = true
-	}
-	for _, name := range sys.Sim.LiveProcNames() {
-		if !allowed[name] {
-			return nil, fmt.Errorf("core: cannot fork with workload process %q still live — join all threads first", name)
-		}
-	}
-
 	ns := sys.Sim.Fork()
-	store, frameBytes := sys.Store.Fork()
+	defer func() {
+		if err != nil {
+			ns.Shutdown()
+		}
+	}()
 	ramtab := sys.RamTab.Fork()
-	reg, err := sys.Obs.Fork(ns.Now)
-	if err != nil {
-		return nil, err
-	}
-	frames, err := sys.Frames.Fork(ns, store, ramtab, reg)
-	if err != nil {
-		return nil, err
-	}
 	ts, vmaps, err := sys.TS.Fork(ramtab)
 	if err != nil {
 		return nil, err
 	}
-	var attr *obs.Attribution
-	if reg != nil {
-		attr = reg.Attr()
-	}
-	sched, acMap, claimed, err := sys.CPU.Fork(ns, attr)
+	store, frameBytes := sys.Store.Fork()
+	frames, err := sys.Frames.Fork(ns, store, ramtab)
 	if err != nil {
 		return nil, err
 	}
-	nd := sys.Disk.Fork(ns, reg)
-	nu, chans, usdClaimed, err := sys.USD.Fork(ns, nd, reg)
+	sched, acMap, claimed, err := sys.CPU.Fork(ns)
 	if err != nil {
 		return nil, err
 	}
-	claimed = append(claimed, usdClaimed...)
+	nu, chans, usdClaimed, err := sys.USD.Fork(ns)
+	if err != nil {
+		return nil, err
+	}
 	nfs, fileMap, err := sys.SFS.Fork(nu, chans)
 	if err != nil {
 		return nil, err
@@ -119,7 +101,7 @@ func (sys *System) Fork() (*Snapshot, error) {
 	// have been re-armed by exactly one subsystem fork. A mismatch means a
 	// timer would silently vanish from (or be duplicated in) the forked
 	// world; fail loudly instead.
-	if err := checkClaimedSeqs(claimed, sys.Sim.PendingSeqs()); err != nil {
+	if err := checkClaimedSeqs(append(claimed, usdClaimed...), sys.Sim.PendingSeqs()); err != nil {
 		return nil, err
 	}
 
@@ -132,11 +114,10 @@ func (sys *System) Fork() (*Snapshot, error) {
 		TS:      ts,
 		SA:      ts.Stretches(),
 		CPU:     sched,
-		Disk:    nd,
+		Disk:    nu.Disk(),
 		USD:     nu,
 		SFS:     nfs,
 		USDLog:  nu.Log,
-		Obs:     reg,
 		domains: make(map[mem.DomainID]*domain.Domain, len(sys.domains)),
 		nextID:  sys.nextID,
 	}
@@ -146,13 +127,8 @@ func (sys *System) Fork() (*Snapshot, error) {
 		}
 	}
 
-	domMap := make(map[*domain.Domain]*domain.Domain, len(sys.domains))
 	env := sys2.env()
-	for id := mem.DomainID(1); id < sys.nextID; id++ {
-		dom, ok := sys.domains[id]
-		if !ok {
-			continue
-		}
+	for _, dom := range sys.Domains() {
 		npd := vmaps.PD[dom.PD()]
 		if npd == nil {
 			return nil, fmt.Errorf("core: no forked protection domain for %q", dom.Name())
@@ -161,51 +137,12 @@ func (sys *System) Fork() (*Snapshot, error) {
 		if err != nil {
 			return nil, err
 		}
-		ndom, err := dom.Fork(env, npd, ncpu, frames.Lookup(id))
-		if err != nil {
-			return nil, err
-		}
-		sys2.domains[id] = ndom
-		domMap[dom] = ndom
-	}
-	if sys2.tracker, err = sys.tracker.Fork(domMap); err != nil {
-		return nil, err
-	}
-
-	drvMap := make(map[domain.Driver]domain.Driver)
-	for id := mem.DomainID(1); id < sys.nextID; id++ {
-		dom, ok := sys.domains[id]
-		if !ok {
-			continue
-		}
-		ndom := domMap[dom]
+		ndom := dom.Fork(env, npd, ncpu, frames.Lookup(dom.ID()))
+		sys2.domains[dom.ID()] = ndom
 		for _, b := range dom.Bindings() {
-			if forked, ok := drvMap[b.Driver]; ok {
-				// A driver bound to several stretches forks once; extra
-				// bindings re-point at the already-forked twin.
-				pst := sys.SA.Lookup(b.SID)
-				if nst := vmaps.Stretch[pst]; nst != nil {
-					ndom.Bind(nst, forked)
-				}
-				continue
-			}
-			var forked domain.Driver
-			switch drv := b.Driver.(type) {
-			case *stretchdrv.Paged:
-				forked, err = drv.Fork(ndom, vmaps, fileMap)
-			case *stretchdrv.Mapped:
-				forked, err = drv.Fork(ndom, vmaps, fileMap)
-			case *stretchdrv.Physical:
-				forked, err = drv.Fork(ndom, vmaps)
-			case *stretchdrv.Nailed:
-				forked, err = drv.Fork(ndom, vmaps)
-			default:
-				err = fmt.Errorf("core: cannot fork %q driver of domain %q — create it after forking", b.Driver.DriverName(), dom.Name())
-			}
-			if err != nil {
+			if _, err := b.Driver.(*stretchdrv.Paged).Fork(ndom, vmaps, fileMap); err != nil {
 				return nil, err
 			}
-			drvMap[b.Driver] = forked
 		}
 	}
 
@@ -214,19 +151,55 @@ func (sys *System) Fork() (*Snapshot, error) {
 	// simulated time, leaving the fork parked exactly as the parent is.
 	ns.Run(ns.Now())
 
-	shared, _ := nd.SharedChunks()
+	shared, _ := sys2.Disk.SharedChunks()
 	return &Snapshot{
-		Sys:     sys2,
-		Dom:     domMap,
-		Driver:  drvMap,
-		Stretch: vmaps.Stretch,
-		File:    fileMap,
+		Sys: sys2,
 		Stats: ForkStats{
 			FrameBytes:   frameBytes,
 			SharedChunks: shared,
 			SharedBytes:  int64(shared) * disk.ChunkBytes,
 		},
 	}, nil
+}
+
+// forkable refuses, before anything is built, a world Fork does not carry
+// or a fork point that is not quiesced at the system and domain level. The
+// CPU, USD and frames allocator refuse a busy fork point in their own Forks,
+// which spawn nothing before they check.
+func (sys *System) forkable() error {
+	if sys.Sim.Current() != nil {
+		return fmt.Errorf("core: Fork must be called from host context, not from inside the simulation")
+	}
+	if sys.Obs != nil {
+		return fmt.Errorf("core: cannot fork a world with telemetry on — its registry, crosstalk monitor and timeline recorder are not copied")
+	}
+	if sys.NetSwap != nil {
+		return fmt.Errorf("core: cannot fork with the netswap fabric built — create remote stretches after forking")
+	}
+	allowed := map[string]bool{"usd": true}
+	for _, dom := range sys.domains {
+		allowed[dom.Name()+"/mm-worker"] = true
+	}
+	for _, name := range sys.Sim.LiveProcNames() {
+		if !allowed[name] {
+			return fmt.Errorf("core: cannot fork with workload process %q still live — join all threads first", name)
+		}
+	}
+	for _, dom := range sys.Domains() {
+		if err := dom.Forkable(); err != nil {
+			return err
+		}
+		for _, b := range dom.Bindings() {
+			drv, ok := b.Driver.(*stretchdrv.Paged)
+			if !ok {
+				return fmt.Errorf("core: cannot fork the %s stretch %d of domain %q — only paged stretches fork", b.Driver.DriverName(), b.SID, dom.Name())
+			}
+			if err := drv.Forkable(); err != nil {
+				return fmt.Errorf("core: domain %q: %w", dom.Name(), err)
+			}
+		}
+	}
+	return nil
 }
 
 // checkClaimedSeqs verifies the subsystems re-armed exactly the parent's live

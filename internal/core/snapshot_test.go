@@ -2,9 +2,12 @@ package core
 
 import (
 	"reflect"
+	"runtime"
+	"strings"
 	"testing"
 	"time"
 
+	"nemesis/internal/atropos"
 	"nemesis/internal/domain"
 	"nemesis/internal/mem"
 	"nemesis/internal/stretchdrv"
@@ -124,11 +127,14 @@ func TestForkByteIdentity(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	fd := snap.Dom[d]
-	fst := snap.Stretch[st]
-	fdrv, ok := snap.Driver[drv].(*stretchdrv.Paged)
-	if fd == nil || fst == nil || !ok {
-		t.Fatalf("snapshot maps incomplete: dom=%v stretch=%v drv=%v", fd, fst, snap.Driver[drv])
+	fd := snap.Sys.Domain(d.ID())
+	fst := snap.Sys.SA.Lookup(st.ID())
+	if fd == nil || fst == nil {
+		t.Fatalf("fork lacks a twin: dom=%v stretch=%v", fd, fst)
+	}
+	fdrv, ok := fd.DriverFor(fst.ID()).(*stretchdrv.Paged)
+	if !ok || fdrv == drv {
+		t.Fatalf("fork lacks its own paged driver twin: %v", fd.DriverFor(fst.ID()))
 	}
 	if snap.Stats.FrameBytes == 0 || snap.Stats.SharedChunks == 0 {
 		t.Fatalf("fork stats implausible: %+v", snap.Stats)
@@ -168,7 +174,7 @@ func TestForkIsolation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	fd, fst := snap.Dom[d], snap.Stretch[st]
+	fd, fst := snap.Sys.Domain(d.ID()), snap.Sys.SA.Lookup(st.ID())
 
 	// Child overwrites every page (dirtying swap blocks via eviction), then
 	// reads them back; the parent then re-reads the original pattern.
@@ -234,7 +240,10 @@ func TestForkIsolation(t *testing.T) {
 func TestForkPreconditions(t *testing.T) {
 	sys := smallSystem()
 	d, _ := sys.NewDomain("app", cpuShare(), mem.Contract{Guaranteed: 4})
-	st, _, _ := sys.NewPhysicalStretch(d, 4*vm.PageSize)
+	st, _, err := sys.NewPagedStretch(d, 4*vm.PageSize, 8*vm.PageSize, diskShare())
+	if err != nil {
+		t.Fatal(err)
+	}
 	d.Go("spin", func(th *domain.Thread) {
 		for i := 0; i < 1000; i++ {
 			if err := th.Touch(st.Base(), vm.PageSize, vm.AccessWrite); err != nil {
@@ -254,4 +263,110 @@ func TestForkPreconditions(t *testing.T) {
 	}
 	snap.Sys.Shutdown()
 	sys.Shutdown()
+}
+
+// TestForkRefusals: Fork refuses every world a pooled warm Fig. 7/8 world
+// cannot be, and every fork point that is not quiesced, with an error
+// naming the cause. Each case is refused repeatedly; a refusal builds
+// nothing it could leak, so afterwards the parent's workload still runs
+// and, once the parent is shut down, the goroutine count is back at its
+// baseline. The stray timer is found only after the USD has been respawned
+// in the half-built fork, so it pins the late-refusal shutdown too.
+func TestForkRefusals(t *testing.T) {
+	// A second disk client fits beside diskShare's 80%.
+	smallDiskShare := atropos.QoS{P: ms(250), S: ms(25), L: ms(10)}
+	for _, tc := range []struct {
+		name      string
+		want      string // the cause the error must name
+		telemetry bool
+		mut       func(t *testing.T, sys *System, d *domain.Domain)
+	}{
+		{name: "telemetry", want: "telemetry", telemetry: true},
+		{name: "physical stretch", want: "physical", mut: func(t *testing.T, sys *System, d *domain.Domain) {
+			if _, _, err := sys.NewPhysicalStretch(d, vm.PageSize); err != nil {
+				t.Fatal(err)
+			}
+		}},
+		{name: "nailed stretch", want: "nailed", mut: func(t *testing.T, sys *System, d *domain.Domain) {
+			d.Go("nail", func(th *domain.Thread) {
+				if _, _, err := sys.NewNailedStretch(th, vm.PageSize); err != nil {
+					t.Error(err)
+				}
+			})
+			sys.Run(time.Second)
+		}},
+		{name: "mapped-file stretch", want: "mapped", mut: func(t *testing.T, sys *System, d *domain.Domain) {
+			file, err := sys.SFS.CreateSwapFile("data", 4*vm.PageSize, smallDiskShare, 1)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, _, err := sys.NewMappedFileStretch(d, file); err != nil {
+				t.Fatal(err)
+			}
+		}},
+		{name: "clock replacement", want: "clock", mut: func(t *testing.T, sys *System, d *domain.Domain) {
+			spec := PagerSpec{Kind: KindPaged, Size: 4 * vm.PageSize, SwapBytes: 8 * vm.PageSize, DiskQoS: smallDiskShare, Policy: stretchdrv.PolicyClock}
+			if _, _, err := sys.NewStretch(d, spec); err != nil {
+				t.Fatal(err)
+			}
+		}},
+		{name: "fault handler", want: "fault handler", mut: func(t *testing.T, sys *System, d *domain.Domain) {
+			d.SetFaultHandler(vm.ProtectionFault, func(*domain.Thread, *vm.Fault) bool { return false })
+		}},
+		{name: "live thread", want: "still live", mut: func(t *testing.T, sys *System, d *domain.Domain) {
+			d.Go("sleeper", func(th *domain.Thread) { th.Sleep(time.Second) })
+		}},
+		{name: "stray timer", want: "event accounting", mut: func(t *testing.T, sys *System, d *domain.Domain) {
+			sys.Sim.After(time.Hour, func() {})
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			before := runtime.NumGoroutine()
+			cfg := DefaultConfig()
+			cfg.MemoryFrames = 64
+			cfg.Telemetry = tc.telemetry
+			sys := New(cfg)
+			d, err := sys.NewDomain("app", cpuShare(), mem.Contract{Guaranteed: 8})
+			if err != nil {
+				t.Fatal(err)
+			}
+			st, _, err := sys.NewPagedStretch(d, 32*vm.PageSize, 64*vm.PageSize, diskShare())
+			if err != nil {
+				t.Fatal(err)
+			}
+			if tc.mut != nil {
+				tc.mut(t, sys, d)
+			}
+			for i := 0; i < 5; i++ {
+				snap, err := sys.Fork()
+				if err == nil {
+					snap.Sys.Shutdown()
+					t.Fatal("Fork succeeded")
+				}
+				if !strings.Contains(err.Error(), tc.want) {
+					t.Fatalf("Fork error %q does not name %q", err, tc.want)
+				}
+			}
+			var done bool
+			d.Go("work", func(th *domain.Thread) {
+				if err := th.Touch(st.Base(), 32*vm.PageSize, vm.AccessWrite); err != nil {
+					t.Errorf("parent workload after refusals: %v", err)
+					return
+				}
+				done = true
+			})
+			sys.Run(30 * time.Second)
+			if !done {
+				t.Fatal("parent workload did not finish after refusals")
+			}
+			sys.Shutdown()
+			deadline := time.Now().Add(5 * time.Second)
+			for runtime.NumGoroutine() > before && time.Now().Before(deadline) {
+				time.Sleep(10 * time.Millisecond)
+			}
+			if n := runtime.NumGoroutine(); n > before {
+				t.Errorf("goroutines = %d after refused forks, baseline %d: leak", n, before)
+			}
+		})
+	}
 }

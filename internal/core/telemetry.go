@@ -10,40 +10,14 @@ import (
 )
 
 // StartCrosstalkMonitor begins periodic QoS-crosstalk sampling over all
-// currently admitted domains, flagging windows in which one domain's
-// paging activity surges while another's progress collapses. It requires
-// Config.Telemetry; with telemetry off it returns nil. The monitor is
-// stopped by Shutdown.
+// admitted domains, flagging windows in which one domain's paging activity
+// surges while another's progress collapses. Each window it samples only
+// the domains the activity tracker saw change (plus domains still cooling
+// off), so thousands of idle domains cost nothing; see
+// obs.NewCrosstalkMonitor for why detection still equals a full scan. It
+// requires Config.Telemetry; with telemetry off it returns nil. The monitor
+// is stopped by Shutdown.
 func (sys *System) StartCrosstalkMonitor(cfg obs.CrosstalkConfig) *obs.CrosstalkMonitor {
-	if sys.Obs == nil {
-		return nil
-	}
-	sample := func() ([]obs.DomainSample, obs.Pressure) {
-		doms := sys.Domains()
-		out := make([]obs.DomainSample, 0, len(doms))
-		for _, d := range doms {
-			st := d.Stats()
-			out = append(out, obs.DomainSample{
-				Name:        d.Name(),
-				Faults:      st.Faults,
-				Progress:    st.BytesTouched,
-				Revocations: st.Revocations,
-			})
-		}
-		return out, obs.Pressure{FreeFrames: sys.Frames.FreeFrames()}
-	}
-	sys.monitor = obs.NewCrosstalkMonitor(sys.Obs, sys.Sim, cfg, sample)
-	sys.monitor.Start()
-	return sys.monitor
-}
-
-// StartIncrementalCrosstalkMonitor is StartCrosstalkMonitor with the
-// changed-domains-only sampling source: per window the monitor touches only
-// domains whose fault/progress/revocation counters actually moved (plus
-// domains still cooling off), so thousands of idle domains cost nothing.
-// Detection is equivalent to the full scan; see
-// obs.NewIncrementalCrosstalkMonitor for the precise contract.
-func (sys *System) StartIncrementalCrosstalkMonitor(cfg obs.CrosstalkConfig) *obs.CrosstalkMonitor {
 	if sys.Obs == nil {
 		return nil
 	}
@@ -62,7 +36,7 @@ func (sys *System) StartIncrementalCrosstalkMonitor(cfg obs.CrosstalkConfig) *ob
 		}
 		return out, obs.Pressure{FreeFrames: sys.Frames.FreeFrames()}
 	}
-	sys.monitor = obs.NewIncrementalCrosstalkMonitor(sys.Obs, sys.Sim, cfg, sample)
+	sys.monitor = obs.NewCrosstalkMonitor(sys.Obs, sys.Sim, cfg, sample)
 	sys.monitor.Start()
 	return sys.monitor
 }

@@ -4,13 +4,12 @@ import (
 	"fmt"
 
 	"nemesis/internal/atropos"
-	"nemesis/internal/obs"
 	"nemesis/internal/sim"
 )
 
-// Fork returns a deep copy of the scheduler on the forked simulator ns, with
-// attr as the forked attribution sink (nil without telemetry). It also
-// returns the Atropos client identity map (parent client → forked client),
+// Fork returns a deep copy of the scheduler on the forked simulator ns. A
+// forked world has no telemetry, so the copy has no attribution sink. It
+// also returns the Atropos client identity map (parent client → forked client),
 // which AdoptHandle uses to re-point per-domain CPU handles, and the sequence
 // numbers of any re-armed boundary timer so the snapshot orchestrator can
 // account for every pending event.
@@ -18,7 +17,7 @@ import (
 // The fork point must be a quiesced instant: no thread may hold or be waiting
 // for the CPU. (A boundary wake-up timer may still be pending — schedule()
 // never cancels one once runnable work appears — and is re-armed verbatim.)
-func (s *Scheduler) Fork(ns *sim.Simulator, attr *obs.Attribution) (*Scheduler, map[*atropos.Client]*atropos.Client, []uint64, error) {
+func (s *Scheduler) Fork(ns *sim.Simulator) (*Scheduler, map[*atropos.Client]*atropos.Client, []uint64, error) {
 	if s.busy {
 		return nil, nil, nil, fmt.Errorf("cpu: cannot fork while a domain holds the CPU")
 	}
@@ -30,7 +29,6 @@ func (s *Scheduler) Fork(ns *sim.Simulator, attr *obs.Attribution) (*Scheduler, 
 		sim:     ns,
 		core:    core,
 		Costs:   s.Costs,
-		Attr:    attr,
 		waiters: make(map[string]*waiter, len(s.waiters)),
 		order:   append([]string(nil), s.order...),
 	}
@@ -48,9 +46,7 @@ func (s *Scheduler) Fork(ns *sim.Simulator, attr *obs.Attribution) (*Scheduler, 
 
 // AdoptHandle returns the forked twin of a parent-side DomainCPU: the same
 // name and admission, bound to the forked scheduler's waiter and the forked
-// Atropos client from the map Fork returned. The attribution handle is
-// re-derived from the forked sink (Track is get-or-create, so it attaches to
-// the copied accounting rather than opening a fresh domain).
+// Atropos client from the map Fork returned.
 func (s *Scheduler) AdoptHandle(pd *DomainCPU, m map[*atropos.Client]*atropos.Client) (*DomainCPU, error) {
 	w := s.waiters[pd.name]
 	if w == nil {
@@ -60,9 +56,5 @@ func (s *Scheduler) AdoptHandle(pd *DomainCPU, m map[*atropos.Client]*atropos.Cl
 	if ac == nil {
 		return nil, fmt.Errorf("cpu: AdoptHandle: no forked Atropos client for %q", pd.name)
 	}
-	d := &DomainCPU{s: s, ac: ac, name: pd.name, w: w}
-	if s.Attr != nil {
-		d.attr = s.Attr.Track(pd.name)
-	}
-	return d, nil
+	return &DomainCPU{s: s, ac: ac, name: pd.name, w: w}, nil
 }

@@ -1,12 +1,9 @@
 package disk
 
-import (
-	"nemesis/internal/obs"
-	"nemesis/internal/sim"
-)
+import "nemesis/internal/sim"
 
-// Fork returns an independent copy of the drive attached to s (the forked
-// simulator) and r (the forked registry, nil if the parent had no telemetry).
+// Fork returns an independent copy of the drive attached to s, the forked
+// simulator. A forked world has no telemetry, so the copy has no registry.
 //
 // Mechanical state — head cylinder, read-ahead segments, stats — is copied
 // outright; it is tiny. The block store is not: a warmed world has tens of
@@ -17,7 +14,7 @@ import (
 // privately. Shared chunks are immutable from the instant of the fork, so
 // parent and children can run on different goroutines without touching each
 // other's data.
-func (d *Disk) Fork(s *sim.Simulator, r *obs.Registry) *Disk {
+func (d *Disk) Fork(s *sim.Simulator) *Disk {
 	if d.shared == nil {
 		d.shared = make([]bool, len(d.data))
 	}
@@ -38,7 +35,6 @@ func (d *Disk) Fork(s *sim.Simulator, r *obs.Registry) *Disk {
 			nd.shared[i] = true
 		}
 	}
-	nd.SetObs(r)
 	return nd
 }
 

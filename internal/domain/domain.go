@@ -121,10 +121,6 @@ type Domain struct {
 	killed  bool
 	stats   Stats
 
-	// lastFault is the most recent fault record the kernel made available
-	// to this domain at dispatch.
-	lastFault fault.Record
-
 	// Cached telemetry handles (nil when Env.Obs is nil → no-ops, and the
 	// fault fast path stays allocation-free).
 	cFaults      *obs.Counter
@@ -132,7 +128,7 @@ type Domain struct {
 	cWorker      *obs.Counter
 	cRevocations *obs.Counter
 
-	// Activity tracking for the incremental crosstalk monitor (nil tracker
+	// Activity tracking for the crosstalk monitor (nil tracker
 	// → markActive is a no-op).
 	tracker    *ActivityTracker
 	trackOrder int64
@@ -298,9 +294,6 @@ func (d *Domain) RevokeNotification(k int, deadline sim.Time) {
 	d.mm.enqueueRevocation(k)
 }
 
-// LastFaultRecord returns the fault record of the most recent dispatch.
-func (d *Domain) LastFaultRecord() fault.Record { return d.lastFault }
-
 // dispatchFault is the kernel + activation path for a fault raised by t.
 // It blocks t until the fault is resolved, and returns an error if the
 // domain has no way to resolve it.
@@ -320,11 +313,10 @@ func (d *Domain) dispatchFault(t *Thread, f *vm.Fault) error {
 	}
 	d.cFaults.Inc()
 
-	// Kernel part: save the activation context, record the fault for the
+	// Kernel part: save the activation context, hand the fault to the
 	// application and send an event to the faulting domain — then the
 	// kernel is done. The span opens here: hop "dispatch" covers the trap
 	// and activation delivery.
-	d.lastFault = fault.Record{Fault: f, Thread: t.name, At: d.env.Sim.Now()}
 	sp := d.env.Obs.StartSpan(d.name, f.Class.String())
 	sp.SetThread(t.name)
 	sp.BeginHop("dispatch")

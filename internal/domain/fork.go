@@ -9,6 +9,26 @@ import (
 	"nemesis/internal/vm"
 )
 
+// Forkable reports why d cannot be forked, or nil. Threads are not carried:
+// a fork point requires every workload thread to have exited (goroutine
+// stacks cannot be cloned). Custom fault handlers are closures over
+// parent-world objects and must be re-installed post-fork, so a domain that
+// still has any is refused, as is one whose mm-worker has work queued.
+func (d *Domain) Forkable() error {
+	if len(d.handlers) != 0 {
+		return fmt.Errorf("domain: cannot fork %q with %d custom fault handlers installed", d.name, len(d.handlers))
+	}
+	if !d.killed && d.mm != nil {
+		if d.mm.stopped {
+			return fmt.Errorf("domain: cannot fork %q: mm-worker stopped but domain not killed", d.name)
+		}
+		if n := d.mm.QueueLen(); n != 0 {
+			return fmt.Errorf("domain: cannot fork %q with %d outstanding mm jobs", d.name, n)
+		}
+	}
+	return nil
+}
+
 // Fork returns a deep copy of the domain shell re-pointed at a forked world:
 // env is the forked environment, npd/ncpu/memc the domain's twins in the
 // forked translation system, CPU scheduler and frames allocator. Stretch
@@ -16,24 +36,9 @@ import (
 // returned domain (drivers need the new domain for their base) and Bind
 // re-populates the map. The MMEntry's worker is respawned; at a valid fork
 // point it is parked on an empty queue, so the respawned worker parks
-// identically.
-//
-// Threads are not carried: a fork point requires every workload thread to
-// have exited (goroutine stacks cannot be cloned). Custom fault handlers are
-// closures over parent-world objects and must be re-installed post-fork; the
-// fork refuses a domain that still has any.
-func (d *Domain) Fork(env Env, npd *vm.ProtectionDomain, ncpu *cpu.DomainCPU, memc *mem.Client) (*Domain, error) {
-	if len(d.handlers) != 0 {
-		return nil, fmt.Errorf("domain: cannot fork %q with %d custom fault handlers installed", d.name, len(d.handlers))
-	}
-	if !d.killed && d.mm != nil {
-		if d.mm.stopped {
-			return nil, fmt.Errorf("domain: cannot fork %q: mm-worker stopped but domain not killed", d.name)
-		}
-		if n := d.mm.QueueLen(); n != 0 {
-			return nil, fmt.Errorf("domain: cannot fork %q with %d outstanding mm jobs", d.name, n)
-		}
-	}
+// identically. A forked world has no telemetry, so the copy has neither
+// counters nor an activity tracker. The caller has checked Forkable.
+func (d *Domain) Fork(env Env, npd *vm.ProtectionDomain, ncpu *cpu.DomainCPU, memc *mem.Client) *Domain {
 	nd := &Domain{
 		env:         env,
 		id:          d.id,
@@ -47,23 +52,6 @@ func (d *Domain) Fork(env Env, npd *vm.ProtectionDomain, ncpu *cpu.DomainCPU, me
 		revokeEvent: d.revokeEvent,
 		killed:      d.killed,
 		stats:       d.stats,
-		trackOrder:  d.trackOrder,
-		trackFresh:  d.trackFresh,
-		trackDirty:  d.trackDirty,
-	}
-	// The record's *vm.Fault points into a parent thread's fault buffer and
-	// its span into the parent registry; carry the scalar copy only.
-	nd.lastFault = d.lastFault
-	if d.lastFault.Fault != nil {
-		f := *d.lastFault.Fault
-		f.Span = nil
-		nd.lastFault.Fault = &f
-	}
-	if env.Obs != nil {
-		nd.cFaults = env.Obs.Counter("domain", "faults", nd.name)
-		nd.cFast = env.Obs.Counter("domain", "faults_fast", nd.name)
-		nd.cWorker = env.Obs.Counter("domain", "faults_worker", nd.name)
-		nd.cRevocations = env.Obs.Counter("domain", "revocations", nd.name)
 	}
 	if memc != nil {
 		memc.SetHandler(nd)
@@ -73,7 +61,7 @@ func (d *Domain) Fork(env Env, npd *vm.ProtectionDomain, ncpu *cpu.DomainCPU, me
 	} else {
 		nd.mm = newMMEntry(nd)
 	}
-	return nd, nil
+	return nd
 }
 
 // Binding pairs a stretch id with the driver bound to it.
@@ -91,39 +79,4 @@ func (d *Domain) Bindings() []Binding {
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i].SID < out[j].SID })
 	return out
-}
-
-// Fork returns a copy of the tracker with its pending fresh/dirty sets
-// re-pointed at the forked domains via dm (parent domain → forked twin). The
-// forked domains adopt the tracker; their per-domain order and flags were
-// already copied by Domain.Fork, so the next Drain on either side returns
-// the same named set in the same order.
-func (tr *ActivityTracker) Fork(dm map[*Domain]*Domain) (*ActivityTracker, error) {
-	if tr == nil {
-		return nil, nil
-	}
-	ntr := &ActivityTracker{nextOrder: tr.nextOrder}
-	remap := func(list []*Domain) ([]*Domain, error) {
-		out := make([]*Domain, 0, len(list))
-		for _, d := range list {
-			nd := dm[d]
-			if nd == nil {
-				return nil, fmt.Errorf("domain: tracker holds unforked domain %q", d.name)
-			}
-			nd.tracker = ntr
-			out = append(out, nd)
-		}
-		return out, nil
-	}
-	var err error
-	if ntr.fresh, err = remap(tr.fresh); err != nil {
-		return nil, err
-	}
-	if ntr.dirty, err = remap(tr.dirty); err != nil {
-		return nil, err
-	}
-	for _, nd := range dm {
-		nd.tracker = ntr
-	}
-	return ntr, nil
 }

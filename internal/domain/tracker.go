@@ -4,8 +4,8 @@ import "sort"
 
 // ActivityTracker accumulates the set of domains whose crosstalk-visible
 // counters (faults, bytes touched, revocations) moved since the last drain,
-// plus domains registered since the last drain. The incremental crosstalk
-// monitor drains it once per sampling window and so touches only domains
+// plus domains registered since the last drain. The crosstalk monitor
+// drains it once per sampling window and so touches only domains
 // that actually did something — an idle domain costs nothing per window,
 // which is what lets monitoring scale to thousands of mostly-quiet domains.
 //

@@ -339,7 +339,7 @@ func runClusterMachine(machine int, opt ClusterOptions) (*ClusterMachine, error)
 		})
 	}
 
-	mon := sys.StartIncrementalCrosstalkMonitor(obs.DefaultCrosstalkConfig())
+	mon := sys.StartCrosstalkMonitor(obs.DefaultCrosstalkConfig())
 	sys.Run(opt.Measure)
 	pool.Stop()
 	sys.Shutdown()

@@ -18,7 +18,10 @@
 //
 // A quiesced warm world can also be checkpointed with core.System.Fork;
 // nemesis-serve's warm pool does exactly that (PagingWarm.Fork), and
-// fork-then-measure is byte-identical to measuring in place.
+// fork-then-measure is byte-identical to measuring in place. Fork carries
+// only untraced worlds with the default FIFO pager, so PagingWarm.Fork
+// returns Fork's error for options with Telemetry, Timeline or another
+// Policy.
 package experiments
 
 import (
@@ -238,7 +241,7 @@ func (w *PagingWarm) Fork() (*PagingWarm, error) {
 	}
 	nw := &PagingWarm{Opts: w.Opts, Sys: snap.Sys, Set: &trace.SeriesSet{}}
 	for _, pg := range w.Pagers {
-		np, err := pg.Remap(snap)
+		np, err := pg.Remap(snap.Sys)
 		if err != nil {
 			return nil, err
 		}

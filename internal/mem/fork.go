@@ -3,7 +3,6 @@ package mem
 import (
 	"fmt"
 
-	"nemesis/internal/obs"
 	"nemesis/internal/sim"
 )
 
@@ -45,7 +44,8 @@ func (fa *FramesAllocator) FreeOrder() []PFN {
 }
 
 // Fork returns a deep copy of the allocator over the forked store/ramtab,
-// attached to the forked simulator and registry. Every client is copied —
+// attached to the forked simulator. A forked world has no telemetry, so
+// the copy has no registry. Every client is copied —
 // contract, allocation count, frame stack (including the stretch-driver VA
 // bookkeeping) — and registered under the same domain ID, so
 // fa.Fork(...).Lookup(id) finds the forked twin of fa.Lookup(id).
@@ -56,7 +56,7 @@ func (fa *FramesAllocator) FreeOrder() []PFN {
 // The copied clients keep the parent's RevocationHandler pointers; the
 // caller must SetHandler each one to its forked domain, and must rebind
 // OnKill to the forked system.
-func (fa *FramesAllocator) Fork(s *sim.Simulator, store *FrameStore, ramtab *RamTab, r *obs.Registry) (*FramesAllocator, error) {
+func (fa *FramesAllocator) Fork(s *sim.Simulator, store *FrameStore, ramtab *RamTab) (*FramesAllocator, error) {
 	if fa.revoking {
 		return nil, fmt.Errorf("mem: cannot fork with a revocation in flight")
 	}
@@ -82,11 +82,8 @@ func (fa *FramesAllocator) Fork(s *sim.Simulator, store *FrameStore, ramtab *Ram
 		freed:             sim.NewCond(s),
 		RevocationTimeout: fa.RevocationTimeout,
 	}
-	if r != nil {
-		nfa.SetObs(r)
-	}
 	for id, c := range fa.clients {
-		nc := &Client{
+		nfa.clients[id] = &Client{
 			fa:       nfa,
 			domain:   c.domain,
 			contract: c.contract,
@@ -96,10 +93,6 @@ func (fa *FramesAllocator) Fork(s *sim.Simulator, store *FrameStore, ramtab *Ram
 			killed:   c.killed,
 			label:    c.label,
 		}
-		if nfa.obs != nil {
-			nc.initTelemetry(nc.label)
-		}
-		nfa.clients[id] = nc
 	}
 	return nfa, nil
 }

@@ -18,8 +18,8 @@ type DomainSample struct {
 	Progress    int64 // cumulative useful-work units (e.g. accesses completed)
 	Revocations int64 // cumulative frames revoked from the domain
 	// Order is the domain's stable processing rank (registration order).
-	// Only the incremental monitor uses it — full scans are already
-	// ordered — so full-scan sources may leave it zero.
+	// The monitor processes each window's domains sorted by it, so every
+	// source must set it, one that reports every domain included.
 	Order int64
 }
 
@@ -128,7 +128,7 @@ type domainHistory struct {
 	havePrev bool
 	progress []float64 // recent per-window progress rates (per second)
 	faults   []float64 // recent per-window fault rates (per second)
-	order    int64     // processing rank (incremental mode)
+	order    int64     // processing rank (DomainSample.Order)
 	lastTick int64     // tick at which this domain was last processed
 }
 
@@ -159,17 +159,12 @@ type CrosstalkMonitor struct {
 	s   *sim.Simulator
 	cfg CrosstalkConfig
 
-	// Sample returns the cumulative per-domain activity (in a stable,
-	// deterministic order) and the current memory pressure. In incremental
-	// mode it returns only the domains that changed since the last call.
+	// sample returns the cumulative activity of at least every domain that
+	// changed since the last call, and the current memory pressure.
 	sample func() ([]DomainSample, Pressure)
-
-	// incremental: sample() reports changed domains only; the monitor keeps
-	// recently-active ("cooling") domains in the window itself until their
-	// baselines decay to zero, and zero-pads the history of a domain that
-	// reappears after idle windows. See NewIncrementalCrosstalkMonitor.
-	incremental bool
-	cooling     map[string]bool
+	// cooling holds recently active domains the monitor keeps processing
+	// itself until their baselines decay to zero.
+	cooling map[string]bool
 
 	hist    map[string]*domainHistory
 	timer   sim.Timer
@@ -179,26 +174,14 @@ type CrosstalkMonitor struct {
 }
 
 // NewCrosstalkMonitor builds a monitor; call Start to begin sampling. The
-// sample function must return domains in a stable order.
-func NewCrosstalkMonitor(reg *Registry, s *sim.Simulator, cfg CrosstalkConfig, sample func() ([]DomainSample, Pressure)) *CrosstalkMonitor {
-	cfg.fillDefaults()
-	return &CrosstalkMonitor{
-		reg:    reg,
-		s:      s,
-		cfg:    cfg,
-		sample: sample,
-		hist:   make(map[string]*domainHistory),
-	}
-}
-
-// NewIncrementalCrosstalkMonitor builds a monitor whose sample function
-// returns only the domains whose counters moved since the previous call
-// (plus newly registered domains, which seed their baselines). Per window
-// the monitor then works proportional to the number of *active* domains,
-// not admitted domains — the property that lets monitoring scale to
-// thousands of mostly-idle domains.
+// sample function needs to return only the domains whose counters moved
+// since the previous call (plus newly registered domains, which seed their
+// baselines), so per window the monitor works in proportion to the
+// *active* domains, not the admitted ones: the property that lets
+// monitoring scale to thousands of mostly idle domains. A source may
+// return more, up to every domain.
 //
-// Detection is equivalent to the full scan: a domain that stops appearing
+// Detection equals a scan of every domain: a domain that stops appearing
 // keeps being processed with zero rates ("cooling") until its baseline
 // windows are all zero, at which point it can no longer be a victim (zero
 // progress baseline) or a suspect (zero fault rate and baseline) and is
@@ -207,14 +190,19 @@ func NewCrosstalkMonitor(reg *Registry, s *sim.Simulator, cfg CrosstalkConfig, s
 // state a full scan would hold. The only observable difference is that
 // rate gauges are not created for domains that were never active.
 //
-// Sample order must be stable: DomainSample.Order carries each domain's
-// registration rank, and the monitor processes the union of changed and
-// cooling domains sorted by it, preserving the full scan's tie-breaks.
-func NewIncrementalCrosstalkMonitor(reg *Registry, s *sim.Simulator, cfg CrosstalkConfig, sample func() ([]DomainSample, Pressure)) *CrosstalkMonitor {
-	m := NewCrosstalkMonitor(reg, s, cfg, sample)
-	m.incremental = true
-	m.cooling = make(map[string]bool)
-	return m
+// DomainSample.Order carries each domain's registration rank, and the
+// monitor processes the union of sampled and cooling domains sorted by it,
+// preserving the full scan's tie-breaks.
+func NewCrosstalkMonitor(reg *Registry, s *sim.Simulator, cfg CrosstalkConfig, sample func() ([]DomainSample, Pressure)) *CrosstalkMonitor {
+	cfg.fillDefaults()
+	return &CrosstalkMonitor{
+		reg:     reg,
+		s:       s,
+		cfg:     cfg,
+		sample:  sample,
+		cooling: make(map[string]bool),
+		hist:    make(map[string]*domainHistory),
+	}
 }
 
 // Start schedules the first sampling tick one period from now. Safe on a
@@ -324,9 +312,7 @@ func (m *CrosstalkMonitor) sampleWindow(secs float64) {
 	samples, pressure := m.sample()
 	m.ticks++
 	m.lastAt = m.s.Now()
-	if m.incremental {
-		samples = m.withCooling(samples)
-	}
+	samples = m.withCooling(samples)
 
 	m.reg.Gauge("crosstalk", "free_frames", "").Set(int64(pressure.FreeFrames))
 
@@ -390,12 +376,10 @@ func (m *CrosstalkMonitor) sampleWindow(secs float64) {
 		// A domain with any activity left in its baseline must keep being
 		// processed next window even if it goes quiet; once the baseline is
 		// all zeros it can be dropped until it reactivates.
-		if m.incremental {
-			if h.hot() {
-				m.cooling[s.Name] = true
-			} else {
-				delete(m.cooling, s.Name)
-			}
+		if h.hot() {
+			m.cooling[s.Name] = true
+		} else {
+			delete(m.cooling, s.Name)
 		}
 	}
 

@@ -8,14 +8,14 @@ import (
 	"nemesis/internal/sim"
 )
 
-// The incremental crosstalk monitor must produce exactly the flags, gauges
-// and counters of the full-scan monitor while only ever being handed the
+// The crosstalk monitor must produce exactly the same flags, gauges and
+// counters whether its source reports every domain each window or only the
 // domains that changed. This test builds one scripted world of per-window
 // activity — steady domains, an attacker, collapsing victims, a domain that
 // surges from a long-idle baseline (the history-padding path), a domain
 // that fades out (the cooling path) and permanently idle domains — and
-// drives a full-scan monitor and an incremental monitor over separate
-// simulators, comparing every observable.
+// drives one monitor with an every-domain source and one with a
+// changed-only source over separate simulators, comparing every observable.
 
 const ctWindows = 60
 
@@ -81,7 +81,7 @@ func TestIncrementalCrosstalkMatchesFullScan(t *testing.T) {
 	cfg := CrosstalkConfig{Period: time.Second, Baseline: 4}
 	runDur := time.Duration(ctWindows)*time.Second - 300*time.Millisecond // end on a partial window to cover flush
 
-	// Full scan: every domain, every window.
+	// Full scan: every domain, every window, each with its Order set.
 	fullSim := sim.New(1)
 	fullReg := NewRegistry(fullSim.Now)
 	fullTick := 0
@@ -98,7 +98,7 @@ func TestIncrementalCrosstalkMatchesFullScan(t *testing.T) {
 	incSim := sim.New(1)
 	incReg := NewRegistry(incSim.Now)
 	incTick := 0
-	inc := NewIncrementalCrosstalkMonitor(incReg, incSim, cfg, func() ([]DomainSample, Pressure) {
+	inc := NewCrosstalkMonitor(incReg, incSim, cfg, func() ([]DomainSample, Pressure) {
 		incTick++
 		var changed []DomainSample
 		for i, s := range world[incTick] {
@@ -139,7 +139,7 @@ func TestIncrementalCrosstalkMatchesFullScan(t *testing.T) {
 	}
 
 	// Gauges and counters must agree for every domain that was ever active
-	// (the incremental monitor never creates gauges for never-active ones).
+	// (a changed-only source never creates gauges for never-active ones).
 	for _, name := range ctNames {
 		for _, metric := range []string{"progress_rate", "fault_rate"} {
 			fg := fullReg.LookupGauge("crosstalk", metric, name)

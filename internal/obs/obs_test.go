@@ -259,7 +259,7 @@ func TestCrosstalkMonitorFlagsDegradedWindow(t *testing.T) {
 	// window d2's faults surge while d1's progress collapses.
 	var tick int
 	var d1 DomainSample = DomainSample{Name: "d1"}
-	var d2 DomainSample = DomainSample{Name: "d2"}
+	var d2 DomainSample = DomainSample{Name: "d2", Order: 1}
 	sample := func() ([]DomainSample, Pressure) {
 		tick++
 		switch {

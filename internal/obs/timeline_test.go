@@ -217,7 +217,7 @@ func TestCrosstalkFlushTrailingWindow(t *testing.T) {
 	m := NewCrosstalkMonitor(r, s, cfg, func() ([]DomainSample, Pressure) {
 		return []DomainSample{
 			{Name: "victim", Progress: victimProgress},
-			{Name: "suspect", Faults: suspectFaults},
+			{Name: "suspect", Faults: suspectFaults, Order: 1},
 		}, Pressure{FreeFrames: 1}
 	})
 	m.Start()

@@ -19,14 +19,15 @@ import (
 // fork-then-measure is byte-identical to measuring the warmed world in
 // place (TestPagingForkEquivalence pins this), pooled answers are the same
 // bytes experiments.RunSpec produces — residency is purely a latency
-// optimisation, never part of result identity.
+// optimisation, never part of result identity. Fork carries exactly the
+// world the pool holds (telemetry off, FIFO paged stretches over local
+// swap, the linear page table) and refuses anything else with an error.
 
 // warmPrefixKey content-addresses the warm prefix of a spec: the hex
 // SHA-256 of the canonical JSON of the normalized spec with Measure
 // cleared. ok is false for specs whose world the pool cannot hold —
-// only untraced figure 7/8 specs are poolable today: their warm phase is
-// by far the most expensive, and TestPagingForkEquivalence pins
-// fork-then-measure parity for untraced worlds only.
+// only untraced figure 7/8 specs are poolable: their warm phase is by far
+// the most expensive, and Fork refuses a world with telemetry on.
 func warmPrefixKey(spec experiments.Spec) (string, bool) {
 	if spec.Kind != experiments.KindFigure || spec.Trace || (spec.Figure != 7 && spec.Figure != 8) {
 		return "", false

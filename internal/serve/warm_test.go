@@ -45,11 +45,12 @@ func TestWarmPrefixKey(t *testing.T) {
 	}
 }
 
-// TestWarmPoolReuse submits two figure-7 jobs that differ only in their
-// measured window: the second must fork the world the first one warmed
-// (one miss, then one hit), and both bodies must be byte-identical to
-// what the CLI path produces for the same spec — residency is a latency
-// optimisation, never part of result identity.
+// TestWarmPoolReuse submits, for figure 7 and for figure 8's write path,
+// two jobs that differ only in their measured window: the second must fork
+// the world the first one warmed (one miss, then one hit, per figure), and
+// every body must be byte-identical to what the CLI path produces for the
+// same spec — residency is a latency optimisation, never part of result
+// identity.
 func TestWarmPoolReuse(t *testing.T) {
 	s := New(Config{Workers: 1})
 	defer s.Close()
@@ -60,29 +61,31 @@ func TestWarmPoolReuse(t *testing.T) {
 		t.Fatal("production server should enable the warm pool by default")
 	}
 
-	for i, measure := range []time.Duration{time.Second, 2 * time.Second} {
-		spec := figSpec(7, measure)
-		out, err := experiments.RunSpec(context.Background(), spec, 0)
-		if err != nil {
-			t.Fatal(err)
-		}
-		want, err := experiments.EncodeResult(out.Result)
-		if err != nil {
-			t.Fatal(err)
-		}
-		resp := postSpec(t, ts, "/run", spec)
-		body := readBody(t, resp)
-		if resp.StatusCode != http.StatusOK {
-			t.Fatalf("run %d: status %d: %s", i, resp.StatusCode, body)
-		}
-		if !bytes.Equal(want, body) {
-			t.Errorf("run %d: pooled body differs from CLI body:\nCLI:\n%s\nAPI:\n%s", i, want, body)
+	for _, fig := range []int{7, 8} {
+		for _, measure := range []time.Duration{time.Second, 2 * time.Second} {
+			spec := figSpec(fig, measure)
+			out, err := experiments.RunSpec(context.Background(), spec, 0)
+			if err != nil {
+				t.Fatal(err)
+			}
+			want, err := experiments.EncodeResult(out.Result)
+			if err != nil {
+				t.Fatal(err)
+			}
+			resp := postSpec(t, ts, "/run", spec)
+			body := readBody(t, resp)
+			if resp.StatusCode != http.StatusOK {
+				t.Fatalf("fig %d, %v: status %d: %s", fig, measure, resp.StatusCode, body)
+			}
+			if !bytes.Equal(want, body) {
+				t.Errorf("fig %d, %v: pooled body differs from CLI body:\nCLI:\n%s\nAPI:\n%s", fig, measure, want, body)
+			}
 		}
 	}
 
 	resident, hits, misses := s.warm.stats()
-	if resident != 1 || hits != 1 || misses != 1 {
-		t.Errorf("pool stats after two sibling jobs: resident=%d hits=%d misses=%d, want 1/1/1",
+	if resident != 2 || hits != 2 || misses != 2 {
+		t.Errorf("pool stats after two sibling jobs per figure: resident=%d hits=%d misses=%d, want 2/2/2",
 			resident, hits, misses)
 	}
 
@@ -94,7 +97,7 @@ func TestWarmPoolReuse(t *testing.T) {
 	if err := json.Unmarshal(readBody(t, resp), &stats); err != nil {
 		t.Fatal(err)
 	}
-	if stats["warm_worlds"].(float64) != 1 || stats["warm_hits"].(float64) != 1 {
+	if stats["warm_worlds"].(float64) != 2 || stats["warm_hits"].(float64) != 2 {
 		t.Errorf("stats endpoint: warm_worlds=%v warm_hits=%v warm_misses=%v",
 			stats["warm_worlds"], stats["warm_hits"], stats["warm_misses"])
 	}

@@ -9,11 +9,3 @@ func (l *Log) Clone() *Log {
 	}
 	return &Log{events: append([]Event(nil), l.events...)}
 }
-
-// Clone returns an independent copy of the series.
-func (s *Series) Clone() *Series {
-	if s == nil {
-		return nil
-	}
-	return &Series{Name: s.Name, Points: append([]Point(nil), s.Points...)}
-}

@@ -3,16 +3,15 @@ package usd
 import (
 	"fmt"
 
-	"nemesis/internal/disk"
-	"nemesis/internal/obs"
 	"nemesis/internal/sim"
 )
 
-// Fork returns a deep copy of the USD on the forked simulator, disk and
-// registry, plus a channel identity map (parent channel → forked channel) so
-// holders of IO channels (swap files, pagers) can re-point themselves, and
-// the sequence numbers of re-armed lax timers for the snapshot's event
-// accounting.
+// Fork returns a deep copy of the USD, and of the drive it schedules, on the
+// forked simulator, plus a channel identity map (parent channel → forked
+// channel) so holders of IO channels (swap files, pagers) can re-point
+// themselves, and the sequence numbers of re-armed lax timers for the
+// snapshot's event accounting. A forked world has no telemetry, so the copy
+// has no registry.
 //
 // The service process cannot have its stack cloned, so the fork point must be
 // an instant at which the loop is parked with nothing to do: no transaction
@@ -22,20 +21,18 @@ import (
 // any due allocation) and it re-parks on the same absolute period boundary.
 // Lax accrual spans in progress are carried over exactly: the accrual start
 // is copied and the settle timer is re-armed at its original (instant, seq).
-func (u *USD) Fork(ns *sim.Simulator, nd *disk.Disk, r *obs.Registry) (*USD, map[*Channel]*Channel, []uint64, error) {
+func (u *USD) Fork(ns *sim.Simulator) (*USD, map[*Channel]*Channel, []uint64, error) {
 	if u.stopped {
 		return nil, nil, nil, fmt.Errorf("usd: cannot fork a stopped USD")
 	}
 	core, am := u.core.Fork()
 	nu := &USD{
 		sim:           ns,
-		disk:          nd,
 		core:          core,
 		clients:       make(map[string]*client, len(u.clients)),
 		order:         append([]string(nil), u.order...),
 		wake:          sim.NewCond(ns),
 		Log:           u.Log.Clone(),
-		Obs:           r,
 		SlackEnabled:  u.SlackEnabled,
 		LaxityEnabled: u.LaxityEnabled,
 		FCFS:          u.FCFS,
@@ -79,15 +76,12 @@ func (u *USD) Fork(ns *sim.Simulator, nd *disk.Disk, r *obs.Registry) (*USD, map
 			ncl.laxTimer = ns.RestoreAt(at, seq, ncl.settleFn)
 			claimed = append(claimed, seq)
 		}
-		if nu.Obs != nil {
-			ncl.hQueueWait = nu.Obs.Histogram("usd", "queue_wait", name)
-			ncl.hService = nu.Obs.Histogram("usd", "service", name)
-			ncl.cTxns = nu.Obs.Counter("usd", "txns", name)
-			ncl.cBytes = nu.Obs.Counter("usd", "bytes", name)
-		}
 		nu.clients[name] = ncl
 		chans[cl.ch] = nch
 	}
+	// Fork the drive only once nothing can refuse: sharing its chunks
+	// copy-on-write marks the parent's chunks too.
+	nu.disk = u.disk.Fork(ns)
 	nu.proc = ns.Spawn("usd", nu.run)
 	// If the parent loop is parked on a period boundary (WaitTimeout), the
 	// respawned loop will re-derive the identical park — but its park event

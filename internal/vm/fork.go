@@ -17,30 +17,24 @@ type ForkMaps struct {
 }
 
 // Fork returns a deep copy of the translation system over the forked
-// ramtab: page table (linear or guarded) with every PTE copied, TLB with
-// its slots re-pointed at the copied PTEs (tags, FIFO cursor and hit/miss
-// counters preserved), all protection domains with their rights maps, and
-// the stretch allocator with every stretch. The returned maps let callers
-// translate parent pointers to forked ones.
+// ramtab: the linear page table with every PTE copied, TLB with its slots
+// re-pointed at the copied PTEs (tags, FIFO cursor and hit/miss counters
+// preserved), all protection domains with their rights maps, and the
+// stretch allocator with every stretch. The returned maps let callers
+// translate parent pointers to forked ones. Only the linear table forks,
+// the one core.New builds; Fork refuses any other.
 func (ts *TranslationSystem) Fork(ramtab *mem.RamTab) (*TranslationSystem, *ForkMaps, error) {
+	pt, ok := ts.pt.(*PageTable)
+	if !ok {
+		return nil, nil, fmt.Errorf("vm: cannot fork a %T: only the linear page table forks", ts.pt)
+	}
 	m := &ForkMaps{
 		PTE:     make(map[*PTE]*PTE),
 		PD:      make(map[*ProtectionDomain]*ProtectionDomain, len(ts.pds.pds)),
 		Stretch: make(map[*Stretch]*Stretch),
 	}
-
-	var table Table
-	switch pt := ts.pt.(type) {
-	case *PageTable:
-		table = pt.fork(m.PTE)
-	case *GuardedPageTable:
-		table = pt.fork(m.PTE)
-	default:
-		return nil, nil, fmt.Errorf("vm: cannot fork page table of type %T", ts.pt)
-	}
-
 	nts := &TranslationSystem{
-		pt:     table,
+		pt:     pt.fork(m.PTE),
 		tlb:    ts.tlb.fork(m.PTE),
 		ramtab: ramtab,
 	}
@@ -92,26 +86,6 @@ func (pt *PageTable) fork(m map[*PTE]*PTE) *PageTable {
 		m[pte] = &np
 	}
 	return npt
-}
-
-// fork deep-copies the guarded page table, recording each copied PTE in m.
-func (g *GuardedPageTable) fork(m map[*PTE]*PTE) *GuardedPageTable {
-	return &GuardedPageTable{root: forkGPTNode(g.root, m), entries: g.entries}
-}
-
-func forkGPTNode(n *gptNode, m map[*PTE]*PTE) *gptNode {
-	nn := &gptNode{guard: append([]byte(nil), n.guard...)}
-	if n.pte != nil {
-		np := *n.pte
-		nn.pte = &np
-		m[n.pte] = &np
-	}
-	for i, c := range n.slots {
-		if c != nil {
-			nn.slots[i] = forkGPTNode(c, m)
-		}
-	}
-	return nn
 }
 
 // fork copies the TLB, re-pointing cached translations at the forked PTEs.

@@ -2,14 +2,15 @@ package vm
 
 import (
 	"math/rand"
+	"strings"
 	"testing"
 
 	"nemesis/internal/mem"
 )
 
-// fuzzWorld is one translation world for the randomized fork test: a guarded
-// page table (the satellite requirement — its guard-splitting trie is the
-// structurally hardest table to copy) over 256 frames, one stretch, one PD.
+// fuzzWorld is one translation world for the randomized fork test: the
+// linear page table, the only one Fork carries, over 256 frames, one
+// stretch, one PD.
 type fuzzWorld struct {
 	rt *mem.RamTab
 	ts *TranslationSystem
@@ -19,7 +20,7 @@ type fuzzWorld struct {
 
 func newFuzzWorld() *fuzzWorld {
 	rt := mem.NewRamTab(256)
-	ts := NewTranslationSystemWithTable(rt, NewGuardedPageTable())
+	ts := NewTranslationSystem(rt)
 	sa := NewStretchAllocator(ts, 0x10000000, 0x80000000)
 	st, err := sa.New(1, 128*PageSize)
 	if err != nil {
@@ -66,7 +67,7 @@ func (w *fuzzWorld) step(r *rand.Rand) {
 }
 
 // diff compares every observable of two worlds: per-page translation, PTE
-// flags and superpage widths, GPT walk depths, TLB counters and table size.
+// flags and superpage widths, table lookups, TLB counters and table size.
 func diffFuzzWorlds(t *testing.T, a, b *fuzzWorld, tag string) {
 	t.Helper()
 	for pg := 0; pg < 128; pg++ {
@@ -84,19 +85,12 @@ func diffFuzzWorlds(t *testing.T, a, b *fuzzWorld, tag string) {
 		if ap != nil && *ap != *bp {
 			t.Fatalf("%s: page %d PTE %+v vs %+v", tag, pg, *ap, *bp)
 		}
-		ag, aok := a.ts.PageTable().(*GuardedPageTable)
-		bg, bok := b.ts.PageTable().(*GuardedPageTable)
-		if aok != bok {
-			t.Fatalf("%s: table kinds differ", tag)
-		}
-		if aok {
-			if ad, bd := ag.WalkDepth(vpn), bg.WalkDepth(vpn); ad != bd {
-				t.Fatalf("%s: page %d walk depth %d vs %d", tag, pg, ad, bd)
-			}
-		}
 	}
 	if a.ts.PageTable().Entries() != b.ts.PageTable().Entries() {
 		t.Fatalf("%s: entries %d vs %d", tag, a.ts.PageTable().Entries(), b.ts.PageTable().Entries())
+	}
+	if al, bl := a.ts.PageTable().(*PageTable).Lookups(), b.ts.PageTable().(*PageTable).Lookups(); al != bl {
+		t.Fatalf("%s: table lookups %d vs %d", tag, al, bl)
 	}
 	if a.ts.TLB().Hits() != b.ts.TLB().Hits() || a.ts.TLB().Misses() != b.ts.TLB().Misses() {
 		t.Fatalf("%s: TLB (%d,%d) vs (%d,%d)", tag,
@@ -108,6 +102,7 @@ func diffFuzzWorlds(t *testing.T, a, b *fuzzWorld, tag string) {
 // operations on parent and fork — every observable must stay identical, and
 // a divergent third stream on the fork must not leak back into the parent.
 func TestForkFuzzGPT(t *testing.T) {
+	var wide, hits int64 // coverage: superpages held and TLB hits, all seeds
 	for seed := int64(1); seed <= 8; seed++ {
 		w := newFuzzWorld()
 		warm := rand.New(rand.NewSource(seed))
@@ -143,6 +138,43 @@ func TestForkFuzzGPT(t *testing.T) {
 		if after := snapshotTrans(w); before != after {
 			t.Fatalf("seed %d: fork ops mutated the parent", seed)
 		}
+		hits += w.ts.TLB().Hits()
+		for pg := 0; pg < 128; pg++ {
+			if p := w.ts.PageTable().Lookup(PageOf(w.st.PageBase(pg))); p != nil && p.Width > 0 {
+				wide++
+			}
+		}
+	}
+	if wide == 0 || hits == 0 {
+		t.Fatalf("vacuous fuzz: %d superpage PTEs held, %d TLB hits", wide, hits)
+	}
+}
+
+// TestForkRefusesGuardedTable: only the linear page table forks; a guarded
+// table is refused with an error naming it, and the parent stays usable.
+func TestForkRefusesGuardedTable(t *testing.T) {
+	rt := mem.NewRamTab(16)
+	ts := NewTranslationSystemWithTable(rt, NewGuardedPageTable())
+	sa := NewStretchAllocator(ts, 0x10000000, 0x80000000)
+	st, err := sa.New(1, 4*PageSize)
+	if err != nil {
+		t.Fatal(err)
+	}
+	pd, err := ts.NewProtectionDomain()
+	if err != nil {
+		t.Fatal(err)
+	}
+	ts.GrantInitial(pd, st.ID(), Read|Write|Meta)
+	ownedFrame(rt, 3, 1)
+	_, _, err = ts.Fork(rt.Fork())
+	if err == nil || !strings.Contains(err.Error(), "GuardedPageTable") {
+		t.Fatalf("Fork of a guarded table: err = %v, want a refusal naming it", err)
+	}
+	if err := ts.Map(pd, 1, st.PageBase(0), 3, DefaultAttr()); err != nil {
+		t.Fatalf("parent unusable after the refusal: %v", err)
+	}
+	if pfn, _, err := ts.Trans(st.PageBase(0)); err != nil || pfn != 3 {
+		t.Fatalf("parent translation after the refusal: pfn %d, err %v", pfn, err)
 	}
 }
 
