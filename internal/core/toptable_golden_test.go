@@ -60,30 +60,50 @@ func startChurn(t *testing.T, sys *System, name string, pages int, done *bool) {
 // Regenerate with `go test -run TopTableGolden -update` only when a
 // deliberate behavioural or format change is intended.
 func TestTopTableGolden(t *testing.T) {
-	sys := telemetrySystem()
-	var doneA, doneB bool
-	startChurn(t, sys, "alpha", 12, &doneA)
-	startChurn(t, sys, "beta", 8, &doneB)
-	sys.Run(60 * time.Second)
-	if !doneA || !doneB {
-		t.Fatalf("workloads incomplete: alpha=%v beta=%v", doneA, doneB)
-	}
-
+	sys := churnedPair(t)
 	var sb strings.Builder
 	if err := sys.WriteTopTable(&sb); err != nil {
 		t.Fatal(err)
 	}
-	got := sb.String()
-	sys.Shutdown()
-	sys.RunUntilIdle(1 << 22)
-
-	checkGolden(t, filepath.Join("testdata", "toptable.golden"), got)
+	stopChurned(sys)
+	checkGolden(t, filepath.Join("testdata", "toptable.golden"), sb.String())
 }
 
 // TestTopJSONGolden pins the machine-readable top dump (nemesis-top -json)
 // for the same seeded two-domain run as the table golden: rows, histogram
 // snapshots and the embedded rollup all drift visibly.
 func TestTopJSONGolden(t *testing.T) {
+	sys := churnedPair(t)
+	var sb strings.Builder
+	if err := sys.WriteTopJSON(&sb); err != nil {
+		t.Fatal(err)
+	}
+	stopChurned(sys)
+	checkGolden(t, filepath.Join("testdata", "topjson.golden"), sb.String())
+}
+
+// TestRegistryExportGolden pins the registry's own exports for the same
+// seeded two-domain run: every counter, gauge and histogram row of
+// WriteMetricsTSV in creation order, then WriteSpansTSV's per-hop
+// summaries in first-seen order. A change to how the registry stores or
+// orders its metrics shows up here as a diff.
+func TestRegistryExportGolden(t *testing.T) {
+	sys := churnedPair(t)
+	var sb strings.Builder
+	if err := sys.Obs.WriteMetricsTSV(&sb); err != nil {
+		t.Fatal(err)
+	}
+	if err := sys.Obs.WriteSpansTSV(&sb); err != nil {
+		t.Fatal(err)
+	}
+	stopChurned(sys)
+	checkGolden(t, filepath.Join("testdata", "registry.golden"), sb.String())
+}
+
+// churnedPair runs the goldens' seeded world: a telemetry system on which
+// alpha churns 12 pages and beta 8, interleaved, for 60 s.
+func churnedPair(t *testing.T) *System {
+	t.Helper()
 	sys := telemetrySystem()
 	var doneA, doneB bool
 	startChurn(t, sys, "alpha", 12, &doneA)
@@ -92,16 +112,12 @@ func TestTopJSONGolden(t *testing.T) {
 	if !doneA || !doneB {
 		t.Fatalf("workloads incomplete: alpha=%v beta=%v", doneA, doneB)
 	}
+	return sys
+}
 
-	var sb strings.Builder
-	if err := sys.WriteTopJSON(&sb); err != nil {
-		t.Fatal(err)
-	}
-	got := sb.String()
+func stopChurned(sys *System) {
 	sys.Shutdown()
 	sys.RunUntilIdle(1 << 22)
-
-	checkGolden(t, filepath.Join("testdata", "topjson.golden"), got)
 }
 
 // checkGolden compares got against the golden file, rewriting it under
