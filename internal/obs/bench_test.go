@@ -1,6 +1,7 @@
 package obs
 
 import (
+	"fmt"
 	"testing"
 	"time"
 )
@@ -59,5 +60,60 @@ func BenchmarkHistogramObserve(b *testing.B) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		h.Observe(time.Duration(i%1000) * time.Microsecond)
+	}
+}
+
+// clusterDomainMetrics is the metric set one cluster domain registers as it
+// is built, in order: the domain and its MMEntry, its frames client (first
+// under the allocator's "dom<id>" label, then under the domain's name), its
+// remote backing and its stretch driver. An empty label means the domain's
+// name.
+var clusterDomainMetrics = []struct {
+	kind      byte // 'c' counter, 'g' gauge, 'h' histogram
+	sub, name string
+	label     string
+}{
+	{'c', "domain", "faults", ""}, {'c', "domain", "faults_fast", ""},
+	{'c', "domain", "faults_worker", ""}, {'c', "domain", "revocations", ""},
+	{'g', "domain", "mm_queue", ""},
+	{'g', "frames", "held", "dom"}, {'g', "frames", "stack_depth", "dom"}, {'h', "frames", "alloc_wait", "dom"},
+	{'g', "frames", "held", ""}, {'g', "frames", "stack_depth", ""}, {'h', "frames", "alloc_wait", ""},
+	{'c', "netswap", "rpcs", ""}, {'c', "netswap", "retries", ""}, {'c', "netswap", "timeouts", ""},
+	{'c', "netswap", "late_replies", ""}, {'g', "netswap", "inflight", ""}, {'h', "netswap", "rtt", ""},
+	{'c', "driver", "pageins", ""}, {'c', "driver", "pageouts", ""}, {'c', "driver", "evictions", ""},
+	{'c', "pager", "evictions_fifo", ""}, {'c', "pager", "victims_clean", ""}, {'c', "pager", "victims_dirty", ""},
+	{'c', "pager", "cleaned_pages", ""}, {'c', "pager", "clean_batches", ""}, {'c', "pager", "spares_fifo", ""},
+}
+
+// BenchmarkRegistryDomains registers one cluster domain's metric set for
+// each of 5,000 domains on a fresh registry: the registry's share of
+// building the cluster-5k machine.
+func BenchmarkRegistryDomains(b *testing.B) {
+	const domains = 5000
+	names := make([]string, domains)
+	ids := make([]string, domains)
+	for i := range names {
+		names[i] = fmt.Sprintf("d%d", i)
+		ids[i] = fmt.Sprintf("dom%d", i+1)
+	}
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		r := NewRegistry(nil)
+		for d, name := range names {
+			for _, m := range clusterDomainMetrics {
+				label := name
+				if m.label != "" {
+					label = ids[d]
+				}
+				switch m.kind {
+				case 'c':
+					r.Counter(m.sub, m.name, label)
+				case 'g':
+					r.Gauge(m.sub, m.name, label)
+				case 'h':
+					r.Histogram(m.sub, m.name, label)
+				}
+			}
+		}
 	}
 }

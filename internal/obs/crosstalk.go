@@ -130,6 +130,10 @@ type domainHistory struct {
 	faults   []float64 // recent per-window fault rates (per second)
 	order    int64     // processing rank (DomainSample.Order)
 	lastTick int64     // tick at which this domain was last processed
+
+	// gProgress and gFault publish the rates, created the first time the
+	// domain is rated.
+	gProgress, gFault *Gauge
 }
 
 // hot reports whether any baseline window still carries activity; a cold
@@ -352,8 +356,12 @@ func (m *CrosstalkMonitor) sampleWindow(secs float64) {
 		rv := s.Revocations - h.prev.Revocations
 		h.prev = s
 
-		m.reg.Gauge("crosstalk", "progress_rate", s.Name).Set(int64(pr))
-		m.reg.Gauge("crosstalk", "fault_rate", s.Name).Set(int64(fr))
+		if h.gProgress == nil {
+			h.gProgress = m.reg.Gauge("crosstalk", "progress_rate", s.Name)
+			h.gFault = m.reg.Gauge("crosstalk", "fault_rate", s.Name)
+		}
+		h.gProgress.Set(int64(pr))
+		h.gFault.Set(int64(fr))
 		if rv > 0 {
 			m.reg.Counter("crosstalk", "revocations_seen", s.Name).Add(rv)
 		}

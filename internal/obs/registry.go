@@ -48,23 +48,75 @@ const DefaultSpanCap = 512
 // bound. Evictions are counted in the obs.audit_evicted counter.
 const DefaultAuditCap = 65536
 
+// family is an interned (subsystem, name) pair. A hop histogram's family
+// is its (fault class, hop name) pair.
+type family struct {
+	sub, name string
+}
+
+// metricKind selects one of the registry's slabs; it heads an index key, so
+// one (family, domain) may name a metric of each kind.
+type metricKind uint64
+
+const (
+	kindCounter metricKind = iota
+	kindGauge
+	kindHistogram
+)
+
+// indexKey packs (kind, family, domain) into the registry index's key.
+func indexKey(kind metricKind, fam, dom uint32) uint64 {
+	return uint64(kind)<<62 | uint64(fam)<<32 | uint64(dom)
+}
+
+// slabChunk is the number of metrics in one slab chunk: 5,000 domains'
+// metrics fit in a few hundred chunks, and a registry of a few metrics
+// wastes at most one partly used chunk per kind.
+const slabChunk = 512
+
+// slab holds metrics by value in creation order, in fixed-size chunks that
+// are never reallocated, so a pointer into it stays valid for the
+// registry's lifetime.
+type slab[T any] struct {
+	chunks []*[slabChunk]T
+	n      int32
+}
+
+// add appends a zero metric and returns it.
+func (s *slab[T]) add() *T {
+	if s.n%slabChunk == 0 {
+		s.chunks = append(s.chunks, new([slabChunk]T))
+	}
+	m := s.at(s.n)
+	s.n++
+	return m
+}
+
+// at returns the metric at position i.
+func (s *slab[T]) at(i int32) *T { return &s.chunks[i/slabChunk][i%slabChunk] }
+
 // Registry holds all metrics, finished fault spans and crosstalk flags for
 // one simulated system. It must only be touched from simulator context (one
 // goroutine at a time), which the process model already guarantees.
 type Registry struct {
 	now Clock
 
-	counters map[Key]*Counter
-	gauges   map[Key]*Gauge
-	hists    map[Key]*Histogram
-	// corder, gorder and horder hold each kind of metric in creation order,
-	// the order every export walks. Each metric carries its own key.
-	corder []*Counter
-	gorder []*Gauge
-	horder []*Histogram
+	// Metrics live by value in one slab per kind, in creation order, the
+	// order every export walks. Each carries its interned family and
+	// domain: fams and doms number each one the first time it is seen, and
+	// index maps (kind, family, domain) to a slab position. Hop histograms
+	// are found through spanStats, not index.
+	fams    []family
+	famIdx  map[family]uint32
+	doms    []string
+	domIdx  map[string]uint32
+	lastDom uint32 // the domain interned last: one domain's metrics register back to back
+	index   map[uint64]int32
 
-	hopHists map[hopKey]*hopHist
-	hopOrder []*hopHist
+	counters slab[Counter]
+	gauges   slab[Gauge]
+	hists    slab[Histogram]
+	hops     slab[Histogram]
 
 	// spanStats caches, per (domain, class), the e2e histogram and the hop
 	// histograms a finished span observes into, so the per-fault recording
@@ -110,10 +162,9 @@ func NewRegistry(now Clock) *Registry {
 	}
 	return &Registry{
 		now:       now,
-		counters:  make(map[Key]*Counter),
-		gauges:    make(map[Key]*Gauge),
-		hists:     make(map[Key]*Histogram),
-		hopHists:  make(map[hopKey]*hopHist),
+		famIdx:    make(map[family]uint32),
+		domIdx:    make(map[string]uint32),
+		index:     make(map[uint64]int32),
 		spanStats: make(map[spanKey]*spanStats),
 		spanCap:   DefaultSpanCap,
 		auditCap:  DefaultAuditCap,
@@ -183,8 +234,8 @@ func (r *Registry) HopHistogram(domain, class, hop string) *Histogram {
 	if r == nil {
 		return nil
 	}
-	if hh := r.hopHists[hopKey{domain, class, hop}]; hh != nil {
-		return &hh.Histogram
+	if ss := r.spanStats[spanKey{domain, class}]; ss != nil {
+		return ss.hop(hop)
 	}
 	return nil
 }
@@ -197,19 +248,67 @@ func (r *Registry) Now() sim.Time {
 	return r.now()
 }
 
+// intern returns v's number in table, numbering it on first sight.
+func intern[K comparable](idx map[K]uint32, table *[]K, v K) uint32 {
+	id, ok := idx[v]
+	if !ok {
+		id = uint32(len(*table))
+		*table = append(*table, v)
+		idx[v] = id
+	}
+	return id
+}
+
+func (r *Registry) internFam(sub, name string) uint32 {
+	return intern(r.famIdx, &r.fams, family{sub, name})
+}
+
+func (r *Registry) internDom(domain string) uint32 {
+	if int(r.lastDom) < len(r.doms) && r.doms[r.lastDom] == domain {
+		return r.lastDom
+	}
+	r.lastDom = intern(r.domIdx, &r.doms, domain)
+	return r.lastDom
+}
+
+// key rebuilds the exported key of an interned (family, domain).
+func (r *Registry) key(fam, dom uint32) Key {
+	f := r.fams[fam]
+	return Key{f.sub, f.name, r.doms[dom]}
+}
+
+// lookup returns the slab position of an existing metric, interning
+// nothing.
+func (r *Registry) lookup(kind metricKind, subsystem, name, domain string) (int32, bool) {
+	if r == nil {
+		return 0, false
+	}
+	fam, ok := r.famIdx[family{subsystem, name}]
+	if !ok {
+		return 0, false
+	}
+	dom, ok := r.domIdx[domain]
+	if !ok {
+		return 0, false
+	}
+	i, ok := r.index[indexKey(kind, fam, dom)]
+	return i, ok
+}
+
 // Counter returns (creating if needed) the counter for key. Nil registries
 // return a nil counter, whose methods are no-ops.
 func (r *Registry) Counter(subsystem, name, domain string) *Counter {
 	if r == nil {
 		return nil
 	}
-	k := Key{subsystem, name, domain}
-	c, ok := r.counters[k]
-	if !ok {
-		c = &Counter{r: r, key: k}
-		r.counters[k] = c
-		r.corder = append(r.corder, c)
+	fam, dom := r.internFam(subsystem, name), r.internDom(domain)
+	k := indexKey(kindCounter, fam, dom)
+	if i, ok := r.index[k]; ok {
+		return r.counters.at(i)
 	}
+	r.index[k] = r.counters.n
+	c := r.counters.add()
+	c.r, c.fam, c.dom = r, fam, dom
 	return c
 }
 
@@ -218,13 +317,14 @@ func (r *Registry) Gauge(subsystem, name, domain string) *Gauge {
 	if r == nil {
 		return nil
 	}
-	k := Key{subsystem, name, domain}
-	g, ok := r.gauges[k]
-	if !ok {
-		g = &Gauge{r: r, key: k}
-		r.gauges[k] = g
-		r.gorder = append(r.gorder, g)
+	fam, dom := r.internFam(subsystem, name), r.internDom(domain)
+	k := indexKey(kindGauge, fam, dom)
+	if i, ok := r.index[k]; ok {
+		return r.gauges.at(i)
 	}
+	r.index[k] = r.gauges.n
+	g := r.gauges.add()
+	g.r, g.fam, g.dom = r, fam, dom
 	return g
 }
 
@@ -234,13 +334,14 @@ func (r *Registry) Histogram(subsystem, name, domain string) *Histogram {
 	if r == nil {
 		return nil
 	}
-	k := Key{subsystem, name, domain}
-	h, ok := r.hists[k]
-	if !ok {
-		h = &Histogram{r: r, key: k, counts: newCounts()}
-		r.hists[k] = h
-		r.horder = append(r.horder, h)
+	fam, dom := r.internFam(subsystem, name), r.internDom(domain)
+	k := indexKey(kindHistogram, fam, dom)
+	if i, ok := r.index[k]; ok {
+		return r.hists.at(i)
 	}
+	r.index[k] = r.hists.n
+	h := r.hists.add()
+	h.r, h.fam, h.dom = r, fam, dom
 	return h
 }
 
@@ -248,37 +349,37 @@ func (r *Registry) Histogram(subsystem, name, domain string) *Histogram {
 // created. Useful for read-only reporting that must not clutter the
 // registry with empty series.
 func (r *Registry) LookupCounter(subsystem, name, domain string) *Counter {
-	if r == nil {
-		return nil
+	if i, ok := r.lookup(kindCounter, subsystem, name, domain); ok {
+		return r.counters.at(i)
 	}
-	return r.counters[Key{subsystem, name, domain}]
+	return nil
 }
 
 // LookupGauge returns the gauge for key, or nil if it has never been
 // created.
 func (r *Registry) LookupGauge(subsystem, name, domain string) *Gauge {
-	if r == nil {
-		return nil
+	if i, ok := r.lookup(kindGauge, subsystem, name, domain); ok {
+		return r.gauges.at(i)
 	}
-	return r.gauges[Key{subsystem, name, domain}]
+	return nil
 }
 
 // LookupHistogram returns the histogram for key, or nil if it has never
 // been created.
 func (r *Registry) LookupHistogram(subsystem, name, domain string) *Histogram {
-	if r == nil {
-		return nil
+	if i, ok := r.lookup(kindHistogram, subsystem, name, domain); ok {
+		return r.hists.at(i)
 	}
-	return r.hists[Key{subsystem, name, domain}]
+	return nil
 }
 
 // Counter is a monotonically increasing count, stamped with the simulated
 // time of its last update.
 type Counter struct {
-	r   *Registry
-	key Key
-	v   int64
-	at  sim.Time
+	r        *Registry
+	fam, dom uint32
+	v        int64
+	at       sim.Time
 }
 
 // Inc adds one.
@@ -311,10 +412,10 @@ func (c *Counter) Updated() sim.Time {
 
 // Gauge is an instantaneous level (queue depth, free frames, stack depth).
 type Gauge struct {
-	r   *Registry
-	key Key
-	v   int64
-	at  sim.Time
+	r        *Registry
+	fam, dom uint32
+	v        int64
+	at       sim.Time
 }
 
 // Set stores v. Safe on a nil receiver.
@@ -351,11 +452,13 @@ func (g *Gauge) Updated() sim.Time {
 	return g.at
 }
 
+// numBuckets is the number of bounded histogram buckets.
+const numBuckets = 27
+
 // histBuckets are the fixed upper bounds of the latency histogram:
 // exponential from 1 µs, doubling, up to ~67 s, plus an implicit overflow
 // bucket. Fault-path latencies (tens of ns to seconds) all land inside.
-var histBuckets = func() []time.Duration {
-	out := make([]time.Duration, 27)
+var histBuckets = func() (out [numBuckets]time.Duration) {
 	b := time.Microsecond
 	for i := range out {
 		out[i] = b
@@ -367,18 +470,15 @@ var histBuckets = func() []time.Duration {
 // Histogram is a fixed-bucket latency histogram with exact count, sum, min
 // and max, and bucket-interpolated quantiles.
 type Histogram struct {
-	r      *Registry
-	key    Key     // zero for a hop histogram, whose hopHist holds its key
-	counts []int64 // len(histBuckets)+1; last is overflow
-	count  int64
-	sum    time.Duration
-	min    time.Duration
-	max    time.Duration
-	at     sim.Time
+	r        *Registry
+	fam, dom uint32
+	counts   [numBuckets + 1]int64 // last is overflow
+	count    int64
+	sum      time.Duration
+	min      time.Duration
+	max      time.Duration
+	at       sim.Time
 }
-
-// newCounts returns an empty bucket array.
-func newCounts() []int64 { return make([]int64, len(histBuckets)+1) }
 
 // Observe records one latency sample. Safe on a nil receiver.
 func (h *Histogram) Observe(d time.Duration) {
@@ -469,7 +569,7 @@ func (h *Histogram) Quantile(q float64) time.Duration {
 		target = 1
 	}
 	var cum int64
-	for i, c := range h.counts {
+	for i, c := range h.counts[:] {
 		cum += c
 		if cum < target {
 			continue
@@ -522,16 +622,19 @@ func msStr(d time.Duration) *string {
 
 func (r *Registry) metricRows() []metricRow {
 	var rows []metricRow
-	for _, c := range r.corder {
-		k, v := c.key, c.v
+	for i := range r.counters.n {
+		c := r.counters.at(i)
+		k, v := r.key(c.fam, c.dom), c.v
 		rows = append(rows, metricRow{Type: "counter", Subsystem: k.Subsystem, Name: k.Name, Domain: k.Domain, Value: &v, UpdatedMs: c.at.Milliseconds()})
 	}
-	for _, g := range r.gorder {
-		k, v := g.key, g.v
+	for i := range r.gauges.n {
+		g := r.gauges.at(i)
+		k, v := r.key(g.fam, g.dom), g.v
 		rows = append(rows, metricRow{Type: "gauge", Subsystem: k.Subsystem, Name: k.Name, Domain: k.Domain, Value: &v, UpdatedMs: g.at.Milliseconds()})
 	}
-	for _, h := range r.horder {
-		k, n := h.key, h.count
+	for i := range r.hists.n {
+		h := r.hists.at(i)
+		k, n := r.key(h.fam, h.dom), h.count
 		rows = append(rows, metricRow{
 			Type: "histogram", Subsystem: k.Subsystem, Name: k.Name, Domain: k.Domain,
 			Count: &n, SumMs: msStr(h.sum),

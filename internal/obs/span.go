@@ -46,6 +46,11 @@ type Span struct {
 	done bool
 }
 
+// spanHopCap is a new span's hop capacity: room for a whole fault path
+// (dispatch, mmentry, driver, the USD's queue, service and completion, the
+// network and the map) without growing.
+const spanHopCap = 8
+
 // StartSpan opens a fault span for the given domain and fault class at the
 // current simulated time. A nil registry returns a nil span. Spans are drawn
 // from a free list fed by ring eviction, so a steady-state fault path reuses
@@ -62,7 +67,7 @@ func (r *Registry) StartSpan(domain, class string) *Span {
 		r.freeSpans = r.freeSpans[:n-1]
 		*s = Span{reg: r, Domain: domain, Class: class, Start: r.now(), hops: s.hops[:0]}
 	} else {
-		s = &Span{reg: r, Domain: domain, Class: class, Start: r.now()}
+		s = &Span{reg: r, Domain: domain, Class: class, Start: r.now(), hops: make([]Hop, 0, spanHopCap)}
 	}
 	r.attr.spanStarted(s)
 	return s
@@ -205,19 +210,6 @@ func (s *Span) HopSum() time.Duration {
 	return sum
 }
 
-// hopKey aggregates hop latencies per (domain, fault class, hop name).
-type hopKey struct {
-	Domain string
-	Class  string
-	Hop    string
-}
-
-// hopHist is one hop's latency histogram together with its key.
-type hopHist struct {
-	hopKey
-	Histogram
-}
-
 // spanKey identifies one (domain, fault class) span population.
 type spanKey struct {
 	Domain string
@@ -225,9 +217,10 @@ type spanKey struct {
 }
 
 // spanStats holds the pre-resolved histogram handles for one span
-// population: the e2e latency histogram and, per hop name, the shared hop
-// histogram (the same one hopHists indexes for HopSummaries). Hop counts per
-// class are small, so a linear name scan beats a map lookup.
+// population: the e2e latency histogram and, per hop name, the population's
+// own hop histogram in the registry's hop slab. It is the only index of hop
+// histograms. Hop counts per class are small, so a linear name scan beats a
+// map lookup.
 type spanStats struct {
 	e2e  *Histogram
 	hops []hopSlot
@@ -236,6 +229,16 @@ type spanStats struct {
 type hopSlot struct {
 	name string
 	h    *Histogram
+}
+
+// hop returns the population's histogram for the named hop, or nil.
+func (ss *spanStats) hop(name string) *Histogram {
+	for i := range ss.hops {
+		if ss.hops[i].name == name {
+			return ss.hops[i].h
+		}
+	}
+	return nil
 }
 
 // statsFor returns (creating on first finish, which preserves the registry's
@@ -255,22 +258,10 @@ func (r *Registry) recordSpan(s *Span) {
 	ss := r.statsFor(s.Domain, s.Class)
 	ss.e2e.Observe(s.Duration())
 	for _, h := range s.hops {
-		var hist *Histogram
-		for i := range ss.hops {
-			if ss.hops[i].name == h.Name {
-				hist = ss.hops[i].h
-				break
-			}
-		}
+		hist := ss.hop(h.Name)
 		if hist == nil {
-			k := hopKey{s.Domain, s.Class, h.Name}
-			hh, ok := r.hopHists[k]
-			if !ok {
-				hh = &hopHist{hopKey: k, Histogram: Histogram{r: r, counts: newCounts()}}
-				r.hopHists[k] = hh
-				r.hopOrder = append(r.hopOrder, hh)
-			}
-			hist = &hh.Histogram
+			hist = r.hops.add()
+			hist.r, hist.fam, hist.dom = r, r.internFam(s.Class, h.Name), r.internDom(s.Domain)
 			ss.hops = append(ss.hops, hopSlot{h.Name, hist})
 		}
 		hist.Observe(h.Duration())
@@ -338,11 +329,12 @@ func (r *Registry) HopSummaries() []HopSummary {
 	if r == nil {
 		return nil
 	}
-	out := make([]HopSummary, 0, len(r.hopOrder))
-	for _, hh := range r.hopOrder {
-		h := &hh.Histogram
+	out := make([]HopSummary, 0, r.hops.n)
+	for i := range r.hops.n {
+		h := r.hops.at(i)
+		f := r.fams[h.fam]
 		out = append(out, HopSummary{
-			Domain: hh.Domain, Class: hh.Class, Hop: hh.Hop, Count: h.Count(),
+			Domain: r.doms[h.dom], Class: f.sub, Hop: f.name, Count: h.Count(),
 			P50Ms: float64(h.Quantile(0.50)) / 1e6,
 			P95Ms: float64(h.Quantile(0.95)) / 1e6,
 			P99Ms: float64(h.Quantile(0.99)) / 1e6,

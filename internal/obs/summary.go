@@ -29,7 +29,7 @@ func (h *Histogram) Snapshot() HistSnapshot {
 		return HistSnapshot{}
 	}
 	last := 0
-	for i, c := range h.counts {
+	for i, c := range h.counts[:] {
 		if c != 0 {
 			last = i + 1
 		}
@@ -195,49 +195,50 @@ func (r *Registry) Summarize(topK int) *Summary {
 	s.AuditEvicted = r.cAuditEvicted.Value()
 	s.Flags = int64(len(r.flags))
 
-	cidx := map[[2]string]int{}
-	for _, c := range r.corder {
-		k := c.key
-		key := [2]string{k.Subsystem, k.Name}
-		i, ok := cidx[key]
-		if !ok {
-			i = len(s.Counters)
-			cidx[key] = i
-			s.Counters = append(s.Counters, SummaryCounter{Subsystem: k.Subsystem, Name: k.Name})
+	// Rollup positions by interned family and domain, plus one (0 = none).
+	cidx := make([]int, len(r.fams))
+	for i := range r.counters.n {
+		c := r.counters.at(i)
+		if cidx[c.fam] == 0 {
+			f := r.fams[c.fam]
+			s.Counters = append(s.Counters, SummaryCounter{Subsystem: f.sub, Name: f.name})
+			cidx[c.fam] = len(s.Counters)
 		}
-		s.Counters[i].Value += c.v
+		s.Counters[cidx[c.fam]-1].Value += c.v
 	}
 	sortCounters(s.Counters)
 
 	hidx := map[string]int{}
-	for _, hh := range r.hopOrder {
-		i, ok := hidx[hh.Hop]
+	for i := range r.hops.n {
+		h := r.hops.at(i)
+		hop := r.fams[h.fam].name
+		j, ok := hidx[hop]
 		if !ok {
-			i = len(s.Hops)
-			hidx[hh.Hop] = i
-			s.Hops = append(s.Hops, SummaryHop{Hop: hh.Hop})
+			j = len(s.Hops)
+			hidx[hop] = j
+			s.Hops = append(s.Hops, SummaryHop{Hop: hop})
 		}
-		s.Hops[i].Hist.Merge(hh.Snapshot())
+		s.Hops[j].Hist.Merge(h.Snapshot())
 	}
 	sortHops(s.Hops)
 
 	// Per-domain fault-blocked time: every finished span observes its e2e
 	// latency into a ("span", "e2e."+class, domain) histogram, so the sums
 	// survive span-ring eviction.
-	didx := map[string]int{}
-	for _, h := range r.horder {
-		k := h.key
-		if k.Subsystem != "span" || !strings.HasPrefix(k.Name, "e2e.") {
+	didx := make([]int, len(r.doms))
+	for i := range r.hists.n {
+		h := r.hists.at(i)
+		f := r.fams[h.fam]
+		if f.sub != "span" || !strings.HasPrefix(f.name, "e2e.") {
 			continue
 		}
-		i, ok := didx[k.Domain]
-		if !ok {
-			i = len(s.TopDomains)
-			didx[k.Domain] = i
-			s.TopDomains = append(s.TopDomains, SummaryDomain{Domain: k.Domain, ElapsedNs: s.NowNs})
+		if didx[h.dom] == 0 {
+			s.TopDomains = append(s.TopDomains, SummaryDomain{Domain: r.doms[h.dom], ElapsedNs: s.NowNs})
+			didx[h.dom] = len(s.TopDomains)
 		}
-		s.TopDomains[i].Spans += h.count
-		s.TopDomains[i].BlockedNs += int64(h.sum)
+		d := &s.TopDomains[didx[h.dom]-1]
+		d.Spans += h.count
+		d.BlockedNs += int64(h.sum)
 	}
 	sortDomains(s.TopDomains)
 	s.Truncate(topK)

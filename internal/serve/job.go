@@ -83,6 +83,16 @@ func (j *Job) Entry() *Entry {
 // Finished is closed once the job reaches a terminal state.
 func (j *Job) Finished() <-chan struct{} { return j.finished }
 
+// terminal reports whether the job has reached a terminal state.
+func (j *Job) terminal() bool {
+	select {
+	case <-j.finished:
+		return true
+	default:
+		return false
+	}
+}
+
 // Subscribe registers a progress listener. The current snapshot is
 // delivered first, so late subscribers see the latest state immediately.
 // Intermediate events may be dropped under backpressure (they are
@@ -195,10 +205,4 @@ func (j *Job) Cancel() bool {
 	default:
 		return false
 	}
-}
-
-// markCanceled records the terminal canceled state (used by the worker once
-// a cancelled run unwinds).
-func (j *Job) markCanceled(msg string) {
-	j.finish(JobCanceled, msg, nil)
 }

@@ -162,7 +162,10 @@ func (s *Server) Submit(spec experiments.Spec) (job *Job, coalesced bool, err er
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if j, ok := s.active[key]; ok {
+	// A job stays in active until its worker retires it, a little after
+	// it turns terminal (or, cancelled while queued, once a worker dequeues
+	// it); only a live one is coalesced onto.
+	if j, ok := s.active[key]; ok && !j.terminal() {
 		return j, true, nil
 	}
 	if e, ok := s.cache.Get(key); ok {
@@ -254,28 +257,36 @@ func (s *Server) runJob(j *Job) {
 		out, err = s.run(ctx, j.Spec, s.cfg.SweepWorkers)
 	}
 	if err != nil {
-		switch {
-		case errors.Is(err, context.Canceled):
-			j.markCanceled("canceled mid-run")
-		case errors.Is(err, context.DeadlineExceeded):
-			j.fail(fmt.Sprintf("job exceeded its %v timeout", s.cfg.JobTimeout))
-		default:
-			j.fail(err.Error())
-		}
-		s.logJob("job finished", j, "state", j.Snapshot().State,
-			"duration_ms", float64(time.Since(began).Microseconds())/1e3, "error", err.Error())
+		s.failJob(j, began, err)
 		return
 	}
 	body, err := experiments.EncodeResult(out.Result)
 	if err != nil {
-		j.fail(err.Error())
+		s.failJob(j, began, err)
 		return
 	}
 	e := &Entry{Key: j.Key, Body: body, Trace: out.Trace, Audit: out.Audit}
 	s.cache.Put(e)
-	j.complete(e)
-	s.logJob("job finished", j, "state", j.Snapshot().State,
+	s.logJob("job finished", j, "state", JobDone,
 		"duration_ms", float64(time.Since(began).Microseconds())/1e3)
+	j.complete(e)
+}
+
+// failJob logs a running job's unsuccessful end, then records it. Only the
+// worker finishes a running job (Cancel just cancels its context), so the
+// terminal state is known before the job turns terminal, and a client that
+// sees the job finished also finds its log line.
+func (s *Server) failJob(j *Job, began time.Time, err error) {
+	state, msg := JobFailed, err.Error()
+	switch {
+	case errors.Is(err, context.Canceled):
+		state, msg = JobCanceled, "canceled mid-run"
+	case errors.Is(err, context.DeadlineExceeded):
+		msg = fmt.Sprintf("job exceeded its %v timeout", s.cfg.JobTimeout)
+	}
+	s.logJob("job finished", j, "state", state,
+		"duration_ms", float64(time.Since(began).Microseconds())/1e3, "error", err.Error())
+	j.finish(state, msg, nil)
 }
 
 // runWarmFigure answers a poolable figure job by forking the resident

@@ -153,6 +153,54 @@ func TestSingleFlight(t *testing.T) {
 	}
 }
 
+// TestResubmitAfterQueuedCancel cancels a queued job, which stays in the
+// active table until a worker dequeues it, and submits its spec again: the
+// resubmission must start a fresh job, not coalesce onto the cancelled one.
+func TestResubmitAfterQueuedCancel(t *testing.T) {
+	release := make(chan struct{})
+	var releaseOnce sync.Once
+	unblock := func() { releaseOnce.Do(func() { close(release) }) }
+	started := make(chan struct{}, 4)
+	s := newServer(Config{Workers: 1}, func(ctx context.Context, spec experiments.Spec, workers int) (*experiments.Outcome, error) {
+		started <- struct{}{}
+		<-release
+		return &experiments.Outcome{Result: &experiments.Result{Spec: spec}}, nil
+	})
+	defer s.Close()
+	defer unblock() // before Close, which waits for the blocked worker
+
+	busy, _, err := s.Submit(cheapSpec(1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	<-started // the only worker is busy
+	queued, _, err := s.Submit(cheapSpec(2))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !queued.Cancel() || queued.Snapshot().State != JobCanceled {
+		t.Fatalf("cancel of the queued job: state %s", queued.Snapshot().State)
+	}
+	again, coalesced, err := s.Submit(cheapSpec(2))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if coalesced || again == queued {
+		t.Fatalf("resubmission coalesced onto the cancelled job %s (coalesced=%v)", queued.ID, coalesced)
+	}
+	unblock()
+	for _, j := range []*Job{busy, again} {
+		select {
+		case <-j.Finished():
+		case <-time.After(5 * time.Second):
+			t.Fatalf("job %s never finished", j.ID)
+		}
+		if st := j.Snapshot().State; st != JobDone {
+			t.Errorf("job %s ended %s, want done", j.ID, st)
+		}
+	}
+}
+
 // TestQueueBound pins graceful degradation: with one busy worker and the
 // queue at depth, further submissions get 429 + Retry-After, and distinct
 // specs already accepted all finish.
