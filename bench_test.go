@@ -166,9 +166,12 @@ func BenchmarkFig9Isolation(b *testing.B) {
 // a nemesis-serve warm-pool hit pays instead of re-running the warm-up —
 // and the sim_fork_* metrics are the fork's deterministic copy accounting:
 // frame-store bytes copied outright and populated disk chunks shared
-// copy-on-write. Those byte counts are pinned by the gate; if they drift,
-// the snapshot either started copying what it used to share or stopped
-// capturing state.
+// copy-on-write. The shared chunks include ones written only with zeros,
+// which point at the disk package's zero chunk and own no bytes, so
+// sim_fork_cow_bytes counts 256 KB per shared chunk: an upper bound on the
+// copying sharing avoided, not a measure of it. Those counts are pinned by
+// the gate; if they drift, the snapshot either started copying what it used
+// to share or stopped capturing state.
 func BenchmarkFork(b *testing.B) {
 	warm, err := experiments.WarmPaging(benchPagingOpts())
 	if err != nil {

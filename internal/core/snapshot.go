@@ -29,8 +29,10 @@ type ForkStats struct {
 	// FrameBytes is how much frame-store memory was copied outright.
 	FrameBytes int64
 	// SharedChunks is how many populated disk chunks were shared
-	// copy-on-write instead of copied; SharedBytes is their total size —
-	// the copying the CoW scheme avoided.
+	// copy-on-write instead of copied; SharedBytes is their total size.
+	// Both count chunks written only with zeros, which share the disk
+	// package's zero chunk and hold no bytes of their own, so SharedBytes
+	// bounds the copying the CoW scheme avoided rather than measuring it.
 	SharedChunks int
 	SharedBytes  int64
 }

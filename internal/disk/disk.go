@@ -9,9 +9,17 @@
 // media-rate transfer. A segmented read-ahead cache serves sequential reads
 // at interface speed. Blocks carry real data so paging correctness is
 // end-to-end testable.
+//
+// The block store keeps each 256 KB chunk in one of three states: never
+// written (nil), written with zeros only (the package's zeroChunk, shared by
+// every chunk in that state on every drive in the process), or private.
+// Only a private chunk costs host bytes. Nothing writes through zeroChunk:
+// parallel sweep workers read it at once, so a write would be a data race
+// and would corrupt every world.
 package disk
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
 	"math"
@@ -166,9 +174,11 @@ type Disk struct {
 	Geom Geometry
 	sim  *sim.Simulator
 	// data is a two-level block store: chunk index -> chunkBlocks*BlockSize
-	// bytes, allocated on first write. A nil chunk reads as zeros. Indexing
-	// is two array derefs instead of a per-block map hash, and contiguous
-	// chunks let multi-block transfers copy in one run.
+	// bytes. A chunk is nil until written, zeroChunk while every write to it
+	// was all zeros, and private from its first non-zero write on; nil and
+	// zeroChunk read as zeros. Indexing is two array derefs instead of a
+	// per-block map hash, and contiguous chunks let multi-block transfers
+	// copy in one run.
 	data [][]byte
 	// shared marks chunks frozen by a Fork: both sides of a fork see the
 	// same backing array until one of them writes, at which point the writer
@@ -201,6 +211,18 @@ const (
 	chunkShift  = 9
 	chunkBlocks = 1 << chunkShift
 )
+
+// zeroChunk is the contents of every chunk written with zeros only. It lives
+// in BSS and nothing writes it.
+var zeroChunk [ChunkBytes]byte
+
+// private returns chunk idx's private bytes, or nil if it holds only zeros.
+func (d *Disk) private(idx int64) []byte {
+	if c := d.data[idx]; c != nil && &c[0] != &zeroChunk[0] {
+		return c
+	}
+	return nil
+}
 
 // New returns a drive with the given geometry attached to s.
 func New(s *sim.Simulator, g Geometry) *Disk {
@@ -356,7 +378,7 @@ func (d *Disk) ReadAt(p *sim.Proc, block int64, count int, buf []byte) error {
 			run = rem
 		}
 		dst := buf[i*BlockSize : (i+run)*BlockSize]
-		if c := d.data[b>>chunkShift]; c != nil {
+		if c := d.private(b >> chunkShift); c != nil {
 			copy(dst, c[off*BlockSize:])
 		} else {
 			clear(dst)
@@ -367,7 +389,8 @@ func (d *Disk) ReadAt(p *sim.Proc, block int64, count int, buf []byte) error {
 }
 
 // WriteAt stores count blocks from buf at block, charging p the simulated
-// service time.
+// service time. All-zero data bound for a chunk that holds only zeros is
+// not copied: the chunk becomes zeroChunk.
 func (d *Disk) WriteAt(p *sim.Proc, block int64, count int, buf []byte) error {
 	if err := d.check(block, count); err != nil {
 		return err
@@ -388,20 +411,25 @@ func (d *Disk) WriteAt(p *sim.Proc, block int64, count int, buf []byte) error {
 			run = rem
 		}
 		idx := b >> chunkShift
-		c := d.data[idx]
-		if c == nil {
-			c = make([]byte, chunkBlocks*BlockSize)
-			d.data[idx] = c
-		} else if d.shared != nil && d.shared[idx] {
-			// Copy-on-write: this chunk is frozen by a fork.
+		src := buf[i*BlockSize : (i+run)*BlockSize]
+		i += run
+		c := d.private(idx)
+		if c == nil && bytes.Equal(src, zeroChunk[:len(src)]) {
+			d.data[idx] = zeroChunk[:]
+			continue
+		}
+		if c == nil || d.shared != nil && d.shared[idx] {
+			// The first data write to a chunk of zeros, or copy-on-write of
+			// a chunk frozen by a fork: the chunk gets bytes of its own.
 			nc := make([]byte, chunkBlocks*BlockSize)
 			copy(nc, c)
 			d.data[idx] = nc
-			d.shared[idx] = false
+			if d.shared != nil {
+				d.shared[idx] = false
+			}
 			c = nc
 		}
-		copy(c[off*BlockSize:], buf[i*BlockSize:(i+run)*BlockSize])
-		i += run
+		copy(c[off*BlockSize:], src)
 	}
 	return nil
 }
@@ -410,7 +438,7 @@ func (d *Disk) WriteAt(p *sim.Proc, block int64, count int, buf []byte) error {
 // time. Unwritten blocks read as zeros. Intended for tests and tools.
 func (d *Disk) PeekBlock(block int64) []byte {
 	out := make([]byte, BlockSize)
-	if c := d.data[block>>chunkShift]; c != nil {
+	if c := d.private(block >> chunkShift); c != nil {
 		copy(out, c[(block&(chunkBlocks-1))*BlockSize:])
 	}
 	return out

@@ -284,3 +284,40 @@ func TestOpString(t *testing.T) {
 		t.Fatal("Op strings wrong")
 	}
 }
+
+// A write of zeros into a chunk that holds only zeros, never written or
+// written with zeros before, stores no chunk of its own: it allocates
+// nothing, and the chunk reads back as zeros.
+func TestZeroWriteAllocatesNothing(t *testing.T) {
+	s, d := newDisk()
+	zeros := make([]byte, 16*BlockSize)
+	var fresh, again float64
+	s.Spawn("io", func(p *sim.Proc) {
+		next := int64(0)
+		fresh = testing.AllocsPerRun(50, func() {
+			next++ // a chunk no earlier run wrote
+			if err := d.WriteAt(p, next*chunkBlocks+3, 16, zeros); err != nil {
+				t.Error(err)
+			}
+		})
+		again = testing.AllocsPerRun(50, func() {
+			if err := d.WriteAt(p, next*chunkBlocks+40, 16, zeros); err != nil {
+				t.Error(err)
+			}
+		})
+		got := bytes.Repeat([]byte{0xFF}, len(zeros))
+		if err := d.ReadAt(p, next*chunkBlocks+3, 16, got); err != nil || !bytes.Equal(got, zeros) {
+			t.Errorf("zero chunk read back %#x…, err %v", got[0], err)
+		}
+	})
+	s.RunUntilIdle(1000)
+	if fresh != 0 || again != 0 {
+		t.Fatalf("zero write allocated %v times into an unwritten chunk and %v into a zero chunk, want 0", fresh, again)
+	}
+	if _, populated := d.SharedChunks(); populated != 51 {
+		t.Fatalf("populated chunks = %d, want 51", populated)
+	}
+	if got := d.PeekBlock(51*chunkBlocks + 40); !bytes.Equal(got, zeros[:BlockSize]) {
+		t.Fatal("PeekBlock of a zero chunk nonzero")
+	}
+}

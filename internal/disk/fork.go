@@ -9,9 +9,10 @@ import "nemesis/internal/sim"
 // outright; it is tiny. The block store is not: a warmed world has tens of
 // megabytes of swap-file data on disk, almost all of which the fork will
 // never overwrite. Chunks are therefore shared copy-on-write: the fork gets
-// a copy of the chunk *index*, every populated chunk is marked shared on
-// both sides, and whichever side writes a shared chunk first copies it
-// privately. Shared chunks are immutable from the instant of the fork, so
+// a copy of the chunk *index*, every populated chunk, zeroChunk included, is
+// marked shared on both sides, and whichever side writes a shared chunk
+// first copies it privately (a zero write keeps a zeroChunk as it is).
+// Shared chunks are immutable from the instant of the fork, so
 // parent and children can run on different goroutines without touching each
 // other's data.
 func (d *Disk) Fork(s *sim.Simulator) *Disk {
@@ -55,5 +56,6 @@ func (d *Disk) SharedChunks() (shared, populated int) {
 }
 
 // ChunkBytes is the size of one block-store chunk in bytes, exposed so fork
-// metrics can report how much data CoW sharing avoided copying.
+// metrics can report the size of the chunks CoW sharing covers (a chunk of
+// zeros among them owns no bytes).
 const ChunkBytes = chunkBlocks * BlockSize

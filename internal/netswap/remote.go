@@ -1,6 +1,7 @@
 package netswap
 
 import (
+	"bytes"
 	"math"
 	"time"
 
@@ -39,9 +40,16 @@ func DefaultRemoteOptions() RemoteOptions {
 		Timeout:    250 * time.Millisecond,
 		MaxRetries: 8,
 		Backoff:    10 * time.Millisecond,
-		MaxBatch:   16,
+		MaxBatch:   defaultMaxBatch,
 	}
 }
+
+const defaultMaxBatch = 16
+
+// zeroPayload is the payload of every write RPC of at most defaultMaxBatch
+// pages that are all zero. It lives in BSS, and nothing writes it: every
+// backing in the process sends it, and the server reads it in place.
+var zeroPayload [defaultMaxBatch * vm.PageSize]byte
 
 func (o *RemoteOptions) fillDefaults() {
 	d := DefaultRemoteOptions()
@@ -295,14 +303,10 @@ func (r *RemoteBacking) WritePages(p *sim.Proc, pages []stretchdrv.DirtyPage, sp
 		if end > len(pages) {
 			end = len(pages)
 		}
-		req := &request{
-			Client: r.client, Op: opWrite, Flow: flow,
-			VPNs: make([]vm.VPN, 0, end-at),
-			Data: make([]byte, 0, (end-at)*vm.PageSize),
-		}
-		for _, pg := range pages[at:end] {
-			req.VPNs = append(req.VPNs, vm.PageOf(pg.VA))
-			req.Data = append(req.Data, pg.Data...)
+		batch := pages[at:end]
+		req := &request{Client: r.client, Op: opWrite, Flow: flow, VPNs: make([]vm.VPN, len(batch)), Data: payload(batch)}
+		for i, pg := range batch {
+			req.VPNs[i] = vm.PageOf(pg.VA)
 		}
 		calls = append(calls, &call{req: req})
 	}
@@ -330,4 +334,24 @@ func (r *RemoteBacking) WritePages(p *sim.Proc, pages []stretchdrv.DirtyPage, sp
 		sp.SplitHop(last.ServiceEnd, "net.back")
 	}
 	return txns, nil
+}
+
+// payload returns one write RPC's payload: its pages concatenated. Pages
+// that are all zero, up to zeroPayload's size, copy nothing: the payload is
+// a slice of zeroPayload of the same length, capped so that an append
+// cannot write into it.
+func payload(pages []stretchdrv.DirtyPage) []byte {
+	n, zero := 0, true
+	for _, pg := range pages {
+		n += len(pg.Data)
+		zero = zero && n <= len(zeroPayload) && bytes.Equal(pg.Data, zeroPayload[:len(pg.Data)])
+	}
+	if zero {
+		return zeroPayload[:n:n]
+	}
+	data := make([]byte, 0, n)
+	for _, pg := range pages {
+		data = append(data, pg.Data...)
+	}
+	return data
 }

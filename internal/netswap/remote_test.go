@@ -97,6 +97,36 @@ func TestRemoteWriteReadRoundTrip(t *testing.T) {
 	if got := fab.Server.Stats.PagesWritten; got < pages {
 		t.Fatalf("server wrote %d pages, want >= %d", got, pages)
 	}
+
+	// Rewrite the first two RPCs' pages over their data: the first RPC's
+	// pages all zero, so it sends the shared zero payload, and the second's
+	// zero but for page 20, so it is copied. Every page must read back as
+	// last written, so zeros that were skipped or stored at the wrong blok
+	// show as the old data.
+	maxBatch := netswap.DefaultRemoteOptions().MaxBatch
+	rewrite := make([]stretchdrv.DirtyPage, 2*maxBatch)
+	for i := range rewrite {
+		rewrite[i] = stretchdrv.DirtyPage{VA: batch[i].VA, Data: page(0)}
+	}
+	rewrite[20].Data = page(0xEE)
+	copy(batch, rewrite)
+	drive(t, s, func(p *sim.Proc) {
+		if _, err := rb.WritePages(p, rewrite, nil); err != nil {
+			t.Fatalf("rewrite WritePages: %v", err)
+		}
+		for i, pg := range batch {
+			buf := make([]byte, vm.PageSize)
+			if err := rb.ReadPage(p, pg.VA, buf, nil); err != nil {
+				t.Fatalf("ReadPage %d after rewrite: %v", i, err)
+			}
+			if !bytes.Equal(buf, pg.Data) {
+				t.Fatalf("page %d reads %#x after rewrite, want %#x", i, buf[0], pg.Data[0])
+			}
+		}
+	})
+	if rb.Stats.PagesSent != pages+int64(len(rewrite)) {
+		t.Fatalf("PagesSent = %d after rewrite, want %d", rb.Stats.PagesSent, pages+len(rewrite))
+	}
 }
 
 func TestRemoteWindowBound(t *testing.T) {

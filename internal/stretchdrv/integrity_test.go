@@ -39,7 +39,15 @@ func pattern(pg, gen int) []byte { return fill(byte(1 + (pg*3+gen)%251)) }
 //   - page-ins reuse the engine's page buffers, so a frame view that
 //     entered that free list would let a page-in overwrite a resident
 //     page, which the read-back catches by reading each page again after
-//     the next page-in.
+//     the next page-in;
+//   - once every page has read back, B rewrites six of its pages with
+//     zeros: 12 and 14 in one batch with data for 13 and 15, then 16–19
+//     in a batch of zeros only. Each batch is synced, and reading every
+//     page back evicts them first. A disk, backing or RPC payload that
+//     skipped a zero write over stored data would read back the page's
+//     older bytes. The batches are runs of B's consecutive pages: a remote
+//     batch of four scattered pages takes the swap server longer to store
+//     than slowRemote's timeout, so its retransmits never finish.
 //
 // Every page must read back its last write.
 func checkPageIntegrity(t *testing.T, sys *core.System, build func(*domain.Domain) (*vm.Stretch, *stretchdrv.Engine)) {
@@ -50,9 +58,13 @@ func checkPageIntegrity(t *testing.T, sys *core.System, build func(*domain.Domai
 	}
 	st, eng := build(d)
 	gen := make([]int, integrityPages)
-	write := func(th *domain.Thread, pg int) bool {
+	want := make([][]byte, integrityPages)
+	write := func(th *domain.Thread, pg int, zero bool) bool {
 		gen[pg]++
-		if err := th.WriteAt(st.PageBase(pg), pattern(pg, gen[pg])); err != nil {
+		if want[pg] = pattern(pg, gen[pg]); zero {
+			want[pg] = make([]byte, vm.PageSize)
+		}
+		if err := th.WriteAt(st.PageBase(pg), want[pg]); err != nil {
 			t.Errorf("write page %d: %v", pg, err)
 			return false
 		}
@@ -64,8 +76,8 @@ func checkPageIntegrity(t *testing.T, sys *core.System, build func(*domain.Domai
 			t.Errorf("read page %d: %v", pg, err)
 			return false
 		}
-		if want := pattern(pg, gen[pg]); !bytes.Equal(buf, want) {
-			t.Errorf("page %d read back %#x…, want %#x (write %d)", pg, buf[0], want[0], gen[pg])
+		if !bytes.Equal(buf, want[pg]) {
+			t.Errorf("page %d read back %#x…, want %#x (write %d)", pg, buf[0], want[pg][0], gen[pg])
 		}
 		return true
 	}
@@ -93,7 +105,7 @@ func checkPageIntegrity(t *testing.T, sys *core.System, build func(*domain.Domai
 			return
 		}
 		for _, pg := range append(span(0, 12), 6, 4, 2, 0) {
-			if !write(th, pg) {
+			if !write(th, pg, false) {
 				return
 			}
 		}
@@ -112,7 +124,7 @@ func checkPageIntegrity(t *testing.T, sys *core.System, build func(*domain.Domai
 			th.Sleep(100 * time.Microsecond)
 		}
 		for pg := 12; pg < integrityPages; pg++ {
-			if !write(th, pg) {
+			if !write(th, pg, false) {
 				return
 			}
 		}
@@ -123,7 +135,21 @@ func checkPageIntegrity(t *testing.T, sys *core.System, build func(*domain.Domai
 		for !aDone {
 			th.Sleep(time.Millisecond)
 		}
-		bVerified = verify(th, span(12, integrityPages))
+		if !verify(th, span(12, integrityPages)) {
+			return
+		}
+		for _, batch := range [][]int{{12, 13, 14, 15}, {16, 17, 18, 19}} {
+			for _, pg := range batch {
+				if !write(th, pg, pg != 13 && pg != 15) {
+					return
+				}
+			}
+			if err := eng.Sync(th.Proc()); err != nil {
+				t.Errorf("sync: %v", err)
+				return
+			}
+		}
+		bVerified = verify(th, span(0, integrityPages))
 	})
 	sys.Run(60 * time.Second)
 	if !aDone || !bVerified {
