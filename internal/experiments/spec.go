@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"time"
@@ -76,12 +77,12 @@ type Spec struct {
 	Seed int64 `json:"seed,omitempty"`
 
 	// Latencies and Losses span the netswap sweep's cross product
-	// (defaults: 200µs/1ms/2ms × 0/0.05).
+	// (defaults: 200µs/1ms/2ms × 0/0.05; at most 16 entries each).
 	Latencies []Duration `json:"latencies,omitempty"`
 	Losses    []float64  `json:"losses,omitempty"`
 
 	// Machines, DomainsPerMachine and Servers size the cluster kind
-	// (defaults: 4 × 250 over 2).
+	// (defaults: 4 × 250 over 2; at most 64 × 20000 over 64).
 	Machines          int `json:"machines,omitempty"`
 	DomainsPerMachine int `json:"domains_per_machine,omitempty"`
 	Servers           int `json:"servers,omitempty"`
@@ -96,11 +97,27 @@ type Spec struct {
 	Trace bool `json:"trace,omitempty"`
 }
 
+// ErrInvalidSpec is wrapped by every error Normalize returns: the spec
+// names no known experiment, or asks for more than the service bounds.
+var ErrInvalidSpec = errors.New("experiments: invalid spec")
+
+// Service bounds: the most host work one spec may ask for. Each cluster
+// machine and each swap server is a world of procs, and each netswap
+// (latency, loss) pair is a cell of its own.
+const (
+	maxMeasure           = 10 * time.Minute
+	maxMachines          = 64
+	maxDomainsPerMachine = 20000
+	maxServers           = 64
+	maxNetswapAxis       = 16 // entries in each of Latencies and Losses
+)
+
 // Normalize validates the spec and rewrites it into canonical form: every
 // applicable default becomes explicit and fields the kind ignores are
 // cleared. Two specs describing the same experiment — default-vs-explicit
 // values, any duration spelling, any field order on the wire — normalize to
-// identical structs, which is what makes results content-addressable.
+// identical structs, which is what makes results content-addressable. Every
+// rejection wraps ErrInvalidSpec.
 func (s *Spec) Normalize() error {
 	c := Spec{Kind: s.Kind}
 	switch s.Kind {
@@ -124,7 +141,7 @@ func (s *Spec) Normalize() error {
 				c.Measure = Duration(DefaultFig9Options().Measure)
 			}
 		default:
-			return fmt.Errorf("experiments: figure spec wants figure 7, 8 or 9, got %d", s.Figure)
+			return fmt.Errorf("%w: figure spec wants figure 7, 8 or 9, got %d", ErrInvalidSpec, s.Figure)
 		}
 		if c.Seed == 0 {
 			c.Seed = 1
@@ -140,17 +157,24 @@ func (s *Spec) Normalize() error {
 		}
 		for _, l := range c.Latencies {
 			if l <= 0 {
-				return fmt.Errorf("experiments: netswap latency %v must be positive", l.D())
+				return fmt.Errorf("%w: netswap latency %v must be positive", ErrInvalidSpec, l.D())
 			}
 		}
 		c.Losses = append([]float64(nil), s.Losses...)
 		if len(c.Losses) == 0 {
 			c.Losses = []float64{0, 0.05}
 		}
-		for _, p := range c.Losses {
+		for i, p := range c.Losses {
 			if p < 0 || p >= 1 {
-				return fmt.Errorf("experiments: netswap loss %v must be in [0, 1)", p)
+				return fmt.Errorf("%w: netswap loss %v must be in [0, 1)", ErrInvalidSpec, p)
 			}
+			if p == 0 {
+				c.Losses[i] = 0 // -0 encodes as "-0": one loss, one spelling
+			}
+		}
+		if len(c.Latencies) > maxNetswapAxis || len(c.Losses) > maxNetswapAxis {
+			return fmt.Errorf("%w: netswap sweep %d latencies × %d losses exceeds the service bound (%d each)",
+				ErrInvalidSpec, len(c.Latencies), len(c.Losses), maxNetswapAxis)
 		}
 		c.Measure = s.Measure
 		if c.Measure <= 0 {
@@ -167,9 +191,9 @@ func (s *Spec) Normalize() error {
 		opt.fillDefaults()
 		c.Machines, c.DomainsPerMachine, c.Servers = opt.Machines, opt.DomainsPerMachine, opt.Servers
 		c.Measure, c.Seed = Duration(opt.Measure), opt.Seed
-		if c.Machines > 64 || c.DomainsPerMachine > 20000 {
-			return fmt.Errorf("experiments: cluster spec %d×%d exceeds the service bound (64×20000)",
-				c.Machines, c.DomainsPerMachine)
+		if c.Machines > maxMachines || c.DomainsPerMachine > maxDomainsPerMachine || c.Servers > maxServers {
+			return fmt.Errorf("%w: cluster spec %d×%d over %d servers exceeds the service bound (%d×%d over %d)",
+				ErrInvalidSpec, c.Machines, c.DomainsPerMachine, c.Servers, maxMachines, maxDomainsPerMachine, maxServers)
 		}
 	case KindAttribution:
 		c.Figure = s.Figure
@@ -177,7 +201,7 @@ func (s *Spec) Normalize() error {
 			c.Figure = 8
 		}
 		if c.Figure != 7 && c.Figure != 8 {
-			return fmt.Errorf("experiments: attribution spec wants figure 7 or 8, got %d", s.Figure)
+			return fmt.Errorf("%w: attribution spec wants figure 7 or 8, got %d", ErrInvalidSpec, s.Figure)
 		}
 		c.Measure = s.Measure
 		if c.Measure <= 0 {
@@ -189,13 +213,13 @@ func (s *Spec) Normalize() error {
 		}
 		c.Hog = s.Hog
 	case "":
-		return fmt.Errorf("experiments: spec is missing a kind (want %s, %s, %s, %s or %s)",
-			KindSuite, KindFigure, KindNetswap, KindCluster, KindAttribution)
+		return fmt.Errorf("%w: spec is missing a kind (want %s, %s, %s, %s or %s)",
+			ErrInvalidSpec, KindSuite, KindFigure, KindNetswap, KindCluster, KindAttribution)
 	default:
-		return fmt.Errorf("experiments: unknown spec kind %q", s.Kind)
+		return fmt.Errorf("%w: unknown spec kind %q", ErrInvalidSpec, s.Kind)
 	}
-	if c.Measure > Duration(10*time.Minute) {
-		return fmt.Errorf("experiments: measure %v exceeds the 10m service bound", c.Measure.D())
+	if c.Measure > Duration(maxMeasure) {
+		return fmt.Errorf("%w: measure %v exceeds the %v service bound", ErrInvalidSpec, c.Measure.D(), maxMeasure)
 	}
 	*s = c
 	return nil

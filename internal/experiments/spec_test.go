@@ -80,6 +80,26 @@ func TestNormalizeClearsIrrelevantFields(t *testing.T) {
 	}
 }
 
+// TestNormalizeCanonicalizesNegativeZeroLoss: a loss of -0 is the loss 0,
+// so it must encode to the same bytes, not a cache key of its own.
+func TestNormalizeCanonicalizesNegativeZeroLoss(t *testing.T) {
+	var bodies [][]byte
+	for _, raw := range []string{`{"kind":"netswap","losses":[-0]}`, `{"kind":"netswap","losses":[0]}`} {
+		var s Spec
+		if err := json.Unmarshal([]byte(raw), &s); err != nil {
+			t.Fatal(err)
+		}
+		if err := s.Normalize(); err != nil {
+			t.Fatal(err)
+		}
+		b, _ := json.Marshal(s)
+		bodies = append(bodies, b)
+	}
+	if !bytes.Equal(bodies[0], bodies[1]) {
+		t.Errorf("-0 and 0 losses normalize differently:\n%s\n%s", bodies[0], bodies[1])
+	}
+}
+
 func TestNormalizeRejectsInvalidSpecs(t *testing.T) {
 	bad := []Spec{
 		{},
@@ -92,8 +112,56 @@ func TestNormalizeRejectsInvalidSpecs(t *testing.T) {
 		{Kind: KindCluster, Machines: 1000},
 	}
 	for _, s := range bad {
-		if err := s.Normalize(); err == nil {
-			t.Errorf("spec %+v normalized without error", s)
+		if err := s.Normalize(); !errors.Is(err, ErrInvalidSpec) {
+			t.Errorf("spec %+v: Normalize = %v, want an ErrInvalidSpec", s, err)
+		}
+	}
+}
+
+// durations returns n distinct positive latencies.
+func durations(n int) []Duration {
+	out := make([]Duration, n)
+	for i := range out {
+		out[i] = Duration(time.Duration(i+1) * time.Millisecond)
+	}
+	return out
+}
+
+// losses returns n distinct loss rates in [0, 1).
+func losses(n int) []float64 {
+	out := make([]float64, n)
+	for i := range out {
+		out[i] = float64(i) / 100
+	}
+	return out
+}
+
+// TestNormalizeServiceBounds pins the bounds on the spec fields that size
+// host work: a cluster's server count and each netswap axis are accepted at
+// their maximum and rejected one past it, with an ErrInvalidSpec.
+func TestNormalizeServiceBounds(t *testing.T) {
+	for _, c := range []struct {
+		name    string
+		spec    Spec
+		invalid bool
+	}{
+		{"64 servers", Spec{Kind: KindCluster, Servers: 64}, false},
+		{"65 servers", Spec{Kind: KindCluster, Servers: 65}, true},
+		{"64 machines", Spec{Kind: KindCluster, Machines: 64}, false},
+		{"65 machines", Spec{Kind: KindCluster, Machines: 65}, true},
+		{"20000 domains", Spec{Kind: KindCluster, DomainsPerMachine: 20000}, false},
+		{"20001 domains", Spec{Kind: KindCluster, DomainsPerMachine: 20001}, true},
+		{"16 latencies", Spec{Kind: KindNetswap, Latencies: durations(16)}, false},
+		{"17 latencies", Spec{Kind: KindNetswap, Latencies: durations(17)}, true},
+		{"16 losses", Spec{Kind: KindNetswap, Losses: losses(16)}, false},
+		{"17 losses", Spec{Kind: KindNetswap, Losses: losses(17)}, true},
+		{"16 × 16", Spec{Kind: KindNetswap, Latencies: durations(16), Losses: losses(16)}, false},
+		{"10m measure", Spec{Kind: KindSuite, Measure: Duration(maxMeasure)}, false},
+		{"10m+1ns measure", Spec{Kind: KindSuite, Measure: Duration(maxMeasure + 1)}, true},
+	} {
+		err := c.spec.Normalize()
+		if c.invalid != errors.Is(err, ErrInvalidSpec) || (!c.invalid && err != nil) {
+			t.Errorf("%s: Normalize = %v, want invalid %v", c.name, err, c.invalid)
 		}
 	}
 }

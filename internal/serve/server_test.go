@@ -537,6 +537,43 @@ func TestOversizedSpecRejected(t *testing.T) {
 	}
 }
 
+// TestOversizedSpecFieldsRejected: a spec whose server count or netswap
+// axes pass the service bounds is a client error, answered 400 before any
+// world is built, so /stats shows no run. Each spec is one past its bound
+// and small in every other dimension, so a lost bound fails this test
+// rather than starting a huge run.
+func TestOversizedSpecFieldsRejected(t *testing.T) {
+	s := New(Config{Workers: 1})
+	defer s.Close()
+	ts := httptest.NewServer(s.Handler())
+	defer ts.Close()
+	for _, body := range []string{
+		`{"kind":"cluster","machines":1,"domains_per_machine":2,"servers":65,"measure":"50ms"}`,
+		`{"kind":"netswap","latencies":["1ms"` + strings.Repeat(`,"1ms"`, 16) + `],"losses":[0],"measure":"10ms"}`,
+		`{"kind":"netswap","latencies":["1ms"],"losses":[0` + strings.Repeat(`,0`, 16) + `],"measure":"10ms"}`,
+	} {
+		resp, err := ts.Client().Post(ts.URL+"/run", "application/json", strings.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		reply := readBody(t, resp)
+		if resp.StatusCode != http.StatusBadRequest || !strings.Contains(string(reply), "service bound") {
+			t.Errorf("%s: status %d (%s), want 400 naming the service bound", body, resp.StatusCode, reply)
+		}
+	}
+	resp, err := ts.Client().Get(ts.URL + "/stats")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var stats map[string]any
+	if err := json.Unmarshal(readBody(t, resp), &stats); err != nil {
+		t.Fatal(err)
+	}
+	if stats["runs"].(float64) != 0 || stats["jobs"].(float64) != 0 {
+		t.Errorf("rejected specs ran: stats = %v", stats)
+	}
+}
+
 func TestStatsEndpoint(t *testing.T) {
 	s := New(Config{Workers: 1, QueueDepth: 9})
 	defer s.Close()

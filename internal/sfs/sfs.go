@@ -122,7 +122,12 @@ type SwapFile struct {
 	sfs    *SFS
 	extent usd.Extent
 	ch     *usd.Channel
+	free   []*usd.Request // requests whose transactions have completed
 }
+
+// maxFreeRequests bounds a swap file's free list. One request is in flight
+// per proc blocked in Read or Write, and few procs share a swap file.
+const maxFreeRequests = 4
 
 // Name returns the swap file's name (also its USD client name).
 func (f *SwapFile) Name() string { return f.name }
@@ -156,15 +161,7 @@ func (f *SwapFile) Read(p *sim.Proc, offset int64, count int, buf []byte) error 
 // service start/completion instants on the request, so the hops are split
 // retroactively but stay contiguous.
 func (f *SwapFile) ReadSpanned(p *sim.Proc, offset int64, count int, buf []byte, sp *obs.Span) error {
-	if err := f.checkRange(offset, count); err != nil {
-		return err
-	}
-	sp.BeginHop("usd.queue")
-	req := &usd.Request{Op: disk.Read, Block: f.extent.Start + offset, Count: count, Data: buf}
-	_, err := f.ch.Do(p, req)
-	sp.SplitHop(req.Started(), "usd.read")
-	sp.SplitHop(req.Completed(), "usd.complete")
-	return err
+	return f.do(p, disk.Read, offset, count, buf, sp, "usd.read")
 }
 
 // Write stores count blocks from buf at file-relative block offset.
@@ -175,13 +172,31 @@ func (f *SwapFile) Write(p *sim.Proc, offset int64, count int, buf []byte) error
 // WriteSpanned is Write with the same span stamping as ReadSpanned, using
 // hop "usd.write" for the service phase.
 func (f *SwapFile) WriteSpanned(p *sim.Proc, offset int64, count int, buf []byte, sp *obs.Span) error {
+	return f.do(p, disk.Write, offset, count, buf, sp, "usd.write")
+}
+
+// do runs one transaction on a request from the free list and stamps its
+// phases onto sp, naming the service hop hop. The request goes back on the
+// list only once Do has returned that same request without error and its
+// stamps have been read; on any other outcome it is left to the collector.
+func (f *SwapFile) do(p *sim.Proc, op disk.Op, offset int64, count int, buf []byte, sp *obs.Span, hop string) error {
 	if err := f.checkRange(offset, count); err != nil {
 		return err
 	}
 	sp.BeginHop("usd.queue")
-	req := &usd.Request{Op: disk.Write, Block: f.extent.Start + offset, Count: count, Data: buf}
-	_, err := f.ch.Do(p, req)
-	sp.SplitHop(req.Started(), "usd.write")
+	var req *usd.Request
+	if n := len(f.free); n > 0 {
+		req, f.free = f.free[n-1], f.free[:n-1]
+	} else {
+		req = new(usd.Request)
+	}
+	*req = usd.Request{Op: op, Block: f.extent.Start + offset, Count: count, Data: buf}
+	done, err := f.ch.Do(p, req)
+	sp.SplitHop(req.Started(), hop)
 	sp.SplitHop(req.Completed(), "usd.complete")
+	if err == nil && done == req && len(f.free) < maxFreeRequests {
+		req.Data = nil // do not pin the caller's buffer
+		f.free = append(f.free, req)
+	}
 	return err
 }

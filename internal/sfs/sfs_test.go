@@ -258,6 +258,57 @@ func TestSwapFileIO(t *testing.T) {
 	s.RunFor(time.Second)
 }
 
+// TestSwapFileRecyclesRequests: once a transaction has completed, its
+// request goes back on the swap file's free list without the caller's
+// buffer, and later reads and writes reuse it instead of allocating. A
+// transaction that fails in the USD keeps its request off the list.
+func TestSwapFileRecyclesRequests(t *testing.T) {
+	s, _, fs := newSFS()
+	f, err := fs.CreateSwapFile("swap", 1<<20, q(), 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s.Spawn("app", func(p *sim.Proc) {
+		buf := make([]byte, 8*disk.BlockSize)
+		if err := f.Write(p, 0, 8, buf); err != nil {
+			t.Error(err)
+			return
+		}
+		if len(f.free) != 1 || f.free[0].Data != nil {
+			t.Errorf("after one write: free list %v, want one request holding no buffer", f.free)
+			return
+		}
+		req := f.free[0]
+		for i := 0; i < 50; i++ {
+			if i%2 == 0 {
+				err = f.Read(p, int64(i), 8, buf)
+			} else {
+				err = f.Write(p, int64(i), 8, buf)
+			}
+			if err != nil {
+				t.Error(err)
+				return
+			}
+			if len(f.free) != 1 || f.free[0] != req {
+				t.Errorf("transaction %d took a fresh request", i)
+				return
+			}
+		}
+		// Shift the file onto blocks the USD never granted it: the USD
+		// serves the request and fails it.
+		f.extent.Start += f.extent.Count
+		err := f.Read(p, 0, 8, buf)
+		f.extent.Start -= f.extent.Count
+		if !errors.Is(err, usd.ErrNoSuchExtent) {
+			t.Errorf("read outside the grant: err = %v", err)
+		}
+		if len(f.free) != 0 {
+			t.Error("a failed transaction's request went back on the free list")
+		}
+	})
+	s.RunFor(10 * time.Second)
+}
+
 // TestSwapFilesIsolated: one swap file's channel cannot reach another's
 // extent even via the raw channel (USD extent protection).
 func TestSwapFilesIsolated(t *testing.T) {

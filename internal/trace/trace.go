@@ -57,10 +57,30 @@ type Event struct {
 	End    sim.Time // == Start for instantaneous records (Allocation)
 }
 
+// chunkLen is the number of records in one chunk of a Log.
+const chunkLen = 1024
+
+// record is one Event as a Log stores it: 24 bytes and pointer-free, the
+// client being an index into the log's name table, so the garbage collector
+// never scans a chunk.
+type record struct {
+	start, end sim.Time
+	client     uint32
+	kind       EventKind
+}
+
 // Log accumulates scheduler events. The zero value is ready to use; a nil
 // *Log discards everything, so instrumented code does not need nil checks.
+//
+// Records live in fixed chunks of chunkLen that are never reallocated, so a
+// growing trace allocates one chunk at a time instead of re-copying itself.
 type Log struct {
-	events []Event
+	chunks []*[chunkLen]record
+	n      int // records stored
+
+	names []string          // client names, in order of first sight
+	index map[string]uint32 // name → position in names
+	last  uint32            // client of the most recent record
 }
 
 // Add appends an event. Safe on a nil receiver.
@@ -68,30 +88,73 @@ func (l *Log) Add(e Event) {
 	if l == nil {
 		return
 	}
-	l.events = append(l.events, e)
+	// Consecutive records usually share a client; only a change hashes.
+	if len(l.names) == 0 || l.names[l.last] != e.Client {
+		l.last = l.intern(e.Client)
+	}
+	i := l.n % chunkLen
+	if i == 0 {
+		l.chunks = append(l.chunks, new([chunkLen]record))
+	}
+	l.chunks[len(l.chunks)-1][i] = record{start: e.Start, end: e.End, client: l.last, kind: e.Kind}
+	l.n++
 }
 
-// Events returns the recorded events in insertion order.
-func (l *Log) Events() []Event {
+// intern returns name's index in the name table, adding it if new.
+func (l *Log) intern(name string) uint32 {
+	if ci, ok := l.index[name]; ok {
+		return ci
+	}
+	if l.index == nil {
+		l.index = make(map[string]uint32)
+	}
+	ci := uint32(len(l.names))
+	l.names = append(l.names, name)
+	l.index[name] = ci
+	return ci
+}
+
+// each calls fn on every record in insertion order. Every chunk but the
+// last is full, and the last holds at least one record.
+func (l *Log) each(fn func(r *record)) {
 	if l == nil {
+		return
+	}
+	for i, ch := range l.chunks {
+		c := ch[:]
+		if i == len(l.chunks)-1 {
+			c = c[:l.n-i*chunkLen]
+		}
+		for j := range c {
+			fn(&c[j])
+		}
+	}
+}
+
+func (l *Log) event(r *record) Event {
+	return Event{Kind: r.kind, Client: l.names[r.client], Start: r.start, End: r.end}
+}
+
+// Events returns a fresh copy of the recorded events in insertion order.
+func (l *Log) Events() []Event {
+	if l == nil || l.n == 0 {
 		return nil
 	}
-	return l.events
+	out := make([]Event, 0, l.n)
+	l.each(func(r *record) { out = append(out, l.event(r)) })
+	return out
 }
 
 // Between returns events overlapping [from, to). An event that merely
 // ended at the window's start does not overlap it; an instantaneous event
 // (Start == End, e.g. an Allocation) landing exactly on from does.
 func (l *Log) Between(from, to sim.Time) []Event {
-	if l == nil {
-		return nil
-	}
 	var out []Event
-	for _, e := range l.events {
-		if (e.End > from || e.Start >= from) && e.Start < to {
-			out = append(out, e)
+	l.each(func(r *record) {
+		if (r.end > from || r.start >= from) && r.start < to {
+			out = append(out, l.event(r))
 		}
-	}
+	})
 	return out
 }
 
@@ -100,10 +163,38 @@ func (l *Log) ByClient(name string) []Event {
 	if l == nil {
 		return nil
 	}
+	ci, ok := l.index[name]
+	if !ok {
+		return nil
+	}
 	var out []Event
-	for _, e := range l.events {
-		if e.Client == name {
-			out = append(out, e)
+	l.each(func(r *record) {
+		if r.client == ci {
+			out = append(out, l.event(r))
+		}
+	})
+	return out
+}
+
+// clip returns r's span clipped to [from, to), and whether it is non-empty.
+func (r *record) clip(from, to sim.Time) (time.Duration, bool) {
+	s, t := r.start, r.end
+	if s < from {
+		s = from
+	}
+	if t > to {
+		t = to
+	}
+	return t.Sub(s), t > s
+}
+
+// perClient turns per-client-index values into a map by name, keeping only
+// the positive ones.
+func (l *Log) perClient(v []float64) map[string]float64 {
+	out := make(map[string]float64)
+	for ci, x := range v {
+		if x > 0 {
+			out[l.names[ci]] = x
 		}
 	}
 	return out
@@ -112,44 +203,34 @@ func (l *Log) ByClient(name string) []Event {
 // TotalBusy sums transaction time per client over [from, to), clipping
 // events at the window edges.
 func (l *Log) TotalBusy(from, to sim.Time) map[string]float64 {
-	out := make(map[string]float64)
 	if l == nil {
-		return out
+		return make(map[string]float64)
 	}
-	for _, e := range l.events {
-		if e.Kind != Transaction && e.Kind != Slack {
-			continue
+	busy := make([]float64, len(l.names))
+	l.each(func(r *record) {
+		if r.kind != Transaction && r.kind != Slack {
+			return
 		}
-		s, t := e.Start, e.End
-		if s < from {
-			s = from
+		if d, ok := r.clip(from, to); ok {
+			busy[r.client] += d.Seconds()
 		}
-		if t > to {
-			t = to
-		}
-		if t > s {
-			out[e.Client] += t.Sub(s).Seconds()
-		}
-	}
-	return out
+	})
+	return l.perClient(busy)
 }
 
 // MaxLax returns the longest single lax charge per client, in seconds. The
 // paper's invariant is that no lax line exceeds the client's l parameter.
 func (l *Log) MaxLax() map[string]float64 {
-	out := make(map[string]float64)
 	if l == nil {
-		return out
+		return make(map[string]float64)
 	}
-	for _, e := range l.events {
-		if e.Kind != Lax {
-			continue
+	longest := make([]float64, len(l.names))
+	l.each(func(r *record) {
+		if d := r.end.Sub(r.start).Seconds(); r.kind == Lax && d > longest[r.client] {
+			longest[r.client] = d
 		}
-		if d := e.End.Sub(e.Start).Seconds(); d > out[e.Client] {
-			out[e.Client] = d
-		}
-	}
-	return out
+	})
+	return l.perClient(longest)
 }
 
 // GuaranteeViolation reports a window in which a client's charged time
@@ -165,34 +246,53 @@ type GuaranteeViolation struct {
 // within every aligned window of length period, each client's charged time
 // (transactions plus lax; slack excluded) must not exceed its slice by more
 // than slop — the one roll-over transaction the accounting permits. It
-// returns all violations found.
+// returns all violations found, by client name and then window. The windows
+// start at 0 and before until; a non-positive period has none.
+//
+// One pass over the log adds each record's clipped span to the windows it
+// overlaps, so every (client, window) sum accumulates in record order.
 func (l *Log) ValidateGuarantees(slices map[string]time.Duration, period, slop time.Duration, until sim.Time) []GuaranteeViolation {
-	var out []GuaranteeViolation
-	if l == nil {
+	if l == nil || period <= 0 || until <= 0 {
 		return nil
 	}
-	for client, slice := range slices {
-		allowed := (slice + slop).Seconds()
-		for w := sim.Time(0); w < until; w = w.Add(period) {
-			end := w.Add(period)
-			busy := 0.0
-			for _, e := range l.events {
-				if e.Client != client || (e.Kind != Transaction && e.Kind != Lax) {
-					continue
-				}
-				s, t := e.Start, e.End
-				if s < w {
-					s = w
-				}
-				if t > end {
-					t = end
-				}
-				if t > s {
-					busy += t.Sub(s).Seconds()
-				}
+	p := sim.Time(period)
+	windows := int((until-1)/p) + 1
+	clients := make([]string, 0, len(slices))
+	for name := range slices {
+		clients = append(clients, name)
+	}
+	sort.Strings(clients)
+	// row maps a log client index to its first cell in busy, or -1.
+	row := make([]int, len(l.names))
+	for ci := range row {
+		row[ci] = -1
+	}
+	for k, name := range clients {
+		if ci, ok := l.index[name]; ok {
+			row[ci] = k * windows
+		}
+	}
+	busy := make([]float64, len(clients)*windows)
+	l.each(func(r *record) {
+		if (r.kind != Transaction && r.kind != Lax) || row[r.client] < 0 {
+			return
+		}
+		first, last := 0, min(int((r.end-1)/p), windows-1)
+		if r.start > 0 {
+			first = int(r.start / p)
+		}
+		for w := first; w <= last; w++ {
+			if d, ok := r.clip(sim.Time(w)*p, sim.Time(w+1)*p); ok {
+				busy[row[r.client]+w] += d.Seconds()
 			}
-			if busy > allowed {
-				out = append(out, GuaranteeViolation{Client: client, Window: w, Busy: busy, Allowed: allowed})
+		}
+	})
+	var out []GuaranteeViolation
+	for k, name := range clients {
+		allowed := (slices[name] + slop).Seconds()
+		for w, b := range busy[k*windows : (k+1)*windows] {
+			if b > allowed {
+				out = append(out, GuaranteeViolation{Client: name, Window: sim.Time(w) * p, Busy: b, Allowed: allowed})
 			}
 		}
 	}
@@ -205,15 +305,15 @@ func (l *Log) WriteTSV(w io.Writer) error {
 	if _, err := fmt.Fprintln(w, "kind\tclient\tstart_ms\tend_ms\tdur_ms"); err != nil {
 		return err
 	}
-	for _, e := range l.Events() {
-		_, err := fmt.Fprintf(w, "%s\t%s\t%.3f\t%.3f\t%.3f\n",
-			e.Kind, e.Client, e.Start.Milliseconds(), e.End.Milliseconds(),
-			e.End.Sub(e.Start).Seconds()*1e3)
-		if err != nil {
-			return err
+	var err error
+	l.each(func(r *record) {
+		if err == nil {
+			_, err = fmt.Fprintf(w, "%s\t%s\t%.3f\t%.3f\t%.3f\n",
+				r.kind, l.names[r.client], r.start.Milliseconds(), r.end.Milliseconds(),
+				r.end.Sub(r.start).Seconds()*1e3)
 		}
-	}
-	return nil
+	})
+	return err
 }
 
 // Point is one sample of a progress series.

@@ -93,14 +93,17 @@ func (sa *StretchAllocator) Lookup(id StretchID) *Stretch {
 	return nil
 }
 
-// overlaps reports whether [base, base+size) intersects any stretch.
+// overlaps reports whether [base, base+size) intersects any stretch. The
+// stretches are disjoint and sorted by base, so only the last one based
+// below base+size can reach base.
 func (sa *StretchAllocator) overlaps(base VA, size uint64) bool {
-	for _, st := range sa.byBase {
-		if base < st.base+VA(st.size) && st.base < base+VA(size) {
-			return true
-		}
+	end := base + VA(size)
+	i := sort.Search(len(sa.byBase), func(i int) bool { return sa.byBase[i].base >= end })
+	if i == 0 {
+		return false
 	}
-	return false
+	st := sa.byBase[i-1]
+	return base < st.base+VA(st.size)
 }
 
 // insert adds st keeping byBase sorted.
