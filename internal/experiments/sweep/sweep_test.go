@@ -139,26 +139,30 @@ func TestMapManyConcurrentFailures(t *testing.T) {
 }
 
 func TestMapWorkersContextCancelMidSweep(t *testing.T) {
-	// Cancel after a prefix of cells completes: the sweep must return
-	// ctx.Err(), and no cell may start after the cancellation is observed.
+	// The first cell to start cancels the sweep; every other cell blocks
+	// until the cancellation. The sweep must return ctx.Err(), and no cell
+	// may start after the cancellation is observed.
 	ctx, cancel := context.WithCancel(context.Background())
 	items := make([]int, 100)
 	for i := range items {
 		items[i] = i
 	}
+	const workers = 4
 	var started atomic.Int64
-	_, err := MapWorkersContext(ctx, 4, items, func(_ context.Context, i int) (int, error) {
+	_, err := MapWorkersContext(ctx, workers, items, func(ctx context.Context, i int) (int, error) {
 		if started.Add(1) == 1 {
 			cancel()
 		}
+		<-ctx.Done()
 		return i, nil
 	})
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want context.Canceled", err)
 	}
-	// Each worker observes ctx between items, so after the cancel at most
-	// one already-claimed cell per worker still runs: nowhere near all 100.
-	if n := started.Load(); n > 8 {
+	// No cell finishes before the cancellation and each worker observes ctx
+	// between items, so each worker starts at most one cell, whatever the
+	// scheduling.
+	if n := started.Load(); n > workers {
 		t.Fatalf("%d cells started despite cancellation", n)
 	}
 }

@@ -54,20 +54,16 @@ type family struct {
 	sub, name string
 }
 
-// metricKind selects one of the registry's slabs; it heads an index key, so
+// metricKind selects one of the registry's slabs and its index table, so
 // one (family, domain) may name a metric of each kind.
-type metricKind uint64
+type metricKind uint8
 
 const (
 	kindCounter metricKind = iota
 	kindGauge
 	kindHistogram
+	numKinds
 )
-
-// indexKey packs (kind, family, domain) into the registry index's key.
-func indexKey(kind metricKind, fam, dom uint32) uint64 {
-	return uint64(kind)<<62 | uint64(fam)<<32 | uint64(dom)
-}
 
 // slabChunk is the number of metrics in one slab chunk: 5,000 domains'
 // metrics fit in a few hundred chunks, and a registry of a few metrics
@@ -103,15 +99,17 @@ type Registry struct {
 
 	// Metrics live by value in one slab per kind, in creation order, the
 	// order every export walks. Each carries its interned family and
-	// domain: fams and doms number each one the first time it is seen, and
-	// index maps (kind, family, domain) to a slab position. Hop histograms
-	// are found through spanStats, not index.
+	// domain: fams and doms number each one the first time it is seen.
+	// index[kind][family] is a dense row indexed by domain number, holding
+	// 1 + the metric's slab position (0 = none); a row grows only to the
+	// highest domain its family has a metric for. Hop histograms are found
+	// through spanStats, not index.
 	fams    []family
 	famIdx  map[family]uint32
 	doms    []string
 	domIdx  map[string]uint32
 	lastDom uint32 // the domain interned last: one domain's metrics register back to back
-	index   map[uint64]int32
+	index   [numKinds][][]int32
 
 	counters slab[Counter]
 	gauges   slab[Gauge]
@@ -164,7 +162,6 @@ func NewRegistry(now Clock) *Registry {
 		now:       now,
 		famIdx:    make(map[family]uint32),
 		domIdx:    make(map[string]uint32),
-		index:     make(map[uint64]int32),
 		spanStats: make(map[spanKey]*spanStats),
 		spanCap:   DefaultSpanCap,
 		auditCap:  DefaultAuditCap,
@@ -277,22 +274,35 @@ func (r *Registry) key(fam, dom uint32) Key {
 	return Key{f.sub, f.name, r.doms[dom]}
 }
 
-// lookup returns the slab position of an existing metric, interning
-// nothing.
-func (r *Registry) lookup(kind metricKind, subsystem, name, domain string) (int32, bool) {
+// slot returns the index cell of (kind, family, domain), growing the
+// kind's table and the family's row to reach it.
+func (r *Registry) slot(kind metricKind, fam, dom uint32) *int32 {
+	rows := &r.index[kind]
+	if n := int(fam) + 1; n > len(*rows) {
+		*rows = append(*rows, make([][]int32, n-len(*rows))...)
+	}
+	row := &(*rows)[fam]
+	if n := int(dom) + 1; n > len(*row) {
+		*row = append(*row, make([]int32, n-len(*row))...)
+	}
+	return &(*row)[dom]
+}
+
+// lookup returns 1 + the slab position of an existing metric, or 0,
+// interning and growing nothing.
+func (r *Registry) lookup(kind metricKind, subsystem, name, domain string) int32 {
 	if r == nil {
-		return 0, false
+		return 0
 	}
 	fam, ok := r.famIdx[family{subsystem, name}]
-	if !ok {
-		return 0, false
+	if !ok || int(fam) >= len(r.index[kind]) {
+		return 0
 	}
 	dom, ok := r.domIdx[domain]
-	if !ok {
-		return 0, false
+	if row := r.index[kind][fam]; ok && int(dom) < len(row) {
+		return row[dom]
 	}
-	i, ok := r.index[indexKey(kind, fam, dom)]
-	return i, ok
+	return 0
 }
 
 // Counter returns (creating if needed) the counter for key. Nil registries
@@ -302,14 +312,13 @@ func (r *Registry) Counter(subsystem, name, domain string) *Counter {
 		return nil
 	}
 	fam, dom := r.internFam(subsystem, name), r.internDom(domain)
-	k := indexKey(kindCounter, fam, dom)
-	if i, ok := r.index[k]; ok {
-		return r.counters.at(i)
+	i := r.slot(kindCounter, fam, dom)
+	if *i == 0 {
+		c := r.counters.add()
+		c.r, c.fam, c.dom = r, fam, dom
+		*i = r.counters.n
 	}
-	r.index[k] = r.counters.n
-	c := r.counters.add()
-	c.r, c.fam, c.dom = r, fam, dom
-	return c
+	return r.counters.at(*i - 1)
 }
 
 // Gauge returns (creating if needed) the gauge for key.
@@ -318,14 +327,13 @@ func (r *Registry) Gauge(subsystem, name, domain string) *Gauge {
 		return nil
 	}
 	fam, dom := r.internFam(subsystem, name), r.internDom(domain)
-	k := indexKey(kindGauge, fam, dom)
-	if i, ok := r.index[k]; ok {
-		return r.gauges.at(i)
+	i := r.slot(kindGauge, fam, dom)
+	if *i == 0 {
+		g := r.gauges.add()
+		g.r, g.fam, g.dom = r, fam, dom
+		*i = r.gauges.n
 	}
-	r.index[k] = r.gauges.n
-	g := r.gauges.add()
-	g.r, g.fam, g.dom = r, fam, dom
-	return g
+	return r.gauges.at(*i - 1)
 }
 
 // Histogram returns (creating if needed) the latency histogram for key,
@@ -335,22 +343,21 @@ func (r *Registry) Histogram(subsystem, name, domain string) *Histogram {
 		return nil
 	}
 	fam, dom := r.internFam(subsystem, name), r.internDom(domain)
-	k := indexKey(kindHistogram, fam, dom)
-	if i, ok := r.index[k]; ok {
-		return r.hists.at(i)
+	i := r.slot(kindHistogram, fam, dom)
+	if *i == 0 {
+		h := r.hists.add()
+		h.r, h.fam, h.dom = r, fam, dom
+		*i = r.hists.n
 	}
-	r.index[k] = r.hists.n
-	h := r.hists.add()
-	h.r, h.fam, h.dom = r, fam, dom
-	return h
+	return r.hists.at(*i - 1)
 }
 
 // LookupCounter returns the counter for key, or nil if it has never been
 // created. Useful for read-only reporting that must not clutter the
 // registry with empty series.
 func (r *Registry) LookupCounter(subsystem, name, domain string) *Counter {
-	if i, ok := r.lookup(kindCounter, subsystem, name, domain); ok {
-		return r.counters.at(i)
+	if i := r.lookup(kindCounter, subsystem, name, domain); i != 0 {
+		return r.counters.at(i - 1)
 	}
 	return nil
 }
@@ -358,8 +365,8 @@ func (r *Registry) LookupCounter(subsystem, name, domain string) *Counter {
 // LookupGauge returns the gauge for key, or nil if it has never been
 // created.
 func (r *Registry) LookupGauge(subsystem, name, domain string) *Gauge {
-	if i, ok := r.lookup(kindGauge, subsystem, name, domain); ok {
-		return r.gauges.at(i)
+	if i := r.lookup(kindGauge, subsystem, name, domain); i != 0 {
+		return r.gauges.at(i - 1)
 	}
 	return nil
 }
@@ -367,8 +374,8 @@ func (r *Registry) LookupGauge(subsystem, name, domain string) *Gauge {
 // LookupHistogram returns the histogram for key, or nil if it has never
 // been created.
 func (r *Registry) LookupHistogram(subsystem, name, domain string) *Histogram {
-	if i, ok := r.lookup(kindHistogram, subsystem, name, domain); ok {
-		return r.hists.at(i)
+	if i := r.lookup(kindHistogram, subsystem, name, domain); i != 0 {
+		return r.hists.at(i - 1)
 	}
 	return nil
 }
@@ -467,12 +474,30 @@ var histBuckets = func() (out [numBuckets]time.Duration) {
 	return out
 }()
 
+// bucketOf returns the index of the bucket d falls in: the first whose
+// bound is at least d, or the overflow bucket.
+func bucketOf(d time.Duration) int {
+	i := 0
+	for i < len(histBuckets) && d > histBuckets[i] {
+		i++
+	}
+	return i
+}
+
+// inlineSamples is how many observations a histogram keeps as raw samples
+// before it allocates its bucket array. Most histograms of a large run
+// (a cluster domain's frame waits, a hop it took once) never hold more.
+const inlineSamples = 4
+
 // Histogram is a fixed-bucket latency histogram with exact count, sum, min
-// and max, and bucket-interpolated quantiles.
+// and max, and bucket-interpolated quantiles. Its first inlineSamples
+// samples are kept inline; the fifth allocates the bucket array and moves
+// them into it. Every reader derives the same bucket counts either way.
 type Histogram struct {
 	r        *Registry
 	fam, dom uint32
-	counts   [numBuckets + 1]int64 // last is overflow
+	inline   [inlineSamples]time.Duration // the samples while counts is nil
+	counts   *[numBuckets + 1]int64       // last is overflow; nil until count > inlineSamples
 	count    int64
 	sum      time.Duration
 	min      time.Duration
@@ -488,11 +513,15 @@ func (h *Histogram) Observe(d time.Duration) {
 	if d < 0 {
 		d = 0
 	}
-	i := 0
-	for i < len(histBuckets) && d > histBuckets[i] {
-		i++
+	switch {
+	case h.counts != nil:
+		h.counts[bucketOf(d)]++
+	case h.count < inlineSamples:
+		h.inline[h.count] = d
+	default:
+		h.spill()
+		h.counts[bucketOf(d)]++
 	}
-	h.counts[i]++
 	h.count++
 	h.sum += d
 	if h.count == 1 || d < h.min {
@@ -502,6 +531,25 @@ func (h *Histogram) Observe(d time.Duration) {
 		h.max = d
 	}
 	h.at = h.r.now()
+}
+
+// spill allocates the bucket array and moves the inline samples into it.
+func (h *Histogram) spill() {
+	h.counts = new([numBuckets + 1]int64)
+	for _, s := range h.inline {
+		h.counts[bucketOf(s)]++
+	}
+}
+
+// buckets returns the per-bucket sample counts.
+func (h *Histogram) buckets() (b [numBuckets + 1]int64) {
+	if h.counts != nil {
+		return *h.counts
+	}
+	for _, s := range h.inline[:h.count] {
+		b[bucketOf(s)]++
+	}
+	return b
 }
 
 // Count returns the number of samples.
@@ -555,21 +603,33 @@ func (h *Histogram) Updated() sim.Time {
 // Quantile returns the q-quantile (0 < q <= 1), linearly interpolated
 // within the containing bucket and clamped to the exact min/max.
 func (h *Histogram) Quantile(q float64) time.Duration {
-	if h == nil || h.count == 0 {
+	if h == nil {
+		return 0
+	}
+	b := h.buckets()
+	return bucketQuantile(q, h.count, h.min, h.max, b[:])
+}
+
+// bucketQuantile is the q-quantile of count samples with the given exact
+// lowest and highest values, spread over buckets (the histBuckets layout,
+// trailing empty buckets optional), interpolated by rank within the
+// containing bucket.
+func bucketQuantile(q float64, count int64, lowest, highest time.Duration, buckets []int64) time.Duration {
+	if count == 0 {
 		return 0
 	}
 	if q <= 0 {
-		return h.min
+		return lowest
 	}
 	if q >= 1 {
-		return h.max
+		return highest
 	}
-	target := int64(q*float64(h.count) + 0.5)
+	target := int64(q*float64(count) + 0.5)
 	if target < 1 {
 		target = 1
 	}
 	var cum int64
-	for i, c := range h.counts[:] {
+	for i, c := range buckets {
 		cum += c
 		if cum < target {
 			continue
@@ -583,20 +643,20 @@ func (h *Histogram) Quantile(q float64) time.Duration {
 		if i < len(histBuckets) {
 			hi = histBuckets[i]
 		} else {
-			hi = h.max // overflow bucket: clamp to observed max
+			hi = highest // overflow bucket: clamp to observed max
 		}
 		// Interpolate by rank within the bucket.
 		rankInBucket := target - (cum - c)
 		est := lo + time.Duration(float64(hi-lo)*float64(rankInBucket)/float64(c))
-		if est < h.min {
-			est = h.min
+		if est < lowest {
+			est = lowest
 		}
-		if est > h.max {
-			est = h.max
+		if est > highest {
+			est = highest
 		}
 		return est
 	}
-	return h.max
+	return highest
 }
 
 // metricRow is one export line; blank fields render empty in TSV.

@@ -102,9 +102,10 @@ func TestKindsAreSeparateMetrics(t *testing.T) {
 	}
 }
 
-// TestLookupsAddNothing asks for unknown families, unknown domains and
-// known keys under another kind: every lookup returns nil, and neither the
-// exports nor the interned tables change.
+// TestLookupsAddNothing asks for unknown families, unknown domains, a
+// domain past the end of its family's index row and known keys under
+// another kind: every lookup returns nil, and neither the exports, the
+// interned tables nor the index change.
 func TestLookupsAddNothing(t *testing.T) {
 	r, fc := newTestRegistry()
 	r.Counter("domain", "faults", "d1").Inc()
@@ -113,15 +114,16 @@ func TestLookupsAddNothing(t *testing.T) {
 	sp.BeginHop("dispatch")
 	fc.advance(time.Millisecond)
 	sp.Finish("fast")
+	r.Counter("domain", "faults", "d3") // interned after the gauge's row was sized
 	before := exports(t, r)
-	fams, doms := len(r.fams), len(r.doms)
+	fams, doms, index := len(r.fams), len(r.doms), fmt.Sprint(r.index)
 
 	if r.LookupCounter("domain", "nope", "d1") != nil || r.LookupCounter("domain", "faults", "d9") != nil ||
 		r.LookupCounter("frames", "held", "d2") != nil {
 		t.Error("LookupCounter found a counter that was never created")
 	}
 	if r.LookupGauge("nope", "held", "d2") != nil || r.LookupGauge("frames", "held", "d9") != nil ||
-		r.LookupGauge("domain", "faults", "d1") != nil {
+		r.LookupGauge("domain", "faults", "d1") != nil || r.LookupGauge("frames", "held", "d3") != nil {
 		t.Error("LookupGauge found a gauge that was never created")
 	}
 	if r.LookupHistogram("span", "e2e.nope", "d1") != nil || r.LookupHistogram("span", "e2e.page", "d9") != nil ||
@@ -140,6 +142,56 @@ func TestLookupsAddNothing(t *testing.T) {
 	}
 	if len(r.fams) != fams || len(r.doms) != doms {
 		t.Errorf("lookups interned: families %d → %d, domains %d → %d", fams, len(r.fams), doms, len(r.doms))
+	}
+	if got := fmt.Sprint(r.index); got != index {
+		t.Errorf("lookups changed the index:\nbefore %s\nafter  %s", index, got)
+	}
+}
+
+// TestIndexLateDomain registers a family for thousands of domains, then
+// gives a family and a domain their first metrics only after all of them:
+// every handle is found again, each kind stays apart, and domains without
+// a metric of the late family find nothing.
+func TestIndexLateDomain(t *testing.T) {
+	r, _ := newTestRegistry()
+	const n = 3000
+	early := make([]*Counter, n)
+	for i := range early {
+		early[i] = r.Counter("domain", "faults", fmt.Sprintf("d%d", i))
+		early[i].Add(int64(i))
+	}
+	h := r.Histogram("frames", "alloc_wait", "d2999")
+	h.Observe(time.Millisecond)
+	late := r.Counter("domain", "faults", "late")
+	late.Add(-1)
+	lateG := r.Gauge("domain", "faults", "late")
+	lateG.Set(7)
+	lateH := r.Histogram("domain", "faults", "late")
+	if late == early[n-1] || r.Counter("domain", "faults", "late") != late ||
+		r.LookupCounter("domain", "faults", "late") != late || late.Value() != -1 {
+		t.Fatal("late domain's counter not found again")
+	}
+	if r.LookupGauge("domain", "faults", "late") != lateG || r.LookupHistogram("domain", "faults", "late") != lateH ||
+		lateG.Value() != 7 || lateH.Count() != 0 {
+		t.Fatal("late domain's gauge or histogram not found again")
+	}
+	if r.LookupHistogram("frames", "alloc_wait", "d2999") != h || h.Count() != 1 {
+		t.Fatal("late family's histogram not found again")
+	}
+	for i, c := range early {
+		dom := fmt.Sprintf("d%d", i)
+		if r.LookupCounter("domain", "faults", dom) != c || c.Value() != int64(i) {
+			t.Fatalf("%s: counter moved or changed", dom)
+		}
+		if i < n-1 && r.LookupHistogram("frames", "alloc_wait", dom) != nil {
+			t.Fatalf("%s: found a histogram never created", dom)
+		}
+		if r.LookupGauge("domain", "faults", dom) != nil {
+			t.Fatalf("%s: found a gauge never created", dom)
+		}
+	}
+	if r.LookupHistogram("frames", "alloc_wait", "late") != nil {
+		t.Fatal("late domain found a histogram never created")
 	}
 }
 

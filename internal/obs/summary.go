@@ -28,8 +28,9 @@ func (h *Histogram) Snapshot() HistSnapshot {
 	if h == nil || h.count == 0 {
 		return HistSnapshot{}
 	}
+	b := h.buckets()
 	last := 0
-	for i, c := range h.counts[:] {
+	for i, c := range b {
 		if c != 0 {
 			last = i + 1
 		}
@@ -39,7 +40,7 @@ func (h *Histogram) Snapshot() HistSnapshot {
 		SumNs:   int64(h.sum),
 		MinNs:   int64(h.min),
 		MaxNs:   int64(h.max),
-		Buckets: append([]int64(nil), h.counts[:last]...),
+		Buckets: append([]int64(nil), b[:last]...),
 	}
 }
 
@@ -72,50 +73,34 @@ func (a *HistSnapshot) Merge(b HistSnapshot) {
 	}
 }
 
+// mergeHist folds h into a exactly as a.Merge(h.Snapshot()) does, without
+// building the snapshot.
+func (a *HistSnapshot) mergeHist(h *Histogram) {
+	if h.count == 0 {
+		return
+	}
+	if a.Count == 0 {
+		*a = HistSnapshot{MinNs: int64(h.min), MaxNs: int64(h.max)}
+	}
+	a.MinNs = min(a.MinNs, int64(h.min))
+	a.MaxNs = max(a.MaxNs, int64(h.max))
+	a.Count += h.count
+	a.SumNs += int64(h.sum)
+	for i, c := range h.buckets() {
+		if c == 0 {
+			continue
+		}
+		if n := i + 1; n > len(a.Buckets) {
+			a.Buckets = append(a.Buckets, make([]int64, n-len(a.Buckets))...)
+		}
+		a.Buckets[i] += c
+	}
+}
+
 // Quantile mirrors Histogram.Quantile on the snapshot: bucket-interpolated,
 // clamped to the exact min/max.
 func (h HistSnapshot) Quantile(q float64) time.Duration {
-	if h.Count == 0 {
-		return 0
-	}
-	if q <= 0 {
-		return time.Duration(h.MinNs)
-	}
-	if q >= 1 {
-		return time.Duration(h.MaxNs)
-	}
-	target := int64(q*float64(h.Count) + 0.5)
-	if target < 1 {
-		target = 1
-	}
-	var cum int64
-	for i, c := range h.Buckets {
-		cum += c
-		if cum < target {
-			continue
-		}
-		var lo, hi time.Duration
-		if i == 0 {
-			lo = 0
-		} else {
-			lo = histBuckets[i-1]
-		}
-		if i < len(histBuckets) {
-			hi = histBuckets[i]
-		} else {
-			hi = time.Duration(h.MaxNs)
-		}
-		rankInBucket := target - (cum - c)
-		est := lo + time.Duration(float64(hi-lo)*float64(rankInBucket)/float64(c))
-		if est < time.Duration(h.MinNs) {
-			est = time.Duration(h.MinNs)
-		}
-		if est > time.Duration(h.MaxNs) {
-			est = time.Duration(h.MaxNs)
-		}
-		return est
-	}
-	return time.Duration(h.MaxNs)
+	return bucketQuantile(q, h.Count, time.Duration(h.MinNs), time.Duration(h.MaxNs), h.Buckets)
 }
 
 // Mean returns the mean sample, or 0 when empty.
@@ -218,7 +203,7 @@ func (r *Registry) Summarize(topK int) *Summary {
 			hidx[hop] = j
 			s.Hops = append(s.Hops, SummaryHop{Hop: hop})
 		}
-		s.Hops[j].Hist.Merge(h.Snapshot())
+		s.Hops[j].Hist.mergeHist(h)
 	}
 	sortHops(s.Hops)
 

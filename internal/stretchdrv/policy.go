@@ -67,55 +67,62 @@ func NewPolicy(kind PolicyKind) (ReplacementPolicy, error) {
 	}
 }
 
-// fifoPolicy evicts in mapping order, ignoring reference state.
+// fifoPolicy evicts in mapping order, ignoring reference state. Its queue
+// is read from a head index; once the head passes half the slice the live
+// pages are copied back to the front, so a steady evict-and-map cycle
+// reuses one backing array instead of sliding along it and reallocating.
 type fifoPolicy struct {
-	q []vm.VA
+	q    []vm.VA // q[head:] are the resident pages, oldest first
+	head int
 }
 
 func (f *fifoPolicy) Name() string        { return string(PolicyFIFO) }
 func (f *fifoPolicy) NoteMapped(va vm.VA) { f.q = append(f.q, va) }
-func (f *fifoPolicy) Len() int            { return len(f.q) }
-func (f *fifoPolicy) Resident() []vm.VA   { return f.q }
+func (f *fifoPolicy) Len() int            { return len(f.q) - f.head }
+func (f *fifoPolicy) Resident() []vm.VA   { return f.q[f.head:] }
+
+// pop removes and returns the oldest page; the queue must not be empty.
+func (f *fifoPolicy) pop() vm.VA {
+	va := f.q[f.head]
+	f.head++
+	if f.head > len(f.q)/2 {
+		f.q = f.q[:copy(f.q, f.q[f.head:])]
+		f.head = 0
+	}
+	return va
+}
 
 func (f *fifoPolicy) Victim(PageState) (vm.VA, int, bool) {
-	if len(f.q) == 0 {
+	if f.Len() == 0 {
 		return 0, 0, false
 	}
-	va := f.q[0]
-	f.q = f.q[1:]
-	return va, 0, true
+	return f.pop(), 0, true
 }
 
 // secondChancePolicy is FIFO with one reprieve: a referenced page is re-armed
 // and re-queued instead of evicted, bounded so a fully referenced set still
 // yields a victim.
 type secondChancePolicy struct {
-	q []vm.VA
+	fifoPolicy
 }
 
-func (s *secondChancePolicy) Name() string        { return string(PolicySecondChance) }
-func (s *secondChancePolicy) NoteMapped(va vm.VA) { s.q = append(s.q, va) }
-func (s *secondChancePolicy) Len() int            { return len(s.q) }
-func (s *secondChancePolicy) Resident() []vm.VA   { return s.q }
+func (s *secondChancePolicy) Name() string { return string(PolicySecondChance) }
 
 func (s *secondChancePolicy) Victim(ps PageState) (vm.VA, int, bool) {
 	spared, passes := 0, 0
-	for len(s.q) > 0 && passes < 2*len(s.q)+2 {
-		va := s.q[0]
-		s.q = s.q[1:]
+	for s.Len() > 0 && passes < 2*s.Len()+2 {
+		va := s.pop()
 		if ps.Referenced(va) {
 			ps.ClearReferenced(va)
-			s.q = append(s.q, va)
+			s.NoteMapped(va)
 			spared++
 			passes++
 			continue
 		}
 		return va, spared, true
 	}
-	if len(s.q) > 0 {
-		va := s.q[0]
-		s.q = s.q[1:]
-		return va, spared, true
+	if s.Len() > 0 {
+		return s.pop(), spared, true
 	}
 	return 0, spared, false
 }

@@ -6,6 +6,8 @@ package stretchdrv_test
 // without a simulator.
 
 import (
+	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -184,5 +186,145 @@ func BenchmarkPolicyVictim(b *testing.B) {
 				ps[va] = i%2 == 0
 			}
 		})
+	}
+}
+
+// sliceFIFO and sliceSecondChance are the queue policies as they were before
+// their queues became head-indexed: pop by reslicing, push by append. The
+// policies must choose exactly the victims these do.
+type sliceFIFO struct{ q []vm.VA }
+
+func (f *sliceFIFO) NoteMapped(va vm.VA) { f.q = append(f.q, va) }
+
+func (f *sliceFIFO) Victim(stretchdrv.PageState) (vm.VA, int, bool) {
+	if len(f.q) == 0 {
+		return 0, 0, false
+	}
+	va := f.q[0]
+	f.q = f.q[1:]
+	return va, 0, true
+}
+
+type sliceSecondChance struct{ q []vm.VA }
+
+func (s *sliceSecondChance) NoteMapped(va vm.VA) { s.q = append(s.q, va) }
+
+func (s *sliceSecondChance) Victim(ps stretchdrv.PageState) (vm.VA, int, bool) {
+	spared, passes := 0, 0
+	for len(s.q) > 0 && passes < 2*len(s.q)+2 {
+		va := s.q[0]
+		s.q = s.q[1:]
+		if ps.Referenced(va) {
+			ps.ClearReferenced(va)
+			s.q = append(s.q, va)
+			spared++
+			passes++
+			continue
+		}
+		return va, spared, true
+	}
+	if len(s.q) > 0 {
+		va := s.q[0]
+		s.q = s.q[1:]
+		return va, spared, true
+	}
+	return 0, spared, false
+}
+
+// TestQueuePoliciesMatchSliceReference drives FIFO and second chance and
+// their slice references with the same random NoteMapped/Victim sequences
+// (runs of maps and evictions of random length, so the queue both grows
+// past and drains below its compaction point) and compares every victim,
+// spare count, length and resident view.
+func TestQueuePoliciesMatchSliceReference(t *testing.T) {
+	for _, kind := range []stretchdrv.PolicyKind{stretchdrv.PolicyFIFO, stretchdrv.PolicySecondChance} {
+		t.Run(string(kind), func(t *testing.T) {
+			rng := rand.New(rand.NewSource(21))
+			for trial := 0; trial < 200; trial++ {
+				pol, err := stretchdrv.NewPolicy(kind)
+				if err != nil {
+					t.Fatal(err)
+				}
+				var ref interface {
+					NoteMapped(vm.VA)
+					Victim(stretchdrv.PageState) (vm.VA, int, bool)
+				}
+				var queue func() []vm.VA
+				if kind == stretchdrv.PolicyFIFO {
+					f := &sliceFIFO{}
+					ref, queue = f, func() []vm.VA { return f.q }
+				} else {
+					s := &sliceSecondChance{}
+					ref, queue = s, func() []vm.VA { return s.q }
+				}
+				ps, refPS := fakePageState{}, fakePageState{}
+				next := 0
+				for op := 0; op < 300; op++ {
+					if rng.Intn(2) == 0 {
+						for k := rng.Intn(8); k > 0; k-- {
+							va := vm.VA(next * vm.PageSize)
+							next++
+							pol.NoteMapped(va)
+							ref.NoteMapped(va)
+							hot := rng.Intn(3) == 0
+							ps[va], refPS[va] = hot, hot
+						}
+					} else {
+						for k := rng.Intn(8); k > 0; k-- {
+							va, spared, ok := pol.Victim(ps)
+							wva, wspared, wok := ref.Victim(refPS)
+							if va != wva || spared != wspared || ok != wok {
+								t.Fatalf("trial %d op %d: Victim = (%#x, %d, %v), reference (%#x, %d, %v)",
+									trial, op, va, spared, ok, wva, wspared, wok)
+							}
+						}
+					}
+					if got, want := pol.Resident(), queue(); pol.Len() != len(want) || !slices.Equal(got, want) {
+						t.Fatalf("trial %d op %d: Len %d, Resident %v; reference %v", trial, op, pol.Len(), got, want)
+					}
+				}
+			}
+		})
+	}
+}
+
+// TestQueuePoliciesSteadyStateAllocs pins that a steady evict-and-map cycle
+// on a full FIFO or second-chance queue reuses its backing array. One run
+// is thousands of cycles, so a queue that reallocates once every len(q)
+// cycles, or one that never compacts and keeps growing, still shows
+// through AllocsPerRun's whole-number average.
+func TestQueuePoliciesSteadyStateAllocs(t *testing.T) {
+	for _, kind := range []stretchdrv.PolicyKind{stretchdrv.PolicyFIFO, stretchdrv.PolicySecondChance} {
+		pol, err := stretchdrv.NewPolicy(kind)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ps := fakePageState{}
+		const n = 64
+		for i := 0; i < n; i++ {
+			va := vm.VA(i * vm.PageSize)
+			pol.NoteMapped(va)
+			ps[va] = i%3 == 0
+		}
+		cycle := 0
+		evictAndMap := func() {
+			va, _, ok := pol.Victim(ps)
+			if !ok {
+				t.Fatal("no victim")
+			}
+			pol.NoteMapped(va)
+			ps[va] = cycle%3 == 0
+			cycle++
+		}
+		for i := 0; i < 4*n; i++ {
+			evictAndMap()
+		}
+		if a := testing.AllocsPerRun(5, func() {
+			for i := 0; i < 4096; i++ {
+				evictAndMap()
+			}
+		}); a != 0 {
+			t.Errorf("%s: 4,096 steady evict-and-map cycles allocated %.0f times, want 0", kind, a)
+		}
 	}
 }
