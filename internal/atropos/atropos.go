@@ -145,6 +145,12 @@ type Client struct {
 	removed  bool   // invalidates any heap entries still referencing c
 	ready    bool   // driver-reported work availability (SetReady)
 	readyGen uint32 // bumped on every readiness flip; invalidates readyq entries
+
+	// Rec is the driver's own record for this client (the USD's client
+	// state, the CPU scheduler's waiter), set by the driver when it admits
+	// the client, so that a pick leads to it without a lookup by name. The
+	// core never reads it; Fork copies it as is, for the driver to re-point.
+	Rec any
 }
 
 // Name returns the client's registration name.
@@ -204,6 +210,13 @@ func entryLess(a, b qentry) bool {
 }
 
 func (h *entryHeap) push(e qentry) {
+	if len(*h) == cap(*h) {
+		// Double: past 256 entries append grows a slice by about 1.25×, so
+		// a heap climbing to n entries would allocate about 5n of them.
+		grown := make(entryHeap, len(*h), max(2*cap(*h), 8))
+		copy(grown, *h)
+		*h = grown
+	}
 	*h = append(*h, e)
 	q := *h
 	i := len(q) - 1

@@ -86,7 +86,7 @@ func (sys *System) Fork() (_ *Snapshot, err error) {
 	if err != nil {
 		return nil, err
 	}
-	sched, acMap, claimed, err := sys.CPU.Fork(ns)
+	sched, claimed, err := sys.CPU.Fork(ns)
 	if err != nil {
 		return nil, err
 	}
@@ -135,7 +135,7 @@ func (sys *System) Fork() (_ *Snapshot, err error) {
 		if npd == nil {
 			return nil, fmt.Errorf("core: no forked protection domain for %q", dom.Name())
 		}
-		ncpu, err := sched.AdoptHandle(dom.CPU(), acMap)
+		ncpu, err := sched.AdoptHandle(dom.CPU())
 		if err != nil {
 			return nil, err
 		}

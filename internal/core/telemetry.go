@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"slices"
 	"text/tabwriter"
 
 	"nemesis/internal/obs"
@@ -21,9 +22,11 @@ func (sys *System) StartCrosstalkMonitor(cfg obs.CrosstalkConfig) *obs.Crosstalk
 	if sys.Obs == nil {
 		return nil
 	}
+	// The monitor copies each window's samples out, so out is reused.
+	var out []obs.DomainSample
 	sample := func() ([]obs.DomainSample, obs.Pressure) {
 		changed := sys.tracker.Drain()
-		out := make([]obs.DomainSample, 0, len(changed))
+		out = slices.Grow(out[:0], len(changed))
 		for _, d := range changed {
 			st := d.Stats()
 			out = append(out, obs.DomainSample{

@@ -24,9 +24,7 @@ type Scheduler struct {
 	Attr *obs.Attribution
 
 	busy    bool
-	waiters map[string]*waiter
 	pending int // waiting threads across all domains
-	order   []string
 	timer   sim.Timer
 
 	// Pre-bound callback: schedule runs on every quantum of every computing
@@ -35,6 +33,7 @@ type Scheduler struct {
 	scheduleFn func()
 }
 
+// waiter is a domain's scheduler record, linked from its Atropos client.
 type waiter struct {
 	cond    *sim.Cond
 	pending int
@@ -45,17 +44,16 @@ type DomainCPU struct {
 	s    *Scheduler
 	ac   *atropos.Client
 	name string
-	w    *waiter         // pre-resolved, avoids a map lookup per quantum
+	w    *waiter         // ac.Rec, resolved once
 	attr *obs.DomainAttr // attribution handle, nil without telemetry
 }
 
 // NewScheduler creates a CPU scheduler on s.
 func NewScheduler(s *sim.Simulator) *Scheduler {
 	sc := &Scheduler{
-		sim:     s,
-		core:    atropos.NewCore(1.0),
-		Costs:   DefaultCosts(),
-		waiters: make(map[string]*waiter),
+		sim:   s,
+		core:  atropos.NewCore(1.0),
+		Costs: DefaultCosts(),
 	}
 	sc.scheduleFn = sc.schedule
 	return sc
@@ -68,8 +66,7 @@ func (s *Scheduler) Admit(name string, q atropos.QoS) (*DomainCPU, error) {
 		return nil, err
 	}
 	w := &waiter{cond: sim.NewCond(s.sim)}
-	s.waiters[name] = w
-	s.order = append(s.order, name)
+	ac.Rec = w
 	d := &DomainCPU{s: s, ac: ac, name: name, w: w}
 	if s.Attr != nil {
 		d.attr = s.Attr.Track(name)
@@ -79,19 +76,11 @@ func (s *Scheduler) Admit(name string, q atropos.QoS) (*DomainCPU, error) {
 
 // Remove deregisters a domain.
 func (s *Scheduler) Remove(name string) error {
+	ac := s.core.Lookup(name)
 	if err := s.core.Remove(name); err != nil {
 		return err
 	}
-	if w := s.waiters[name]; w != nil {
-		s.pending -= w.pending
-	}
-	delete(s.waiters, name)
-	for i, n := range s.order {
-		if n == name {
-			s.order = append(s.order[:i], s.order[i+1:]...)
-			break
-		}
-	}
+	s.pending -= ac.Rec.(*waiter).pending
 	return nil
 }
 
@@ -130,7 +119,7 @@ func (s *Scheduler) schedule() {
 		return
 	}
 	s.busy = true
-	s.waiters[pick.Name()].cond.Signal()
+	pick.Rec.(*waiter).cond.Signal()
 }
 
 // acquire blocks p until the CPU is granted to domain d.

@@ -1,6 +1,9 @@
 package domain
 
-import "sort"
+import (
+	"cmp"
+	"slices"
+)
 
 // ActivityTracker accumulates the set of domains whose crosstalk-visible
 // counters (faults, bytes touched, revocations) moved since the last drain,
@@ -15,6 +18,7 @@ type ActivityTracker struct {
 	nextOrder int64
 	fresh     []*Domain // registered since last drain
 	dirty     []*Domain // active since last drain (disjoint from fresh)
+	drained   []*Domain // Drain's result, reused by the next Drain
 }
 
 // NewActivityTracker returns an empty tracker.
@@ -36,9 +40,10 @@ func (tr *ActivityTracker) Register(d *Domain) {
 }
 
 // Drain returns the changed set — fresh and dirty domains, in registration
-// order — and resets the tracker for the next window.
+// order — and resets the tracker for the next window. The result is valid
+// until the next Drain, which reuses it.
 func (tr *ActivityTracker) Drain() []*Domain {
-	out := make([]*Domain, 0, len(tr.fresh)+len(tr.dirty))
+	out := slices.Grow(tr.drained[:0], len(tr.fresh)+len(tr.dirty))
 	for _, d := range tr.fresh {
 		d.trackFresh = false
 		out = append(out, d)
@@ -49,7 +54,8 @@ func (tr *ActivityTracker) Drain() []*Domain {
 	}
 	tr.fresh = tr.fresh[:0]
 	tr.dirty = tr.dirty[:0]
-	sort.Slice(out, func(i, j int) bool { return out[i].trackOrder < out[j].trackOrder })
+	slices.SortFunc(out, func(a, b *Domain) int { return cmp.Compare(a.trackOrder, b.trackOrder) })
+	tr.drained = out
 	return out
 }
 

@@ -110,7 +110,7 @@ type RemoteBacking struct {
 	inflight int
 	wake     *sim.Cond
 
-	remote map[vm.VPN]bool // pages with a current remote copy
+	remote vm.Pages[bool] // pages with a current remote copy
 
 	Stats RemoteStats
 
@@ -131,7 +131,6 @@ func newRemoteBacking(fab *Fabric, client, domName string, opt RemoteOptions) *R
 		opt:       opt,
 		pending:   make(map[uint64]*call),
 		wake:      sim.NewCond(fab.s),
-		remote:    make(map[vm.VPN]bool),
 		cRPCs:     reg.Counter("netswap", "rpcs", domName),
 		cRetries:  reg.Counter("netswap", "retries", domName),
 		cTimeouts: reg.Counter("netswap", "timeouts", domName),
@@ -148,15 +147,19 @@ func (r *RemoteBacking) Name() string { return "remote" }
 func (r *RemoteBacking) Options() RemoteOptions { return r.opt }
 
 // HasCopy implements stretchdrv.Backing.
-func (r *RemoteBacking) HasCopy(va vm.VA) bool { return r.remote[vm.PageOf(va)] }
+func (r *RemoteBacking) HasCopy(va vm.VA) bool {
+	p := r.remote.At(vm.PageOf(va))
+	return p != nil && *p
+}
 
 // Invalidate marks va's remote copy stale (a newer copy lives elsewhere —
 // the tiered backing's local fallback path). The server-side blok stays
 // allocated and is reused on the next write of the same page.
-func (r *RemoteBacking) Invalidate(va vm.VA) { delete(r.remote, vm.PageOf(va)) }
-
-// RemotePages returns the number of pages with current remote copies.
-func (r *RemoteBacking) RemotePages() int { return len(r.remote) }
+func (r *RemoteBacking) Invalidate(va vm.VA) {
+	if p := r.remote.At(vm.PageOf(va)); p != nil {
+		*p = false
+	}
+}
 
 // deliver routes one arrived reply. Runs in scheduler context (link event).
 func (r *RemoteBacking) deliver(rep *reply) {
@@ -319,7 +322,7 @@ func (r *RemoteBacking) WritePages(p *sim.Proc, pages []stretchdrv.DirtyPage, sp
 		}
 		txns += c.rep.Txns
 		for _, vpn := range c.req.VPNs {
-			r.remote[vpn] = true
+			*r.remote.Ensure(vpn) = true
 		}
 		r.Stats.PagesSent += int64(len(c.req.VPNs))
 		if last == nil || c.rep.ServiceEnd > last.ServiceEnd {

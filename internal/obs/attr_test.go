@@ -241,3 +241,54 @@ func TestAttributionNilSafe(t *testing.T) {
 		t.Fatal("attribution should be off by default")
 	}
 }
+
+// Track and statsFor size a domain's accounts and its span population's hop
+// slots once, for the longest path a cluster run records: a worker fault
+// that evicts a page to a remote store, with the hops and zero-time hops of
+// a remote pager in a 1×5000×6 run, between a wait for the CPU and a
+// quantum on it. The first cycle fills all attrAccountCap accounts and
+// popHopCap hop slots without regrowing either, and once it has created the
+// span and its histograms a further cycle allocates nothing.
+func TestAttributionAccountsSizedOnce(t *testing.T) {
+	r, fc := newTestRegistry()
+	r.SetSpanCap(1) // evicted spans are recycled, so a cycle reuses one
+	a := r.EnableAttribution()
+	d := a.Track("d1")
+	accounts := cap(d.accounts)
+	cycle := func() {
+		d.CPUWait()
+		fc.advance(time.Millisecond)
+		d.CPURun()
+		fc.advance(time.Millisecond)
+		sp := r.StartSpan("d1", "page")
+		sp.BeginHop("dispatch")
+		fc.advance(time.Millisecond)
+		sp.BeginHop("mmentry")
+		fc.advance(time.Millisecond)
+		sp.BeginHop("driver") // the fast path retries at once
+		sp.BeginHop("queue")
+		fc.advance(time.Millisecond)
+		sp.BeginHop("driver")
+		sp.BeginHop("evict")
+		sp.BeginHop("net.out") // the write RPC, split when it is acknowledged
+		fc.advance(3 * time.Millisecond)
+		sp.SplitHop(fc.t.Add(-2*time.Millisecond), "remote.store")
+		sp.SplitHop(fc.t.Add(-time.Millisecond), "net.back")
+		sp.BeginHop("map")
+		sp.Finish("worker")
+		d.CPUYield()
+	}
+	cycle()
+	if len(d.accounts) != attrAccountCap || cap(d.accounts) != accounts {
+		t.Fatalf("first cycle: %d accounts, capacity %d → %d", len(d.accounts), accounts, cap(d.accounts))
+	}
+	if ss := r.spanStats[spanKey{"d1", "page"}]; len(ss.hops) != popHopCap || cap(ss.hops) != popHopCap {
+		t.Fatalf("first cycle: %d hop slots, capacity %d", len(ss.hops), cap(ss.hops))
+	}
+	if n := testing.AllocsPerRun(20, cycle); n != 0 {
+		t.Fatalf("a repeated fault cycle allocated %.1f times", n)
+	}
+	if err := a.CheckConservation(); err != nil {
+		t.Fatal(err)
+	}
+}

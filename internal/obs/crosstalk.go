@@ -1,9 +1,10 @@
 package obs
 
 import (
+	"cmp"
 	"fmt"
 	"io"
-	"sort"
+	"slices"
 	"time"
 
 	"nemesis/internal/sim"
@@ -130,6 +131,7 @@ type domainHistory struct {
 	faults   []float64 // recent per-window fault rates (per second)
 	order    int64     // processing rank (DomainSample.Order)
 	lastTick int64     // tick at which this domain was last processed
+	sampled  int64     // latest tick whose sample reported this domain
 
 	// gProgress and gFault publish the rates, created the first time the
 	// domain is rated.
@@ -170,6 +172,10 @@ type CrosstalkMonitor struct {
 	// itself until their baselines decay to zero.
 	cooling map[string]bool
 
+	// Per-window scratch, reused so that a steady window allocates nothing.
+	merged []DomainSample
+	rates  []windowRates
+
 	hist    map[string]*domainHistory
 	timer   sim.Timer
 	running bool
@@ -196,7 +202,8 @@ type CrosstalkMonitor struct {
 //
 // DomainSample.Order carries each domain's registration rank, and the
 // monitor processes the union of sampled and cooling domains sorted by it,
-// preserving the full scan's tie-breaks.
+// preserving the full scan's tie-breaks. The monitor copies the samples out
+// before it returns, so the source may reuse its slice on the next call.
 func NewCrosstalkMonitor(reg *Registry, s *sim.Simulator, cfg CrosstalkConfig, sample func() ([]DomainSample, Pressure)) *CrosstalkMonitor {
 	cfg.fillDefaults()
 	return &CrosstalkMonitor{
@@ -289,25 +296,44 @@ func (m *CrosstalkMonitor) tick() {
 	}
 }
 
-// withCooling merges the cooling set into the changed set — synthesizing a
-// no-change sample from each cooling domain's previous totals — and restores
-// the stable processing order.
+// withCooling merges the cooling set into a copy of the changed set —
+// synthesizing a no-change sample from each cooling domain's previous
+// totals — and restores the stable processing order. The result is
+// m.merged, valid until the next call.
 func (m *CrosstalkMonitor) withCooling(changed []DomainSample) []DomainSample {
-	seen := make(map[string]bool, len(changed))
+	merged := append(slices.Grow(m.merged[:0], len(changed)+len(m.cooling)), changed...)
 	for i := range changed {
-		seen[changed[i].Name] = true
+		// A cooling domain has a history; a domain without one is fresh.
+		if h := m.hist[changed[i].Name]; h != nil {
+			h.sampled = m.ticks
+		}
 	}
 	for name := range m.cooling {
-		if seen[name] {
+		h := m.hist[name]
+		if h.sampled == m.ticks {
 			continue
 		}
-		h := m.hist[name]
 		s := h.prev
 		s.Order = h.order
-		changed = append(changed, s)
+		merged = append(merged, s)
 	}
-	sort.Slice(changed, func(i, j int) bool { return changed[i].Order < changed[j].Order })
-	return changed
+	slices.SortFunc(merged, func(a, b DomainSample) int { return cmp.Compare(a.Order, b.Order) })
+	m.merged = merged
+	return merged
+}
+
+// slide appends x to a baseline window of at most n rates. The window gets
+// its full capacity on first use and, once full, slides in place: the
+// oldest rate drops off the front.
+func slide(w []float64, x float64, n int) []float64 {
+	switch {
+	case w == nil:
+		w = make([]float64, 0, n)
+	case len(w) == n:
+		copy(w, w[1:])
+		w = w[:n-1]
+	}
+	return append(w, x)
 }
 
 // sampleWindow closes one sampling window of the given length (normally a
@@ -320,7 +346,7 @@ func (m *CrosstalkMonitor) sampleWindow(secs float64) {
 
 	m.reg.Gauge("crosstalk", "free_frames", "").Set(int64(pressure.FreeFrames))
 
-	rates := make([]windowRates, 0, len(samples))
+	rates := slices.Grow(m.rates[:0], len(samples))
 	for _, s := range samples {
 		h, ok := m.hist[s.Name]
 		if !ok {
@@ -342,12 +368,8 @@ func (m *CrosstalkMonitor) sampleWindow(secs float64) {
 				pad = m.cfg.Baseline
 			}
 			for i := 0; i < pad; i++ {
-				h.progress = append(h.progress, 0)
-				h.faults = append(h.faults, 0)
-			}
-			if len(h.progress) > m.cfg.Baseline {
-				h.progress = h.progress[len(h.progress)-m.cfg.Baseline:]
-				h.faults = h.faults[len(h.faults)-m.cfg.Baseline:]
+				h.progress = slide(h.progress, 0, m.cfg.Baseline)
+				h.faults = slide(h.faults, 0, m.cfg.Baseline)
 			}
 		}
 		h.lastTick = m.ticks
@@ -375,12 +397,8 @@ func (m *CrosstalkMonitor) sampleWindow(secs float64) {
 			baselineOK:   len(h.progress) >= m.cfg.Baseline,
 		})
 
-		h.progress = append(h.progress, pr)
-		h.faults = append(h.faults, fr)
-		if len(h.progress) > m.cfg.Baseline {
-			h.progress = h.progress[1:]
-			h.faults = h.faults[1:]
-		}
+		h.progress = slide(h.progress, pr, m.cfg.Baseline)
+		h.faults = slide(h.faults, fr, m.cfg.Baseline)
 		// A domain with any activity left in its baseline must keep being
 		// processed next window even if it goes quiet; once the baseline is
 		// all zeros it can be dropped until it reactivates.
@@ -390,6 +408,7 @@ func (m *CrosstalkMonitor) sampleWindow(secs float64) {
 			delete(m.cooling, s.Name)
 		}
 	}
+	m.rates = rates
 
 	// Victims: progress collapsed below DegradeFrac of baseline.
 	for _, v := range rates {

@@ -1,6 +1,7 @@
 package obs
 
 import (
+	"fmt"
 	"reflect"
 	"testing"
 	"time"
@@ -165,5 +166,67 @@ func TestIncrementalCrosstalkMatchesFullScan(t *testing.T) {
 		if (fc == nil) != (ic == nil) || (fc != nil && fc.Value() != ic.Value()) {
 			t.Fatalf("revocations_seen/%s: full %v, incremental %v", name, fc, ic)
 		}
+	}
+}
+
+// TestCrosstalkSteadyWindowsAllocateNothing: once every domain of a fixed
+// active set has its history, gauges and baseline windows, a window
+// allocates nothing. Half the domains report every window; the other half
+// report every other window, so they are merged in from the cooling set in
+// between. The source reuses its slice, as core's does.
+func TestCrosstalkSteadyWindowsAllocateNothing(t *testing.T) {
+	const n = 64
+	s := sim.New(1)
+	reg := NewRegistry(s.Now)
+	cum := make([]DomainSample, n)
+	for i := range cum {
+		cum[i] = DomainSample{Name: fmt.Sprintf("d%d", i), Order: int64(i)}
+	}
+	var out []DomainSample
+	tick := 0
+	m := NewCrosstalkMonitor(reg, s, CrosstalkConfig{Period: time.Second, Baseline: 4}, func() ([]DomainSample, Pressure) {
+		tick++
+		out = out[:0]
+		for i := range cum {
+			switch {
+			case i%2 == 0:
+				// Steady faults never surge, so no flag is raised.
+				cum[i].Progress += 1000
+				cum[i].Faults += 10
+			case tick%2 == 0:
+				cum[i].Progress += 500
+			default:
+				continue
+			}
+			out = append(out, cum[i])
+		}
+		return out, Pressure{FreeFrames: 100}
+	})
+	for range 8 {
+		m.sampleWindow(1)
+	}
+	if len(m.cooling) != n {
+		t.Fatalf("%d of %d domains cooling; the merge path is not exercised", len(m.cooling), n)
+	}
+	if allocs := testing.AllocsPerRun(20, func() { m.sampleWindow(1) }); allocs != 0 {
+		t.Fatalf("a steady window allocated %.1f times", allocs)
+	}
+	if len(reg.Flags()) != 0 {
+		t.Fatalf("steady windows raised flags: %+v", reg.Flags())
+	}
+}
+
+// A baseline window keeps exactly the last n rates, oldest first, in the
+// capacity it got on first use.
+func TestSlideKeepsLastRates(t *testing.T) {
+	var w []float64
+	for i := 1; i <= 7; i++ {
+		w = slide(w, float64(i), 4)
+		if want := min(i, 4); len(w) != want || cap(w) != 4 {
+			t.Fatalf("after %d rates: len %d cap %d, want len %d cap 4", i, len(w), cap(w), want)
+		}
+	}
+	if want := []float64{4, 5, 6, 7}; !reflect.DeepEqual(w, want) {
+		t.Fatalf("window %v, want %v", w, want)
 	}
 }

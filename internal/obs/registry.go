@@ -275,7 +275,9 @@ func (r *Registry) key(fam, dom uint32) Key {
 }
 
 // slot returns the index cell of (kind, family, domain), growing the
-// kind's table and the family's row to reach it.
+// kind's table and the family's row to reach it. A row at least doubles:
+// past 256 cells append grows by about 1.25×, so building a row of n cells
+// one domain at a time would allocate about 5n.
 func (r *Registry) slot(kind metricKind, fam, dom uint32) *int32 {
 	rows := &r.index[kind]
 	if n := int(fam) + 1; n > len(*rows) {
@@ -283,7 +285,9 @@ func (r *Registry) slot(kind metricKind, fam, dom uint32) *int32 {
 	}
 	row := &(*rows)[fam]
 	if n := int(dom) + 1; n > len(*row) {
-		*row = append(*row, make([]int32, n-len(*row))...)
+		grown := make([]int32, max(n, 2*len(*row)))
+		copy(grown, *row)
+		*row = grown
 	}
 	return &(*row)[dom]
 }

@@ -46,9 +46,10 @@ type Span struct {
 	done bool
 }
 
-// spanHopCap is a new span's hop capacity: room for a whole fault path
-// (dispatch, mmentry, driver, the USD's queue, service and completion, the
-// network and the map) without growing.
+// spanHopCap is a new span's hop capacity. A fast-path fault records 4
+// hops; a worker fault records 10 or more (driver twice, then a hop per
+// stage of each transfer), so its span grows once, and the free list keeps
+// the grown span.
 const spanHopCap = 8
 
 // StartSpan opens a fault span for the given domain and fault class at the
@@ -241,13 +242,21 @@ func (ss *spanStats) hop(name string) *Histogram {
 	return nil
 }
 
+// popHopCap is the hop-slot capacity statsFor gives a span population: the
+// 9 distinct hops of a worker fault that evicts a page to a remote store
+// (dispatch, mmentry, driver, queue, evict, net.out, remote.store, net.back
+// and map), the longest path a cluster run records. A population that also
+// reads pages back from the local swap file records 10 and grows once.
+const popHopCap = 9
+
 // statsFor returns (creating on first finish, which preserves the registry's
-// first-seen metric ordering) the handles for a span population.
+// first-seen metric ordering) the handles for a span population, with room
+// for popHopCap hops.
 func (r *Registry) statsFor(domain, class string) *spanStats {
 	k := spanKey{domain, class}
 	ss, ok := r.spanStats[k]
 	if !ok {
-		ss = &spanStats{e2e: r.Histogram("span", "e2e."+class, domain)}
+		ss = &spanStats{e2e: r.Histogram("span", "e2e."+class, domain), hops: make([]hopSlot, 0, popHopCap)}
 		r.spanStats[k] = ss
 	}
 	return ss

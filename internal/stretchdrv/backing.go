@@ -91,10 +91,12 @@ func (p *scratchPool) put(s *writeScratch) {
 	p.free = append(p.free, s)
 }
 
-// pageInfo is the swap backing's per-page record.
+// pageInfo is the swap backing's per-page record. The zero value is a page
+// the backing knows nothing of: no blok, no disk copy.
 type pageInfo struct {
-	blok   int64 // allocated swap blok, or -1
-	onDisk bool  // swap copy is current
+	blok    int64 // allocated swap blok, if hasBlok
+	hasBlok bool
+	onDisk  bool // swap copy is current
 }
 
 // SwapBacking stores pages in a swap file, tracking space as a bitmap of
@@ -103,7 +105,7 @@ type pageInfo struct {
 type SwapBacking struct {
 	swap    *sfs.SwapFile
 	blok    *BlokAllocator
-	pages   map[vm.VPN]*pageInfo
+	pages   vm.Pages[pageInfo]
 	scratch scratchPool
 }
 
@@ -111,9 +113,8 @@ type SwapBacking struct {
 func NewSwapBacking(swap *sfs.SwapFile) *SwapBacking {
 	blokBlocks := int64(vm.PageSize / disk.BlockSize)
 	return &SwapBacking{
-		swap:  swap,
-		blok:  NewBlokAllocator(swap.Blocks()/blokBlocks, blokBlocks),
-		pages: make(map[vm.VPN]*pageInfo),
+		swap: swap,
+		blok: NewBlokAllocator(swap.Blocks()/blokBlocks, blokBlocks),
 	}
 }
 
@@ -129,28 +130,17 @@ func (b *SwapBacking) FreeBloks() int64 { return b.blok.Free() }
 // BlokBlocks returns the disk blocks per blok (= per page).
 func (b *SwapBacking) BlokBlocks() int64 { return b.blok.BlokBlocks() }
 
-// info returns (creating if needed) the record for the page at va.
-func (b *SwapBacking) info(va vm.VA) *pageInfo {
-	vpn := vm.PageOf(va)
-	pi, ok := b.pages[vpn]
-	if !ok {
-		pi = &pageInfo{blok: -1}
-		b.pages[vpn] = pi
-	}
-	return pi
-}
-
 // HasCopy implements Backing.
 func (b *SwapBacking) HasCopy(va vm.VA) bool {
-	pi, ok := b.pages[vm.PageOf(va)]
-	return ok && pi.onDisk
+	pi := b.pages.At(vm.PageOf(va))
+	return pi != nil && pi.onDisk
 }
 
 // DiskBlock returns the absolute disk block of va's swap copy, for clients
 // (the stream prefetcher) that pipeline raw USD reads past the engine.
 func (b *SwapBacking) DiskBlock(va vm.VA) (int64, bool) {
-	pi, ok := b.pages[vm.PageOf(va)]
-	if !ok || !pi.onDisk {
+	pi := b.pages.At(vm.PageOf(va))
+	if pi == nil || !pi.onDisk {
 		return 0, false
 	}
 	return b.swap.Extent().Start + b.blok.BlockOffset(pi.blok), true
@@ -160,8 +150,8 @@ func (b *SwapBacking) DiskBlock(va vm.VA) (int64, bool) {
 // dropped) has no swap copy to read; that is ErrNoCopy, not a read of a
 // bogus disk offset.
 func (b *SwapBacking) ReadPage(p *sim.Proc, va vm.VA, buf []byte, sp *obs.Span) error {
-	pi, ok := b.pages[vm.PageOf(va)]
-	if !ok || pi.blok < 0 || !pi.onDisk {
+	pi := b.pages.At(vm.PageOf(va))
+	if pi == nil || !pi.hasBlok || !pi.onDisk {
 		return fmt.Errorf("%w: va %#x", ErrNoCopy, uint64(va))
 	}
 	off := b.blok.BlockOffset(pi.blok)
@@ -172,15 +162,14 @@ func (b *SwapBacking) ReadPage(p *sim.Proc, va vm.VA, buf []byte, sp *obs.Span) 
 // pages this way after they reach the remote store). Unknown pages are a
 // no-op.
 func (b *SwapBacking) Drop(va vm.VA) {
-	vpn := vm.PageOf(va)
-	pi, ok := b.pages[vpn]
-	if !ok {
+	pi := b.pages.At(vm.PageOf(va))
+	if pi == nil {
 		return
 	}
-	if pi.blok >= 0 {
+	if pi.hasBlok {
 		b.blok.FreeBlok(pi.blok)
 	}
-	delete(b.pages, vpn)
+	*pi = pageInfo{}
 }
 
 // WritePages implements Backing. Pages without a blok get one allocated
@@ -194,9 +183,9 @@ func (b *SwapBacking) WritePages(p *sim.Proc, pages []DirtyPage, sp *obs.Span) (
 	infos := sc.infos
 	var need []*pageInfo
 	for _, pg := range pages {
-		pi := b.info(pg.VA)
+		pi := b.pages.Ensure(vm.PageOf(pg.VA))
 		infos = append(infos, pi)
-		if pi.blok < 0 {
+		if !pi.hasBlok {
 			need = append(need, pi)
 		}
 	}
@@ -204,7 +193,7 @@ func (b *SwapBacking) WritePages(p *sim.Proc, pages []DirtyPage, sp *obs.Span) (
 	if len(need) > 0 {
 		if start, err := b.blok.AllocRun(len(need)); err == nil {
 			for i, pi := range need {
-				pi.blok = start + int64(i)
+				pi.blok, pi.hasBlok = start+int64(i), true
 			}
 		} else {
 			// No contiguous run left: fall back to singles. If the swap
@@ -216,11 +205,11 @@ func (b *SwapBacking) WritePages(p *sim.Proc, pages []DirtyPage, sp *obs.Span) (
 				if err != nil {
 					for _, prev := range need[:i] {
 						b.blok.FreeBlok(prev.blok)
-						prev.blok = -1
+						prev.hasBlok = false
 					}
 					return 0, err
 				}
-				pi.blok = blok
+				pi.blok, pi.hasBlok = blok, true
 			}
 		}
 	}

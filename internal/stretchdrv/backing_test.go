@@ -11,10 +11,7 @@ import (
 // swap file. Both paths under test fail before any disk IO, so the nil file
 // is never touched.
 func bareSwapBacking(bloks int64) *SwapBacking {
-	return &SwapBacking{
-		blok:  NewBlokAllocator(bloks, 16),
-		pages: make(map[vm.VPN]*pageInfo),
-	}
+	return &SwapBacking{blok: NewBlokAllocator(bloks, 16)}
 }
 
 func TestSwapReadPageNoCopy(t *testing.T) {
@@ -26,8 +23,8 @@ func TestSwapReadPageNoCopy(t *testing.T) {
 		t.Fatalf("ReadPage of unwritten page = %v, want ErrNoCopy", err)
 	}
 	// The probe must not have materialised a bogus page record either.
-	if len(b.pages) != 0 {
-		t.Fatalf("ReadPage created %d page records", len(b.pages))
+	if b.pages.At(vm.PageOf(0x1000)) != nil {
+		t.Fatal("ReadPage created a page record")
 	}
 	if b.HasCopy(vm.VA(0x1000)) {
 		t.Fatal("HasCopy true after failed read")
@@ -53,7 +50,7 @@ func TestSwapWritePagesFallbackLeak(t *testing.T) {
 		t.Fatalf("leaked bloks: %d free after failed batch, want 2", free)
 	}
 	for _, pg := range batch {
-		if pi, ok := b.pages[vm.PageOf(pg.VA)]; ok && pi.blok >= 0 {
+		if pi := b.pages.At(vm.PageOf(pg.VA)); pi != nil && pi.hasBlok {
 			t.Fatalf("page %#x kept blok %d after failed batch", uint64(pg.VA), pi.blok)
 		}
 		if b.HasCopy(pg.VA) {
@@ -74,7 +71,7 @@ func TestSwapDrop(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	b.pages[vm.PageOf(va)] = &pageInfo{blok: blok, onDisk: true}
+	*b.pages.Ensure(vm.PageOf(va)) = pageInfo{blok: blok, hasBlok: true, onDisk: true}
 	if !b.HasCopy(va) {
 		t.Fatal("setup: HasCopy false")
 	}

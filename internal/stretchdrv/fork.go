@@ -64,15 +64,7 @@ func (b *SwapBacking) Fork(files map[*sfs.SwapFile]*sfs.SwapFile) (*SwapBacking,
 	if nf == nil {
 		return nil, fmt.Errorf("stretchdrv: no forked twin of swap file %q", b.swap.Name())
 	}
-	nb := &SwapBacking{
-		swap:  nf,
-		blok:  b.blok.fork(),
-		pages: make(map[vm.VPN]*pageInfo, len(b.pages)),
-	}
-	for vpn, pi := range b.pages {
-		nb.pages[vpn] = &pageInfo{blok: pi.blok, onDisk: pi.onDisk}
-	}
-	return nb, nil
+	return &SwapBacking{swap: nf, blok: b.blok.fork(), pages: b.pages.Clone()}, nil
 }
 
 // Fork returns a deep copy of the paged driver bound into the forked domain:

@@ -46,7 +46,7 @@ func (r *Request) Completed() sim.Time { return r.completed }
 // paper's rbufs-like scheme): requests flow in on one FIFO, completions
 // return on another. The channel depth bounds how far a client may pipeline.
 type Channel struct {
-	name   string
+	cl     *client
 	usd    *USD
 	reqs   *sim.Queue[*Request]
 	comps  *sim.Queue[*Request]
@@ -54,7 +54,7 @@ type Channel struct {
 }
 
 // Name returns the owning client's name.
-func (ch *Channel) Name() string { return ch.name }
+func (ch *Channel) Name() string { return ch.cl.ac.Name() }
 
 // Depth returns the pipeline depth.
 func (ch *Channel) Depth() int { return ch.reqs.Cap() }
@@ -84,7 +84,7 @@ func (ch *Channel) Submit(p *sim.Proc, r *Request) error {
 	if !ch.reqs.Send(p, r) {
 		return ErrClosed
 	}
-	ch.usd.onArrival(ch.name)
+	ch.usd.onArrival(ch.cl)
 	return nil
 }
 

@@ -29,18 +29,16 @@ func (u *USD) Fork(ns *sim.Simulator) (*USD, map[*Channel]*Channel, []uint64, er
 	nu := &USD{
 		sim:           ns,
 		core:          core,
-		clients:       make(map[string]*client, len(u.clients)),
-		order:         append([]string(nil), u.order...),
 		wake:          sim.NewCond(ns),
 		Log:           u.Log.Clone(),
 		SlackEnabled:  u.SlackEnabled,
 		LaxityEnabled: u.LaxityEnabled,
 		FCFS:          u.FCFS,
 	}
-	chans := make(map[*Channel]*Channel, len(u.clients))
+	chans := make(map[*Channel]*Channel, len(u.core.Clients()))
 	var claimed []uint64
-	for _, name := range u.order {
-		cl := u.clients[name]
+	for _, ac := range u.core.Clients() {
+		cl, name := ac.Rec.(*client), ac.Name()
 		if cl.inService {
 			return nil, nil, nil, fmt.Errorf("usd: cannot fork with client %q in service", name)
 		}
@@ -51,14 +49,13 @@ func (u *USD) Fork(ns *sim.Simulator) (*USD, map[*Channel]*Channel, []uint64, er
 			return nil, nil, nil, fmt.Errorf("usd: cannot fork with %d undrained completions on %q", n, name)
 		}
 		nch := &Channel{
-			name:   name,
 			usd:    nu,
 			reqs:   sim.NewQueue[*Request](ns, cl.ch.reqs.Cap()),
 			comps:  sim.NewQueue[*Request](ns, cl.ch.comps.Cap()),
 			closed: cl.ch.closed,
 		}
 		ncl := &client{
-			ac:         am[cl.ac],
+			ac:         am[ac],
 			ch:         nch,
 			extents:    append([]Extent(nil), cl.extents...),
 			accruing:   cl.accruing,
@@ -67,6 +64,7 @@ func (u *USD) Fork(ns *sim.Simulator) (*USD, map[*Channel]*Channel, []uint64, er
 			bytes:      cl.bytes,
 			dropped:    cl.dropped,
 		}
+		nch.cl, ncl.ac.Rec = ncl, ncl
 		ncl.settleFn = func() { nu.settleLax(ncl) }
 		if ncl.accruing {
 			at, seq, ok := cl.laxTimer.When()
@@ -76,7 +74,6 @@ func (u *USD) Fork(ns *sim.Simulator) (*USD, map[*Channel]*Channel, []uint64, er
 			ncl.laxTimer = ns.RestoreAt(at, seq, ncl.settleFn)
 			claimed = append(claimed, seq)
 		}
-		nu.clients[name] = ncl
 		chans[cl.ch] = nch
 	}
 	// Fork the drive only once nothing can refuse: sharing its chunks

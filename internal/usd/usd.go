@@ -45,7 +45,8 @@ func (e Extent) String() string {
 	return fmt.Sprintf("[%d,+%d)", e.Start, e.Count)
 }
 
-// client is the USD's view of one contracted consumer.
+// client is the USD's view of one contracted consumer: the record its
+// Atropos client links (ac.Rec).
 type client struct {
 	ac      *atropos.Client
 	ch      *Channel
@@ -92,8 +93,6 @@ type USD struct {
 	disk *disk.Disk
 	core *atropos.Core
 
-	clients map[string]*client
-	order   []string // deterministic iteration
 	wake    *sim.Cond
 	proc    *sim.Proc
 	stopped bool
@@ -123,7 +122,6 @@ func New(s *sim.Simulator, d *disk.Disk) *USD {
 		sim:           s,
 		disk:          d,
 		core:          atropos.NewCore(1.0),
-		clients:       make(map[string]*client),
 		wake:          sim.NewCond(s),
 		LaxityEnabled: true,
 	}
@@ -141,8 +139,8 @@ func (u *USD) Contracted() float64 { return u.core.Contracted() }
 // client channel — the USD queue depth the timeline recorder samples.
 func (u *USD) QueuedRequests() int {
 	total := 0
-	for _, name := range u.order {
-		total += u.clients[name].ch.Pending()
+	for _, ac := range u.core.Clients() {
+		total += ac.Rec.(*client).ch.Pending()
 	}
 	return total
 }
@@ -162,7 +160,6 @@ func (u *USD) Open(name string, q atropos.QoS, depth int) (*Channel, error) {
 		depth = 1
 	}
 	ch := &Channel{
-		name: name,
 		usd:  u,
 		reqs: sim.NewQueue[*Request](u.sim, depth),
 		// The completion FIFO holds twice the pipeline depth: a client
@@ -173,6 +170,7 @@ func (u *USD) Open(name string, q atropos.QoS, depth int) (*Channel, error) {
 		comps: sim.NewQueue[*Request](u.sim, 2*depth),
 	}
 	cl := &client{ac: ac, ch: ch}
+	ch.cl, ac.Rec = cl, cl
 	cl.settleFn = func() { u.settleLax(cl) }
 	if u.Obs != nil {
 		cl.hQueueWait = u.Obs.Histogram("usd", "queue_wait", name)
@@ -180,34 +178,33 @@ func (u *USD) Open(name string, q atropos.QoS, depth int) (*Channel, error) {
 		cl.cTxns = u.Obs.Counter("usd", "txns", name)
 		cl.cBytes = u.Obs.Counter("usd", "bytes", name)
 	}
-	u.clients[name] = cl
-	u.order = append(u.order, name)
 	u.startLax(cl)
 	return ch, nil
 }
 
+// lookup returns the named client's record, or nil.
+func (u *USD) lookup(name string) *client {
+	if ac := u.core.Lookup(name); ac != nil {
+		return ac.Rec.(*client)
+	}
+	return nil
+}
+
 // Close removes a client and releases its contract.
 func (u *USD) Close(name string) error {
-	cl, ok := u.clients[name]
-	if !ok {
+	cl := u.lookup(name)
+	if cl == nil {
 		return fmt.Errorf("%w: %q", ErrUnknownClient, name)
 	}
 	cl.laxTimer.Stop()
 	cl.ch.Close()
-	delete(u.clients, name)
-	for i, n := range u.order {
-		if n == name {
-			u.order = append(u.order[:i], u.order[i+1:]...)
-			break
-		}
-	}
 	return u.core.Remove(name)
 }
 
 // Grant adds a disk extent the named client may access.
 func (u *USD) Grant(name string, e Extent) error {
-	cl, ok := u.clients[name]
-	if !ok {
+	cl := u.lookup(name)
+	if cl == nil {
 		return fmt.Errorf("%w: %q", ErrUnknownClient, name)
 	}
 	cl.extents = append(cl.extents, e)
@@ -216,8 +213,8 @@ func (u *USD) Grant(name string, e Extent) error {
 
 // Stats returns a snapshot for the named client.
 func (u *USD) Stats(name string) (Stats, bool) {
-	cl, ok := u.clients[name]
-	if !ok {
+	cl := u.lookup(name)
+	if cl == nil {
 		return Stats{}, false
 	}
 	return Stats{
@@ -245,12 +242,9 @@ func (u *USD) Stop() {
 }
 
 // onArrival is called by Channel.Submit: settle any lax span, mark work and
-// wake the service loop.
-func (u *USD) onArrival(name string) {
-	cl, ok := u.clients[name]
-	if !ok {
-		return
-	}
+// wake the service loop. A request enqueued on an open channel means the
+// client is still admitted: Close closes the channel before removing it.
+func (u *USD) onArrival(cl *client) {
 	u.settleLax(cl)
 	u.core.NoteWork(cl.ac)
 	u.wake.Signal()
@@ -318,17 +312,14 @@ func (u *USD) settleLax(cl *client) {
 func (u *USD) refresh(now sim.Time) {
 	// Settle lax for clients whose boundary has arrived so the span does
 	// not leak across periods.
-	for _, name := range u.order {
-		cl := u.clients[name]
-		if cl.accruing && cl.ac.Deadline() <= now {
+	for _, ac := range u.core.Clients() {
+		if cl := ac.Rec.(*client); cl.accruing && ac.Deadline() <= now {
 			u.settleLax(cl)
 		}
 	}
 	for _, ac := range u.core.Refresh(now) {
 		u.Log.Add(trace.Event{Kind: trace.Allocation, Client: ac.Name(), Start: now, End: now})
-		if cl, ok := u.clients[ac.Name()]; ok {
-			u.startLax(cl)
-		}
+		u.startLax(ac.Rec.(*client))
 	}
 }
 
@@ -337,8 +328,8 @@ func (u *USD) refresh(now sim.Time) {
 func (u *USD) oldestPending() *client {
 	var best *client
 	var bestAt sim.Time
-	for _, name := range u.order {
-		cl := u.clients[name]
+	for _, ac := range u.core.Clients() {
+		cl := ac.Rec.(*client)
 		req, ok := cl.ch.reqs.Peek()
 		if !ok {
 			continue
@@ -352,8 +343,7 @@ func (u *USD) oldestPending() *client {
 
 // hasWork reports whether the atropos client has a submitted request.
 func (u *USD) hasWork(ac *atropos.Client) bool {
-	cl, ok := u.clients[ac.Name()]
-	return ok && cl.ch.Pending() > 0
+	return ac.Rec.(*client).ch.Pending() > 0
 }
 
 // serve performs one transaction for cl, charging it unless slack is true.
@@ -419,14 +409,14 @@ func (u *USD) run(p *sim.Proc) {
 		u.refresh(now)
 
 		if pick := u.core.PickEDFWith(u.hasWork); pick != nil {
-			u.serve(p, u.clients[pick.Name()], false)
+			u.serve(p, pick.Rec.(*client), false)
 			continue
 		}
 
 		if u.SlackEnabled {
 			slackPick := u.core.PickSlack(func(ac *atropos.Client) bool { return u.hasWork(ac) })
 			if slackPick != nil {
-				u.serve(p, u.clients[slackPick.Name()], true)
+				u.serve(p, slackPick.Rec.(*client), true)
 				continue
 			}
 		}

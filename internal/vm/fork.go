@@ -8,19 +8,19 @@ import (
 
 // ForkMaps carries the identity maps a translation-system fork produces:
 // for every parent-side object, its forked twin. Higher layers use them to
-// re-point their own copied state (stretch drivers hold *Stretch and *PTE,
-// domains hold *ProtectionDomain) at the forked world.
+// re-point their own copied state (stretch drivers hold *Stretch, domains
+// hold *ProtectionDomain) at the forked world. A PTE's twin is the forked
+// table's entry for the same VPN.
 type ForkMaps struct {
-	PTE     map[*PTE]*PTE
 	PD      map[*ProtectionDomain]*ProtectionDomain
 	Stretch map[*Stretch]*Stretch
 }
 
 // Fork returns a deep copy of the translation system over the forked
-// ramtab: the linear page table with every PTE copied, TLB with its slots
-// re-pointed at the copied PTEs (tags, FIFO cursor and hit/miss counters
-// preserved), all protection domains with their rights maps, and the
-// stretch allocator with every stretch. The returned maps let callers
+// ramtab: the linear page table with every chunk copied, TLB with its slots
+// re-pointed by VPN at the copied PTEs (tags, FIFO cursor and hit/miss
+// counters preserved), all protection domains with their rights maps, and
+// the stretch allocator with every stretch. The returned maps let callers
 // translate parent pointers to forked ones. Only the linear table forks,
 // the one core.New builds; Fork refuses any other.
 func (ts *TranslationSystem) Fork(ramtab *mem.RamTab) (*TranslationSystem, *ForkMaps, error) {
@@ -29,13 +29,13 @@ func (ts *TranslationSystem) Fork(ramtab *mem.RamTab) (*TranslationSystem, *Fork
 		return nil, nil, fmt.Errorf("vm: cannot fork a %T: only the linear page table forks", ts.pt)
 	}
 	m := &ForkMaps{
-		PTE:     make(map[*PTE]*PTE),
 		PD:      make(map[*ProtectionDomain]*ProtectionDomain, len(ts.pds.pds)),
 		Stretch: make(map[*Stretch]*Stretch),
 	}
+	npt := &PageTable{entries: pt.entries.Clone(), n: pt.n, lookups: pt.lookups}
 	nts := &TranslationSystem{
-		pt:     pt.fork(m.PTE),
-		tlb:    ts.tlb.fork(m.PTE),
+		pt:     npt,
+		tlb:    ts.tlb.fork(npt),
 		ramtab: ramtab,
 	}
 
@@ -77,21 +77,12 @@ func (ts *TranslationSystem) Fork(ramtab *mem.RamTab) (*TranslationSystem, *Fork
 	return nts, m, nil
 }
 
-// fork deep-copies the linear page table, recording each copied PTE in m.
-func (pt *PageTable) fork(m map[*PTE]*PTE) *PageTable {
-	npt := &PageTable{entries: make(map[VPN]*PTE, len(pt.entries)), lookups: pt.lookups}
-	for vpn, pte := range pt.entries {
-		np := *pte
-		npt.entries[vpn] = &np
-		m[pte] = &np
-	}
-	return npt
-}
-
-// fork copies the TLB, re-pointing cached translations at the forked PTEs.
-// Slot order, the FIFO cursor and the hit/miss counters are preserved so
-// post-fork lookup behaviour (and its charged cost) is identical.
-func (t *TLB) fork(m map[*PTE]*PTE) *TLB {
+// fork copies the TLB, re-pointing cached translations at pt's entries for
+// the same pages: a slot only ever caches the table entry of the page it
+// covers. Slot order, the FIFO cursor and the hit/miss counters are
+// preserved so post-fork lookup behaviour (and its charged cost) is
+// identical.
+func (t *TLB) fork(pt *PageTable) *TLB {
 	nt := &TLB{cursor: t.cursor, nSuper: t.nSuper, hits: t.hits, misses: t.misses}
 	if t.idx != nil {
 		nt.idx = make(map[tlbKey]int, len(t.idx))
@@ -107,12 +98,12 @@ func (t *TLB) fork(m map[*PTE]*PTE) *TLB {
 			continue
 		}
 		if e.width == 0 {
-			ne.pte0[0] = m[e.ptes[0]]
+			ne.pte0[0] = pt.entries.At(e.vpn)
 			ne.ptes = ne.pte0[:1]
 		} else {
 			ne.ptes = make([]*PTE, len(e.ptes))
-			for j, p := range e.ptes {
-				ne.ptes[j] = m[p]
+			for j := range e.ptes {
+				ne.ptes[j] = pt.entries.At(e.vpn + VPN(j))
 			}
 		}
 	}

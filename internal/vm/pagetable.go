@@ -18,11 +18,12 @@ func DefaultAttr() Attr { return Attr{FOR: true, FOW: true} }
 
 // PTE is one page-table entry. Present entries exist for every page of
 // every allocated stretch (the "NULL mappings" holding protection
-// information); Valid entries additionally carry a physical frame.
+// information); Valid entries additionally carry a physical frame. PFN
+// comes first so that an entry packs into 24 bytes.
 type PTE struct {
+	PFN        mem.PFN
 	Present    bool
 	Valid      bool
-	PFN        mem.PFN
 	SID        StretchID
 	Attr       Attr
 	Referenced bool
@@ -37,19 +38,81 @@ type PTE struct {
 	Width uint8
 }
 
+// pageChunkBits sets the chunk size of a Pages table: 512 entries.
+const (
+	pageChunkBits = 9
+	pageChunk     = 1 << pageChunkBits
+)
+
+// Pages is a table indexed by virtual page number, holding a T by value for
+// every page: a directory of fixed 512-entry chunks, indexed by VPN relative
+// to the lowest chunk in use. A chunk is allocated the first time Ensure
+// reaches it and never moves, so a pointer to an entry stays valid for the
+// table's lifetime; pages of a chunk never ensured read as absent. The zero
+// value is an empty table.
+type Pages[T any] struct {
+	base uint64 // chunk number of dir[0]
+	dir  []*[pageChunk]T
+}
+
+// At returns the entry for vpn, or nil if its chunk was never allocated.
+func (t *Pages[T]) At(vpn VPN) *T {
+	// A VPN below base wraps to a huge index and fails the bound check.
+	i := uint64(vpn)>>pageChunkBits - t.base
+	if i >= uint64(len(t.dir)) || t.dir[i] == nil {
+		return nil
+	}
+	return &t.dir[i][vpn&(pageChunk-1)]
+}
+
+// Ensure returns the entry for vpn, allocating its chunk (and widening the
+// directory, at either end) if needed.
+func (t *Pages[T]) Ensure(vpn VPN) *T {
+	n := uint64(vpn) >> pageChunkBits
+	switch {
+	case len(t.dir) == 0:
+		t.base = n
+		t.dir = make([]*[pageChunk]T, 1)
+	case n < t.base:
+		dir := make([]*[pageChunk]T, t.base-n+uint64(len(t.dir)))
+		copy(dir[t.base-n:], t.dir)
+		t.base, t.dir = n, dir
+	case n-t.base >= uint64(len(t.dir)):
+		t.dir = append(t.dir, make([]*[pageChunk]T, n-t.base+1-uint64(len(t.dir)))...)
+	}
+	c := &t.dir[n-t.base]
+	if *c == nil {
+		*c = new([pageChunk]T)
+	}
+	return &(*c)[vpn&(pageChunk-1)]
+}
+
+// Clone returns a deep copy of t: the same directory shape with every chunk
+// copied.
+func (t *Pages[T]) Clone() Pages[T] {
+	nt := Pages[T]{base: t.base, dir: make([]*[pageChunk]T, len(t.dir))}
+	for i, c := range t.dir {
+		if c != nil {
+			nc := *c
+			nt.dir[i] = &nc
+		}
+	}
+	return nt
+}
+
 // PageTable is the linear page table: conceptually an array over the whole
 // virtual address space (the paper uses an 8 GB linear array mapped through
-// a secondary table); here a sparse map with identical semantics. All
-// lookups run real code whose simulated cost the cpu package charges.
+// a secondary table); here a Pages table of PTEs, whose chunk directory
+// plays the secondary table. All lookups run real code whose simulated
+// cost the cpu package charges.
 type PageTable struct {
-	entries map[VPN]*PTE
+	entries Pages[PTE]
+	n       int // present entries
 	lookups int64
 }
 
 // NewPageTable returns an empty table.
-func NewPageTable() *PageTable {
-	return &PageTable{entries: make(map[VPN]*PTE)}
-}
+func NewPageTable() *PageTable { return &PageTable{} }
 
 // Lookups returns the number of entry lookups performed (walk count).
 func (pt *PageTable) Lookups() int64 { return pt.lookups }
@@ -57,21 +120,32 @@ func (pt *PageTable) Lookups() int64 { return pt.lookups }
 // Lookup returns the entry for vpn, or nil if the page is unallocated.
 func (pt *PageTable) Lookup(vpn VPN) *PTE {
 	pt.lookups++
-	return pt.entries[vpn]
+	if e := pt.entries.At(vpn); e != nil && e.Present {
+		return e
+	}
+	return nil
 }
 
-// Insert creates a NULL (present, invalid) entry for vpn belonging to sid.
+// Insert creates a NULL (present, invalid) entry for vpn belonging to sid,
+// replacing any entry already there.
 func (pt *PageTable) Insert(vpn VPN, sid StretchID) {
-	pt.entries[vpn] = &PTE{Present: true, SID: sid}
+	e := pt.entries.Ensure(vpn)
+	if !e.Present {
+		pt.n++
+	}
+	*e = PTE{Present: true, SID: sid}
 }
 
 // Delete removes the entry for vpn entirely (stretch destruction).
 func (pt *PageTable) Delete(vpn VPN) {
-	delete(pt.entries, vpn)
+	if e := pt.entries.At(vpn); e != nil && e.Present {
+		*e = PTE{}
+		pt.n--
+	}
 }
 
 // Entries returns the number of present entries.
-func (pt *PageTable) Entries() int { return len(pt.entries) }
+func (pt *PageTable) Entries() int { return pt.n }
 
 // tlbEntry is one TLB slot, tagged with an address-space number so context
 // switches need no flush. A slot may cover a superpage: an aligned block of
