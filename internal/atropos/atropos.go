@@ -25,9 +25,9 @@
 //
 // # Indexed core
 //
-// The core scales to thousands of clients: EDF picks and refreshes run off
-// (deadline, admission) min-heaps, and slack picks off a bitmap, instead of
-// scanning the client slice.
+// The core scales to thousands of clients: EDF picks run off (deadline,
+// admission) min-heaps, refreshes off a release calendar (calendar.go) and
+// slack picks off a bitmap, instead of scanning the client slice.
 // Heap entries are invalidated lazily — a state change never touches the
 // heaps; stale entries are recognised and dropped when they surface at the
 // top. Dropping is safe because, within one deadline epoch, eligibility only
@@ -61,6 +61,7 @@ package atropos
 
 import (
 	"cmp"
+	"container/heap"
 	"errors"
 	"fmt"
 	"math/bits"
@@ -293,8 +294,8 @@ type Core struct {
 	nextSeq    uint64
 
 	runq    entryHeap // runnable clients by (deadline, seq); lazy
-	relq    entryHeap // one release-time entry per live client; lazy
 	readyq  entryHeap // ready ∧ runnable clients by (deadline, seq); lazy
+	cal     calendar  // every client, filed at its deadline
 	scratch []qentry  // PickEDFWith spill buffer, reused across calls
 	granted []*Client // Refresh's result, reused across calls
 
@@ -374,7 +375,7 @@ func (co *Core) Admit(name string, q QoS, now sim.Time) (*Client, error) {
 	co.clients = append(co.clients, c)
 	co.byName[name] = c
 	co.contracted += q.Share()
-	co.push(&co.relq, c, current)
+	co.cal.file(c)
 	if co.runnable(c) {
 		co.push(&co.runq, c, current)
 	}
@@ -382,13 +383,14 @@ func (co *Core) Admit(name string, q QoS, now sim.Time) (*Client, error) {
 }
 
 // Remove deregisters a client. Heap entries referencing it go stale and are
-// dropped lazily.
+// dropped lazily; so does its place in the calendar.
 func (co *Core) Remove(name string) error {
 	c := co.byName[name]
 	if c == nil {
 		return fmt.Errorf("%w: %q", ErrUnknown, name)
 	}
 	c.removed = true
+	co.cal.unfile(c)
 	delete(co.byName, name)
 	i := c.idx
 	co.clients = append(co.clients[:i], co.clients[i+1:]...)
@@ -415,44 +417,46 @@ func (co *Core) Remove(name string) error {
 // Refresh, which reuses it.
 func (co *Core) Refresh(now sim.Time) []*Client {
 	granted := co.granted[:0]
-	for len(co.relq) > 0 {
-		e := &co.relq[0]
-		c := e.c
-		if !current(e) {
-			co.relq.pop()
-			continue
-		}
-		if e.deadline > now {
+	for {
+		e := co.cal.first()
+		if e == nil || e.t > now {
 			break
 		}
-		co.relq.pop()
-		// Catch up period boundaries without stacking slices.
-		for c.deadline <= now {
-			c.periodStart = c.deadline
-			c.deadline = c.deadline.Add(c.qos.P)
-		}
-		carry := time.Duration(0)
-		if c.remain < 0 {
-			carry = c.remain
-		}
-		c.remain = c.qos.S + carry
-		c.laxSpan = 0
-		c.allocations++
-		if c.state == Waiting || c.state == Idle {
-			c.state = Runnable
-		}
-		co.push(&co.relq, c, current)
-		if co.runnable(c) {
-			co.push(&co.runq, c, current)
-			if c.ready {
-				co.push(&co.readyq, c, currentReady)
+		heap.Pop(&co.cal.heap)
+		for _, c := range e.clients {
+			if c.removed || c.deadline != e.t {
+				continue
 			}
+			// Catch up period boundaries without stacking slices.
+			for c.deadline <= now {
+				c.periodStart = c.deadline
+				c.deadline = c.deadline.Add(c.qos.P)
+			}
+			carry := time.Duration(0)
+			if c.remain < 0 {
+				carry = c.remain
+			}
+			c.remain = c.qos.S + carry
+			c.laxSpan = 0
+			c.allocations++
+			if c.state == Waiting || c.state == Idle {
+				c.state = Runnable
+			}
+			co.cal.file(c)
+			if co.runnable(c) {
+				co.push(&co.runq, c, current)
+				if c.ready {
+					co.push(&co.readyq, c, currentReady)
+				}
+			}
+			granted = append(granted, c)
 		}
-		granted = append(granted, c)
+		co.cal.recycle(e)
 	}
 	if len(granted) > 1 {
-		// The heap yields (deadline, seq) order; the contract is admission
-		// order. Deadlines mostly coincide, so this is a near-no-op sort.
+		// The calendar yields instant order, filing order within one; the
+		// contract is admission order. Clients that share a period file in
+		// admission order, so this is mostly a near-no-op sort.
 		slices.SortFunc(granted, func(a, b *Client) int { return cmp.Compare(a.seq, b.seq) })
 	}
 	co.granted = granted
@@ -650,12 +654,8 @@ func (co *Core) Idle(c *Client) {
 // instant at which Refresh will grant an allocation — or ok=false if there
 // are no clients.
 func (co *Core) NextBoundary() (sim.Time, bool) {
-	for len(co.relq) > 0 {
-		e := &co.relq[0]
-		if current(e) {
-			return e.deadline, true
-		}
-		co.relq.pop()
+	if e := co.cal.first(); e != nil {
+		return e.t, true
 	}
 	return 0, false
 }

@@ -381,7 +381,8 @@ func TestAdmissionInvariantProperty(t *testing.T) {
 // Refresh, SetReady, PickEDFReady and PickSlackReady, so nothing ever pops
 // runq — with 1,000 clients over 200 periods. Every Refresh pushes a runq
 // entry per runnable client; without compaction runq would end up holding
-// clients × periods entries.
+// clients × periods entries. The release calendar is held to the same
+// bound, counted in the clients filed across its entries.
 func TestLazyHeapsStayBounded(t *testing.T) {
 	const clients, periods, steps = 1000, 200, 10
 	co := NewCore(1.0)
@@ -399,9 +400,13 @@ func TestLazyHeapsStayBounded(t *testing.T) {
 		}
 		co.PickEDFReady()
 		co.PickSlackReady()
-		if len(co.runq) > bound || len(co.readyq) > bound || len(co.relq) > bound {
-			t.Fatalf("step %d: runq %d, readyq %d, relq %d entries, bound %d",
-				step, len(co.runq), len(co.readyq), len(co.relq), bound)
+		filed := 0
+		for _, e := range co.cal.heap {
+			filed += len(e.clients)
+		}
+		if len(co.runq) > bound || len(co.readyq) > bound || filed > bound {
+			t.Fatalf("step %d: runq %d, readyq %d entries, calendar %d filed in %d entries, bound %d",
+				step, len(co.runq), len(co.readyq), filed, len(co.cal.heap), bound)
 		}
 	}
 }

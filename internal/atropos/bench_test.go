@@ -34,12 +34,13 @@ func BenchmarkPickEDF16(b *testing.B) {
 // BenchmarkTick drives the per-quantum scheduler operation mix — a refresh
 // (a no-op except at period boundaries, which grant the whole population), a
 // pick over the ready set, and a charge — advancing simulated time 1ms per
-// iteration at growing client populations. The indexed core keeps the
-// common-case tick O(log n); the linear reference (BenchmarkReferenceTick)
-// pays a full population scan on every refresh and every pick, including
-// picks that find nothing.
+// iteration at growing client populations, up to the cluster's 5,000
+// domains. The indexed core keeps the common-case tick O(log n), and a
+// boundary O(1) per client it grants; the linear reference
+// (BenchmarkReferenceTick) pays a full population scan on every refresh
+// and every pick, including picks that find nothing.
 func BenchmarkTick(b *testing.B) {
-	for _, n := range []int{10, 100, 1000} {
+	for _, n := range []int{10, 100, 1000, 5000} {
 		b.Run(strconv.Itoa(n), func(b *testing.B) {
 			co := benchCore(b, n)
 			for _, c := range co.Clients() {

@@ -3,9 +3,10 @@ package atropos
 // Fork returns a deep copy of the core and an identity map from each parent
 // client to its forked twin. Everything that influences future decisions is
 // copied exactly: client accounting, admission sequence numbers, the
-// round-robin slack cursor and slack bitmap, and the lazily-invalidated
-// heaps — including their stale entries, re-pointed at the copied clients,
-// so the forked core drops them at the same instants the parent would.
+// round-robin slack cursor and slack bitmap, the lazily-invalidated heaps
+// and the release calendar — including their stale entries and removed
+// clients, re-pointed at the copied clients, so the forked core drops them
+// at the same instants the parent would.
 func (co *Core) Fork() (*Core, map[*Client]*Client) {
 	m := make(map[*Client]*Client, len(co.clients))
 	nc := &Core{
@@ -46,8 +47,8 @@ func (co *Core) Fork() (*Core, map[*Client]*Client) {
 		return out
 	}
 	nc.runq = remapHeap(co.runq)
-	nc.relq = remapHeap(co.relq)
 	nc.readyq = remapHeap(co.readyq)
+	nc.cal = co.cal.fork(clone)
 	nc.slackBits = append([]uint64(nil), co.slackBits...)
 	return nc, m
 }

@@ -110,7 +110,7 @@ type RemoteBacking struct {
 	inflight int
 	wake     *sim.Cond
 
-	remote vm.Pages[bool] // pages with a current remote copy
+	remote pageBits // pages with a current remote copy
 
 	Stats RemoteStats
 
@@ -120,6 +120,46 @@ type RemoteBacking struct {
 }
 
 const timeNever = sim.Time(math.MaxInt64)
+
+// pageBits is a set of pages, one bit a page: words[i] holds pages
+// base+64i to base+64i+63, with base a multiple of 64. It widens at either
+// end to the pages set, so the few pages of one stretch take a word or two.
+type pageBits struct {
+	base  vm.VPN
+	words []uint64
+}
+
+// has reports whether vpn is in the set.
+func (b *pageBits) has(vpn vm.VPN) bool {
+	// A VPN below base wraps to a huge index and fails the bound check.
+	i := uint64(vpn-b.base) >> 6
+	return i < uint64(len(b.words)) && b.words[i]&(1<<(vpn&63)) != 0
+}
+
+// set adds vpn, widening the words to reach it.
+func (b *pageBits) set(vpn vm.VPN) {
+	lo := vpn &^ 63
+	switch {
+	case len(b.words) == 0:
+		b.base = lo
+		b.words = make([]uint64, 1)
+	case lo < b.base:
+		n := int((b.base - lo) >> 6)
+		words := make([]uint64, n+len(b.words))
+		copy(words[n:], b.words)
+		b.base, b.words = lo, words
+	case int((lo-b.base)>>6) >= len(b.words):
+		b.words = append(b.words, make([]uint64, int((lo-b.base)>>6)+1-len(b.words))...)
+	}
+	b.words[(lo-b.base)>>6] |= 1 << (vpn & 63)
+}
+
+// clear removes vpn.
+func (b *pageBits) clear(vpn vm.VPN) {
+	if i := uint64(vpn-b.base) >> 6; i < uint64(len(b.words)) {
+		b.words[i] &^= 1 << (vpn & 63)
+	}
+}
 
 // newRemoteBacking is called by the Fabric, which owns routing.
 func newRemoteBacking(fab *Fabric, client, domName string, opt RemoteOptions) *RemoteBacking {
@@ -147,19 +187,12 @@ func (r *RemoteBacking) Name() string { return "remote" }
 func (r *RemoteBacking) Options() RemoteOptions { return r.opt }
 
 // HasCopy implements stretchdrv.Backing.
-func (r *RemoteBacking) HasCopy(va vm.VA) bool {
-	p := r.remote.At(vm.PageOf(va))
-	return p != nil && *p
-}
+func (r *RemoteBacking) HasCopy(va vm.VA) bool { return r.remote.has(vm.PageOf(va)) }
 
 // Invalidate marks va's remote copy stale (a newer copy lives elsewhere —
 // the tiered backing's local fallback path). The server-side blok stays
 // allocated and is reused on the next write of the same page.
-func (r *RemoteBacking) Invalidate(va vm.VA) {
-	if p := r.remote.At(vm.PageOf(va)); p != nil {
-		*p = false
-	}
-}
+func (r *RemoteBacking) Invalidate(va vm.VA) { r.remote.clear(vm.PageOf(va)) }
 
 // deliver routes one arrived reply. Runs in scheduler context (link event).
 func (r *RemoteBacking) deliver(rep *reply) {
@@ -322,7 +355,7 @@ func (r *RemoteBacking) WritePages(p *sim.Proc, pages []stretchdrv.DirtyPage, sp
 		}
 		txns += c.rep.Txns
 		for _, vpn := range c.req.VPNs {
-			*r.remote.Ensure(vpn) = true
+			r.remote.set(vpn)
 		}
 		r.Stats.PagesSent += int64(len(c.req.VPNs))
 		if last == nil || c.rep.ServiceEnd > last.ServiceEnd {

@@ -47,10 +47,13 @@ type Span struct {
 }
 
 // spanHopCap is a new span's hop capacity. A fast-path fault records 4
-// hops; a worker fault records 10 or more (driver twice, then a hop per
-// stage of each transfer), so its span grows once, and the free list keeps
-// the grown span.
-const spanHopCap = 8
+// hops and a worker fault 10 or more: the pager's hop twice, then a hop
+// per stage of each transfer. 10 is the capacity that allocates least in
+// a 1×5000×6 cluster run, whose spans are 10,000 four-hop fast faults and
+// 948 ten-hop remote worker faults (DESIGN §8). A longer span, such as a
+// Fig. 7 fault that evicts and then reads (13 hops), grows once, and the
+// free list keeps the grown span.
+const spanHopCap = 10
 
 // StartSpan opens a fault span for the given domain and fault class at the
 // current simulated time. A nil registry returns a nil span. Spans are drawn

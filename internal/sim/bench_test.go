@@ -14,6 +14,29 @@ func BenchmarkEventDispatch(b *testing.B) {
 	}
 }
 
+// BenchmarkEventDispatchNow prices an event scheduled for the instant it
+// is scheduled at, as CPU grants, Cond.Signal wakes and the CPU scheduler's
+// schedule callbacks are: a chain of callbacks, each scheduling the next at
+// now, beside 256 pending future timers, so that a same-instant event that
+// went through the heap would sift past them.
+func BenchmarkEventDispatchNow(b *testing.B) {
+	s := New(1)
+	for i := 1; i <= 256; i++ {
+		s.After(time.Duration(i)*time.Hour, func() {})
+	}
+	n := 0
+	var link func()
+	link = func() {
+		if n++; n < b.N {
+			s.At(s.Now(), link)
+		}
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	s.At(s.Now(), link)
+	s.Run(s.Now())
+}
+
 // BenchmarkProcContextSwitch prices a lone process sleeping: every wakeup
 // is its own next event, so after the first dispatch it resumes inline
 // inside its park, with no coroutine switch. BenchmarkProcSwitchPair prices

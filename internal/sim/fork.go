@@ -131,6 +131,11 @@ func (s *Simulator) ParkedWake(p *Proc) (Time, uint64, bool) {
 			return ev.t, ev.seq, true
 		}
 	}
+	for i := 0; i < s.ready.n; i++ {
+		if ev := s.ready.at(i); !ev.dead && ev.p == p && ev.tok == p.wakeSeq {
+			return ev.t, ev.seq, true
+		}
+	}
 	return 0, 0, false
 }
 
@@ -161,7 +166,12 @@ func (s *Simulator) DonateWakeSeq(p *Proc, t Time, seq uint64) {
 // the live callback queue — a forgotten timer would otherwise silently
 // vanish from the forked world.
 func (s *Simulator) PendingSeqs() []uint64 {
-	out := make([]uint64, 0, len(s.events))
+	out := make([]uint64, 0, s.Pending())
+	for i := 0; i < s.ready.n; i++ {
+		if ev := s.ready.at(i); !ev.dead && ev.fn != nil {
+			out = append(out, ev.seq)
+		}
+	}
 	for _, ev := range s.events {
 		if !ev.dead && ev.fn != nil {
 			out = append(out, ev.seq)

@@ -228,7 +228,7 @@ func (p *Proc) Sleep(d time.Duration) {
 		// very next event dispatched, at the same time), so skip it. Any
 		// pending same-time event must still run first, hence the strict
 		// ev.t > now check.
-		if ev := p.sim.peekLive(); ev == nil || ev.t > p.sim.now {
+		if ev, _ := p.sim.peekLive(); ev == nil || ev.t > p.sim.now {
 			return
 		}
 		p.sim.atWake(p.sim.now, p, p.prepare())

@@ -96,6 +96,41 @@ func (h *eventHeap) pop() *event {
 	return top
 }
 
+// eventRing is the queue's ready lane: a FIFO ring of the events scheduled
+// for the instant at which they were scheduled, with freshly drawn seqs.
+// Such an event is stamped with the current instant and the largest seq
+// drawn so far, and the clock cannot pass an event that is due now, so
+// arrival order on the ring is (time, seq) order and it needs no sifting.
+// The ring wraps and reuses its storage, growing only by doubling, so a
+// steady stream of same-instant events allocates nothing.
+type eventRing struct {
+	buf  []*event // len is 0 or a power of two
+	head int      // index of the oldest event
+	n    int      // queued events
+}
+
+// push appends ev, doubling the ring when it is full.
+func (r *eventRing) push(ev *event) {
+	if r.n == len(r.buf) {
+		buf := make([]*event, max(2*len(r.buf), 8))
+		k := copy(buf, r.buf[r.head:])
+		copy(buf[k:], r.buf[:r.head])
+		r.buf, r.head = buf, 0
+	}
+	r.buf[(r.head+r.n)&(len(r.buf)-1)] = ev
+	r.n++
+}
+
+// at returns the i-th oldest queued event; i < n.
+func (r *eventRing) at(i int) *event { return r.buf[(r.head+i)&(len(r.buf)-1)] }
+
+// pop removes the oldest event; n > 0.
+func (r *eventRing) pop() {
+	r.buf[r.head] = nil
+	r.head = (r.head + 1) & (len(r.buf) - 1)
+	r.n--
+}
+
 // Simulator owns the simulated clock and the event queue. It is not safe for
 // use from multiple goroutines except through the process model, which
 // guarantees only one goroutine touches it at a time: the goroutine that
@@ -103,7 +138,8 @@ func (h *eventHeap) pop() *event {
 // callbacks itself, see Proc.park).
 type Simulator struct {
 	now     Time
-	events  eventHeap
+	events  eventHeap // future events, and restored or donated seqs
+	ready   eventRing // events due now with fresh seqs, in order
 	seq     uint64
 	free    []*event // recycled events
 	src     *countingSource
@@ -137,10 +173,6 @@ type Simulator struct {
 	// timed park at the recorded instant reuses the parent event's seq, so
 	// same-instant tie order is identical on both sides of a fork.
 	donations map[*Proc]donatedWake
-
-	// Trace, when non-nil, receives a line for every dispatched event.
-	// Used only by tests and debugging tools.
-	Trace func(t Time, what string)
 }
 
 // New returns a simulator whose random source is seeded with seed. The same
@@ -167,7 +199,7 @@ func (s *Simulator) Current() *Proc { return s.current }
 
 // Pending reports the number of events still queued (including cancelled
 // placeholders not yet popped).
-func (s *Simulator) Pending() int { return len(s.events) }
+func (s *Simulator) Pending() int { return len(s.events) + s.ready.n }
 
 // Dispatched reports how many events have been run so far. It depends only
 // on the seed and the workload, never on wall-clock, so identical runs
@@ -226,24 +258,37 @@ func (s *Simulator) recycle(ev *event) {
 func (s *Simulator) At(t Time, fn func()) Timer {
 	ev := s.alloc(t)
 	ev.fn = fn
-	s.events.push(ev)
+	s.enqueue(ev)
 	return Timer{ev, ev.gen}
 }
 
 // atWake schedules a wakeup of p with token tok at instant t, without
 // allocating a closure. A pending seq donation for (p, t) — registered by a
 // snapshot via DonateWakeSeq — replaces the freshly drawn seq so the park
-// event sorts exactly where the parent world's did.
+// event sorts exactly where the parent world's did; an old seq always goes
+// on the heap, even when due now, to keep the ready lane in seq order.
 func (s *Simulator) atWake(t Time, p *Proc, tok uint64) Timer {
 	ev := s.alloc(t)
+	ev.p = p
+	ev.tok = tok
 	if d, ok := s.donations[p]; ok && d.t == ev.t {
 		ev.seq = d.seq
 		delete(s.donations, p)
+		s.events.push(ev)
+	} else {
+		s.enqueue(ev)
 	}
-	ev.p = p
-	ev.tok = tok
-	s.events.push(ev)
 	return Timer{ev, ev.gen}
+}
+
+// enqueue files an event stamped by alloc: on the ready lane when it is due
+// now, on the heap otherwise.
+func (s *Simulator) enqueue(ev *event) {
+	if ev.t == s.now {
+		s.ready.push(ev)
+	} else {
+		s.events.push(ev)
+	}
 }
 
 // After schedules fn to run d after the current instant.
@@ -251,28 +296,34 @@ func (s *Simulator) After(d time.Duration, fn func()) Timer {
 	return s.At(s.now.Add(d), fn)
 }
 
-// peekLive returns the earliest pending live event, discarding cancelled
-// ones, or nil when the queue is (effectively) empty. The common case, a
-// live head, stays small enough to inline.
-func (s *Simulator) peekLive() *event {
-	if len(s.events) > 0 && !s.events[0].dead {
-		return s.events[0]
+// peekLive returns the earliest pending live event, or nil when both lanes
+// are (effectively) empty, discarding cancelled events from the head of
+// either lane. lane reports that the event heads the ready lane. This is
+// the simulator's one event-order rule: whichever of the ready lane's head
+// and the heap's top is smaller by (time, seq). A heap event due now was
+// scheduled before the clock reached now, or carries a restored or donated
+// seq, so it may precede the lane's head.
+func (s *Simulator) peekLive() (ev *event, lane bool) {
+	for s.ready.n > 0 {
+		if ev = s.ready.at(0); !ev.dead {
+			break
+		}
+		s.ready.pop()
+		s.recycle(ev)
+		ev = nil
 	}
-	return s.skipDead()
-}
-
-// skipDead discards cancelled events from the head of the queue and returns
-// the first live one, or nil.
-func (s *Simulator) skipDead() *event {
 	for len(s.events) > 0 {
-		next := s.events[0]
-		if !next.dead {
-			return next
+		h := s.events[0]
+		if !h.dead {
+			if ev == nil || eventLess(h, ev) {
+				return h, false
+			}
+			break
 		}
 		s.events.pop()
-		s.recycle(next)
+		s.recycle(h)
 	}
-	return nil
+	return ev, ev != nil
 }
 
 // next pops the earliest live event within the active Run's bounds,
@@ -286,14 +337,18 @@ func (s *Simulator) next(self *Proc) (fn func(), p *Proc, tok uint64, ok bool) {
 	if s.dispatched >= s.stopAt {
 		return nil, nil, 0, false
 	}
-	ev := s.peekLive()
+	ev, lane := s.peekLive()
 	if ev == nil || ev.t > s.until {
 		return nil, nil, 0, false
 	}
 	if q := ev.p; self != nil && q != nil && q != self && !q.done && ev.tok == q.wakeSeq {
 		return nil, nil, 0, false
 	}
-	s.events.pop()
+	if lane {
+		s.ready.pop()
+	} else {
+		s.events.pop()
+	}
 	s.dispatched++
 	if ev.t > s.now {
 		s.now = ev.t
