@@ -32,9 +32,6 @@
 //	         export the run's timeline (figs 7/8/9) as Chrome trace-event
 //	         JSON, loadable in ui.perfetto.dev; adds a deterministic
 //	         revocation episode to figs 7/8 so revocation phases appear
-//	-timeline-jsonl out.jsonl
-//	         export the compact JSONL timeline dump instead (convert or
-//	         validate with nemesis-timeline)
 //	-simprofile out.folded
 //	         write the exact sim-time attribution profile of the measured
 //	         window (figs 7/8) in folded-stack form; render it with
@@ -42,6 +39,9 @@
 //	-cpuprofile/-memprofile
 //	         write pprof profiles for performance work; flushed even on
 //	         early-exit errors
+//
+// An output flag given to a mode that never writes it (say -timeline with
+// -suite) is an error, not a silent no-op.
 //
 // The top halves of Figs. 7/8 (sustained bandwidth series) print as TSV;
 // summary ratios follow. Use nemesis-trace for the bottom halves.
@@ -56,11 +56,12 @@ import (
 	"os"
 	"runtime"
 	"runtime/pprof"
+	"slices"
 	"sort"
+	"strings"
 	"sync"
 	"time"
 
-	"nemesis/internal/core"
 	"nemesis/internal/experiments"
 	"nemesis/internal/experiments/sweep"
 )
@@ -119,92 +120,153 @@ func startProfiles(cpupath, mempath string) func() {
 	}
 }
 
+// options holds the command line.
+type options struct {
+	fig                                             int
+	ext, metrics, suite, cluster                    bool
+	measure                                         time.Duration
+	seed                                            int64
+	e8, timeline, simprofile, suiteJSON             string
+	clusterMachines, clusterDomains, clusterServers int
+	clusterJSON, clusterTrace                       string
+	workers                                         int
+	cpuprofile, memprofile                          string
+}
+
+// defineFlags registers the command line on fs.
+func defineFlags(fs *flag.FlagSet) *options {
+	o := &options{}
+	fs.IntVar(&o.fig, "fig", 7, "figure to regenerate: 7, 8, 9, or 0 for ablations")
+	fs.BoolVar(&o.ext, "ext", false, "run the extension experiments instead")
+	fs.DurationVar(&o.measure, "measure", 40*time.Second, "measured window of simulated time")
+	fs.Int64Var(&o.seed, "seed", 1, "simulation seed")
+	fs.BoolVar(&o.metrics, "metrics", false, "enable fault-path telemetry and append span/metric summaries (figs 7/8)")
+	fs.StringVar(&o.e8, "e8", "", "netswap experiment: sweep, outage, degrade, or all")
+	fs.StringVar(&o.timeline, "timeline", "", "write a Perfetto-loadable trace-event JSON timeline to this file (figs 7/8/9)")
+	fs.StringVar(&o.simprofile, "simprofile", "", "write the folded-stack sim-time attribution profile to this file (figs 7/8; implies telemetry)")
+	fs.BoolVar(&o.suite, "suite", false, "run the full experiment suite as parallel deterministic cells")
+	fs.StringVar(&o.suiteJSON, "suite-json", "", "write the full suite result as JSON to this file (same schema and bytes as the nemesis-serve API)")
+	fs.BoolVar(&o.cluster, "cluster", false, "run the cluster paging scenario (N machines x M self-paging domains over a swap-server pool)")
+	fs.IntVar(&o.clusterMachines, "cluster-machines", 0, "cluster machine count (0 = default 4)")
+	fs.IntVar(&o.clusterDomains, "cluster-domains", 0, "domains per cluster machine (0 = default 250)")
+	fs.IntVar(&o.clusterServers, "cluster-servers", 0, "swap servers per cluster machine (0 = default 2)")
+	fs.StringVar(&o.clusterJSON, "cluster-json", "", "write the full cluster result as JSON to this file")
+	fs.StringVar(&o.clusterTrace, "cluster-trace", "", "write the merged cross-machine Perfetto trace (client + swap-server lanes with flow arrows) to this file")
+	fs.IntVar(&o.workers, "workers", 0, "sweep fan-out width (0 = NEMESIS_SWEEP_WORKERS or GOMAXPROCS)")
+	fs.StringVar(&o.cpuprofile, "cpuprofile", "", "write a CPU profile to this file")
+	fs.StringVar(&o.memprofile, "memprofile", "", "write a heap profile to this file on exit")
+	return o
+}
+
+// mode names the run the command line selects: the first of -suite,
+// -cluster, -ext and -e8 given, else the -fig figure. main dispatches on it.
+func (o *options) mode() string {
+	switch {
+	case o.suite:
+		return "-suite"
+	case o.cluster:
+		return "-cluster"
+	case o.ext:
+		return "-ext"
+	case o.e8 != "":
+		return "-e8"
+	}
+	return fmt.Sprintf("-fig %d", o.fig)
+}
+
+// outputModes lists, for each output flag, the modes that write it.
+var outputModes = map[string][]string{
+	"timeline":      {"-fig 7", "-fig 8", "-fig 9"},
+	"simprofile":    {"-fig 7", "-fig 8"},
+	"metrics":       {"-fig 7", "-fig 8"},
+	"suite-json":    {"-suite"},
+	"cluster-json":  {"-cluster"},
+	"cluster-trace": {"-cluster"},
+}
+
+// checkOutputs returns an error naming the first output flag set on fs (in
+// lexical order) that o's mode never writes, and the modes that do: that
+// run would exit 0 and leave no file.
+func checkOutputs(fs *flag.FlagSet, o *options) error {
+	mode := o.mode()
+	var err error
+	fs.Visit(func(f *flag.Flag) {
+		modes := outputModes[f.Name]
+		if v := f.Value.String(); err != nil || modes == nil || v == "" || v == "false" || slices.Contains(modes, mode) {
+			return
+		}
+		err = fmt.Errorf("-%s is written only by %s, not by %s", f.Name, strings.Join(modes, " or "), mode)
+	})
+	return err
+}
+
 func main() {
 	log.SetFlags(0)
-	fig := flag.Int("fig", 7, "figure to regenerate: 7, 8, 9, or 0 for ablations")
-	ext := flag.Bool("ext", false, "run the extension experiments instead")
-	measure := flag.Duration("measure", 40*time.Second, "measured window of simulated time")
-	seed := flag.Int64("seed", 1, "simulation seed")
-	metrics := flag.Bool("metrics", false, "enable fault-path telemetry and append span/metric summaries (figs 7/8)")
-	e8 := flag.String("e8", "", "netswap experiment: sweep, outage, degrade, or all")
-	timeline := flag.String("timeline", "", "write a Perfetto-loadable trace-event JSON timeline to this file (figs 7/8/9)")
-	timelineJSONL := flag.String("timeline-jsonl", "", "write the compact JSONL timeline dump to this file (convert with nemesis-timeline)")
-	simprofile := flag.String("simprofile", "", "write the folded-stack sim-time attribution profile to this file (figs 7/8; implies telemetry)")
-	suite := flag.Bool("suite", false, "run the full experiment suite as parallel deterministic cells")
-	suiteJSON := flag.String("suite-json", "", "write the full suite result as JSON to this file (same schema and bytes as the nemesis-serve API)")
-	cluster := flag.Bool("cluster", false, "run the cluster paging scenario (N machines x M self-paging domains over a swap-server pool)")
-	clusterMachines := flag.Int("cluster-machines", 0, "cluster machine count (0 = default 4)")
-	clusterDomains := flag.Int("cluster-domains", 0, "domains per cluster machine (0 = default 250)")
-	clusterServers := flag.Int("cluster-servers", 0, "swap servers per cluster machine (0 = default 2)")
-	clusterJSON := flag.String("cluster-json", "", "write the full cluster result as JSON to this file")
-	clusterTrace := flag.String("cluster-trace", "", "write the merged cross-machine Perfetto trace (client + swap-server lanes with flow arrows) to this file")
-	workers := flag.Int("workers", 0, "sweep fan-out width (0 = NEMESIS_SWEEP_WORKERS or GOMAXPROCS)")
-	cpuprofile := flag.String("cpuprofile", "", "write a CPU profile to this file")
-	memprofile := flag.String("memprofile", "", "write a heap profile to this file on exit")
+	o := defineFlags(flag.CommandLine)
 	flag.Parse()
+	if err := checkOutputs(flag.CommandLine, o); err != nil {
+		log.Fatalf("nemesis-paging: %v", err)
+	}
 
-	if *cpuprofile != "" || *memprofile != "" {
-		stopProfiles = startProfiles(*cpuprofile, *memprofile)
+	if o.cpuprofile != "" || o.memprofile != "" {
+		stopProfiles = startProfiles(o.cpuprofile, o.memprofile)
 		defer stopProfiles()
 	}
 
-	if *suite {
-		runSuite(*measure, *workers, *suiteJSON)
-		return
-	}
-	if *cluster {
+	switch o.mode() {
+	case "-suite":
+		runSuite(o.measure, o.workers, o.suiteJSON)
+
+	case "-cluster":
 		// The cluster's own 2 s default applies unless -measure was given
 		// explicitly: the scenario is sized in domains, not window length,
 		// and the figures' 40 s default would just multiply the run time.
 		clusterMeasure := time.Duration(0)
 		flag.Visit(func(f *flag.Flag) {
 			if f.Name == "measure" {
-				clusterMeasure = *measure
+				clusterMeasure = o.measure
 			}
 		})
 		runCluster(experiments.ClusterOptions{
-			Machines:          *clusterMachines,
-			DomainsPerMachine: *clusterDomains,
-			Servers:           *clusterServers,
+			Machines:          o.clusterMachines,
+			DomainsPerMachine: o.clusterDomains,
+			Servers:           o.clusterServers,
 			Measure:           clusterMeasure,
-			Seed:              *seed,
-			Workers:           *workers,
-			Trace:             *clusterTrace != "",
-		}, *clusterJSON, *clusterTrace)
-		return
-	}
-	if *ext {
-		runExtensions(*measure)
-		return
-	}
-	if *e8 != "" {
-		runNetswap(*e8, *measure)
-		return
-	}
+			Seed:              o.seed,
+			Workers:           o.workers,
+			Trace:             o.clusterTrace != "",
+		}, o.clusterJSON, o.clusterTrace)
 
-	switch *fig {
-	case 7, 8:
+	case "-ext":
+		runExtensions(o.measure)
+
+	case "-e8":
+		runNetswap(o.e8, o.measure)
+
+	case "-fig 7", "-fig 8":
 		opt := experiments.DefaultPagingOptions()
-		opt.Measure = *measure
-		opt.Seed = *seed
-		if *fig == 8 {
+		opt.Measure = o.measure
+		opt.Seed = o.seed
+		if o.fig == 8 {
 			opt.Write = true
 			opt.Forgetful = true
 		}
-		opt.Telemetry = *metrics || *simprofile != ""
-		opt.Timeline = *timeline != "" || *timelineJSONL != ""
+		opt.Telemetry = o.metrics || o.simprofile != ""
+		opt.Timeline = o.timeline != ""
 		r, err := experiments.RunPaging(opt)
 		if err != nil {
 			fatalf("nemesis-paging: %v", err)
 		}
-		writeTimelines(r.Sys, *timeline, *timelineJSONL)
-		if *simprofile != "" {
+		if o.timeline != "" {
+			writeFile(o.timeline, r.Sys.WriteTimeline)
+		}
+		if o.simprofile != "" {
 			if err := r.Sys.CheckAttribution(); err != nil {
 				fatalf("nemesis-paging: %v", err)
 			}
-			writeFile(*simprofile, r.Sys.WriteAttributionFolded)
+			writeFile(o.simprofile, r.Sys.WriteAttributionFolded)
 		}
-		fmt.Printf("# Figure %d: sustained bandwidth (Mbit/s), sampled every %v\n", *fig, opt.SampleEvery)
+		fmt.Printf("# Figure %d: sustained bandwidth (Mbit/s), sampled every %v\n", o.fig, opt.SampleEvery)
 		if err := r.Set.WriteTSV(os.Stdout); err != nil {
 			fatal(err)
 		}
@@ -220,7 +282,7 @@ func main() {
 		for _, e := range sortedEntries(r.Log.MaxLax()) {
 			fmt.Printf("#   %s\t%.4f\n", e.k, e.v)
 		}
-		if *metrics {
+		if o.metrics {
 			fmt.Println("\n# per-domain snapshot:")
 			if err := r.Sys.WriteTopTable(os.Stdout); err != nil {
 				fatal(err)
@@ -235,26 +297,28 @@ func main() {
 			}
 		}
 
-	case 9:
+	case "-fig 9":
 		opt := experiments.DefaultFig9Options()
-		opt.Measure = *measure
-		opt.Seed = *seed
-		opt.Timeline = *timeline != "" || *timelineJSONL != ""
+		opt.Measure = o.measure
+		opt.Seed = o.seed
+		opt.Timeline = o.timeline != ""
 		r, err := experiments.RunFig9(opt)
 		if err != nil {
 			fatalf("nemesis-paging: %v", err)
 		}
-		writeTimelines(r.ContendedSys, *timeline, *timelineJSONL)
+		if o.timeline != "" {
+			writeFile(o.timeline, r.ContendedSys.WriteTimeline)
+		}
 		fmt.Println("# Figure 9: file-system client isolation")
 		fmt.Printf("fs alone:\t%.2f Mbit/s\n", r.AloneMbps)
 		fmt.Printf("fs + 2 pagers:\t%.2f Mbit/s\n", r.ContendedMbps)
 		fmt.Printf("isolation:\t%.3f (1.0 = perfect)\n", r.Isolation())
 
-	case 0:
-		runAblations(*measure)
+	case "-fig 0":
+		runAblations(o.measure)
 
 	default:
-		fatalf("nemesis-paging: unknown figure %d", *fig)
+		fatalf("nemesis-paging: unknown figure %d", o.fig)
 	}
 }
 
@@ -271,20 +335,6 @@ func writeFile(path string, render func(io.Writer) error) {
 	}
 	if err := f.Close(); err != nil {
 		fatalf("nemesis-paging: %v", err)
-	}
-}
-
-// writeTimelines exports the run's timeline in whichever formats were
-// requested (no-ops on empty paths or a nil system).
-func writeTimelines(sys *core.System, tracePath, jsonlPath string) {
-	if sys == nil {
-		return
-	}
-	if tracePath != "" {
-		writeFile(tracePath, sys.WriteTimeline)
-	}
-	if jsonlPath != "" {
-		writeFile(jsonlPath, sys.WriteTimelineJSONL)
 	}
 }
 

@@ -25,36 +25,34 @@
 //
 // # Indexed core
 //
-// The core scales to thousands of clients: EDF picks run off (deadline,
-// admission) min-heaps, refreshes off a release calendar (calendar.go) and
-// slack picks off a bitmap, instead of scanning the client slice.
-// Heap entries are invalidated lazily — a state change never touches the
-// heaps; stale entries are recognised and dropped when they surface at the
-// top. Dropping is safe because, within one deadline epoch, eligibility only
-// ever decreases: remain only shrinks outside Refresh, removal is permanent,
-// and Refresh — the sole operation that restores a client — always advances
-// its deadline and pushes a fresh entry. One consequence: MinRemain must be
-// configured before the core starts operating (lowering it mid-flight could
-// resurrect entries that were already dropped).
+// The core scales to thousands of clients. Drivers (internal/cpu,
+// internal/usd) mirror whether they have work queued for each client
+// through SetReady, and pick through PickEDFReady and PickSlackReady, which
+// consider only ready clients. EDF picks run off one (deadline, admission)
+// min-heap of ready runnable clients, refreshes off a release calendar
+// (calendar.go) and slack picks off a bitmap, instead of scanning the
+// client slice.
 //
-// A driver need not pop every heap: the CPU scheduler never picks through
-// runq. So a heap that grows past twice the client count plus heapSlack is
-// compacted: every entry that can never again speak for its client — its
-// client removed, its deadline passed by, or its readiness generation
-// superseded — is dropped at once, and the rest re-heapified. Picks depend
-// only on the (deadline, seq) order of the entries that remain, so
-// compaction changes no decision.
+// Ready-heap entries are invalidated lazily — a state change never touches
+// the heap; stale entries are recognised and dropped when they surface at
+// the top. Dropping is safe because, within one deadline epoch, eligibility
+// only ever decreases: remain only shrinks outside Refresh, removal is
+// permanent, a readiness flip bumps the client's generation, and the two
+// operations that restore a client — Refresh and SetReady(c, true) — push
+// a fresh entry. A heap that grows past twice the client count plus
+// heapSlack is compacted: every entry that can never again speak for its
+// client — its client removed, its deadline passed by, or its readiness
+// generation superseded — is dropped at once, and the rest re-heapified.
+// Picks depend only on the (deadline, seq) order of the entries that
+// remain, so compaction changes no decision.
 //
-// Drivers that track work availability per client (internal/cpu) should
-// mirror it through SetReady and pick via PickEDFReady/PickSlackReady, which
-// consider only ready clients; the generic PickEDFWith/PickSlack remain for
-// drivers with few clients (internal/usd). Slack goes round-robin in client
-// order, not by deadline, so its index is a bitmap over client positions
-// with a bit per ready x=true client; PickSlackReady reads it a 64-bit word
-// at a time from the cursor on.
+// Slack goes round-robin in client order, not by deadline, so its index is
+// a bitmap over client positions with a bit per ready x=true client;
+// PickSlackReady reads it a 64-bit word at a time from the cursor on.
 //
 // ReferenceCore (reference_test.go) retains the original linear
-// implementation; the package tests co-run both over seeded random contract
+// implementation, with work availability passed to its picks as a
+// predicate; the package tests co-run both over seeded random contract
 // sets to pin the decisions of this implementation to the reference,
 // operation by operation.
 package atropos
@@ -143,7 +141,7 @@ type Client struct {
 	// Index bookkeeping (owned by Core).
 	seq      uint64 // admission sequence number; EDF tie-break key
 	idx      int    // position in Core.clients (slack round-robin order)
-	removed  bool   // invalidates any heap entries still referencing c
+	removed  bool   // invalidates any readyq entries still referencing c
 	ready    bool   // driver-reported work availability (SetReady)
 	readyGen uint32 // bumped on every readiness flip; invalidates readyq entries
 
@@ -190,11 +188,11 @@ func (c *Client) LaxCharged() time.Duration { return c.laxCharged }
 // qentry is a lazily-invalidated heap entry. An entry speaks for its client
 // only while the client still matches the snapshot taken at push time: the
 // deadline must be unchanged (Refresh advances it and pushes a replacement)
-// and, for readyq entries, the readiness generation must match.
+// and so must the readiness generation.
 type qentry struct {
 	deadline sim.Time
 	seq      uint64
-	gen      uint32 // readiness generation (only readyq reads it)
+	gen      uint32 // readiness generation
 	c        *Client
 }
 
@@ -263,15 +261,17 @@ func (q entryHeap) down(i int) {
 	}
 }
 
-// heapSlack is the fixed part of the lazy heaps' size bound (see Core.push).
+// heapSlack is the fixed part of the ready heap's size bound (see
+// Core.pushReady).
 const heapSlack = 64
 
-// compact drops the entries live rejects and re-heapifies the rest.
-func (h *entryHeap) compact(live func(*qentry) bool) {
+// compact drops the entries that no longer speak for their client and
+// re-heapifies the rest.
+func (h *entryHeap) compact() {
 	q := *h
 	n := 0
 	for i := range q {
-		if live(&q[i]) {
+		if current(&q[i]) {
 			q[n] = q[i]
 			n++
 		}
@@ -293,10 +293,8 @@ type Core struct {
 	slackIdx   int     // round-robin cursor for slack distribution
 	nextSeq    uint64
 
-	runq    entryHeap // runnable clients by (deadline, seq); lazy
 	readyq  entryHeap // ready ∧ runnable clients by (deadline, seq); lazy
 	cal     calendar  // every client, filed at its deadline
-	scratch []qentry  // PickEDFWith spill buffer, reused across calls
 	granted []*Client // Refresh's result, reused across calls
 
 	// slackBits has bit i set iff clients[i] is ready and has x = true: the
@@ -305,14 +303,6 @@ type Core struct {
 	// is fixed at Admit, so x never changes under a set bit; SetReady and
 	// Remove are the only writers.
 	slackBits []uint64
-
-	// MinRemain is the "reasonable amount of time remaining" threshold of
-	// the roll-over scheme: a client may start a transaction while
-	// remain > MinRemain, even if the transaction may overrun. Zero means
-	// any positive remainder suffices (pure roll-over as described in the
-	// paper's experiments). Configure before the first Admit; see the
-	// package comment on lazy invalidation.
-	MinRemain time.Duration
 }
 
 // NewCore returns a Core admitting contracts totalling at most capacity
@@ -376,14 +366,11 @@ func (co *Core) Admit(name string, q QoS, now sim.Time) (*Client, error) {
 	co.byName[name] = c
 	co.contracted += q.Share()
 	co.cal.file(c)
-	if co.runnable(c) {
-		co.push(&co.runq, c, current)
-	}
 	return c, nil
 }
 
-// Remove deregisters a client. Heap entries referencing it go stale and are
-// dropped lazily; so does its place in the calendar.
+// Remove deregisters a client. Ready-heap entries referencing it go stale
+// and are dropped lazily; so does its place in the calendar.
 func (co *Core) Remove(name string) error {
 	c := co.byName[name]
 	if c == nil {
@@ -443,11 +430,8 @@ func (co *Core) Refresh(now sim.Time) []*Client {
 				c.state = Runnable
 			}
 			co.cal.file(c)
-			if co.runnable(c) {
-				co.push(&co.runq, c, current)
-				if c.ready {
-					co.push(&co.readyq, c, currentReady)
-				}
+			if c.ready && runnable(c) {
+				co.pushReady(c)
 			}
 			granted = append(granted, c)
 		}
@@ -463,78 +447,33 @@ func (co *Core) Refresh(now sim.Time) []*Client {
 	return granted
 }
 
-// current reports whether e still holds its client's current deadline.
-// Deadlines only advance and removal is permanent, so an entry that fails
-// it never speaks for its client again.
-func current(e *qentry) bool { return !e.c.removed && e.c.deadline == e.deadline }
+// current reports whether e still holds its client's current deadline and
+// readiness generation. Deadlines only advance, generations only grow and
+// removal is permanent, so an entry that fails it never speaks for its
+// client again.
+func current(e *qentry) bool {
+	return !e.c.removed && e.c.deadline == e.deadline && e.c.readyGen == e.gen
+}
 
-// currentReady is current for readyq entries, which a readiness flip also
-// supersedes.
-func currentReady(e *qentry) bool { return current(e) && e.c.readyGen == e.gen }
-
-// push adds c's entry for its current deadline to h and, once h holds more
-// than 2·len(clients) + heapSlack entries, compacts it to those live keeps.
-func (co *Core) push(h *entryHeap, c *Client, live func(*qentry) bool) {
-	h.push(qentry{deadline: c.deadline, seq: c.seq, gen: c.readyGen, c: c})
-	if len(*h) > 2*len(co.clients)+heapSlack {
-		h.compact(live)
+// pushReady adds c's entry for its current deadline and generation to the
+// ready heap and, once the heap holds more than 2·len(clients) + heapSlack
+// entries, compacts it to the current ones.
+func (co *Core) pushReady(c *Client) {
+	co.readyq.push(qentry{deadline: c.deadline, seq: c.seq, gen: c.readyGen, c: c})
+	if len(co.readyq) > 2*len(co.clients)+heapSlack {
+		co.readyq.compact()
 	}
 }
 
-// runnable reports whether c may be given service now.
-func (co *Core) runnable(c *Client) bool {
-	return c.state == Runnable && c.remain > co.MinRemain
-}
-
-// runValid reports whether a runq/readyq entry still speaks for a
-// currently-eligible client.
-func (co *Core) runValid(e *qentry) bool {
-	return current(e) && co.runnable(e.c)
-}
-
-// PickEDF returns the runnable client with the earliest deadline, or nil.
-// Ties break by admission order, which is deterministic.
-func (co *Core) PickEDF() *Client {
-	for len(co.runq) > 0 {
-		e := &co.runq[0]
-		if co.runValid(e) {
-			return e.c
-		}
-		co.runq.pop()
-	}
-	return nil
-}
-
-// PickEDFWith returns the earliest-deadline runnable client satisfying pred.
-// Entries failing only pred are kept (pred may pass on a later call); stale
-// entries are dropped. Cost grows with the number of runnable clients pred
-// rejects — drivers with many clients should maintain readiness through
-// SetReady and use PickEDFReady instead.
-func (co *Core) PickEDFWith(pred func(*Client) bool) *Client {
-	co.scratch = co.scratch[:0]
-	var pick *Client
-	for len(co.runq) > 0 {
-		e := &co.runq[0]
-		if !co.runValid(e) {
-			co.runq.pop()
-			continue
-		}
-		if pred(e.c) {
-			pick = e.c
-			break
-		}
-		co.scratch = append(co.scratch, co.runq.pop())
-	}
-	for _, e := range co.scratch {
-		co.runq.push(e)
-	}
-	return pick
-}
+// runnable reports whether c may be given service now. A client may start
+// a transaction with any time left, even if the transaction may overrun:
+// the roll-over scheme charges the overrun to its next allocation.
+func runnable(c *Client) bool { return c.state == Runnable && c.remain > 0 }
 
 // SetReady records whether the driver has work queued for c. Readiness feeds
-// PickEDFReady and PickSlackReady; it is the indexed replacement for passing
-// a has-work predicate to every pick. A flip of an x=true client flips its
-// slack bit, and a newly ready runnable client enters the ready heap.
+// PickEDFReady and PickSlackReady, which consider only ready clients. A flip
+// of an x=true client flips its slack bit, and a newly ready runnable client
+// enters the ready heap.
 func (co *Core) SetReady(c *Client, ready bool) {
 	if c.ready == ready || c.removed {
 		return
@@ -544,17 +483,19 @@ func (co *Core) SetReady(c *Client, ready bool) {
 	if c.qos.X {
 		co.slackBits[c.idx>>6] ^= 1 << (c.idx & 63)
 	}
-	if ready && co.runnable(c) {
-		co.push(&co.readyq, c, currentReady)
+	if ready && runnable(c) {
+		co.pushReady(c)
 	}
 }
 
-// PickEDFReady returns the earliest-deadline runnable client marked ready,
-// equivalent to PickEDFWith with a ready predicate but O(log n).
+// PickEDFReady returns the ready runnable client with the earliest
+// deadline, or nil. Ties break by admission order, which is deterministic.
 func (co *Core) PickEDFReady() *Client {
 	for len(co.readyq) > 0 {
+		// A current entry's client is ready: entries are pushed only for
+		// ready clients, and a flip bumps the generation.
 		e := &co.readyq[0]
-		if currentReady(e) && e.c.ready && co.runnable(e.c) {
+		if current(e) && runnable(e.c) {
 			return e.c
 		}
 		co.readyq.pop()
@@ -562,26 +503,13 @@ func (co *Core) PickEDFReady() *Client {
 	return nil
 }
 
-// PickSlack returns the next slack-eligible (x=true) client satisfying pred,
-// distributing slack round-robin regardless of remaining allocation. Clients
-// in any state may receive slack except those the driver filters out.
-func (co *Core) PickSlack(pred func(*Client) bool) *Client {
-	n := len(co.clients)
-	for i := 0; i < n; i++ {
-		c := co.clients[(co.slackIdx+i)%n]
-		if c.qos.X && pred(c) {
-			co.slackIdx = (co.slackIdx + i + 1) % n
-			return c
-		}
-	}
-	return nil
-}
-
-// PickSlackReady is PickSlack with a ready predicate, read off the slack
-// bitmap: it takes the first set bit at or after the round-robin cursor
-// (slackIdx mod n, as the cursor may point past the end after a Remove),
-// wrapping to 0, and advances the cursor past it. That is exactly the client
-// the linear scan would have stopped at, found a word at a time.
+// PickSlackReady returns the next ready slack-eligible (x=true) client,
+// distributing slack round-robin in admission order regardless of remaining
+// allocation or state. It reads the slack bitmap: it takes the first set
+// bit at or after the round-robin cursor (slackIdx mod n, as the cursor may
+// point past the end after a Remove), wrapping to 0, and advances the
+// cursor past it. That is exactly the client a linear scan from the cursor
+// would stop at, found a word at a time.
 func (co *Core) PickSlackReady() *Client {
 	n := len(co.clients)
 	if n == 0 {

@@ -107,8 +107,9 @@ func TestRollOverAccounting(t *testing.T) {
 	// deterministically exceeding their guarantee.
 	co := NewCore(1.0)
 	c := mustAdmit(t, co, "a", QoS{P: ms(250), S: ms(25)}, 0)
+	co.SetReady(c, true)
 	co.Charge(c, ms(24)) // 1ms left: still runnable
-	if co.PickEDF() != c {
+	if co.PickEDFReady() != c {
 		t.Fatal("client with 1ms left not picked")
 	}
 	co.Charge(c, ms(12)) // transaction overran: remain = -11ms
@@ -167,15 +168,26 @@ func TestPickEDFOrdersByDeadline(t *testing.T) {
 	// b has the shorter period => earlier deadline => picked first.
 	a := mustAdmit(t, co, "a", QoS{P: ms(250), S: ms(50)}, 0)
 	b := mustAdmit(t, co, "b", QoS{P: ms(100), S: ms(10)}, 0)
-	if got := co.PickEDF(); got != b {
+	if got := co.PickEDFReady(); got != nil {
+		t.Fatalf("picked %v with nobody ready", got.Name())
+	}
+	co.SetReady(a, true)
+	co.SetReady(b, true)
+	if got := co.PickEDFReady(); got != b {
 		t.Fatalf("picked %v", got.Name())
 	}
+	// An earlier deadline with no work queued is passed over.
+	co.SetReady(b, false)
+	if got := co.PickEDFReady(); got != a {
+		t.Fatalf("picked %v with b not ready", got.Name())
+	}
+	co.SetReady(b, true)
 	co.Charge(b, ms(10)) // b exhausted
-	if got := co.PickEDF(); got != a {
+	if got := co.PickEDFReady(); got != a {
 		t.Fatalf("picked %v after b exhausted", got.Name())
 	}
 	co.Charge(a, ms(50))
-	if got := co.PickEDF(); got != nil {
+	if got := co.PickEDFReady(); got != nil {
 		t.Fatalf("picked %v with all exhausted", got.Name())
 	}
 }
@@ -183,22 +195,13 @@ func TestPickEDFOrdersByDeadline(t *testing.T) {
 func TestPickEDFTieBreaksByAdmissionOrder(t *testing.T) {
 	co := NewCore(1.0)
 	a := mustAdmit(t, co, "a", QoS{P: ms(250), S: ms(25)}, 0)
-	mustAdmit(t, co, "b", QoS{P: ms(250), S: ms(25)}, 0)
-	if got := co.PickEDF(); got != a {
-		t.Fatalf("tie broke to %v", got.Name())
-	}
-}
-
-func TestPickEDFWith(t *testing.T) {
-	co := NewCore(1.0)
-	mustAdmit(t, co, "a", QoS{P: ms(100), S: ms(10)}, 0)
 	b := mustAdmit(t, co, "b", QoS{P: ms(250), S: ms(25)}, 0)
-	got := co.PickEDFWith(func(c *Client) bool { return c.Name() == "b" })
-	if got != b {
-		t.Fatalf("picked %v", got)
-	}
-	if co.PickEDFWith(func(c *Client) bool { return false }) != nil {
-		t.Fatal("predicate false still picked")
+	// b becomes ready first, so its entry is pushed first; admission order
+	// still decides the tie.
+	co.SetReady(b, true)
+	co.SetReady(a, true)
+	if got := co.PickEDFReady(); got != a {
+		t.Fatalf("tie broke to %v", got.Name())
 	}
 }
 
@@ -235,8 +238,9 @@ func TestLaxityExhaustionIdles(t *testing.T) {
 	if c.LaxBudget() != 0 {
 		t.Fatalf("budget = %v", c.LaxBudget())
 	}
-	// Idle clients are not picked.
-	if co.PickEDF() != nil {
+	// Idle clients are not picked, even with work queued.
+	co.SetReady(c, true)
+	if co.PickEDFReady() != nil {
 		t.Fatal("idle client picked")
 	}
 	// Next allocation revives it.
@@ -269,20 +273,26 @@ func TestZeroLaxityIdlesImmediately(t *testing.T) {
 func TestPickSlackRoundRobin(t *testing.T) {
 	co := NewCore(1.0)
 	a := mustAdmit(t, co, "a", QoS{P: ms(100), S: ms(10), X: true}, 0)
-	mustAdmit(t, co, "b", QoS{P: ms(100), S: ms(10), X: false}, 0)
+	b := mustAdmit(t, co, "b", QoS{P: ms(100), S: ms(10), X: false}, 0)
 	c := mustAdmit(t, co, "c", QoS{P: ms(100), S: ms(10), X: true}, 0)
-	all := func(*Client) bool { return true }
-	if got := co.PickSlack(all); got != a {
+	for _, cl := range []*Client{a, b, c} {
+		co.SetReady(cl, true)
+	}
+	// Slack ignores the remaining allocation: an exhausted client gets it.
+	co.Charge(c, ms(10))
+	if got := co.PickSlackReady(); got != a {
 		t.Fatalf("first slack pick = %v", got.Name())
 	}
-	if got := co.PickSlack(all); got != c {
+	if got := co.PickSlackReady(); got != c {
 		t.Fatalf("second slack pick = %v", got.Name())
 	}
-	if got := co.PickSlack(all); got != a {
+	if got := co.PickSlackReady(); got != a {
 		t.Fatalf("third slack pick = %v", got.Name())
 	}
-	if got := co.PickSlack(func(*Client) bool { return false }); got != nil {
-		t.Fatal("slack picked with false predicate")
+	co.SetReady(a, false)
+	co.SetReady(c, false)
+	if got := co.PickSlackReady(); got != nil {
+		t.Fatalf("slack picked %v with no x=true client ready", got.Name())
 	}
 }
 
@@ -296,16 +306,6 @@ func TestNextBoundary(t *testing.T) {
 	b, ok := co.NextBoundary()
 	if !ok || b != at(100) {
 		t.Fatalf("boundary = %v, %v", b, ok)
-	}
-}
-
-func TestMinRemainGate(t *testing.T) {
-	co := NewCore(1.0)
-	co.MinRemain = ms(2)
-	c := mustAdmit(t, co, "a", QoS{P: ms(100), S: ms(10)}, 0)
-	co.Charge(c, ms(9)) // 1ms left < MinRemain
-	if co.PickEDF() != nil {
-		t.Fatal("client below MinRemain picked")
 	}
 }
 
@@ -377,11 +377,14 @@ func TestAdmissionInvariantProperty(t *testing.T) {
 	}
 }
 
-// TestLazyHeapsStayBounded drives a core the way cpu.Scheduler does — only
-// Refresh, SetReady, PickEDFReady and PickSlackReady, so nothing ever pops
-// runq — with 1,000 clients over 200 periods. Every Refresh pushes a runq
-// entry per runnable client; without compaction runq would end up holding
-// clients × periods entries. The release calendar is held to the same
+// TestLazyHeapsStayBounded drives a core the way its drivers do — Refresh,
+// SetReady, PickEDFReady and PickSlackReady — with 1,000 clients over 200
+// periods, each client drawn for a readiness flip about once a step. Every
+// Refresh pushes a ready-heap entry per ready runnable client and every
+// flip to ready pushes one more, while a pick pops only the stale entries
+// above the earliest live one, so a period leaves a few stale entries per
+// client behind the live ones; without compaction the ready heap would
+// pass its bound within a period. The release calendar is held to the same
 // bound, counted in the clients filed across its entries.
 func TestLazyHeapsStayBounded(t *testing.T) {
 	const clients, periods, steps = 1000, 200, 10
@@ -395,7 +398,7 @@ func TestLazyHeapsStayBounded(t *testing.T) {
 	bound := 2*clients + heapSlack
 	for step := 1; step <= periods*steps; step++ {
 		co.Refresh(sim.Time(ms(100) / steps * time.Duration(step)))
-		for k := 0; k < clients/10; k++ {
+		for k := 0; k < clients; k++ {
 			co.SetReady(cs[rng.Intn(clients)], rng.Intn(2) == 0)
 		}
 		co.PickEDFReady()
@@ -404,9 +407,9 @@ func TestLazyHeapsStayBounded(t *testing.T) {
 		for _, e := range co.cal.heap {
 			filed += len(e.clients)
 		}
-		if len(co.runq) > bound || len(co.readyq) > bound || filed > bound {
-			t.Fatalf("step %d: runq %d, readyq %d entries, calendar %d filed in %d entries, bound %d",
-				step, len(co.runq), len(co.readyq), filed, len(co.cal.heap), bound)
+		if len(co.readyq) > bound || filed > bound {
+			t.Fatalf("step %d: readyq %d entries, calendar %d filed in %d entries, bound %d",
+				step, len(co.readyq), filed, len(co.cal.heap), bound)
 		}
 	}
 }

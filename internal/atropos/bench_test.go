@@ -21,11 +21,15 @@ func benchCore(b *testing.B, clients int) *Core {
 	return co
 }
 
-func BenchmarkPickEDF16(b *testing.B) {
+func BenchmarkPickEDFReady16(b *testing.B) {
 	co := benchCore(b, 16)
+	for _, c := range co.Clients() {
+		co.SetReady(c, true)
+	}
 	b.ReportAllocs()
+	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if co.PickEDF() == nil {
+		if co.PickEDFReady() == nil {
 			b.Fatal("no pick")
 		}
 	}
@@ -80,7 +84,7 @@ func BenchmarkReferenceTick(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				now = now.Add(time.Millisecond)
 				co.Refresh(now)
-				if c := co.PickEDFWith(ready); c != nil {
+				if c := co.PickEDFWhere(ready); c != nil {
 					co.Charge(c, time.Millisecond)
 				}
 			}
@@ -152,7 +156,7 @@ func BenchmarkReferenceSlackPick(b *testing.B) {
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				if co.PickSlack(pred) == nil {
+				if co.PickSlackWhere(pred) == nil {
 					b.Fatal("no pick")
 				}
 			}

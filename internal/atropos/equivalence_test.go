@@ -1,6 +1,7 @@
 package atropos
 
 import (
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"math/rand"
@@ -27,14 +28,14 @@ type pair struct {
 	names []string        // the names random admits and removals draw from
 	now   sim.Time
 	step  int
-	// compactions counts Refresh and SetReady calls after which runq or
-	// readyq was shorter than before: only a compaction shortens a heap
-	// those operations push to.
+	// compactions counts Refresh and SetReady calls after which readyq was
+	// shorter than before: only a compaction shortens the heap those
+	// operations push to.
 	compactions int
 }
 
-func newPair(t *testing.T, seed int64, capacity float64, minRemain time.Duration) *pair {
-	p := &pair{
+func newPair(t *testing.T, seed int64, capacity float64) *pair {
+	return &pair{
 		t:     t,
 		seed:  seed,
 		heap:  NewCore(capacity),
@@ -42,9 +43,6 @@ func newPair(t *testing.T, seed int64, capacity float64, minRemain time.Duration
 		ready: make(map[string]bool),
 		names: []string{"a", "b", "c", "d", "e", "f", "g", "h"},
 	}
-	p.heap.MinRemain = minRemain
-	p.ref.MinRemain = minRemain
-	return p
 }
 
 // populate admits n uniquely named clients d0…d(n-1) into both cores, each
@@ -95,7 +93,7 @@ func (p *pair) remove(name string) {
 func (p *pair) pickSlackReady() string {
 	p.t.Helper()
 	got := cname(p.heap.PickSlackReady())
-	want := rname(p.ref.PickSlack(func(c *ReferenceClient) bool { return p.ready[c.name] }))
+	want := rname(p.ref.PickSlackWhere(func(c *ReferenceClient) bool { return p.ready[c.name] }))
 	if got != want {
 		p.fatalf("PickSlackReady: heap %q ref %q", got, want)
 	}
@@ -185,7 +183,7 @@ func (p *pair) op(rng *rand.Rand) string {
 	p.t.Helper()
 	p.step++
 	out := ""
-	switch op := rng.Intn(16); op {
+	switch op := rng.Intn(14); op {
 	case 0, 1: // admit (often over capacity — errors must agree)
 		name := p.names[rng.Intn(len(p.names))]
 		q := randQoS(rng)
@@ -252,9 +250,9 @@ func (p *pair) op(rng *rand.Rand) string {
 			dt = time.Duration(rng.Int63n(int64(30 * time.Millisecond)))
 		}
 		p.now = p.now.Add(dt)
-		nrun, nready := len(p.heap.runq), len(p.heap.readyq)
+		n := len(p.heap.readyq)
 		hg := p.heap.Refresh(p.now)
-		if len(p.heap.runq) < nrun || len(p.heap.readyq) < nready {
+		if len(p.heap.readyq) < n {
 			p.compactions++
 		}
 		rg := p.ref.Refresh(p.now)
@@ -266,32 +264,16 @@ func (p *pair) op(rng *rand.Rand) string {
 				p.fatalf("refresh grant %d: %q vs %q", i, hg[i].name, rg[i].name)
 			}
 		}
-	case 11: // EDF pick
-		got, want := cname(p.heap.PickEDF()), rname(p.ref.PickEDF())
+	case 11: // EDF pick over the ready set (readiness as the reference's predicate)
+		got := cname(p.heap.PickEDFReady())
+		want := rname(p.ref.PickEDFWhere(func(c *ReferenceClient) bool { return p.ready[c.name] }))
 		if got != want {
-			p.fatalf("PickEDF: heap %q ref %q", got, want)
-		}
-		out = "PickEDF " + got
-	case 12: // predicated EDF pick (readiness as the predicate)
-		got := cname(p.heap.PickEDFWith(func(c *Client) bool { return p.ready[c.name] }))
-		want := rname(p.ref.PickEDFWith(func(c *ReferenceClient) bool { return p.ready[c.name] }))
-		if got != want {
-			p.fatalf("PickEDFWith(ready): heap %q ref %q", got, want)
-		}
-		if indexed := cname(p.heap.PickEDFReady()); indexed != want {
-			p.fatalf("PickEDFReady: heap %q ref-pred %q", indexed, want)
+			p.fatalf("PickEDFReady: heap %q ref %q", got, want)
 		}
 		out = "PickEDFReady " + got
-	case 13: // slack round-robin over the ready set (advances both cursors)
+	case 12: // slack round-robin over the ready set (advances both cursors)
 		out = fmt.Sprintf("PickSlackReady %s %d", p.pickSlackReady(), p.heap.slackIdx)
-	case 14: // generic slack pick with an unconditional predicate
-		got := cname(p.heap.PickSlack(func(*Client) bool { return true }))
-		want := rname(p.ref.PickSlack(func(*ReferenceClient) bool { return true }))
-		if got != want {
-			p.fatalf("PickSlack(true): heap %q ref %q", got, want)
-		}
-		out = fmt.Sprintf("PickSlack %s %d", got, p.heap.slackIdx)
-	case 15: // next period boundary
+	case 13: // next period boundary
 		hb, hok := p.heap.NextBoundary()
 		rb, rok := p.ref.NextBoundary()
 		if hok != rok || (hok && hb != rb) {
@@ -313,34 +295,28 @@ func TestHeapMatchesReference(t *testing.T) {
 	}
 	for seed := 0; seed < seqs; seed++ {
 		rng := rand.New(rand.NewSource(int64(seed)))
-		// A quarter of the sequences exercise a non-zero roll-over
-		// threshold; it must be fixed before operations begin (see the
-		// package comment on lazy invalidation).
-		var minRemain time.Duration
-		if seed%4 == 0 {
-			minRemain = 100 * time.Microsecond
-		}
 		capacity := 1.0
 		if seed%5 == 0 {
 			capacity = 3.0 // roomy admission → bigger populations
 		}
-		p := newPair(t, int64(seed), capacity, minRemain)
+		p := newPair(t, int64(seed), capacity)
 		p.run(rng, 150)
 	}
 }
 
-// TestHeapMatchesReferenceLargePopulation stresses the heaps and the slack
-// bitmap with hundreds of concurrent clients per core (high capacity), ready
-// clients spread over every bitmap word. Admits and removals draw from the
-// d* population as well as a–h, so removals land in every word and shift the
-// bits of all the words after them, and removed d* names come back. Each
-// sequence runs long enough for the lazy heaps to be compacted.
+// TestHeapMatchesReferenceLargePopulation stresses the ready heap and the
+// slack bitmap with hundreds of concurrent clients per core (high
+// capacity), ready clients spread over every bitmap word. Admits and
+// removals draw from the d* population as well as a–h, so removals land in
+// every word and shift the bits of all the words after them, and removed d*
+// names come back. Each sequence runs long enough for the ready heap to be
+// compacted.
 func TestHeapMatchesReferenceLargePopulation(t *testing.T) {
 	for seed := int64(0); seed < 10; seed++ {
 		rng := rand.New(rand.NewSource(1000 + seed))
-		p := newPair(t, seed, 1e9, 0)
+		p := newPair(t, seed, 1e9)
 		p.populate(rng, 300, randQoS)
-		p.run(rng, 400)
+		p.run(rng, 600)
 		if p.compactions == 0 {
 			t.Errorf("seed %d: no heap compaction in %d operations", seed, p.step)
 		}
@@ -366,7 +342,7 @@ func TestSlackPickAcrossWordBoundaries(t *testing.T) {
 			func(at, n int) int { return n - 1 },
 		} {
 			rng := rand.New(rand.NewSource(3000 + seed))
-			p := newPair(t, seed, 1e9, 0)
+			p := newPair(t, seed, 1e9)
 			p.populate(rng, 200, allSlack)
 			for _, at := range []int{0, 63, 64, 127, -1} {
 				n := len(p.heap.Clients())
@@ -392,6 +368,53 @@ func TestSlackPickAcrossWordBoundaries(t *testing.T) {
 	}
 }
 
+// byteSource is a rand.Source that reads the fuzz input four bytes a draw
+// and yields 0 once the input is used up, so the fuzzer's mutations steer
+// every choice the pair harness makes. The four bytes fill both halves of
+// the draw: rand.Rand takes small ranges from its high bits (Intn) or, for
+// a power-of-two bound, its low bits (Int63n).
+type byteSource struct{ b []byte }
+
+func (s *byteSource) Int63() int64 {
+	var w [4]byte
+	n := copy(w[:], s.b)
+	s.b = s.b[n:]
+	x := uint64(binary.LittleEndian.Uint32(w[:]))
+	return int64((x<<32 | x) >> 1)
+}
+
+func (s *byteSource) Seed(int64) {}
+
+// FuzzCoreMatchesReference drives the pair harness from the fuzz input. Its
+// first byte picks the admission capacity: 1, 3, or so roomy that the pair
+// starts with up to 200 clients across four bitmap words. The rest feeds
+// the harness's random choices, and operations run until it is used up.
+// Every pick, grant, boundary and piece of client state must agree with the
+// reference after every operation.
+func FuzzCoreMatchesReference(f *testing.F) {
+	for mode := byte(0); mode < 3; mode++ {
+		b := make([]byte, 2048)
+		rand.New(rand.NewSource(int64(mode))).Read(b)
+		b[0] = mode
+		f.Add(b)
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		if len(data) == 0 {
+			return
+		}
+		capacity := []float64{1, 3, 1e9}[data[0]%3]
+		src := &byteSource{b: data[1:]}
+		rng := rand.New(src)
+		p := newPair(t, 0, capacity)
+		if capacity == 1e9 {
+			p.populate(rng, rng.Intn(200), randQoS)
+		}
+		for len(src.b) > 0 {
+			p.op(rng)
+		}
+	})
+}
+
 // clone returns an independent copy of the reference core.
 func (co *ReferenceCore) clone() *ReferenceCore {
 	nc := *co
@@ -406,7 +429,7 @@ func (co *ReferenceCore) clone() *ReferenceCore {
 // TestForkMatchesParent forks an indexed core mid-sequence, with ready
 // clients spread across several bitmap words, then drives parent and fork
 // through the same random operations in lockstep, each beside its own copy
-// of the reference. Parent and fork must make the same decisions — PickEDF,
+// of the reference. Parent and fork must make the same decisions —
 // PickEDFReady and PickSlackReady, with the same slack cursor — and hold the
 // same state for every client, index bookkeeping included. Since each core
 // also answers to its own reference after every operation, a fork that
@@ -415,7 +438,7 @@ func (co *ReferenceCore) clone() *ReferenceCore {
 func TestForkMatchesParent(t *testing.T) {
 	for seed := int64(0); seed < 10; seed++ {
 		rng := rand.New(rand.NewSource(2000 + seed))
-		p := newPair(t, seed, 1e9, 0)
+		p := newPair(t, seed, 1e9)
 		p.populate(rng, 300, randQoS)
 		p.run(rng, 200)
 

@@ -3,8 +3,8 @@ package atropos
 // Fork returns a deep copy of the core and an identity map from each parent
 // client to its forked twin. Everything that influences future decisions is
 // copied exactly: client accounting, admission sequence numbers, the
-// round-robin slack cursor and slack bitmap, the lazily-invalidated heaps
-// and the release calendar — including their stale entries and removed
+// round-robin slack cursor and slack bitmap, the lazily-invalidated ready
+// heap and the release calendar — including their stale entries and removed
 // clients, re-pointed at the copied clients, so the forked core drops them
 // at the same instants the parent would.
 func (co *Core) Fork() (*Core, map[*Client]*Client) {
@@ -16,7 +16,6 @@ func (co *Core) Fork() (*Core, map[*Client]*Client) {
 		contracted: co.contracted,
 		slackIdx:   co.slackIdx,
 		nextSeq:    co.nextSeq,
-		MinRemain:  co.MinRemain,
 	}
 	clone := func(c *Client) *Client {
 		if c == nil {
@@ -36,18 +35,13 @@ func (co *Core) Fork() (*Core, map[*Client]*Client) {
 	for name, c := range co.byName {
 		nc.byName[name] = clone(c)
 	}
-	remapHeap := func(h entryHeap) entryHeap {
-		out := make(entryHeap, len(h))
-		for i, e := range h {
-			// Stale entries may reference removed clients absent from the
-			// client list; clone keeps their snapshot state so the copied
-			// heap invalidates them identically.
-			out[i] = qentry{deadline: e.deadline, seq: e.seq, gen: e.gen, c: clone(e.c)}
-		}
-		return out
+	nc.readyq = make(entryHeap, len(co.readyq))
+	for i, e := range co.readyq {
+		// Stale entries may reference removed clients absent from the
+		// client list; clone keeps their snapshot state so the copied heap
+		// invalidates them identically.
+		nc.readyq[i] = qentry{deadline: e.deadline, seq: e.seq, gen: e.gen, c: clone(e.c)}
 	}
-	nc.runq = remapHeap(co.runq)
-	nc.readyq = remapHeap(co.readyq)
 	nc.cal = co.cal.fork(clone)
 	nc.slackBits = append([]uint64(nil), co.slackBits...)
 	return nc, m

@@ -65,10 +65,9 @@ func (c *ReferenceClient) LaxCharged() time.Duration { return c.laxCharged }
 // ReferenceCore is the original O(n)-per-operation Core: every pick and
 // refresh scans the full client slice.
 type ReferenceCore struct {
-	clients   []*ReferenceClient
-	capacity  float64
-	slackIdx  int
-	MinRemain time.Duration
+	clients  []*ReferenceClient
+	capacity float64
+	slackIdx int
 }
 
 // NewReferenceCore returns a ReferenceCore admitting contracts totalling at
@@ -168,26 +167,13 @@ func (co *ReferenceCore) Refresh(now sim.Time) []*ReferenceClient {
 
 // runnable reports whether c may be given service now.
 func (co *ReferenceCore) runnable(c *ReferenceClient) bool {
-	return c.state == Runnable && c.remain > co.MinRemain
+	return c.state == Runnable && c.remain > 0
 }
 
-// PickEDF returns the runnable client with the earliest deadline, or nil.
-// Ties break by admission order, which is deterministic.
-func (co *ReferenceCore) PickEDF() *ReferenceClient {
-	var best *ReferenceClient
-	for _, c := range co.clients {
-		if !co.runnable(c) {
-			continue
-		}
-		if best == nil || c.deadline < best.deadline {
-			best = c
-		}
-	}
-	return best
-}
-
-// PickEDFWith returns the earliest-deadline runnable client satisfying pred.
-func (co *ReferenceCore) PickEDFWith(pred func(*ReferenceClient) bool) *ReferenceClient {
+// PickEDFWhere returns the earliest-deadline runnable client satisfying pred,
+// or nil. Ties break by admission order, which is deterministic. It is the
+// oracle for Core.PickEDFReady, with readiness as pred.
+func (co *ReferenceCore) PickEDFWhere(pred func(*ReferenceClient) bool) *ReferenceClient {
 	var best *ReferenceClient
 	for _, c := range co.clients {
 		if !co.runnable(c) || !pred(c) {
@@ -200,9 +186,10 @@ func (co *ReferenceCore) PickEDFWith(pred func(*ReferenceClient) bool) *Referenc
 	return best
 }
 
-// PickSlack returns the next slack-eligible (x=true) client satisfying pred,
-// distributing slack round-robin regardless of remaining allocation.
-func (co *ReferenceCore) PickSlack(pred func(*ReferenceClient) bool) *ReferenceClient {
+// PickSlackWhere returns the next slack-eligible (x=true) client satisfying pred,
+// distributing slack round-robin regardless of remaining allocation. It is
+// the oracle for Core.PickSlackReady, with readiness as pred.
+func (co *ReferenceCore) PickSlackWhere(pred func(*ReferenceClient) bool) *ReferenceClient {
 	n := len(co.clients)
 	for i := 0; i < n; i++ {
 		c := co.clients[(co.slackIdx+i)%n]

@@ -106,9 +106,3 @@ func (sys *System) Timeline() obs.Timeline {
 func (sys *System) WriteTimeline(w io.Writer) error {
 	return sys.Timeline().Dump().WriteTrace(w)
 }
-
-// WriteTimelineJSONL renders the run's timeline in the compact line format
-// cmd/nemesis-timeline converts and validates.
-func (sys *System) WriteTimelineJSONL(w io.Writer) error {
-	return sys.Timeline().Dump().WriteJSONL(w)
-}

@@ -62,10 +62,9 @@ type PagingOptions struct {
 	VirtBytes  uint64
 	PhysFrames int
 	SwapBytes  int64
-	// InitLimit bounds the initialisation phase; Measure is the measured
-	// window after every application has initialised.
-	InitLimit time.Duration
-	Measure   time.Duration
+	// Measure is the measured window after every application has
+	// initialised.
+	Measure time.Duration
 	// SampleEvery is the watch-thread period (paper: 5 s).
 	SampleEvery time.Duration
 	Seed        int64
@@ -84,8 +83,6 @@ type PagingOptions struct {
 	// exported timeline always contains revocation-phase audit events. It
 	// perturbs the workload, so it is off for golden/figure runs.
 	Timeline bool
-	// Recorder overrides the recorder defaults when Timeline is set.
-	Recorder obs.RecorderConfig
 	// SnapshotEvery, with Telemetry, invokes OnSnapshot at this period of
 	// simulated time during the measured window — nemesis-top uses it to
 	// render periodic per-domain tables.
@@ -103,7 +100,6 @@ func DefaultPagingOptions() PagingOptions {
 		VirtBytes:     4 << 20,
 		PhysFrames:    2,
 		SwapBytes:     16 << 20,
-		InitLimit:     10 * time.Minute,
 		Measure:       40 * time.Second,
 		SampleEvery:   5 * time.Second,
 		Seed:          1,
@@ -202,17 +198,20 @@ func WarmPaging(opt PagingOptions) (*PagingWarm, error) {
 			return nil, err
 		}
 	}
-	if err := awaitInit(sys, w.Pagers, opt.InitLimit); err != nil {
+	if err := awaitInit(sys, w.Pagers); err != nil {
 		sys.Shutdown()
 		return nil, err
 	}
 	return w, nil
 }
 
-// awaitInit runs sys until every pager has initialised, failing once limit
-// of simulated time has passed.
-func awaitInit(sys *core.System, pagers []*workload.Pager, limit time.Duration) error {
-	deadline := sys.Sim.Now().Add(limit)
+// initLimit bounds the initialisation phase in simulated time.
+const initLimit = 10 * time.Minute
+
+// awaitInit runs sys until every pager has initialised, failing once
+// initLimit of simulated time has passed.
+func awaitInit(sys *core.System, pagers []*workload.Pager) error {
+	deadline := sys.Sim.Now().Add(initLimit)
 	for {
 		ready := true
 		for _, pg := range pagers {
@@ -224,7 +223,7 @@ func awaitInit(sys *core.System, pagers []*workload.Pager, limit time.Duration) 
 			return nil
 		}
 		if sys.Sim.Now() >= deadline {
-			return fmt.Errorf("experiments: initialisation exceeded %v", limit)
+			return fmt.Errorf("experiments: initialisation exceeded %v", initLimit)
 		}
 		sys.Run(time.Second)
 	}
@@ -268,7 +267,7 @@ func (w *PagingWarm) Measure(measure time.Duration) (*PagingResult, error) {
 		sys.StartCrosstalkMonitor(obs.DefaultCrosstalkConfig())
 	}
 	if opt.Timeline {
-		sys.StartRecorder(opt.Recorder)
+		sys.StartRecorder(obs.RecorderConfig{})
 		if err := startRevocationEpisode(sys, measure/2); err != nil {
 			sys.Shutdown()
 			return nil, err
@@ -322,8 +321,6 @@ type Fig9Options struct {
 	// Timeline enables telemetry plus the time-series recorder on the
 	// contended run, exposing it as Fig9Result.ContendedSys for export.
 	Timeline bool
-	// Recorder overrides the recorder defaults when Timeline is set.
-	Recorder obs.RecorderConfig
 }
 
 // DefaultFig9Options returns the paper's parameters.
@@ -390,7 +387,7 @@ func RunFig9(opt Fig9Options) (*Fig9Result, error) {
 				}
 				pagers = append(pagers, pg)
 			}
-			if err := awaitInit(sys, pagers, 10*time.Minute); err != nil {
+			if err := awaitInit(sys, pagers); err != nil {
 				sys.Shutdown()
 				return nil, 0, nil, err
 			}
@@ -399,7 +396,7 @@ func RunFig9(opt Fig9Options) (*Fig9Result, error) {
 		measureStart := sys.Sim.Now()
 		sys.Obs.Attr().Restart()
 		if cfg.Telemetry {
-			sys.StartRecorder(opt.Recorder)
+			sys.StartRecorder(obs.RecorderConfig{})
 			res.ContendedSys = sys
 		}
 		// FS data lives on the first quarter of the disk; swap files are

@@ -368,44 +368,6 @@ func TestWriteTraceValidatesAndIsDeterministic(t *testing.T) {
 	}
 }
 
-func TestJSONLRoundTrip(t *testing.T) {
-	d := buildDump(t)
-	var jl bytes.Buffer
-	if err := d.WriteJSONL(&jl); err != nil {
-		t.Fatal(err)
-	}
-	back, err := ParseTimelineJSONL(bytes.NewReader(jl.Bytes()))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(d, back) {
-		t.Fatalf("round trip mismatch:\n%+v\n%+v", d, back)
-	}
-	// Converting either renders identical traces.
-	var t1, t2 bytes.Buffer
-	if err := d.WriteTrace(&t1); err != nil {
-		t.Fatal(err)
-	}
-	if err := back.WriteTrace(&t2); err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(t1.Bytes(), t2.Bytes()) {
-		t.Fatal("trace from round-tripped dump differs")
-	}
-}
-
-func TestParseTimelineJSONLErrors(t *testing.T) {
-	if _, err := ParseTimelineJSONL(strings.NewReader(`{"type":"bogus"}`)); err == nil {
-		t.Fatal("unknown line type accepted")
-	}
-	if _, err := ParseTimelineJSONL(strings.NewReader(`{"type":"span"}`)); err == nil {
-		t.Fatal("span line without object accepted")
-	}
-	if _, err := ParseTimelineJSONL(strings.NewReader(`not json`)); err == nil {
-		t.Fatal("garbage accepted")
-	}
-}
-
 func TestValidateTraceRejects(t *testing.T) {
 	cases := map[string]string{
 		"not json":      `]`,

@@ -241,12 +241,16 @@ func (u *USD) Stop() {
 	}
 }
 
-// onArrival is called by Channel.Submit: settle any lax span, mark work and
-// wake the service loop. A request enqueued on an open channel means the
-// client is still admitted: Close closes the channel before removing it.
+// onArrival is called by Channel.Submit once the request is queued: settle
+// any lax span, mark work, mark the client ready and wake the service loop.
+// A request enqueued on an open channel means the client is still admitted:
+// Close closes the channel before removing it. Submit calls this in the
+// same step as its enqueue, so the core's readiness always equals a
+// non-empty request FIFO when the service loop picks.
 func (u *USD) onArrival(cl *client) {
 	u.settleLax(cl)
 	u.core.NoteWork(cl.ac)
+	u.core.SetReady(cl.ac, true)
 	u.wake.Signal()
 }
 
@@ -341,16 +345,17 @@ func (u *USD) oldestPending() *client {
 	return best
 }
 
-// hasWork reports whether the atropos client has a submitted request.
-func (u *USD) hasWork(ac *atropos.Client) bool {
-	return ac.Rec.(*client).ch.Pending() > 0
-}
-
 // serve performs one transaction for cl, charging it unless slack is true.
 func (u *USD) serve(p *sim.Proc, cl *client, slack bool) {
 	req, ok := cl.ch.reqs.TryRecv()
 	if !ok {
 		return
+	}
+	// Clear readiness now, not after the transaction: a submitter blocked
+	// on the full FIFO enqueues while the disk works, and its onArrival
+	// marks the client ready again.
+	if cl.ch.reqs.Len() == 0 {
+		u.core.SetReady(cl.ac, false)
 	}
 	cl.inService = true
 	t0 := p.Now()
@@ -408,15 +413,14 @@ func (u *USD) run(p *sim.Proc) {
 		}
 		u.refresh(now)
 
-		if pick := u.core.PickEDFWith(u.hasWork); pick != nil {
+		if pick := u.core.PickEDFReady(); pick != nil {
 			u.serve(p, pick.Rec.(*client), false)
 			continue
 		}
 
 		if u.SlackEnabled {
-			slackPick := u.core.PickSlack(func(ac *atropos.Client) bool { return u.hasWork(ac) })
-			if slackPick != nil {
-				u.serve(p, slackPick.Rec.(*client), true)
+			if pick := u.core.PickSlackReady(); pick != nil {
+				u.serve(p, pick.Rec.(*client), true)
 				continue
 			}
 		}

@@ -288,6 +288,73 @@ func TestPipelinedClientNoLax(t *testing.T) {
 	s.RunUntilIdle(1 << 20)
 }
 
+// TestEDFOrderAcrossSubmits: while the client with the earlier deadline has
+// work queued, it is served back to back, ahead of a later-deadline client
+// that submitted at the same instant. Its work either waits in its FIFO
+// (depth 4, three requests) or, at depth 1, in a second submitter blocked
+// in Send until the first request leaves the FIFO; that request must still
+// be served inside the client's slice, before the other client's.
+func TestEDFOrderAcrossSubmits(t *testing.T) {
+	for _, tc := range []struct {
+		name                            string
+		depth, submitters, perSubmitter int
+	}{
+		{"pipelined", 4, 1, 3},
+		{"blocked", 1, 2, 1},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			s, u := newUSD()
+			chA, _ := u.Open("a", atropos.QoS{P: ms(100), S: ms(80), L: ms(10)}, tc.depth)
+			chB, _ := u.Open("b", atropos.QoS{P: ms(250), S: ms(25), L: ms(10)}, 1)
+			u.Grant("a", wholeDisk(u))
+			u.Grant("b", wholeDisk(u))
+			var reqA []*Request
+			for i := 0; i < tc.submitters; i++ {
+				s.Spawn("a", func(p *sim.Proc) {
+					for j := 0; j < tc.perSubmitter; j++ {
+						r := &Request{Op: disk.Read, Block: int64(len(reqA)) * 16, Count: 16}
+						reqA = append(reqA, r)
+						if err := chA.Submit(p, r); err != nil {
+							t.Error(err)
+							return
+						}
+					}
+					for j := 0; j < tc.perSubmitter; j++ {
+						if _, err := chA.Await(p); err != nil {
+							t.Error(err)
+							return
+						}
+					}
+				})
+			}
+			reqB := &Request{Op: disk.Read, Block: 1 << 20, Count: 16}
+			s.Spawn("b", func(p *sim.Proc) {
+				if _, err := chB.Do(p, reqB); err != nil {
+					t.Error(err)
+				}
+			})
+			s.RunFor(ms(250))
+			if reqB.Completed() == 0 {
+				t.Fatal("b's request never served")
+			}
+			for i, r := range reqA {
+				if r.Completed() == 0 || r.Started() >= reqB.Started() {
+					t.Fatalf("a's request %d served at %v–%v, b's at %v: want every a request first",
+						i, r.Started(), r.Completed(), reqB.Started())
+				}
+				if r.Completed() > sim.Time(ms(100)) {
+					t.Fatalf("a's request %d completed at %v, after a's first deadline", i, r.Completed())
+				}
+			}
+			if st, _ := u.Stats("a"); st.Txns != int64(len(reqA)) || st.Charged < ms(1) {
+				t.Fatalf("a's stats = %+v, want %d charged transactions", st, len(reqA))
+			}
+			u.Stop()
+			s.RunUntilIdle(1 << 20)
+		})
+	}
+}
+
 // TestGuaranteeNotExceeded: over a long run, busy time per period must not
 // deterministically exceed the slice (roll-over keeps the long-run average
 // at or below the guarantee, within one transaction of slop per period).
