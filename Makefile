@@ -120,27 +120,27 @@ ci-test: build test
 # behaviour changed, not the hardware.
 ci-bench: bench
 
-# Export one Fig. 8 cell's timeline twice, serially and under a forced
-# 8-worker sweep environment. The trace must be byte-identical: timelines
-# are part of the determinism contract. Then validate its schema.
+# Export one Fig. 8 cell's timeline from two separate processes: the two
+# files must be byte-identical, because timelines are part of the
+# determinism contract. A -fig run never enters the sweep, so no worker
+# count applies here; TestFig8TimelineParallelByteIdentity pins the
+# timeline under an 8-way fan-out. nemesis-paging checks every trace
+# against the schema (obs.ValidateTrace) before it writes the file.
 ci-timeline:
 	$(GO) run ./cmd/nemesis-paging -fig 8 -measure 5s -timeline fig8-timeline.json > /dev/null
-	NEMESIS_SWEEP_WORKERS=8 $(GO) run ./cmd/nemesis-paging -fig 8 -measure 5s -timeline fig8-timeline-par.json > /dev/null
+	$(GO) run ./cmd/nemesis-paging -fig 8 -measure 5s -timeline fig8-timeline-par.json > /dev/null
 	cmp fig8-timeline.json fig8-timeline-par.json
-	$(GO) run ./cmd/nemesis-timeline -check fig8-timeline.json
 
 # The folded sim-time attribution profile is part of the determinism
 # contract: the export must be byte-identical at any sweep worker count. Run
 # the base+hog cells serially and under an 8-worker fan-out and diff the
-# profiles byte for byte, then profile a full figure run via -simprofile and
-# render both as flamegraph SVGs.
+# profiles byte for byte, then profile a full figure run; each serial run
+# also renders its profile as a flamegraph SVG.
 ci-attribution:
-	$(GO) run ./cmd/nemesis-flame -workers 1 -o fig8.folded
-	NEMESIS_SWEEP_WORKERS=8 $(GO) run ./cmd/nemesis-flame -o fig8-par.folded
+	$(GO) run ./cmd/nemesis-paging -attribution -fig 8 -measure 8s -workers 1 -simprofile fig8.folded -svg fig8.svg
+	NEMESIS_SWEEP_WORKERS=8 $(GO) run ./cmd/nemesis-paging -attribution -fig 8 -measure 8s -simprofile fig8-par.folded
 	cmp fig8.folded fig8-par.folded
-	$(GO) run ./cmd/nemesis-paging -fig 8 -measure 5s -simprofile fig8-full.folded > /dev/null
-	$(GO) run ./cmd/nemesis-flame -in fig8.folded -svg fig8.svg
-	$(GO) run ./cmd/nemesis-flame -in fig8-full.folded -svg fig8-full.svg
+	$(GO) run ./cmd/nemesis-paging -fig 8 -measure 5s -simprofile fig8-full.folded -svg fig8-full.svg > /dev/null
 
 # Cluster smoke at the standard 1,000-domain scale (4 machines × 250
 # domains). The summary is a pure function of the options and seed, so the
@@ -160,9 +160,9 @@ ci-cluster:
 # The cross-machine observability plane: a traced cluster run merges every
 # machine's timeline (client lanes plus per-swap-server lanes, linked by
 # flow arrows) into one Perfetto trace. The trace is part of the determinism
-# contract (byte-identical at any worker count), must pass the same schema
-# check as every other export, and the result JSON carries the merged
-# rollup.
+# contract (byte-identical at any worker count), passes the schema check
+# nemesis-paging runs on every trace it writes, and the result JSON carries
+# the merged rollup.
 ci-cluster-observability:
 	$(GO) run ./cmd/nemesis-paging -cluster -workers 1 -cluster-trace cluster-trace.json -cluster-json cluster-obs.json > cluster-obs-serial.txt
 	$(GO) run ./cmd/nemesis-paging -cluster -workers 8 -cluster-trace cluster-trace-par.json > cluster-obs-par.txt
@@ -170,7 +170,6 @@ ci-cluster-observability:
 	sed '/^# cluster:/d' cluster-obs-serial.txt > a.txt
 	sed '/^# cluster:/d' cluster-obs-par.txt > b.txt
 	cmp a.txt b.txt
-	$(GO) run ./cmd/nemesis-timeline -check cluster-trace.json
 	grep -q '"ph":"s"' cluster-trace.json
 	grep -q '"ph":"f"' cluster-trace.json
 	grep -q '"name":"m0.swap0"' cluster-trace.json
@@ -181,12 +180,15 @@ ci-cluster-observability:
 #  - the same Fig. 8 spec submitted twice simulates once: the first
 #    response is a cache miss, the resubmission (different field order, an
 #    explicit default) a hit with identical bytes;
-#  - a traced figure run serves its Perfetto timeline over the API, and the
-#    artifact passes the CLI export's schema check; the SSE stream closes
-#    at the job's terminal event, so reading it waits for completion;
+#  - a traced figure run serves its Perfetto timeline over the API; the SSE
+#    stream closes at the job's terminal event, so reading it waits for
+#    completion;
 #  - /metrics serves parseable Prometheus text covering the job, queue,
 #    cache and warm families.
-# Then the 1,000-request load smoke under the race detector.
+# With the daemon stopped, the served trace must be byte-identical to the
+# CLI's -timeline export of the same spec, which nemesis-paging checks
+# against the schema as it writes it. Then the 1,000-request load smoke
+# under the race detector.
 ci-serve:
 	$(GO) build -o nemesis-serve ./cmd/nemesis-serve
 	./nemesis-serve -addr :8080 & \
@@ -209,7 +211,6 @@ ci-serve:
 	curl -sf "localhost:8080/jobs/$$id/events" > /dev/null; \
 	curl -sf "localhost:8080/jobs/$$id/trace" -o fig8-served-trace.json; \
 	curl -sf "localhost:8080/jobs/$$id/audit" > /dev/null; \
-	$(GO) run ./cmd/nemesis-timeline -check fig8-served-trace.json; \
 	curl -sf localhost:8080/metrics -o metrics.txt; \
 	cat metrics.txt; \
 	for fam in nemesis_jobs nemesis_jobs_evicted_total nemesis_queue_len nemesis_queue_capacity nemesis_workers \
@@ -220,6 +221,8 @@ ci-serve:
 	done; \
 	grep -q 'nemesis_jobs{state="done"}' metrics.txt; \
 	grep -q '^nemesis_cache_hits_total 1' metrics.txt
+	$(GO) run ./cmd/nemesis-paging -fig 8 -measure 5s -timeline fig8-cli-trace.json > /dev/null
+	cmp fig8-served-trace.json fig8-cli-trace.json
 	$(MAKE) loadtest
 
 # The suite is a pure function of its spec: -suite-json is the canonical

@@ -15,6 +15,7 @@
 package nemesis
 
 import (
+	"context"
 	"fmt"
 	"strconv"
 	"strings"
@@ -23,6 +24,7 @@ import (
 
 	"nemesis/internal/experiments"
 	"nemesis/internal/obs"
+	"nemesis/internal/stretchdrv"
 )
 
 // table1Rows runs the micro-benchmarks once per call.
@@ -95,7 +97,6 @@ func BenchmarkFig8PagingOut(b *testing.B) {
 	var last *experiments.PagingResult
 	for i := 0; i < b.N; i++ {
 		opt := benchPagingOpts()
-		opt.Write = true
 		opt.Forgetful = true
 		r, err := experiments.RunPaging(opt)
 		if err != nil {
@@ -285,16 +286,17 @@ func BenchmarkExtensionPipelineDepth(b *testing.B) {
 
 func BenchmarkExtensionSecondChance(b *testing.B) {
 	b.ReportAllocs()
-	var last *experiments.EvictionResult
+	var last []experiments.PolicyComparison
 	for i := 0; i < b.N; i++ {
-		r, err := experiments.ExtensionSecondChance(8 * time.Second)
+		r, err := experiments.ExtensionEvictionPolicies(8*time.Second,
+			[]stretchdrv.PolicyKind{stretchdrv.PolicyFIFO, stretchdrv.PolicySecondChance})
 		if err != nil {
 			b.Fatal(err)
 		}
 		last = r
 	}
-	b.ReportMetric(last.FIFOPageInsPerMB, "fifo_ins_per_mb")
-	b.ReportMetric(last.SecondChancePageInsPerMB, "sc_ins_per_mb")
+	b.ReportMetric(last[0].PageInsPerMB, "fifo_ins_per_mb")
+	b.ReportMetric(last[1].PageInsPerMB, "sc_ins_per_mb")
 }
 
 func BenchmarkExtensionGuardedPT(b *testing.B) {
@@ -360,7 +362,7 @@ func BenchmarkClusterScale(b *testing.B) {
 				opt.Machines = 1
 				opt.DomainsPerMachine = n
 				opt.Servers = 1 + n/1000
-				r, err := experiments.RunCluster(opt)
+				r, err := experiments.RunCluster(context.Background(), opt)
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -410,7 +412,7 @@ func BenchmarkClusterSummary(b *testing.B) {
 		opt.DomainsPerMachine = 40
 		opt.Servers = 2
 		opt.Trace = true
-		r, err := experiments.RunCluster(opt)
+		r, err := experiments.RunCluster(context.Background(), opt)
 		if err != nil {
 			b.Fatal(err)
 		}

@@ -1,18 +1,15 @@
-// Command nemesis-paging regenerates the paper's paging experiments:
+// Command nemesis-paging regenerates the paper's experiments; it is the
+// repository's one experiment command. The run:
 //
 //	-fig 7   paging in  (three domains, 10/20/40% disk guarantees)
 //	-fig 8   paging out (the "forgetful" stretch driver)
 //	-fig 9   file-system isolation (50% FS client vs two pagers)
-//	-fig 0   run every ablation (laxity, FCFS, crosstalk, slack, revocation)
-//	-ext     run the extensions (pipeline depth, second chance, guarded
-//	         page table, stream paging)
-//	-e8 sweep|outage|degrade|all
-//	         run the netswap experiments (remote paging over a simulated
-//	         network: latency/loss sweep, outage isolation, tiered
-//	         degradation)
-//	-suite   run the full suite (Table 1, Figs. 7–9, ablations, extensions,
-//	         netswap) as independent cells fanned across -workers goroutines;
-//	         output order and content are identical at any worker count
+//	-suite   run the full suite (Table 1, Figs. 7–9, ablations A1–A5,
+//	         extensions E1–E7, netswap E8a–c) as independent cells fanned
+//	         across -workers goroutines; output order and content are
+//	         identical at any worker count. -cells runs only the cells whose
+//	         names start with one of its comma-separated prefixes: table1
+//	         is Table 1, A the ablations, E the extensions, E8 netswap
 //	-cluster run the cluster paging scenario: -cluster-machines independent
 //	         machines × -cluster-domains self-paging domains each, paging
 //	         remotely to a pool of -cluster-servers swap servers per machine
@@ -23,32 +20,47 @@
 //	         writes ONE merged Perfetto trace — a process lane per machine
 //	         and per swap server, with flow arrows linking each client
 //	         net.out hop to the server-side service slice it triggered
+//	-attribution
+//	         run the attribution experiment's two cells through the sweep:
+//	         a scaled -fig 7 or 8 run without (base) and with (hog) the
+//	         5%-slice hog; the folded profile, each stack prefixed by its
+//	         cell, goes to -simprofile, or to stdout without one
 //
 // The -suite-json and -cluster-json exports use the same spec/result schema
 // as the nemesis-serve HTTP API (internal/experiments.Spec/Result): for a
 // given spec the CLI file and the daemon's response body are byte-identical.
+// The other outputs:
 //
 //	-timeline out.json
 //	         export the run's timeline (figs 7/8/9) as Chrome trace-event
 //	         JSON, loadable in ui.perfetto.dev; adds a deterministic
 //	         revocation episode to figs 7/8 so revocation phases appear
-//	-simprofile out.folded
+//	-sched-trace out.tsv
+//	         write the measured window's USD scheduler trace (figs 7/8, the
+//	         figures' bottom halves) as TSV: one row per transaction, lax
+//	         charge or periodic allocation
+//	-simprofile out.folded, -svg out.svg
 //	         write the exact sim-time attribution profile of the measured
-//	         window (figs 7/8) in folded-stack form; render it with
-//	         nemesis-flame -in
+//	         window (figs 7/8, -attribution) in folded-stack form, and
+//	         render it as a self-contained flamegraph SVG
+//	-metrics, -interval D, -top-json out.json, -registry-json out.json
+//	         fault-path telemetry (figs 7/8): append the per-domain table,
+//	         crosstalk flags, span hops and metric registry; print the
+//	         per-domain table every D of the measured window; write the
+//	         final table, or the whole registry, as JSON
 //	-cpuprofile/-memprofile
 //	         write pprof profiles for performance work; flushed even on
 //	         early-exit errors
 //
-// An output flag given to a mode that never writes it (say -timeline with
-// -suite) is an error, not a silent no-op.
-//
-// The top halves of Figs. 7/8 (sustained bandwidth series) print as TSV;
-// summary ratios follow. Use nemesis-trace for the bottom halves.
+// Every trace is checked against obs.ValidateTrace before its file is
+// written. An output flag given to a mode that never writes it (say
+// -timeline with -suite) is an error, not a silent no-op.
 package main
 
 import (
+	"bytes"
 	"context"
+	"errors"
 	"flag"
 	"fmt"
 	"io"
@@ -62,23 +74,22 @@ import (
 	"sync"
 	"time"
 
+	"nemesis/internal/core"
 	"nemesis/internal/experiments"
 	"nemesis/internal/experiments/sweep"
+	"nemesis/internal/obs"
+	"nemesis/internal/sim"
+	"nemesis/internal/trace"
 )
 
 // stopProfiles flushes any active pprof profiles. All error exits go through
-// fatalf/fatal so the profiles survive them — log.Fatalf alone would bypass
-// the deferred flush.
+// fatalf so the profiles survive them — log.Fatalf alone would bypass the
+// deferred flush.
 var stopProfiles = func() {}
 
 func fatalf(format string, args ...any) {
 	stopProfiles()
 	log.Fatalf(format, args...)
-}
-
-func fatal(v ...any) {
-	stopProfiles()
-	log.Fatal(v...)
 }
 
 // startProfiles begins the requested pprof captures and returns an
@@ -123,10 +134,11 @@ func startProfiles(cpupath, mempath string) func() {
 // options holds the command line.
 type options struct {
 	fig                                             int
-	ext, metrics, suite, cluster                    bool
-	measure                                         time.Duration
+	metrics, suite, cluster, attribution            bool
+	measure, interval                               time.Duration
 	seed                                            int64
-	e8, timeline, simprofile, suiteJSON             string
+	cells, timeline, schedTrace, simprofile, svg    string
+	topJSON, registryJSON, suiteJSON                string
 	clusterMachines, clusterDomains, clusterServers int
 	clusterJSON, clusterTrace                       string
 	workers                                         int
@@ -136,15 +148,20 @@ type options struct {
 // defineFlags registers the command line on fs.
 func defineFlags(fs *flag.FlagSet) *options {
 	o := &options{}
-	fs.IntVar(&o.fig, "fig", 7, "figure to regenerate: 7, 8, 9, or 0 for ablations")
-	fs.BoolVar(&o.ext, "ext", false, "run the extension experiments instead")
+	fs.IntVar(&o.fig, "fig", 7, "figure to regenerate: 7, 8 or 9 (with -attribution: 7 or 8)")
 	fs.DurationVar(&o.measure, "measure", 40*time.Second, "measured window of simulated time")
 	fs.Int64Var(&o.seed, "seed", 1, "simulation seed")
-	fs.BoolVar(&o.metrics, "metrics", false, "enable fault-path telemetry and append span/metric summaries (figs 7/8)")
-	fs.StringVar(&o.e8, "e8", "", "netswap experiment: sweep, outage, degrade, or all")
+	fs.BoolVar(&o.metrics, "metrics", false, "enable fault-path telemetry and append span/metric summaries and crosstalk flags (figs 7/8)")
+	fs.DurationVar(&o.interval, "interval", 0, "print the per-domain top table every interval of the measured window (figs 7/8; implies telemetry)")
+	fs.StringVar(&o.topJSON, "top-json", "", "write the final per-domain top table (rows + rollup) as JSON to this file (figs 7/8)")
+	fs.StringVar(&o.registryJSON, "registry-json", "", "write the full telemetry registry snapshot as JSON to this file (figs 7/8)")
 	fs.StringVar(&o.timeline, "timeline", "", "write a Perfetto-loadable trace-event JSON timeline to this file (figs 7/8/9)")
-	fs.StringVar(&o.simprofile, "simprofile", "", "write the folded-stack sim-time attribution profile to this file (figs 7/8; implies telemetry)")
+	fs.StringVar(&o.schedTrace, "sched-trace", "", "write the measured window's USD scheduler trace as TSV to this file (figs 7/8)")
+	fs.StringVar(&o.simprofile, "simprofile", "", "write the folded-stack sim-time attribution profile to this file (figs 7/8, -attribution; implies telemetry)")
+	fs.StringVar(&o.svg, "svg", "", "render the attribution profile as a flamegraph SVG to this file (figs 7/8, -attribution)")
+	fs.BoolVar(&o.attribution, "attribution", false, "profile the -fig 7 or 8 attribution experiment without and with the 5%-slice hog")
 	fs.BoolVar(&o.suite, "suite", false, "run the full experiment suite as parallel deterministic cells")
+	fs.StringVar(&o.cells, "cells", "", "with -suite, run only the cells whose names start with one of these comma-separated prefixes (e.g. table1,A,E8)")
 	fs.StringVar(&o.suiteJSON, "suite-json", "", "write the full suite result as JSON to this file (same schema and bytes as the nemesis-serve API)")
 	fs.BoolVar(&o.cluster, "cluster", false, "run the cluster paging scenario (N machines x M self-paging domains over a swap-server pool)")
 	fs.IntVar(&o.clusterMachines, "cluster-machines", 0, "cluster machine count (0 = default 4)")
@@ -159,17 +176,16 @@ func defineFlags(fs *flag.FlagSet) *options {
 }
 
 // mode names the run the command line selects: the first of -suite,
-// -cluster, -ext and -e8 given, else the -fig figure. main dispatches on it.
+// -cluster and -attribution given, else the -fig figure. main dispatches on
+// it.
 func (o *options) mode() string {
 	switch {
 	case o.suite:
 		return "-suite"
 	case o.cluster:
 		return "-cluster"
-	case o.ext:
-		return "-ext"
-	case o.e8 != "":
-		return "-e8"
+	case o.attribution:
+		return "-attribution"
 	}
 	return fmt.Sprintf("-fig %d", o.fig)
 }
@@ -177,8 +193,13 @@ func (o *options) mode() string {
 // outputModes lists, for each output flag, the modes that write it.
 var outputModes = map[string][]string{
 	"timeline":      {"-fig 7", "-fig 8", "-fig 9"},
-	"simprofile":    {"-fig 7", "-fig 8"},
+	"sched-trace":   {"-fig 7", "-fig 8"},
+	"simprofile":    {"-fig 7", "-fig 8", "-attribution"},
+	"svg":           {"-fig 7", "-fig 8", "-attribution"},
 	"metrics":       {"-fig 7", "-fig 8"},
+	"interval":      {"-fig 7", "-fig 8"},
+	"top-json":      {"-fig 7", "-fig 8"},
+	"registry-json": {"-fig 7", "-fig 8"},
 	"suite-json":    {"-suite"},
 	"cluster-json":  {"-cluster"},
 	"cluster-trace": {"-cluster"},
@@ -186,17 +207,28 @@ var outputModes = map[string][]string{
 
 // checkOutputs returns an error naming the first output flag set on fs (in
 // lexical order) that o's mode never writes, and the modes that do: that
-// run would exit 0 and leave no file.
+// run would exit 0 and leave no file. It also rejects a -cells selection
+// that is not a suite run's, that would make -suite-json describe less than
+// the suite, or that names no cell.
 func checkOutputs(fs *flag.FlagSet, o *options) error {
 	mode := o.mode()
 	var err error
 	fs.Visit(func(f *flag.Flag) {
 		modes := outputModes[f.Name]
-		if v := f.Value.String(); err != nil || modes == nil || v == "" || v == "false" || slices.Contains(modes, mode) {
+		if err != nil || modes == nil || f.Value.String() == f.DefValue || slices.Contains(modes, mode) {
 			return
 		}
 		err = fmt.Errorf("-%s is written only by %s, not by %s", f.Name, strings.Join(modes, " or "), mode)
 	})
+	switch {
+	case err != nil || o.cells == "":
+		return err
+	case mode != "-suite":
+		return fmt.Errorf("-cells selects -suite cells, not %s runs", mode)
+	case o.suiteJSON != "":
+		return errors.New("-suite-json writes the whole suite's result, so it takes no -cells")
+	}
+	_, err = experiments.SuiteCellNames(strings.Split(o.cells, ","))
 	return err
 }
 
@@ -213,10 +245,10 @@ func main() {
 		defer stopProfiles()
 	}
 
+	var err error
 	switch o.mode() {
 	case "-suite":
-		runSuite(o.measure, o.workers, o.suiteJSON)
-
+		err = runSuite(o)
 	case "-cluster":
 		// The cluster's own 2 s default applies unless -measure was given
 		// explicitly: the scenario is sized in domains, not window length,
@@ -227,7 +259,7 @@ func main() {
 				clusterMeasure = o.measure
 			}
 		})
-		runCluster(experiments.ClusterOptions{
+		err = runCluster(experiments.ClusterOptions{
 			Machines:          o.clusterMachines,
 			DomainsPerMachine: o.clusterDomains,
 			Servers:           o.clusterServers,
@@ -236,106 +268,216 @@ func main() {
 			Workers:           o.workers,
 			Trace:             o.clusterTrace != "",
 		}, o.clusterJSON, o.clusterTrace)
-
-	case "-ext":
-		runExtensions(o.measure)
-
-	case "-e8":
-		runNetswap(o.e8, o.measure)
-
+	case "-attribution":
+		err = runAttribution(o)
 	case "-fig 7", "-fig 8":
-		opt := experiments.DefaultPagingOptions()
-		opt.Measure = o.measure
-		opt.Seed = o.seed
-		if o.fig == 8 {
-			opt.Write = true
-			opt.Forgetful = true
-		}
-		opt.Telemetry = o.metrics || o.simprofile != ""
-		opt.Timeline = o.timeline != ""
-		r, err := experiments.RunPaging(opt)
-		if err != nil {
-			fatalf("nemesis-paging: %v", err)
-		}
-		if o.timeline != "" {
-			writeFile(o.timeline, r.Sys.WriteTimeline)
-		}
-		if o.simprofile != "" {
-			if err := r.Sys.CheckAttribution(); err != nil {
-				fatalf("nemesis-paging: %v", err)
-			}
-			writeFile(o.simprofile, r.Sys.WriteAttributionFolded)
-		}
-		fmt.Printf("# Figure %d: sustained bandwidth (Mbit/s), sampled every %v\n", o.fig, opt.SampleEvery)
-		if err := r.Set.WriteTSV(os.Stdout); err != nil {
-			fatal(err)
-		}
-		fmt.Printf("\n# mean Mbit/s over measured window: ")
-		for i, m := range r.MeanMbps {
-			if i > 0 {
-				fmt.Printf(" : ")
-			}
-			fmt.Printf("%.2f", m)
-		}
-		fmt.Printf("\n# consecutive ratios (want ~2.0 each for 10/20/40%% contracts): %v\n", fmtRatios(r.Ratios()))
-		fmt.Printf("# max single lax charge per client (s) — must stay <= 0.010:\n")
-		for _, e := range sortedEntries(r.Log.MaxLax()) {
-			fmt.Printf("#   %s\t%.4f\n", e.k, e.v)
-		}
-		if o.metrics {
-			fmt.Println("\n# per-domain snapshot:")
-			if err := r.Sys.WriteTopTable(os.Stdout); err != nil {
-				fatal(err)
-			}
-			fmt.Println("\n# span hop latency breakdown:")
-			if err := r.Sys.Obs.WriteSpansTSV(os.Stdout); err != nil {
-				fatal(err)
-			}
-			fmt.Println("\n# metric registry:")
-			if err := r.Sys.Obs.WriteMetricsTSV(os.Stdout); err != nil {
-				fatal(err)
-			}
-		}
-
+		err = runPaging(o)
 	case "-fig 9":
-		opt := experiments.DefaultFig9Options()
-		opt.Measure = o.measure
-		opt.Seed = o.seed
-		opt.Timeline = o.timeline != ""
-		r, err := experiments.RunFig9(opt)
-		if err != nil {
-			fatalf("nemesis-paging: %v", err)
-		}
-		if o.timeline != "" {
-			writeFile(o.timeline, r.ContendedSys.WriteTimeline)
-		}
-		fmt.Println("# Figure 9: file-system client isolation")
-		fmt.Printf("fs alone:\t%.2f Mbit/s\n", r.AloneMbps)
-		fmt.Printf("fs + 2 pagers:\t%.2f Mbit/s\n", r.ContendedMbps)
-		fmt.Printf("isolation:\t%.3f (1.0 = perfect)\n", r.Isolation())
-
-	case "-fig 0":
-		runAblations(o.measure)
-
+		err = runFig9(o)
 	default:
-		fatalf("nemesis-paging: unknown figure %d", o.fig)
+		err = fmt.Errorf("unknown figure %d", o.fig)
 	}
-}
-
-// writeFile renders into a freshly created file, exiting (with profiles
-// flushed) on any failure.
-func writeFile(path string, render func(io.Writer) error) {
-	f, err := os.Create(path)
 	if err != nil {
 		fatalf("nemesis-paging: %v", err)
 	}
+}
+
+// runPaging runs Fig. 7 or Fig. 8, writes the outputs asked for, and
+// prints the sustained bandwidth series (the figure's top half) as TSV with
+// its summary ratios.
+func runPaging(o *options) error {
+	opt := experiments.DefaultPagingOptions()
+	opt.Measure = o.measure
+	opt.Seed = o.seed
+	opt.Forgetful = o.fig == 8
+	profile := o.simprofile != "" || o.svg != ""
+	opt.Telemetry = o.metrics || profile || o.interval > 0 || o.topJSON != "" || o.registryJSON != ""
+	opt.Timeline = o.timeline != ""
+	if o.interval > 0 {
+		opt.SnapshotEvery = o.interval
+		opt.OnSnapshot = func(sys *core.System) {
+			fmt.Printf("--- t=%.1fs ---\n", sys.Sim.Now().Seconds())
+			if err := sys.WriteTopTable(os.Stdout); err != nil {
+				fatalf("nemesis-paging: %v", err)
+			}
+			fmt.Println()
+		}
+	}
+	r, err := experiments.RunPaging(opt)
+	if err != nil {
+		return err
+	}
+	if o.timeline != "" {
+		if err := writeTrace(o.timeline, r.Sys.WriteTimeline); err != nil {
+			return err
+		}
+	}
+	if o.schedTrace != "" {
+		start := sim.Time(r.MeasureStart)
+		window := &trace.Log{}
+		for _, e := range r.Log.Between(start, start.Add(o.measure)) {
+			window.Add(e)
+		}
+		if err := writeFile(o.schedTrace, window.WriteTSV); err != nil {
+			return err
+		}
+	}
+	if profile {
+		if err := r.Sys.CheckAttribution(); err != nil {
+			return err
+		}
+		var folded strings.Builder
+		if err := r.Sys.WriteAttributionFolded(&folded); err != nil {
+			return err
+		}
+		if err := writeProfile(o, folded.String()); err != nil {
+			return err
+		}
+	}
+	if o.topJSON != "" {
+		if err := writeFile(o.topJSON, r.Sys.WriteTopJSON); err != nil {
+			return err
+		}
+	}
+	if o.registryJSON != "" {
+		if err := writeFile(o.registryJSON, r.Sys.Obs.WriteJSON); err != nil {
+			return err
+		}
+	}
+
+	fmt.Printf("# Figure %d: sustained bandwidth (Mbit/s), sampled every %v\n", o.fig, opt.SampleEvery)
+	if err := r.Set.WriteTSV(os.Stdout); err != nil {
+		return err
+	}
+	fmt.Printf("\n# mean Mbit/s over measured window: ")
+	for i, m := range r.MeanMbps {
+		if i > 0 {
+			fmt.Printf(" : ")
+		}
+		fmt.Printf("%.2f", m)
+	}
+	fmt.Printf("\n# consecutive ratios (want ~2.0 each for 10/20/40%% contracts): %v\n", fmtRatios(r.Ratios()))
+	fmt.Printf("# max single lax charge per client (s) — must stay <= 0.010:\n")
+	for _, e := range sortedEntries(r.Log.MaxLax()) {
+		fmt.Printf("#   %s\t%.4f\n", e.k, e.v)
+	}
+	if !o.metrics {
+		return nil
+	}
+	fmt.Println("\n# per-domain snapshot:")
+	if err := r.Sys.WriteTopTable(os.Stdout); err != nil {
+		return err
+	}
+	if flags := r.Sys.Obs.Flags(); len(flags) > 0 {
+		fmt.Printf("\n# crosstalk flags (%d):\n", len(flags))
+		if err := r.Sys.Obs.WriteFlagsTSV(os.Stdout); err != nil {
+			return err
+		}
+	}
+	fmt.Println("\n# span hop latency breakdown:")
+	if err := r.Sys.Obs.WriteSpansTSV(os.Stdout); err != nil {
+		return err
+	}
+	fmt.Println("\n# metric registry:")
+	return r.Sys.Obs.WriteMetricsTSV(os.Stdout)
+}
+
+// runFig9 runs the file-system isolation experiment and prints its summary.
+func runFig9(o *options) error {
+	opt := experiments.DefaultFig9Options()
+	opt.Measure = o.measure
+	opt.Seed = o.seed
+	opt.Timeline = o.timeline != ""
+	r, err := experiments.RunFig9(opt)
+	if err != nil {
+		return err
+	}
+	if o.timeline != "" {
+		if err := writeTrace(o.timeline, r.ContendedSys.WriteTimeline); err != nil {
+			return err
+		}
+	}
+	fmt.Println("# Figure 9: file-system client isolation")
+	fmt.Printf("fs alone:\t%.2f Mbit/s\n", r.AloneMbps)
+	fmt.Printf("fs + 2 pagers:\t%.2f Mbit/s\n", r.ContendedMbps)
+	fmt.Printf("isolation:\t%.3f (1.0 = perfect)\n", r.Isolation())
+	return nil
+}
+
+// runAttribution runs the attribution experiment's base and hog cells
+// across sweep workers and writes their folded profiles, each under a
+// "# cell" header with its stacks prefixed by the cell name, so the
+// flamegraph nests by cell. The profile is byte-identical at any worker
+// count.
+func runAttribution(o *options) error {
+	outs, err := sweep.Map(context.Background(), o.workers, []string{"base", "hog"}, func(_ context.Context, name string) (string, error) {
+		hog := name == "hog"
+		r, err := experiments.RunAttribution(experiments.AttributionOptions{Fig: o.fig, Hog: hog, Measure: o.measure, Seed: o.seed})
+		if err != nil {
+			return "", err
+		}
+		var sb strings.Builder
+		fmt.Fprintf(&sb, "# cell %s: fig=%d hog=%v measure=%v seed=%d\n", name, o.fig, hog, o.measure, o.seed)
+		for _, line := range strings.Split(strings.TrimRight(r.Folded, "\n"), "\n") {
+			sb.WriteString(name + ";" + line + "\n")
+		}
+		return sb.String(), nil
+	})
+	if err != nil {
+		return err
+	}
+	return writeProfile(o, strings.Join(outs, ""))
+}
+
+// writeProfile writes a folded attribution profile to -simprofile (or, in
+// -attribution mode without one, to stdout) and renders it to -svg.
+func writeProfile(o *options, folded string) error {
+	switch {
+	case o.simprofile != "":
+		if err := writeFile(o.simprofile, func(w io.Writer) error {
+			_, err := io.WriteString(w, folded)
+			return err
+		}); err != nil {
+			return err
+		}
+	case o.attribution:
+		fmt.Print(folded)
+	}
+	if o.svg == "" {
+		return nil
+	}
+	lines, err := obs.ParseFolded(strings.NewReader(folded))
+	if err != nil {
+		return err
+	}
+	return writeFile(o.svg, func(w io.Writer) error { return obs.WriteFlameSVG(w, lines) })
+}
+
+// writeFile renders into a freshly created file.
+func writeFile(path string, render func(io.Writer) error) error {
+	f, err := os.Create(path)
+	if err != nil {
+		return err
+	}
 	if err := render(f); err != nil {
 		f.Close()
-		fatalf("nemesis-paging: %v", err)
+		return err
 	}
-	if err := f.Close(); err != nil {
-		fatalf("nemesis-paging: %v", err)
+	return f.Close()
+}
+
+// writeTrace renders a trace-event timeline and checks it against
+// obs.ValidateTrace before writing it to path: a render that fails the
+// check creates no file.
+func writeTrace(path string, render func(io.Writer) error) error {
+	var buf bytes.Buffer
+	if err := render(&buf); err != nil {
+		return err
 	}
+	if err := obs.ValidateTrace(bytes.NewReader(buf.Bytes())); err != nil {
+		return fmt.Errorf("%s: %w", path, err)
+	}
+	return os.WriteFile(path, buf.Bytes(), 0o644)
 }
 
 // runCluster runs the cluster paging scenario, prints the deterministic
@@ -343,7 +485,7 @@ func writeFile(path string, render func(io.Writer) error) {
 // the merged cross-machine trace. The result carries the normalized spec,
 // so the JSON export has the same schema — and for the same spec, the same
 // bytes — as the nemesis-serve API; tracing never changes the result bytes.
-func runCluster(opt experiments.ClusterOptions, jsonPath, tracePath string) {
+func runCluster(opt experiments.ClusterOptions, jsonPath, tracePath string) error {
 	start := time.Now()
 	spec := experiments.Spec{
 		Kind:              experiments.KindCluster,
@@ -354,9 +496,9 @@ func runCluster(opt experiments.ClusterOptions, jsonPath, tracePath string) {
 		Seed:              opt.Seed,
 	}
 	if err := spec.Normalize(); err != nil {
-		fatalf("nemesis-paging: %v", err)
+		return err
 	}
-	res, err := experiments.RunClusterContext(context.Background(), experiments.ClusterOptions{
+	res, err := experiments.RunCluster(context.Background(), experiments.ClusterOptions{
 		Machines:          spec.Machines,
 		DomainsPerMachine: spec.DomainsPerMachine,
 		Servers:           spec.Servers,
@@ -366,186 +508,65 @@ func runCluster(opt experiments.ClusterOptions, jsonPath, tracePath string) {
 		Trace:             opt.Trace,
 	})
 	if err != nil {
-		fatalf("nemesis-paging: %v", err)
+		return err
 	}
 	if err := res.WriteSummary(os.Stdout); err != nil {
-		fatal(err)
+		return err
 	}
 	fmt.Printf("# cluster: %.2fs wall\n", time.Since(start).Seconds())
 	if jsonPath != "" {
-		writeResultJSON(jsonPath, &experiments.Result{Spec: spec, Cluster: res})
+		if err := writeResultJSON(jsonPath, &experiments.Result{Spec: spec, Cluster: res}); err != nil {
+			return err
+		}
 	}
 	if tracePath != "" {
-		writeFile(tracePath, res.Trace.WriteTrace)
+		return writeTrace(tracePath, res.Trace.WriteTrace)
 	}
+	return nil
 }
 
-// runSuite fans the whole experiment suite across sweep workers and prints
-// each cell's summary in fixed suite order, optionally exporting the
-// API-schema JSON result.
-func runSuite(measure time.Duration, workers int, jsonPath string) {
+// runSuite fans the suite's cells — all of them, or those -cells selects —
+// across sweep workers and prints each cell's summary in fixed suite order,
+// optionally exporting the whole suite's API-schema JSON result.
+func runSuite(o *options) error {
+	workers := o.workers
 	if workers <= 0 {
 		workers = sweep.Workers()
 	}
 	start := time.Now()
-	spec := experiments.Spec{
-		Kind:    experiments.KindSuite,
-		Measure: experiments.Duration(measure),
+	spec := experiments.Spec{Kind: experiments.KindSuite, Measure: experiments.Duration(o.measure)}
+	if err := spec.Normalize(); err != nil {
+		return err
 	}
-	out, err := experiments.RunSpec(context.Background(), spec, workers)
+	var prefixes []string
+	if o.cells != "" {
+		prefixes = strings.Split(o.cells, ",")
+	}
+	cells, err := experiments.RunSuite(context.Background(), spec.Measure.D(), workers, prefixes)
 	if err != nil {
-		fatalf("nemesis-paging: %v", err)
+		return err
 	}
-	cells := out.Result.Suite
 	for _, c := range cells {
 		fmt.Printf("# %s\n%s", c.Name, c.Output)
 	}
 	fmt.Printf("# suite: %d cells, %d workers, %.2fs wall\n", len(cells), workers, time.Since(start).Seconds())
-	if jsonPath != "" {
-		writeResultJSON(jsonPath, out.Result)
+	if o.suiteJSON != "" {
+		return writeResultJSON(o.suiteJSON, &experiments.Result{Spec: spec, Suite: cells})
 	}
+	return nil
 }
 
 // writeResultJSON writes the canonical result encoding — the exact bytes
 // nemesis-serve would return for the same spec.
-func writeResultJSON(path string, res *experiments.Result) {
+func writeResultJSON(path string, res *experiments.Result) error {
 	body, err := experiments.EncodeResult(res)
 	if err != nil {
-		fatal(err)
+		return err
 	}
-	writeFile(path, func(w io.Writer) error {
+	return writeFile(path, func(w io.Writer) error {
 		_, err := w.Write(body)
 		return err
 	})
-}
-
-func runAblations(measure time.Duration) {
-	if measure > 15*time.Second {
-		measure = 15 * time.Second // ablations need no more
-	}
-	lx, err := experiments.AblationLaxity(measure)
-	if err != nil {
-		fatal(err)
-	}
-	fmt.Printf("A1 laxity:      with=%v  without=%v  txns/period without=%v\n",
-		fmtF(lx.WithLaxityMbps), fmtF(lx.WithoutLaxityMbps), fmtF(lx.TxnsPerPeriodWithout))
-	fc, err := experiments.AblationFCFS(measure)
-	if err != nil {
-		fatal(err)
-	}
-	fmt.Printf("A2 fcfs disk:   atropos=%v  fcfs=%v\n", fmtF(fc.AtroposMbps), fmtF(fc.FCFSMbps))
-	ct, err := experiments.AblationCrosstalk(measure)
-	if err != nil {
-		fatal(err)
-	}
-	fmt.Printf("A3 crosstalk:   self-paging %.2f->%.2f Mbit/s (iso %.2f)  external pager %.2f->%.2f (iso %.2f)\n",
-		ct.SelfAloneMbps, ct.SelfContendedMbps, ct.SelfIsolation(),
-		ct.ExtAloneMbps, ct.ExtContendedMbps, ct.ExtIsolation())
-	sl, err := experiments.AblationSlack(measure)
-	if err != nil {
-		fatal(err)
-	}
-	fmt.Printf("A4 slack flag:  x=true %.2f Mbit/s  x=false %.2f Mbit/s\n", sl.XTrueMbps, sl.XFalseMbps)
-	rv, err := experiments.AblationRevocation()
-	if err != nil {
-		fatal(err)
-	}
-	fmt.Printf("A5 revocation:  transparent %.3f ms  intrusive %.3f ms\n", rv.TransparentMs, rv.IntrusiveMs)
-}
-
-func runExtensions(measure time.Duration) {
-	if measure > 15*time.Second {
-		measure = 15 * time.Second
-	}
-	pd, err := experiments.ExtensionPipelineDepth([]int{1, 2, 4, 8, 16}, measure)
-	if err != nil {
-		fatal(err)
-	}
-	fmt.Printf("E1 pipeline depth: %v -> %v Mbit/s\n", pd.Depths, fmtF(pd.Mbps))
-	ev, err := experiments.ExtensionSecondChance(measure)
-	if err != nil {
-		fatal(err)
-	}
-	fmt.Printf("E2 eviction:       fifo %.1f ins/MB (%.1f Mbit/s)  second-chance %.1f ins/MB (%.1f Mbit/s)\n",
-		ev.FIFOPageInsPerMB, ev.FIFOMbps, ev.SecondChancePageInsPerMB, ev.SecondChanceMbps)
-	gpt, err := experiments.ExtensionGuardedPT()
-	if err != nil {
-		fatal(err)
-	}
-	fmt.Printf("E3 guarded PT:     linear %.2fus  guarded %.2fus  (%.1fx slower; paper: ~3x)\n",
-		gpt.LinearUS, gpt.GuardedUS, gpt.Slowdown())
-	sp, err := experiments.ExtensionStreamPaging(measure)
-	if err != nil {
-		fatal(err)
-	}
-	fmt.Printf("E4 stream paging:  demand %.2f Mbit/s  streaming %.2f Mbit/s  (%.2fx; prefetch accuracy %d/%d)\n",
-		sp.DemandMbps, sp.StreamingMbps, sp.Speedup(), sp.PrefetchedUsed, sp.Prefetches)
-	rb, err := experiments.ExtensionRebalance(measure)
-	if err != nil {
-		fatal(err)
-	}
-	fmt.Printf("E5 rebalancer:     worker %.2f -> %.2f Mbit/s (%.1fx; frames %d -> %d, %d moves)\n",
-		rb.WithoutMbps, rb.WithMbps, rb.Speedup(), rb.WorkerFramesWithout, rb.WorkerFramesWith, rb.Moves)
-	mj, err := experiments.MotivationMJPEG(measure)
-	if err != nil {
-		fatal(err)
-	}
-	fmt.Printf("E6 mjpeg player:   QoS miss %.1f%% jitter %.2fms   conventional miss %.1f%% jitter %.2fms\n",
-		100*mj.QoSMissRate, mj.QoSJitterMs, 100*mj.FCFSMissRate, mj.FCFSJitterMs)
-}
-
-func runNetswap(which string, measure time.Duration) {
-	if measure > 15*time.Second {
-		measure = 15 * time.Second
-	}
-	all := which == "all"
-	ran := false
-	if all || which == "sweep" {
-		ran = true
-		latencies := []time.Duration{200 * time.Microsecond, time.Millisecond, 2 * time.Millisecond}
-		losses := []float64{0, 0.05}
-		res, err := experiments.RunNetswapSweep(latencies, losses, measure)
-		if err != nil {
-			fatal(err)
-		}
-		fmt.Println("# E8a netswap sweep: fault-latency breakdown vs link latency and loss")
-		fmt.Println("latency\tloss\tMbit/s\tnet.out p50/p95 ms\tstore p50/p95 ms\tnet.back p50/p95 ms\trpcs\tretries\ttimeouts")
-		for _, c := range res.Cells {
-			fmt.Printf("%v\t%.2f\t%.2f\t%.3f/%.3f\t%.3f/%.3f\t%.3f/%.3f\t%d\t%d\t%d\n",
-				c.Latency, c.Loss, c.Mbps,
-				c.NetOutP50Ms, c.NetOutP95Ms, c.StoreP50Ms, c.StoreP95Ms,
-				c.NetBackP50Ms, c.NetBackP95Ms, c.RPCs, c.Retries, c.Timeouts)
-		}
-	}
-	if all || which == "outage" {
-		ran = true
-		res, err := experiments.RunNetswapOutage(measure / 3)
-		if err != nil {
-			fatal(err)
-		}
-		fmt.Println("# E8b netswap outage isolation: Mbit/s before/during/after a remote outage")
-		fmt.Printf("local (swap disk):\t%v\n", fmtF(res.LocalMbps[:]))
-		fmt.Printf("remote (netswap):\t%v\n", fmtF(res.RemoteMbps[:]))
-		fmt.Printf("crosstalk flags: %d (monitor ticks: %d)\n", len(res.Flags), res.MonitorTicks)
-		for _, f := range res.Flags {
-			fmt.Printf("  FLAG %+v\n", f)
-		}
-	}
-	if all || which == "degrade" {
-		ran = true
-		res, err := experiments.RunNetswapDegrade(measure / 3)
-		if err != nil {
-			fatal(err)
-		}
-		fmt.Println("# E8c netswap tiered degradation: Mbit/s before/during/after a remote outage")
-		fmt.Printf("tiered domain:\t%v\tdegraded during outage: %v\n", fmtF(res.Mbps[:]), res.DegradedDuringOutage)
-		fmt.Printf("demotions %d  local fallbacks %d  deadline misses %d  degraded entries %d  local hits %d\n",
-			res.Stats.Demotions, res.Stats.LocalFallbacks, res.Stats.DeadlineMisses,
-			res.Stats.DegradedEntries, res.Stats.LocalHits)
-	}
-	if !ran {
-		fatalf("nemesis-paging: unknown -e8 experiment %q (want sweep, outage, degrade or all)", which)
-	}
 }
 
 func fmtRatios(rs []float64) string {
@@ -557,17 +578,6 @@ func fmtRatios(rs []float64) string {
 		s += fmt.Sprintf("%.2f", r)
 	}
 	return s
-}
-
-func fmtF(fs []float64) string {
-	s := "["
-	for i, f := range fs {
-		if i > 0 {
-			s += " "
-		}
-		s += fmt.Sprintf("%.2f", f)
-	}
-	return s + "]"
 }
 
 type kv struct {

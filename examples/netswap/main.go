@@ -9,6 +9,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 	"time"
@@ -21,7 +22,7 @@ func main() {
 
 	fmt.Println("paging against a remote swap server at three link latencies...")
 	latencies := []time.Duration{200 * time.Microsecond, time.Millisecond, 2 * time.Millisecond}
-	sweep, err := experiments.RunNetswapSweep(latencies, []float64{0, 0.05}, 5*time.Second)
+	sweep, err := experiments.RunNetswapSweep(context.Background(), latencies, []float64{0, 0.05}, 5*time.Second, 0)
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -47,8 +47,8 @@ func (sys *System) StartCrosstalkMonitor(cfg obs.CrosstalkConfig) *obs.Crosstalk
 // CrosstalkMonitor returns the running monitor, or nil.
 func (sys *System) CrosstalkMonitor() *obs.CrosstalkMonitor { return sys.monitor }
 
-// WriteTopTable renders a per-domain snapshot table (the heart of
-// nemesis-top): fault counters split by path, paging traffic, revocations,
+// WriteTopTable renders a per-domain snapshot table (what nemesis-paging
+// -interval prints): fault counters split by path, paging traffic, revocations,
 // frames held, and the end-to-end page-fault latency distribution. Returns
 // an error if telemetry is disabled.
 func (sys *System) WriteTopTable(w io.Writer) error {
@@ -104,8 +104,9 @@ type TopDomain struct {
 	E2E         obs.HistSnapshot `json:"e2e"`
 }
 
-// TopDump is nemesis-top's machine-readable snapshot: every WriteTopTable
-// row plus the registry rollup the rendered table embeds.
+// TopDump is the machine-readable top table (nemesis-paging -top-json):
+// every WriteTopTable row plus the registry rollup the rendered table
+// embeds.
 type TopDump struct {
 	FreeFrames int          `json:"free_frames"`
 	Domains    []TopDomain  `json:"domains"`

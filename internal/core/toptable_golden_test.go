@@ -69,7 +69,7 @@ func TestTopTableGolden(t *testing.T) {
 	checkGolden(t, filepath.Join("testdata", "toptable.golden"), sb.String())
 }
 
-// TestTopJSONGolden pins the machine-readable top dump (nemesis-top -json)
+// TestTopJSONGolden pins the machine-readable top dump (-top-json)
 // for the same seeded two-domain run as the table golden: rows, histogram
 // snapshots and the embedded rollup all drift visibly.
 func TestTopJSONGolden(t *testing.T) {

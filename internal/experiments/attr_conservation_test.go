@@ -41,7 +41,7 @@ func TestSuiteAttributionConservation(t *testing.T) {
 		core.ShutdownHook = nil
 	}()
 
-	cells, err := RunSuite(context.Background(), 2*time.Second, 4)
+	cells, err := RunSuite(context.Background(), 2*time.Second, 4, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -64,7 +64,6 @@ func RunAttribution(opt AttributionOptions) (*AttributionResult, error) {
 		popt.Seed = opt.Seed
 	}
 	if opt.Fig == 8 {
-		popt.Write = true
 		popt.Forgetful = true
 	}
 	popt.Telemetry = true

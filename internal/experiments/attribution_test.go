@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
 	"testing"
 	"time"
@@ -115,7 +116,7 @@ func TestAttributionCoversMeasuredWindow(t *testing.T) {
 // that the folded-stack export is byte-identical at any sweep worker count.
 func TestAttributionFoldedIdenticalAcrossWorkers(t *testing.T) {
 	run := func(workers int) []string {
-		cells, err := sweep.MapWorkers(workers, []bool{false, true}, func(hog bool) (string, error) {
+		cells, err := sweep.Map(context.Background(), workers, []bool{false, true}, func(_ context.Context, hog bool) (string, error) {
 			r, err := RunAttribution(attrOpts(hog))
 			if err != nil {
 				return "", err

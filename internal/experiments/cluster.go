@@ -177,22 +177,17 @@ func (r *ClusterResult) Totals() ClusterMachine {
 }
 
 // RunCluster runs the cluster scenario: each machine is an independent
-// deterministic simulation (seeded Seed+machine), fanned out across sweep
-// workers and collected in machine order.
-func RunCluster(opt ClusterOptions) (*ClusterResult, error) {
-	return RunClusterContext(context.Background(), opt)
-}
-
-// RunClusterContext is RunCluster under a context: workers observe ctx
-// between machine cells, and a sweep.WithProgress callback on ctx receives
-// per-machine completion events.
-func RunClusterContext(ctx context.Context, opt ClusterOptions) (*ClusterResult, error) {
+// deterministic simulation (seeded Seed+machine), fanned out across
+// opt.Workers sweep workers and collected in machine order. Workers observe
+// ctx between machine cells, and a sweep.WithProgress callback on ctx
+// receives per-machine completion events.
+func RunCluster(ctx context.Context, opt ClusterOptions) (*ClusterResult, error) {
 	opt.fillDefaults()
 	machines := make([]int, opt.Machines)
 	for i := range machines {
 		machines[i] = i
 	}
-	cells, err := sweep.MapWorkersContext(ctx, sweepWorkers(opt.Workers), machines, func(_ context.Context, m int) (*ClusterMachine, error) {
+	cells, err := sweep.Map(ctx, opt.Workers, machines, func(_ context.Context, m int) (*ClusterMachine, error) {
 		return runClusterMachine(m, opt)
 	})
 	if err != nil {
@@ -219,13 +214,6 @@ func assembleCluster(opt ClusterOptions, cells []*ClusterMachine) *ClusterResult
 		res.Trace = obs.MergeTimelines(lanes)
 	}
 	return res
-}
-
-func sweepWorkers(n int) int {
-	if n > 0 {
-		return n
-	}
-	return sweep.Workers()
 }
 
 // runClusterMachine builds and runs one machine: N self-paging domains,

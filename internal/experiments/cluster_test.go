@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"bytes"
+	"context"
 	"testing"
 	"time"
 )
@@ -20,7 +21,7 @@ func clusterOpts(machines, domains int) ClusterOptions {
 // placed, paging flows through the remote pool, and the audit shows zero
 // guarantee violations and zero revocation kills.
 func TestClusterScenario(t *testing.T) {
-	res, err := RunCluster(clusterOpts(2, 60))
+	res, err := RunCluster(context.Background(), clusterOpts(2, 60))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -51,12 +52,12 @@ func TestClusterScenario(t *testing.T) {
 func TestClusterDeterministicAcrossWorkers(t *testing.T) {
 	opt := clusterOpts(4, 40)
 	opt.Workers = 1
-	serial, err := RunCluster(opt)
+	serial, err := RunCluster(context.Background(), opt)
 	if err != nil {
 		t.Fatal(err)
 	}
 	opt.Workers = 8
-	parallel, err := RunCluster(opt)
+	parallel, err := RunCluster(context.Background(), opt)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -77,11 +78,11 @@ func TestClusterDeterministicAcrossWorkers(t *testing.T) {
 // cost — the indexed scheduler and incremental monitor keep idle domains
 // free, so per-domain events stay within 3× of the small cell's.
 func TestClusterPerDomainCostSubLinear(t *testing.T) {
-	small, err := RunCluster(clusterOpts(1, 100))
+	small, err := RunCluster(context.Background(), clusterOpts(1, 100))
 	if err != nil {
 		t.Fatal(err)
 	}
-	big, err := RunCluster(clusterOpts(1, 1000))
+	big, err := RunCluster(context.Background(), clusterOpts(1, 1000))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"testing"
 
@@ -26,7 +27,7 @@ func tracedClusterOpts(workers int) ClusterOptions {
 func TestClusterTraceDeterministicAcrossWorkers(t *testing.T) {
 	render := func(workers int) (trace, summary []byte) {
 		t.Helper()
-		res, err := RunCluster(tracedClusterOpts(workers))
+		res, err := RunCluster(context.Background(), tracedClusterOpts(workers))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -59,7 +60,7 @@ func TestClusterTraceDeterministicAcrossWorkers(t *testing.T) {
 // server, and carries flow arrows whose start (client net.out hop) and
 // finish (server service slice) sit in different process lanes.
 func TestClusterTraceFlowsAcrossMachines(t *testing.T) {
-	res, err := RunCluster(tracedClusterOpts(2))
+	res, err := RunCluster(context.Background(), tracedClusterOpts(2))
 	if err != nil {
 		t.Fatal(err)
 	}

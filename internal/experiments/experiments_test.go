@@ -79,7 +79,6 @@ func assertGuarantees(t *testing.T, r *PagingResult) {
 
 func TestFig8Shape(t *testing.T) {
 	opt := DefaultPagingOptions()
-	opt.Write = true
 	opt.Forgetful = true
 	opt.Measure = 15 * time.Second
 	r, err := RunPaging(opt)

@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
 	"time"
 
@@ -229,25 +230,17 @@ type PolicyComparison struct {
 	Spares int64
 }
 
-// EvictionResult compares the paged driver's FIFO policy against the
-// second-chance refinement (extension E2 — the paper notes its "fairly pure
-// demand paged scheme ... can clearly be improved"). The metric is paging
-// *rate*: page-ins per megabyte of application progress (total page-ins
-// over a fixed window reward the better policy's higher progress, so the
-// rate is the honest comparison).
-type EvictionResult struct {
-	FIFOPageInsPerMB         float64
-	SecondChancePageInsPerMB float64
-	FIFOMbps                 float64
-	SecondChanceMbps         float64
-}
-
 // ExtensionEvictionPolicies runs the E2 hot-set workload once per
 // replacement policy, selected through the pager spec: a hot page set
 // re-referenced between every cold access, so reference-aware policies
-// (second chance, clock) keep it resident while FIFO keeps evicting it.
+// (second chance, clock) keep it resident while FIFO keeps evicting it
+// (extension E2 — the paper notes its "fairly pure demand paged scheme ...
+// can clearly be improved"). The metric is paging *rate*: page-ins per
+// megabyte of application progress (total page-ins over a fixed window
+// reward the better policy's higher progress, so the rate is the honest
+// comparison).
 func ExtensionEvictionPolicies(measure time.Duration, kinds []stretchdrv.PolicyKind) ([]PolicyComparison, error) {
-	return sweep.Map(kinds, func(kind stretchdrv.PolicyKind) (PolicyComparison, error) {
+	return sweep.Map(context.TODO(), 0, kinds, func(_ context.Context, kind stretchdrv.PolicyKind) (PolicyComparison, error) {
 		return evictionPolicyCell(measure, kind)
 	})
 }
@@ -308,22 +301,6 @@ func evictionPolicyCell(measure time.Duration, kind stretchdrv.PolicyKind) (Poli
 	return pc, nil
 }
 
-// ExtensionSecondChance runs the FIFO vs second-chance pair of the policy
-// comparison (the historical E2 shape).
-func ExtensionSecondChance(measure time.Duration) (*EvictionResult, error) {
-	rows, err := ExtensionEvictionPolicies(measure,
-		[]stretchdrv.PolicyKind{stretchdrv.PolicyFIFO, stretchdrv.PolicySecondChance})
-	if err != nil {
-		return nil, err
-	}
-	return &EvictionResult{
-		FIFOPageInsPerMB:         rows[0].PageInsPerMB,
-		SecondChancePageInsPerMB: rows[1].PageInsPerMB,
-		FIFOMbps:                 rows[0].Mbps,
-		SecondChanceMbps:         rows[1].Mbps,
-	}, nil
-}
-
 // ClusteringResult reports the write-clustering sweep: the same forgetful
 // page-out workload (Fig. 8's shape) run at several cluster sizes. A
 // cleaning batch of disk-contiguous pages goes out as one USD transaction,
@@ -343,7 +320,7 @@ type ClusteringResult struct {
 // forgetful writer (never pages in, every eviction must clean) over a small
 // frame grant, at each cluster size.
 func ExtensionWriteClustering(measure time.Duration, sizes []int) (*ClusteringResult, error) {
-	cells, err := sweep.Map(sizes, func(size int) (clusteringCell, error) {
+	cells, err := sweep.Map(context.TODO(), 0, sizes, func(_ context.Context, size int) (clusteringCell, error) {
 		return writeClusteringCell(measure, size)
 	})
 	if err != nil {

@@ -23,18 +23,20 @@ func TestExtensionPipelineDepth(t *testing.T) {
 }
 
 func TestExtensionSecondChance(t *testing.T) {
-	r, err := ExtensionSecondChance(10 * time.Second)
+	rows, err := ExtensionEvictionPolicies(10*time.Second,
+		[]stretchdrv.PolicyKind{stretchdrv.PolicyFIFO, stretchdrv.PolicySecondChance})
 	if err != nil {
 		t.Fatal(err)
 	}
+	fifo, sc := rows[0], rows[1]
 	// Second chance keeps the hot set resident: materially fewer
 	// page-ins per MB of progress, and higher throughput.
-	if r.SecondChancePageInsPerMB > 0.8*r.FIFOPageInsPerMB {
+	if sc.PageInsPerMB > 0.8*fifo.PageInsPerMB {
 		t.Fatalf("second chance did not reduce paging rate: fifo=%.1f sc=%.1f ins/MB",
-			r.FIFOPageInsPerMB, r.SecondChancePageInsPerMB)
+			fifo.PageInsPerMB, sc.PageInsPerMB)
 	}
-	if r.SecondChanceMbps < r.FIFOMbps {
-		t.Fatalf("second chance slower: %.2f vs %.2f Mbit/s", r.SecondChanceMbps, r.FIFOMbps)
+	if sc.Mbps < fifo.Mbps {
+		t.Fatalf("second chance slower: %.2f vs %.2f Mbit/s", sc.Mbps, fifo.Mbps)
 	}
 }
 

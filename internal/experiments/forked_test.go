@@ -17,7 +17,7 @@ func TestPagingForkEquivalence(t *testing.T) {
 		mut  func(*PagingOptions)
 	}{
 		{"fig7", func(*PagingOptions) {}},
-		{"fig8", func(o *PagingOptions) { o.Write = true; o.Forgetful = true }},
+		{"fig8", func(o *PagingOptions) { o.Forgetful = true }},
 		{"hog", func(o *PagingOptions) { o.Hog = true }},
 	} {
 		t.Run(tc.name, func(t *testing.T) {

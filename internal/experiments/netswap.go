@@ -41,15 +41,11 @@ type NetswapSweepResult struct {
 // RunNetswapSweep measures a remote-paging application across the cross
 // product of link latencies and loss probabilities, measure of simulated
 // time per cell. Every cell is an independent deterministic run; cells fan
-// out across sweep workers and come back in sweep order.
-func RunNetswapSweep(latencies []time.Duration, losses []float64, measure time.Duration) (*NetswapSweepResult, error) {
-	return RunNetswapSweepContext(context.Background(), latencies, losses, measure)
-}
-
-// RunNetswapSweepContext is RunNetswapSweep under a context: workers
-// observe ctx between (latency, loss) cells, and a sweep.WithProgress
-// callback on ctx receives per-cell completion events.
-func RunNetswapSweepContext(ctx context.Context, latencies []time.Duration, losses []float64, measure time.Duration) (*NetswapSweepResult, error) {
+// out across workers sweep workers (sweep.Workers() when workers <= 0) and
+// come back in sweep order. Workers observe ctx between (latency, loss)
+// cells, and a sweep.WithProgress callback on ctx receives per-cell
+// completion events.
+func RunNetswapSweep(ctx context.Context, latencies []time.Duration, losses []float64, measure time.Duration, workers int) (*NetswapSweepResult, error) {
 	type point struct {
 		lat  time.Duration
 		loss float64
@@ -60,7 +56,7 @@ func RunNetswapSweepContext(ctx context.Context, latencies []time.Duration, loss
 			pts = append(pts, point{lat, loss})
 		}
 	}
-	cells, err := sweep.MapContext(ctx, pts, func(_ context.Context, p point) (*NetswapCell, error) {
+	cells, err := sweep.Map(ctx, workers, pts, func(_ context.Context, p point) (*NetswapCell, error) {
 		return runNetswapCell(p.lat, p.loss, measure)
 	})
 	if err != nil {

@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"reflect"
 	"testing"
 	"time"
@@ -14,7 +15,7 @@ var (
 )
 
 func TestNetswapSweep(t *testing.T) {
-	res, err := RunNetswapSweep(e8Latencies, e8Losses, 5*time.Second)
+	res, err := RunNetswapSweep(context.Background(), e8Latencies, e8Losses, 5*time.Second, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -49,11 +50,11 @@ func TestNetswapSweep(t *testing.T) {
 }
 
 func TestNetswapSweepDeterministic(t *testing.T) {
-	a, err := RunNetswapSweep(e8Latencies, e8Losses, 2*time.Second)
+	a, err := RunNetswapSweep(context.Background(), e8Latencies, e8Losses, 2*time.Second, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := RunNetswapSweep(e8Latencies, e8Losses, 2*time.Second)
+	b, err := RunNetswapSweep(context.Background(), e8Latencies, e8Losses, 2*time.Second, 0)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -19,9 +19,8 @@
 // A quiesced warm world can also be checkpointed with core.System.Fork;
 // nemesis-serve's warm pool does exactly that (PagingWarm.Fork), and
 // fork-then-measure is byte-identical to measuring in place. Fork carries
-// only untraced worlds with the default FIFO pager, so PagingWarm.Fork
-// returns Fork's error for options with Telemetry, Timeline or another
-// Policy.
+// only untraced worlds, so PagingWarm.Fork returns Fork's error for options
+// with Telemetry or Timeline.
 package experiments
 
 import (
@@ -31,7 +30,6 @@ import (
 	"nemesis/internal/atropos"
 	"nemesis/internal/core"
 	"nemesis/internal/obs"
-	"nemesis/internal/stretchdrv"
 	"nemesis/internal/trace"
 	"nemesis/internal/usd"
 	"nemesis/internal/workload"
@@ -49,14 +47,10 @@ type PagingOptions struct {
 	LaxityEnabled bool
 	// FCFS runs the unscheduled-disk ablation (A2).
 	FCFS bool
-	// Write + Forgetful select the page-out experiment (Fig. 8).
-	Write, Forgetful bool
-	// Policy, Writeback and ClusterSize parameterise the applications'
-	// pager engines (zero values: FIFO, demand — or forgetful when
-	// Forgetful is set — and no write clustering).
-	Policy      stretchdrv.PolicyKind
-	Writeback   stretchdrv.WritebackKind
-	ClusterSize int
+	// Forgetful selects the page-out experiment (Fig. 8): each
+	// application writes instead of reading, over the forgetful stretch
+	// driver that never pages in.
+	Forgetful bool
 	// VirtBytes, PhysFrames, SwapBytes size each application
 	// (paper: 4 MB, 2 frames, 16 MB).
 	VirtBytes  uint64
@@ -84,8 +78,8 @@ type PagingOptions struct {
 	// perturbs the workload, so it is off for golden/figure runs.
 	Timeline bool
 	// SnapshotEvery, with Telemetry, invokes OnSnapshot at this period of
-	// simulated time during the measured window — nemesis-top uses it to
-	// render periodic per-domain tables.
+	// simulated time during the measured window — nemesis-paging
+	// -interval uses it to render periodic per-domain tables.
 	SnapshotEvery time.Duration
 	OnSnapshot    func(sys *core.System)
 }
@@ -164,20 +158,15 @@ func WarmPaging(opt PagingOptions) (*PagingWarm, error) {
 	sys.USD.FCFS = opt.FCFS
 
 	w := &PagingWarm{Opts: opt, Sys: sys, Set: &trace.SeriesSet{}}
-	add := func(name string, slice time.Duration, app bool) error {
+	add := func(name string, slice time.Duration) error {
 		pc := workload.DefaultPagerConfig(name, slice)
 		pc.DiskQoS = atropos.QoS{P: opt.Period, S: slice, X: false, L: opt.Laxity}
 		pc.VirtBytes = opt.VirtBytes
 		pc.PhysFrames = opt.PhysFrames
 		pc.SwapBytes = opt.SwapBytes
-		pc.Write = opt.Write
+		pc.Write = opt.Forgetful
 		pc.Forgetful = opt.Forgetful
 		pc.SampleEvery = opt.SampleEvery
-		if app {
-			pc.Policy = opt.Policy
-			pc.Writeback = opt.Writeback
-			pc.ClusterSize = opt.ClusterSize
-		}
 		pg, err := workload.WarmPager(sys, pc, w.Set.New(name))
 		if err != nil {
 			return err
@@ -187,14 +176,14 @@ func WarmPaging(opt PagingOptions) (*PagingWarm, error) {
 	}
 	for i, slice := range opt.Slices {
 		name := fmt.Sprintf("app%d-%d%%", i+1, int(100*float64(slice)/float64(opt.Period)))
-		if err := add(name, slice, true); err != nil {
+		if err := add(name, slice); err != nil {
 			return nil, err
 		}
 	}
 	if opt.Hog {
 		// 5% of the period: a starved contract, so the hog's demand piles
 		// up in its own usd.queue account instead of on the victims.
-		if err := add("hog-5%", opt.Period/20, false); err != nil {
+		if err := add("hog-5%", opt.Period/20); err != nil {
 			return nil, err
 		}
 	}

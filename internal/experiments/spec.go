@@ -301,7 +301,7 @@ func RunSpec(ctx context.Context, spec Spec, workers int) (*Outcome, error) {
 	out := &Outcome{Result: res}
 	switch spec.Kind {
 	case KindSuite:
-		cells, err := RunSuite(ctx, spec.Measure.D(), workers)
+		cells, err := RunSuite(ctx, spec.Measure.D(), workers, nil)
 		if err != nil {
 			return nil, err
 		}
@@ -312,14 +312,14 @@ func RunSpec(ctx context.Context, spec Spec, workers int) (*Outcome, error) {
 		for i, l := range spec.Latencies {
 			lat[i] = l.D()
 		}
-		r, err := RunNetswapSweepContext(ctx, lat, spec.Losses, spec.Measure.D())
+		r, err := RunNetswapSweep(ctx, lat, spec.Losses, spec.Measure.D(), workers)
 		if err != nil {
 			return nil, err
 		}
 		res.Netswap = r
 
 	case KindCluster:
-		r, err := RunClusterContext(ctx, ClusterOptions{
+		r, err := RunCluster(ctx, ClusterOptions{
 			Machines:          spec.Machines,
 			DomainsPerMachine: spec.DomainsPerMachine,
 			Servers:           spec.Servers,
@@ -373,7 +373,7 @@ func RunSpec(ctx context.Context, spec Spec, workers int) (*Outcome, error) {
 // single-cell kinds share the sweep's contract: pre-cancellation is
 // observed and progress reports 1/1 on completion.
 func runSingleCell(ctx context.Context, workers int, fn func() error) error {
-	_, err := sweep.MapWorkersContext(ctx, workers, []int{0}, func(context.Context, int) (struct{}, error) {
+	_, err := sweep.Map(ctx, workers, []int{0}, func(context.Context, int) (struct{}, error) {
 		return struct{}{}, fn()
 	})
 	return err
@@ -388,7 +388,6 @@ func PagingOptionsFromSpec(spec Spec) PagingOptions {
 	opt.Measure = spec.Measure.D()
 	opt.Seed = spec.Seed
 	if spec.Figure == 8 {
-		opt.Write = true
 		opt.Forgetful = true
 	}
 	return opt

@@ -21,25 +21,69 @@ type SuiteCell struct {
 // RunSuite runs the full experiment suite — Table 1, Figs. 7–9, the
 // ablations A1–A5, the extensions E1–E7 and the netswap trio — as
 // independent cells fanned out over workers goroutines (sweep.Workers()
-// when workers <= 0). Results come back in suite order regardless of the
-// fan-out, so serial and parallel runs produce byte-identical output.
-// measure bounds each cell's simulated measurement window; cells that need
-// less clamp it themselves. Workers observe ctx between cells (a cancelled
-// suite stops scheduling cells and returns ctx.Err()), and a
-// sweep.WithProgress callback on ctx receives per-cell completion events.
-// In-flight cells run to completion; a single cell is not interruptible
-// mid-simulation.
-func RunSuite(ctx context.Context, measure time.Duration, workers int) ([]SuiteCell, error) {
-	if workers <= 0 {
-		workers = sweep.Workers()
+// when workers <= 0). Given name prefixes, it runs only the cells whose
+// names start with one of them (see SuiteCellNames). Results come back in
+// suite order regardless of the fan-out, so serial and parallel runs
+// produce byte-identical output. measure bounds each cell's simulated
+// measurement window; cells that need less clamp it themselves. Workers
+// observe ctx between cells (a cancelled suite stops scheduling cells and
+// returns ctx.Err()), and a sweep.WithProgress callback on ctx receives
+// per-cell completion events. In-flight cells run to completion; a single
+// cell is not interruptible mid-simulation.
+func RunSuite(ctx context.Context, measure time.Duration, workers int, prefixes []string) ([]SuiteCell, error) {
+	cells, err := selectCells(suiteCellList(measure), prefixes)
+	if err != nil {
+		return nil, err
 	}
-	return sweep.MapWorkersContext(ctx, workers, suiteCellList(measure), func(ctx context.Context, c suiteCellDef) (SuiteCell, error) {
+	return sweep.Map(ctx, workers, cells, func(ctx context.Context, c suiteCellDef) (SuiteCell, error) {
 		out, err := c.run(ctx)
 		if err != nil {
 			return SuiteCell{}, fmt.Errorf("%s: %w", c.name, err)
 		}
 		return SuiteCell{Name: c.name, Output: out}, nil
 	})
+}
+
+// SuiteCellNames returns, in suite order, the names of the cells whose
+// names start with one of prefixes, or of every cell when there are none.
+// A prefix that matches no cell is an error.
+func SuiteCellNames(prefixes []string) ([]string, error) {
+	cells, err := selectCells(suiteCellList(0), prefixes)
+	if err != nil {
+		return nil, err
+	}
+	names := make([]string, len(cells))
+	for i, c := range cells {
+		names[i] = c.name
+	}
+	return names, nil
+}
+
+// selectCells keeps the cells whose names start with one of prefixes, all
+// of them when there are none.
+func selectCells(cells []suiteCellDef, prefixes []string) ([]suiteCellDef, error) {
+	if len(prefixes) == 0 {
+		return cells, nil
+	}
+	picked := make([]bool, len(cells))
+	for _, p := range prefixes {
+		hit := false
+		for i, c := range cells {
+			if p != "" && strings.HasPrefix(c.name, p) {
+				picked[i], hit = true, true
+			}
+		}
+		if !hit {
+			return nil, fmt.Errorf("experiments: no suite cell name starts with %q", p)
+		}
+	}
+	var out []suiteCellDef
+	for i, c := range cells {
+		if picked[i] {
+			out = append(out, c)
+		}
+	}
+	return out, nil
 }
 
 // suiteCellDef is one experiment cell of the suite.
@@ -61,11 +105,7 @@ func suiteCellList(measure time.Duration) []suiteCellDef {
 			if err != nil {
 				return "", err
 			}
-			var b strings.Builder
-			for _, r := range rows {
-				fmt.Fprintf(&b, "%s\tsim %.2fus\tOSF/1 %.2fus\n", r.Name, r.NemesisUS, r.OSF1US)
-			}
-			return b.String(), nil
+			return FormatTable1(rows), nil
 		}},
 		{"fig7 paging-in", func(context.Context) (string, error) {
 			opt := DefaultPagingOptions()
@@ -79,7 +119,6 @@ func suiteCellList(measure time.Duration) []suiteCellDef {
 		{"fig8 paging-out", func(context.Context) (string, error) {
 			opt := DefaultPagingOptions()
 			opt.Measure = measure
-			opt.Write = true
 			opt.Forgetful = true
 			r, err := RunPaging(opt)
 			if err != nil {
@@ -101,7 +140,8 @@ func suiteCellList(measure time.Duration) []suiteCellDef {
 			if err != nil {
 				return "", err
 			}
-			return fmt.Sprintf("with %.2f  without %.2f\n", r.WithLaxityMbps, r.WithoutLaxityMbps), nil
+			return fmt.Sprintf("with %s  without %s  txns/period without %s\n",
+				fmtFloats(r.WithLaxityMbps), fmtFloats(r.WithoutLaxityMbps), fmtFloats(r.TxnsPerPeriodWithout)), nil
 		}},
 		{"A2 fcfs-disk", func(context.Context) (string, error) {
 			r, err := AblationFCFS(short)
@@ -115,7 +155,9 @@ func suiteCellList(measure time.Duration) []suiteCellDef {
 			if err != nil {
 				return "", err
 			}
-			return fmt.Sprintf("self iso %.2f  ext iso %.2f\n", r.SelfIsolation(), r.ExtIsolation()), nil
+			return fmt.Sprintf("self %.2f->%.2f Mbit/s iso %.2f  ext %.2f->%.2f Mbit/s iso %.2f\n",
+				r.SelfAloneMbps, r.SelfContendedMbps, r.SelfIsolation(),
+				r.ExtAloneMbps, r.ExtContendedMbps, r.ExtIsolation()), nil
 		}},
 		{"A4 slack", func(context.Context) (string, error) {
 			r, err := AblationSlack(short)
@@ -162,14 +204,16 @@ func suiteCellList(measure time.Duration) []suiteCellDef {
 			if err != nil {
 				return "", err
 			}
-			return fmt.Sprintf("demand %.2f  streaming %.2f  %.2fx\n", r.DemandMbps, r.StreamingMbps, r.Speedup()), nil
+			return fmt.Sprintf("demand %.2f  streaming %.2f  %.2fx  prefetch accuracy %d/%d\n",
+				r.DemandMbps, r.StreamingMbps, r.Speedup(), r.PrefetchedUsed, r.Prefetches), nil
 		}},
 		{"E5 rebalancer", func(context.Context) (string, error) {
 			r, err := ExtensionRebalance(short)
 			if err != nil {
 				return "", err
 			}
-			return fmt.Sprintf("%.2f -> %.2f Mbit/s (%d moves)\n", r.WithoutMbps, r.WithMbps, r.Moves), nil
+			return fmt.Sprintf("%.2f -> %.2f Mbit/s (frames %d -> %d, %d moves)\n",
+				r.WithoutMbps, r.WithMbps, r.WorkerFramesWithout, r.WorkerFramesWith, r.Moves), nil
 		}},
 		{"E6 mjpeg", func(context.Context) (string, error) {
 			r, err := MotivationMJPEG(short)
@@ -189,13 +233,15 @@ func suiteCellList(measure time.Duration) []suiteCellDef {
 		{"E8a netswap-sweep", func(ctx context.Context) (string, error) {
 			latencies := []time.Duration{200 * time.Microsecond, time.Millisecond, 2 * time.Millisecond}
 			losses := []float64{0, 0.05}
-			r, err := RunNetswapSweepContext(ctx, latencies, losses, short)
+			r, err := RunNetswapSweep(ctx, latencies, losses, short, 0)
 			if err != nil {
 				return "", err
 			}
 			var b strings.Builder
 			for _, c := range r.Cells {
-				fmt.Fprintf(&b, "%v loss %.2f: %.2f Mbit/s  net.out p95 %.3fms\n", c.Latency, c.Loss, c.Mbps, c.NetOutP95Ms)
+				fmt.Fprintf(&b, "%v loss %.2f: %.2f Mbit/s  net.out p50 %.3fms p95 %.3fms  store p50 %.3fms p95 %.3fms  net.back p50 %.3fms p95 %.3fms  rpcs %d retries %d timeouts %d\n",
+					c.Latency, c.Loss, c.Mbps, c.NetOutP50Ms, c.NetOutP95Ms, c.StoreP50Ms, c.StoreP95Ms,
+					c.NetBackP50Ms, c.NetBackP95Ms, c.RPCs, c.Retries, c.Timeouts)
 			}
 			return b.String(), nil
 		}},
@@ -204,14 +250,23 @@ func suiteCellList(measure time.Duration) []suiteCellDef {
 			if err != nil {
 				return "", err
 			}
-			return fmt.Sprintf("local %s  remote %s  flags %d\n", fmtFloats(r.LocalMbps[:]), fmtFloats(r.RemoteMbps[:]), len(r.Flags)), nil
+			var b strings.Builder
+			fmt.Fprintf(&b, "local %s  remote %s  flags %d (monitor ticks %d)\n",
+				fmtFloats(r.LocalMbps[:]), fmtFloats(r.RemoteMbps[:]), len(r.Flags), r.MonitorTicks)
+			for _, f := range r.Flags {
+				fmt.Fprintf(&b, "FLAG %+v\n", f)
+			}
+			return b.String(), nil
 		}},
 		{"E8c netswap-degrade", func(context.Context) (string, error) {
 			r, err := RunNetswapDegrade(short / 3)
 			if err != nil {
 				return "", err
 			}
-			return fmt.Sprintf("mbps %s  degraded=%v\n", fmtFloats(r.Mbps[:]), r.DegradedDuringOutage), nil
+			s := r.Stats
+			return fmt.Sprintf("mbps %s  degraded=%v  demotions %d  local fallbacks %d  deadline misses %d  degraded entries %d  local hits %d\n",
+				fmtFloats(r.Mbps[:]), r.DegradedDuringOutage,
+				s.Demotions, s.LocalFallbacks, s.DeadlineMisses, s.DegradedEntries, s.LocalHits), nil
 		}},
 	}
 }

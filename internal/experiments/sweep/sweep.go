@@ -9,9 +9,9 @@
 // order regardless of completion order, so serial and parallel runs of the
 // same sweep produce identical output.
 //
-// MapWorkersContext is the context-aware root: workers observe ctx between
-// items (a cancelled sweep stops claiming cells and returns ctx.Err()), and
-// a Progress callback installed with WithProgress receives per-cell
+// Map is the one entry point: workers observe ctx between items (a
+// cancelled sweep stops claiming cells and returns ctx.Err()), and a
+// Progress callback installed with WithProgress receives per-cell
 // completion events — which is how long-running services stream sweep
 // progress without touching the cell functions themselves.
 package sweep
@@ -62,32 +62,12 @@ func progressFrom(ctx context.Context) Progress {
 	return fn
 }
 
-// Map runs fn over items on up to Workers() goroutines and returns the
-// results in item order. See MapWorkers.
-func Map[I, O any](items []I, fn func(I) (O, error)) ([]O, error) {
-	return MapWorkers(Workers(), items, fn)
-}
-
-// MapWorkers runs fn over items on up to workers goroutines and returns
-// the results in item order. If any invocation fails, the error of the
-// lowest-index failing item is returned (a deterministic choice regardless
-// of goroutine scheduling) and the results are nil. workers < 1 or a
-// single-item sweep degrades to a plain serial loop on the caller's
-// goroutine.
-func MapWorkers[I, O any](workers int, items []I, fn func(I) (O, error)) ([]O, error) {
-	return MapWorkersContext(context.Background(), workers, items,
-		func(_ context.Context, it I) (O, error) { return fn(it) })
-}
-
-// MapContext runs fn over items on up to Workers() goroutines under ctx.
-// See MapWorkersContext.
-func MapContext[I, O any](ctx context.Context, items []I, fn func(context.Context, I) (O, error)) ([]O, error) {
-	return MapWorkersContext(ctx, Workers(), items, fn)
-}
-
-// MapWorkersContext is the context-aware sweep runner every other entry
-// point wraps. Semantics match MapWorkers — index-ordered results,
-// lowest-index error — with two additions:
+// Map runs fn over items on up to workers goroutines (Workers() when
+// workers <= 0) and returns the results in item order. If any invocation
+// fails, the error of the lowest-index failing item is returned (a
+// deterministic choice regardless of goroutine scheduling) and the results
+// are nil. One worker or a single-item sweep degrades to a plain serial
+// loop on the caller's goroutine. Further:
 //
 //   - Cancellation: workers observe ctx between items. Once ctx is done no
 //     further cells start, in-flight cells finish, and the call returns
@@ -100,7 +80,7 @@ func MapContext[I, O any](ctx context.Context, items []I, fn func(context.Contex
 //   - Process panics: a cell whose simulated process panicked (a
 //     *sim.ProcPanic, and only that) fails with it as its error, so one bad
 //     cell neither kills the caller nor hides a lower-index failure.
-func MapWorkersContext[I, O any](ctx context.Context, workers int, items []I, fn func(context.Context, I) (O, error)) ([]O, error) {
+func Map[I, O any](ctx context.Context, workers int, items []I, fn func(context.Context, I) (O, error)) ([]O, error) {
 	prog := progressFrom(ctx)
 	inner := ctx
 	if prog != nil {
@@ -114,9 +94,10 @@ func MapWorkersContext[I, O any](ctx context.Context, workers int, items []I, fn
 		}
 	}
 
-	if workers > len(items) {
-		workers = len(items)
+	if workers <= 0 {
+		workers = Workers()
 	}
+	workers = min(workers, len(items))
 	if workers <= 1 {
 		out := make([]O, len(items))
 		for i, it := range items {

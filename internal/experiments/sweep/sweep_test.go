@@ -18,7 +18,7 @@ func TestMapOrdersResults(t *testing.T) {
 	for i := range items {
 		items[i] = i
 	}
-	got, err := MapWorkers(8, items, func(i int) (string, error) {
+	got, err := Map(context.Background(), 8, items, func(_ context.Context, i int) (string, error) {
 		return fmt.Sprintf("cell-%d", i), nil
 	})
 	if err != nil {
@@ -36,13 +36,13 @@ func TestSerialEqualsParallel(t *testing.T) {
 	for i := range items {
 		items[i] = i * 3
 	}
-	fn := func(i int) (int, error) { return i*i + 1, nil }
-	serial, err := MapWorkers(1, items, fn)
+	fn := func(_ context.Context, i int) (int, error) { return i*i + 1, nil }
+	serial, err := Map(context.Background(), 1, items, fn)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, w := range []int{2, 4, 16} {
-		par, err := MapWorkers(w, items, fn)
+		par, err := Map(context.Background(), w, items, fn)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -61,7 +61,7 @@ func TestMapErrorIsLowestIndex(t *testing.T) {
 	// Items 3 and 6 fail; the reported error must always be item 3's,
 	// regardless of which goroutine finishes first.
 	for trial := 0; trial < 20; trial++ {
-		_, err := MapWorkers(4, items, func(i int) (int, error) {
+		_, err := Map(context.Background(), 4, items, func(_ context.Context, i int) (int, error) {
 			switch i {
 			case 3:
 				return 0, errA
@@ -77,11 +77,11 @@ func TestMapErrorIsLowestIndex(t *testing.T) {
 }
 
 func TestMapEmptyAndSingle(t *testing.T) {
-	got, err := MapWorkers(4, nil, func(i int) (int, error) { return i, nil })
+	got, err := Map(context.Background(), 4, nil, func(_ context.Context, i int) (int, error) { return i, nil })
 	if err != nil || len(got) != 0 {
 		t.Fatalf("empty: got %v, %v", got, err)
 	}
-	got, err = MapWorkers(4, []int{9}, func(i int) (int, error) { return i + 1, nil })
+	got, err = Map(context.Background(), 4, []int{9}, func(_ context.Context, i int) (int, error) { return i + 1, nil })
 	if err != nil || len(got) != 1 || got[0] != 10 {
 		t.Fatalf("single: got %v, %v", got, err)
 	}
@@ -91,7 +91,7 @@ func TestMapWorkersExceedItems(t *testing.T) {
 	// More workers than items must not panic, leak goroutines waiting for
 	// cells that never come, or disturb result order.
 	items := []int{10, 20, 30}
-	got, err := MapWorkers(64, items, func(i int) (int, error) { return i + 1, nil })
+	got, err := Map(context.Background(), 64, items, func(_ context.Context, i int) (int, error) { return i + 1, nil })
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -105,7 +105,7 @@ func TestMapWorkersExceedItems(t *testing.T) {
 
 func TestMapWorkersEmptyAtAnyWidth(t *testing.T) {
 	for _, w := range []int{0, 1, 4, 100} {
-		got, err := MapWorkers(w, []int(nil), func(i int) (int, error) {
+		got, err := Map(context.Background(), w, []int(nil), func(_ context.Context, i int) (int, error) {
 			t.Fatal("fn called on empty sweep")
 			return 0, nil
 		})
@@ -128,7 +128,7 @@ func TestMapManyConcurrentFailures(t *testing.T) {
 	}
 	for _, w := range []int{2, 4, 16, 32} {
 		for trial := 0; trial < 10; trial++ {
-			_, err := MapWorkers(w, items, func(i int) (int, error) {
+			_, err := Map(context.Background(), w, items, func(_ context.Context, i int) (int, error) {
 				return i, errAt[i]
 			})
 			if !errors.Is(err, errAt[1]) {
@@ -149,7 +149,7 @@ func TestMapWorkersContextCancelMidSweep(t *testing.T) {
 	}
 	const workers = 4
 	var started atomic.Int64
-	_, err := MapWorkersContext(ctx, workers, items, func(ctx context.Context, i int) (int, error) {
+	_, err := Map(ctx, workers, items, func(ctx context.Context, i int) (int, error) {
 		if started.Add(1) == 1 {
 			cancel()
 		}
@@ -171,7 +171,7 @@ func TestMapWorkersContextPreCancelled(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	for _, w := range []int{1, 4} {
-		_, err := MapWorkersContext(ctx, w, []int{1, 2, 3}, func(_ context.Context, i int) (int, error) {
+		_, err := Map(ctx, w, []int{1, 2, 3}, func(_ context.Context, i int) (int, error) {
 			t.Fatal("fn ran under a pre-cancelled context")
 			return i, nil
 		})
@@ -182,12 +182,11 @@ func TestMapWorkersContextPreCancelled(t *testing.T) {
 }
 
 func TestMapWorkersContextErrorStillLowestIndex(t *testing.T) {
-	// The context-aware path preserves the lowest-index-error contract of
-	// MapWorkers when the context stays live.
+	// A live context leaves the lowest-index-error contract intact.
 	errA, errB := errors.New("a"), errors.New("b")
 	items := []int{0, 1, 2, 3, 4, 5, 6, 7}
 	for trial := 0; trial < 20; trial++ {
-		_, err := MapWorkersContext(context.Background(), 4, items, func(_ context.Context, i int) (int, error) {
+		_, err := Map(context.Background(), 4, items, func(_ context.Context, i int) (int, error) {
 			switch i {
 			case 2:
 				return 0, errA
@@ -218,7 +217,7 @@ func TestProgressReportsEveryCell(t *testing.T) {
 			dones = append(dones, done)
 			mu.Unlock()
 		})
-		if _, err := MapWorkersContext(ctx, w, items, func(_ context.Context, i int) (int, error) {
+		if _, err := Map(ctx, w, items, func(_ context.Context, i int) (int, error) {
 			return i, nil
 		}); err != nil {
 			t.Fatal(err)
@@ -246,9 +245,9 @@ func TestProgressStrippedFromNestedSweeps(t *testing.T) {
 			t.Errorf("total = %d, want %d (outer cells only)", total, len(outer))
 		}
 	})
-	_, err := MapWorkersContext(ctx, 2, outer, func(ctx context.Context, i int) (int, error) {
+	_, err := Map(ctx, 2, outer, func(ctx context.Context, i int) (int, error) {
 		// Nested sweep of 10 cells through the ctx the runner handed us.
-		_, err := MapWorkersContext(ctx, 2, make([]int, 10), func(_ context.Context, j int) (int, error) {
+		_, err := Map(ctx, 2, make([]int, 10), func(_ context.Context, j int) (int, error) {
 			return j, nil
 		})
 		return i, err
@@ -265,7 +264,7 @@ func TestProgressStrippedFromNestedSweeps(t *testing.T) {
 // error, and the lowest-index rule still picks among such cells.
 func TestMapProcPanicIsCellError(t *testing.T) {
 	items := []int{0, 1, 2, 3, 4, 5, 6, 7}
-	cell := func(i int) (int, error) {
+	cell := func(_ context.Context, i int) (int, error) {
 		if i == 2 || i == 5 {
 			s := sim.New(1)
 			s.Spawn(fmt.Sprintf("cell-%d", i), func(p *sim.Proc) {
@@ -278,7 +277,7 @@ func TestMapProcPanicIsCellError(t *testing.T) {
 		return i, nil
 	}
 	for _, workers := range []int{1, 8} {
-		_, err := MapWorkers(workers, items, cell)
+		_, err := Map(context.Background(), workers, items, cell)
 		var pp *sim.ProcPanic
 		if !errors.Is(err, sim.ErrProcPanic) || !errors.As(err, &pp) || pp.Proc != "cell-2" {
 			t.Errorf("workers=%d: err = %v, want cell-2's process panic", workers, err)
@@ -293,11 +292,11 @@ func TestMapOtherPanicPropagates(t *testing.T) {
 			t.Errorf("recovered %v, want the cell's own panic", r)
 		}
 	}()
-	MapWorkers(1, []int{0, 1}, func(i int) (int, error) {
+	Map(context.Background(), 1, []int{0, 1}, func(_ context.Context, i int) (int, error) {
 		if i == 1 {
 			panic("not a process")
 		}
 		return i, nil
 	})
-	t.Error("MapWorkers returned after a cell panicked")
+	t.Error("Map returned after a cell panicked")
 }

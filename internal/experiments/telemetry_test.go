@@ -10,7 +10,7 @@ import (
 
 // TestFig7Telemetry runs a shortened Fig. 7 workload with telemetry on and
 // checks the acceptance criteria end to end: every domain appears in the
-// nemesis-top table with fault activity, periodic snapshots fire, spans
+// per-domain top table with fault activity, periodic snapshots fire, spans
 // accumulate with USD hops, and the crosstalk monitor ticks.
 func TestFig7Telemetry(t *testing.T) {
 	opt := DefaultPagingOptions()

@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"bytes"
+	"context"
 	"strings"
 	"testing"
 	"time"
@@ -14,7 +15,6 @@ import (
 // and returns the rendered trace-event JSON plus the audit log.
 func fig8TimelineTrace(measure time.Duration) ([]byte, []obs.AuditEvent, error) {
 	opt := DefaultPagingOptions()
-	opt.Write = true
 	opt.Forgetful = true
 	opt.Measure = measure
 	opt.Timeline = true
@@ -97,7 +97,7 @@ func TestFig8TimelineParallelByteIdentity(t *testing.T) {
 		t.Fatal(err)
 	}
 	cells := []int{0, 1, 2, 3}
-	traces, err := sweep.MapWorkers(8, cells, func(int) ([]byte, error) {
+	traces, err := sweep.Map(context.Background(), 8, cells, func(context.Context, int) ([]byte, error) {
 		tr, _, err := fig8TimelineTrace(6 * time.Second)
 		return tr, err
 	})

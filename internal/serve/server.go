@@ -296,7 +296,7 @@ func (s *Server) failJob(j *Job, began time.Time, err error) {
 // It runs as one sweep cell, as RunSpec runs a figure: progress reports 1/1
 // and a process panic becomes the job's error.
 func (s *Server) runWarmFigure(ctx context.Context, key string, j *Job) (*experiments.Outcome, error) {
-	out, err := sweep.MapWorkersContext(ctx, 1, []int{0}, func(context.Context, int) (*experiments.Outcome, error) {
+	out, err := sweep.Map(ctx, 1, []int{0}, func(context.Context, int) (*experiments.Outcome, error) {
 		world, err := s.warm.fork(key, func() (*experiments.PagingWarm, error) {
 			return experiments.WarmPagingSpec(j.Spec)
 		})

@@ -265,7 +265,7 @@ func TestQueueBound(t *testing.T) {
 func TestSSEProgress(t *testing.T) {
 	step := make(chan struct{})
 	s := newServer(Config{Workers: 1}, func(ctx context.Context, spec experiments.Spec, workers int) (*experiments.Outcome, error) {
-		_, err := sweep.MapWorkersContext(ctx, 1, make([]int, 5), func(_ context.Context, i int) (int, error) {
+		_, err := sweep.Map(ctx, 1, make([]int, 5), func(_ context.Context, i int) (int, error) {
 			<-step
 			return i, nil
 		})

@@ -256,3 +256,55 @@ func TestStreamingDriverBasics(t *testing.T) {
 	sys.Shutdown()
 	sys.RunUntilIdle(1 << 22)
 }
+
+// BenchmarkPagedWorkerFault prices one worker-path fault on the host. A
+// paged stretch of three pages runs on two frames, and every page already
+// has a current swap copy, so each read in the cyclic loop faults: the
+// worker evicts one clean page and pages the faulting one in from swap
+// through the USD.
+func BenchmarkPagedWorkerFault(b *testing.B) {
+	const pages = 3
+	sys := rig(256)
+	d, _ := sys.NewDomain("app", cpuQ(), mem.Contract{Guaranteed: 2})
+	st, drv, err := sys.NewPagedStretch(d, pages*vm.PageSize, 32*vm.PageSize, diskQ())
+	if err != nil {
+		b.Fatal(err)
+	}
+	warmed := false
+	d.Go("warm", func(th *domain.Thread) {
+		core.PreallocateFrames(th, 2)
+		// A write pass puts every page in swap; a read pass leaves the
+		// resident ones clean.
+		th.Touch(st.Base(), pages*vm.PageSize, vm.AccessWrite)
+		th.Touch(st.Base(), pages*vm.PageSize, vm.AccessRead)
+		warmed = true
+	})
+	for !warmed {
+		sys.Run(time.Second)
+	}
+	before := drv.Stats
+	done := false
+	b.ReportAllocs()
+	b.ResetTimer()
+	d.Go("main", func(th *domain.Thread) {
+		for i := 0; i < b.N; i++ {
+			if err := th.Touch(st.PageBase(i%pages), vm.PageSize, vm.AccessRead); err != nil {
+				return
+			}
+		}
+		done = true
+	})
+	for !done {
+		sys.Run(time.Second)
+	}
+	b.StopTimer()
+	// Each fault enters the driver twice: the fast path retries it to the
+	// worker, which evicts and pages in.
+	s := drv.Stats
+	n := int64(b.N)
+	if s.Faults-before.Faults != 2*n || s.FastFaults != before.FastFaults ||
+		s.CleanVictims-before.CleanVictims != n || s.PageIns-before.PageIns != n || s.PageOuts != before.PageOuts {
+		b.Fatalf("%d touches gave %+v, from %+v", b.N, s, before)
+	}
+	sys.Shutdown()
+}
