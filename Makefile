@@ -105,6 +105,10 @@ ci-test: build test
 # the past, stops, kills, and restored and donated seqs on a fork, against a
 # (time, seq) reference queue.
 	$(GO) test -run '^$$' -fuzz '^FuzzEventQueue$$' -fuzztime 15s ./internal/sim
+# Process handoff: random process programs with sleeps, waits, timeouts,
+# kills, spawns, callbacks and a panic leave the same log of popped events,
+# observed instants and dispatch counts at the handoff bound and at bound 1.
+	$(GO) test -run '^$$' -fuzz '^FuzzProcHandoff$$' -fuzztime 15s ./internal/sim
 # The Atropos core: the input's bytes drive admits, removals, charges,
 # readiness flips, refreshes and picks on the indexed core beside the linear
 # reference. Minimizing a new byte input re-runs the harness thousands of

@@ -288,8 +288,8 @@ func BenchmarkExtensionSecondChance(b *testing.B) {
 	b.ReportAllocs()
 	var last []experiments.PolicyComparison
 	for i := 0; i < b.N; i++ {
-		r, err := experiments.ExtensionEvictionPolicies(8*time.Second,
-			[]stretchdrv.PolicyKind{stretchdrv.PolicyFIFO, stretchdrv.PolicySecondChance})
+		r, err := experiments.ExtensionEvictionPolicies(context.Background(), 8*time.Second,
+			[]stretchdrv.PolicyKind{stretchdrv.PolicyFIFO, stretchdrv.PolicySecondChance}, 0)
 		if err != nil {
 			b.Fatal(err)
 		}

@@ -8,6 +8,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 	"time"
@@ -24,7 +25,7 @@ func main() {
 		stretchdrv.PolicyClock,
 	}
 	fmt.Println("running the hot-set workload once per replacement policy...")
-	rows, err := experiments.ExtensionEvictionPolicies(15*time.Second, kinds)
+	rows, err := experiments.ExtensionEvictionPolicies(context.Background(), 15*time.Second, kinds, 0)
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -18,19 +18,29 @@ type calEntry struct {
 // calendar files every client at its release instant, its current
 // deadline. Clients that share a period boundary share an entry, so a
 // boundary costs one heap operation however many clients it releases, and
-// each client it re-grants is filed anew in O(1). The instants sit in a
-// min-heap of entries, one per distinct instant, beside a map from instant
-// to entry. Released entries are recycled with their client lists, so a
-// boundary allocates nothing in steady state.
+// each client it re-grants is filed anew by a scan of the entries. The
+// instants sit in a min-heap of entries, one per distinct instant; every
+// figure, suite and cluster world keeps at most two per core, so the scan
+// is short and a core allocates no index. Released entries are recycled
+// with their client lists, so a boundary allocates nothing in steady state.
 type calendar struct {
 	heap calHeap
-	at   map[sim.Time]*calEntry
 	free []*calEntry
+}
+
+// find returns the entry filed at instant t, or nil.
+func (cal *calendar) find(t sim.Time) *calEntry {
+	for _, e := range cal.heap {
+		if e.t == t {
+			return e
+		}
+	}
+	return nil
 }
 
 // file adds c at its deadline.
 func (cal *calendar) file(c *Client) {
-	e := cal.at[c.deadline]
+	e := cal.find(c.deadline)
 	if e == nil {
 		if n := len(cal.free); n > 0 {
 			e = cal.free[n-1]
@@ -39,10 +49,6 @@ func (cal *calendar) file(c *Client) {
 			e = &calEntry{}
 		}
 		e.t = c.deadline
-		if cal.at == nil {
-			cal.at = make(map[sim.Time]*calEntry)
-		}
-		cal.at[e.t] = e
 		heap.Push(&cal.heap, e)
 	}
 	e.clients = append(e.clients, c)
@@ -52,23 +58,19 @@ func (cal *calendar) file(c *Client) {
 // fork returns a copy of the calendar whose entries list the clients clone
 // maps them to, in the same order and heap layout.
 func (cal *calendar) fork(clone func(*Client) *Client) calendar {
-	nc := calendar{
-		heap: make(calHeap, len(cal.heap)),
-		at:   make(map[sim.Time]*calEntry, len(cal.at)),
-	}
+	nc := calendar{heap: make(calHeap, len(cal.heap))}
 	for i, e := range cal.heap {
 		ne := &calEntry{t: e.t, clients: make([]*Client, len(e.clients)), live: e.live}
 		for j, c := range e.clients {
 			ne.clients[j] = clone(c)
 		}
 		nc.heap[i] = ne
-		nc.at[ne.t] = ne
 	}
 	return nc
 }
 
 // unfile discounts c, which is being removed, from the entry it is filed in.
-func (cal *calendar) unfile(c *Client) { cal.at[c.deadline].live-- }
+func (cal *calendar) unfile(c *Client) { cal.find(c.deadline).live-- }
 
 // first returns the earliest entry that holds a live client, recycling the
 // entries before it, or nil.
@@ -84,7 +86,6 @@ func (cal *calendar) first() *calEntry {
 
 // recycle returns a popped entry to the free list.
 func (cal *calendar) recycle(e *calEntry) {
-	delete(cal.at, e.t)
 	clear(e.clients)
 	e.clients = e.clients[:0]
 	e.live = 0

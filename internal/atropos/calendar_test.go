@@ -61,3 +61,36 @@ func TestNextBoundaryPastRemovedInstant(t *testing.T) {
 		t.Fatalf("NextBoundary = %v with no clients left", b)
 	}
 }
+
+// TestThreeClientCoreAllocations prices the calendar of a core with three
+// clients at distinct periods, the size of a figure world's CPU and USD
+// cores. Filing them takes three entries, their client lists and the
+// heap's growth to four slots; a boundary, which re-files the clients it
+// grants in recycled entries, allocates nothing.
+func TestThreeClientCoreAllocations(t *testing.T) {
+	co := NewCore(1.0)
+	for i, p := range []int64{10, 15, 25} {
+		mustAdmit(t, co, strconv.Itoa(i), QoS{P: ms(p), S: ms(1)}, 0)
+	}
+	clients := co.Clients()
+	cal := new(calendar)
+	if allocs := testing.AllocsPerRun(20, func() {
+		*cal = calendar{}
+		for _, c := range clients {
+			cal.file(c)
+		}
+	}); allocs != 9 {
+		t.Fatalf("filing three clients at distinct instants allocated %v times, want 9", allocs)
+	}
+	now := int64(0)
+	boundary := func() {
+		now += 5
+		co.Refresh(at(now))
+	}
+	for i := 0; i < 30; i++ {
+		boundary()
+	}
+	if allocs := testing.AllocsPerRun(60, boundary); allocs != 0 {
+		t.Fatalf("a boundary allocated %v times", allocs)
+	}
+}

@@ -238,9 +238,10 @@ type PolicyComparison struct {
 // can clearly be improved"). The metric is paging *rate*: page-ins per
 // megabyte of application progress (total page-ins over a fixed window
 // reward the better policy's higher progress, so the rate is the honest
-// comparison).
-func ExtensionEvictionPolicies(measure time.Duration, kinds []stretchdrv.PolicyKind) ([]PolicyComparison, error) {
-	return sweep.Map(context.TODO(), 0, kinds, func(_ context.Context, kind stretchdrv.PolicyKind) (PolicyComparison, error) {
+// comparison). Policies fan out across workers sweep workers
+// (sweep.Workers() when workers <= 0), which observe ctx between policies.
+func ExtensionEvictionPolicies(ctx context.Context, measure time.Duration, kinds []stretchdrv.PolicyKind, workers int) ([]PolicyComparison, error) {
+	return sweep.Map(ctx, workers, kinds, func(_ context.Context, kind stretchdrv.PolicyKind) (PolicyComparison, error) {
 		return evictionPolicyCell(measure, kind)
 	})
 }
@@ -318,9 +319,11 @@ type ClusteringResult struct {
 
 // ExtensionWriteClustering measures eviction-time write batching: a
 // forgetful writer (never pages in, every eviction must clean) over a small
-// frame grant, at each cluster size.
-func ExtensionWriteClustering(measure time.Duration, sizes []int) (*ClusteringResult, error) {
-	cells, err := sweep.Map(context.TODO(), 0, sizes, func(_ context.Context, size int) (clusteringCell, error) {
+// frame grant, at each cluster size. Sizes fan out across workers sweep
+// workers (sweep.Workers() when workers <= 0), which observe ctx between
+// sizes.
+func ExtensionWriteClustering(ctx context.Context, measure time.Duration, sizes []int, workers int) (*ClusteringResult, error) {
+	cells, err := sweep.Map(ctx, workers, sizes, func(_ context.Context, size int) (clusteringCell, error) {
 		return writeClusteringCell(measure, size)
 	})
 	if err != nil {

@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"testing"
 	"time"
 
@@ -23,8 +24,8 @@ func TestExtensionPipelineDepth(t *testing.T) {
 }
 
 func TestExtensionSecondChance(t *testing.T) {
-	rows, err := ExtensionEvictionPolicies(10*time.Second,
-		[]stretchdrv.PolicyKind{stretchdrv.PolicyFIFO, stretchdrv.PolicySecondChance})
+	rows, err := ExtensionEvictionPolicies(context.Background(), 10*time.Second,
+		[]stretchdrv.PolicyKind{stretchdrv.PolicyFIFO, stretchdrv.PolicySecondChance}, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -41,8 +42,8 @@ func TestExtensionSecondChance(t *testing.T) {
 }
 
 func TestExtensionEvictionPolicyClock(t *testing.T) {
-	rows, err := ExtensionEvictionPolicies(10*time.Second,
-		[]stretchdrv.PolicyKind{stretchdrv.PolicyFIFO, stretchdrv.PolicyClock})
+	rows, err := ExtensionEvictionPolicies(context.Background(), 10*time.Second,
+		[]stretchdrv.PolicyKind{stretchdrv.PolicyFIFO, stretchdrv.PolicyClock}, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -62,7 +63,7 @@ func TestExtensionEvictionPolicyClock(t *testing.T) {
 }
 
 func TestExtensionWriteClustering(t *testing.T) {
-	r, err := ExtensionWriteClustering(10*time.Second, []int{1, 4})
+	r, err := ExtensionWriteClustering(context.Background(), 10*time.Second, []int{1, 4}, 0)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -29,9 +29,10 @@ type SuiteCell struct {
 // observe ctx between cells (a cancelled suite stops scheduling cells and
 // returns ctx.Err()), and a sweep.WithProgress callback on ctx receives
 // per-cell completion events. In-flight cells run to completion; a single
-// cell is not interruptible mid-simulation.
+// cell is not interruptible mid-simulation, but the cells that sweep
+// (E2, E7, E8a) pass ctx and workers on to their own sweeps.
 func RunSuite(ctx context.Context, measure time.Duration, workers int, prefixes []string) ([]SuiteCell, error) {
-	cells, err := selectCells(suiteCellList(measure), prefixes)
+	cells, err := selectCells(suiteCellList(measure, workers), prefixes)
 	if err != nil {
 		return nil, err
 	}
@@ -48,7 +49,7 @@ func RunSuite(ctx context.Context, measure time.Duration, workers int, prefixes 
 // names start with one of prefixes, or of every cell when there are none.
 // A prefix that matches no cell is an error.
 func SuiteCellNames(prefixes []string) ([]string, error) {
-	cells, err := selectCells(suiteCellList(0), prefixes)
+	cells, err := selectCells(suiteCellList(0, 0), prefixes)
 	if err != nil {
 		return nil, err
 	}
@@ -92,8 +93,9 @@ type suiteCellDef struct {
 	run  func(ctx context.Context) (string, error)
 }
 
-// suiteCellList builds the suite's cells.
-func suiteCellList(measure time.Duration) []suiteCellDef {
+// suiteCellList builds the suite's cells. The cells that sweep fan out
+// over the suite's own workers bound.
+func suiteCellList(measure time.Duration, workers int) []suiteCellDef {
 	short := measure
 	if short > 15*time.Second {
 		short = 15 * time.Second
@@ -180,9 +182,9 @@ func suiteCellList(measure time.Duration) []suiteCellDef {
 			}
 			return fmt.Sprintf("%v -> %s Mbit/s\n", r.Depths, fmtFloats(r.Mbps)), nil
 		}},
-		{"E2 eviction-policies", func(context.Context) (string, error) {
-			rows, err := ExtensionEvictionPolicies(short,
-				[]stretchdrv.PolicyKind{stretchdrv.PolicyFIFO, stretchdrv.PolicySecondChance, stretchdrv.PolicyClock})
+		{"E2 eviction-policies", func(ctx context.Context) (string, error) {
+			rows, err := ExtensionEvictionPolicies(ctx, short,
+				[]stretchdrv.PolicyKind{stretchdrv.PolicyFIFO, stretchdrv.PolicySecondChance, stretchdrv.PolicyClock}, workers)
 			if err != nil {
 				return "", err
 			}
@@ -223,8 +225,8 @@ func suiteCellList(measure time.Duration) []suiteCellDef {
 			return fmt.Sprintf("qos miss %.1f%% jitter %.2fms  fcfs miss %.1f%% jitter %.2fms\n",
 				100*r.QoSMissRate, r.QoSJitterMs, 100*r.FCFSMissRate, r.FCFSJitterMs), nil
 		}},
-		{"E7 write-clustering", func(context.Context) (string, error) {
-			r, err := ExtensionWriteClustering(short, []int{1, 2, 4, 8})
+		{"E7 write-clustering", func(ctx context.Context) (string, error) {
+			r, err := ExtensionWriteClustering(ctx, short, []int{1, 2, 4, 8}, workers)
 			if err != nil {
 				return "", err
 			}
@@ -233,7 +235,7 @@ func suiteCellList(measure time.Duration) []suiteCellDef {
 		{"E8a netswap-sweep", func(ctx context.Context) (string, error) {
 			latencies := []time.Duration{200 * time.Microsecond, time.Millisecond, 2 * time.Millisecond}
 			losses := []float64{0, 0.05}
-			r, err := RunNetswapSweep(ctx, latencies, losses, short, 0)
+			r, err := RunNetswapSweep(ctx, latencies, losses, short, workers)
 			if err != nil {
 				return "", err
 			}

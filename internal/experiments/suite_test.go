@@ -2,10 +2,52 @@ package experiments
 
 import (
 	"context"
+	"errors"
 	"slices"
+	"sync/atomic"
 	"testing"
 	"time"
+
+	"nemesis/internal/experiments/sweep"
 )
+
+// countdownCtx reports itself cancelled from its (left+1)-th Err call on,
+// so a cancellation lands at a fixed point between the cells of a sweep.
+// It counts every call.
+type countdownCtx struct {
+	context.Context
+	left, calls atomic.Int32
+}
+
+func (c *countdownCtx) Err() error {
+	c.calls.Add(1)
+	if c.left.Add(-1) < 0 {
+		return context.Canceled
+	}
+	return nil
+}
+
+// TestSuiteNestedSweepsObeyCaller pins that the cells which sweep (E2, E7,
+// E8a) run their own sweeps under the suite's context and workers bound.
+// Serial at -workers 1 even where the default is wider, each sweep checks
+// the context once per cell on the calling goroutine: the suite before the
+// cell, the nested sweep before its first item, and again before its
+// second, which is cancelled, so the cell fails with the suite's
+// cancellation after three checks.
+func TestSuiteNestedSweepsObeyCaller(t *testing.T) {
+	t.Setenv(sweep.EnvWorkers, "8")
+	for _, cell := range []string{"E2", "E7", "E8a"} {
+		ctx := &countdownCtx{Context: context.Background()}
+		ctx.left.Store(2)
+		_, err := RunSuite(ctx, time.Second, 1, []string{cell})
+		if !errors.Is(err, context.Canceled) {
+			t.Errorf("%s: RunSuite = %v, want the suite's cancellation", cell, err)
+		}
+		if n := ctx.calls.Load(); n != 3 {
+			t.Errorf("%s: the context was checked %d times, want 3 (serial sweeps)", cell, n)
+		}
+	}
+}
 
 // TestSuiteSerialEqualsParallel pins the sweep runner's determinism end to
 // end: the full suite, run serially and with a fan-out, must produce

@@ -136,3 +136,45 @@ func BenchmarkSpawnShutdown(b *testing.B) {
 		s.Shutdown()
 	}
 }
+
+// BenchmarkProcHandoffChain prices one page fault's round trip in Fig. 7's
+// shape: the faulting thread wakes its MMEntry worker and waits, the
+// worker wakes the USD and waits, and the USD, after a simulated transfer,
+// wakes the worker, which wakes the thread. Every wakeup but the
+// transfer's crosses processes: a parking process dispatches the next one
+// down the chain itself, and yields back up it at an ancestor's wakeup.
+func BenchmarkProcHandoffChain(b *testing.B) {
+	s := New(1)
+	fault, req, done, resolved := NewCond(s), NewCond(s), NewCond(s), NewCond(s)
+	n := 0
+	s.Spawn("worker", func(p *Proc) {
+		for {
+			fault.Wait(p)
+			req.Signal()
+			done.Wait(p)
+			resolved.Signal()
+		}
+	})
+	s.Spawn("usd", func(p *Proc) {
+		for {
+			req.Wait(p)
+			p.Sleep(time.Microsecond)
+			done.Signal()
+		}
+	})
+	s.Spawn("thread", func(p *Proc) {
+		for n < b.N {
+			fault.Signal()
+			resolved.Wait(p)
+			n++
+		}
+	})
+	b.ReportAllocs()
+	b.ResetTimer()
+	s.RunUntilIdle(6*b.N + 100)
+	b.StopTimer()
+	if n != b.N {
+		b.Fatalf("%d round trips, want %d", n, b.N)
+	}
+	s.Shutdown()
+}

@@ -27,7 +27,7 @@ func NewCond(s *Simulator) *Cond { return &Cond{sim: s} }
 func (c *Cond) Waiting() int {
 	n := 0
 	for _, w := range c.waiters[c.head:] {
-		if !w.p.done && w.tok == w.p.wakeSeq {
+		if w.p.awaits(w.tok) {
 			n++
 		}
 	}
@@ -71,7 +71,7 @@ func (c *Cond) Signal() bool {
 		w := c.waiters[c.head]
 		c.waiters[c.head] = waiter{}
 		c.head++
-		if w.p.done || w.tok != w.p.wakeSeq {
+		if !w.p.awaits(w.tok) {
 			continue // stale: timed out, killed, or rewoken elsewhere
 		}
 		c.sim.atWake(c.sim.now, w.p, w.tok)

@@ -66,6 +66,7 @@ func (s *Simulator) Fork() *Simulator {
 		dispatched: s.dispatched,
 		src:        src,
 		rng:        rand.New(src),
+		maxChain:   s.maxChain,
 	}
 }
 

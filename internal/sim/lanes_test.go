@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"fmt"
 	"math/rand"
 	"slices"
 	"testing"
@@ -24,13 +25,16 @@ type qseen struct {
 	cb  int
 	p   *Proc
 	tok uint64
+	now Time // the instant the callback or process observed
 }
 
 // qlog is one entry of a harness's log, in the order things happened: an
-// event filed, an event cancelled, or a dispatch seen.
+// event filed, an event cancelled, a dispatch seen, or a panic that
+// reached the caller of Run.
 type qlog struct {
 	file, cancel *qrec
 	seen         *qseen
+	caught       string
 }
 
 // queueHarness performs seeded random scheduling operations on one simulator
@@ -51,6 +55,9 @@ type queueHarness struct {
 	procs  []*Proc
 	nextCB int
 	closed bool // Shutdown's unwinding dispatches no event
+	// panicAt is the value of left at which act panics, in the callback or
+	// process performing it; 0 means never.
+	panicAt int
 }
 
 func newQueueHarness(tb testing.TB, s *Simulator, rng *rand.Rand, ops int) *queueHarness {
@@ -100,6 +107,10 @@ func (d *queueHarness) observe(o qseen) {
 		return
 	}
 	o.n = d.s.Dispatched()
+	o.now = d.s.Now()
+	if d.s.chain > d.s.maxChain {
+		d.tb.Fatalf("dispatch %d: chain of %d processes, bound %d", o.n, d.s.chain, d.s.maxChain)
+	}
 	d.log = append(d.log, qlog{seen: &o})
 }
 
@@ -171,6 +182,9 @@ func (d *queueHarness) act(self *Proc) {
 		return
 	}
 	d.left--
+	if d.panicAt > 0 && d.left == d.panicAt {
+		panic(harnessPanic(d.left))
+	}
 	n := 6
 	if self != nil {
 		n = 10
@@ -223,7 +237,13 @@ func (d *queueHarness) act(self *Proc) {
 	}
 }
 
-// run starts procs processes and callbacks callbacks and runs to idle.
+// harnessPanic is what act panics with at panicAt: the operations left.
+type harnessPanic int
+
+// run starts procs processes and callbacks callbacks and runs to idle. A
+// harnessPanic that reaches the caller of Run is logged and the run goes
+// on; after it no process may be left dispatching. Any other panic fails
+// the run.
 func (d *queueHarness) run(procs, callbacks int) {
 	for i := 0; i < procs; i++ {
 		d.spawn()
@@ -231,7 +251,36 @@ func (d *queueHarness) run(procs, callbacks int) {
 	for i := 0; i < callbacks; i++ {
 		d.schedule()
 	}
+	for d.runOnce() {
+		if d.s.chain != 0 || d.s.current != nil || d.s.panicked != nil {
+			d.tb.Fatalf("after a panic: chain %d, current %v, panicked %v", d.s.chain, d.s.current, d.s.panicked)
+		}
+		for _, p := range d.procs {
+			if p.dispatching {
+				d.tb.Fatalf("after a panic: a process is still dispatching")
+			}
+		}
+	}
+}
+
+// runOnce runs to idle, reporting whether a harnessPanic cut the run
+// short.
+func (d *queueHarness) runOnce() (caught bool) {
+	defer func() {
+		if r := recover(); r != nil {
+			v := r
+			if pp, ok := r.(*ProcPanic); ok {
+				v = pp.Value // a process's: its stack differs between runs
+			}
+			if _, ok := v.(harnessPanic); !ok {
+				panic(r)
+			}
+			d.log = append(d.log, qlog{caught: fmt.Sprintf("%T %v at %d", r, v, d.s.Dispatched())})
+			caught = true
+		}
+	}()
 	d.s.RunUntilIdle(1 << 20)
+	return false
 }
 
 // check replays the log through the reference queue. Each dispatch the
@@ -267,6 +316,7 @@ func (d *queueHarness) check() {
 		switch {
 		case e.file != nil:
 			pending = append(pending, e.file)
+		case e.caught != "":
 		case e.cancel != nil:
 			i := slices.Index(pending, e.cancel)
 			if i < 0 {
@@ -289,6 +339,32 @@ func (d *queueHarness) check() {
 	if len(pending) > 0 {
 		d.tb.Fatalf("%d filed events never dispatched, first %+v", len(pending), *pending[0])
 	}
+}
+
+// transcript renders the log and the simulator's final counts with
+// processes by spawn index, so runs on two simulators compare.
+func (d *queueHarness) transcript() []string {
+	idx := map[*Proc]int{nil: -1}
+	for i, p := range d.procs {
+		idx[p] = i
+	}
+	var out []string
+	for _, e := range d.log {
+		switch {
+		case e.file != nil:
+			r := e.file
+			out = append(out, fmt.Sprintf("file t=%d seq=%d cb=%d p=%d tok=%d", r.t, r.seq, r.cb, idx[r.p], r.tok))
+		case e.cancel != nil:
+			out = append(out, fmt.Sprintf("cancel seq=%d", e.cancel.seq))
+		case e.caught != "":
+			out = append(out, "caught "+e.caught)
+		default:
+			o := e.seen
+			out = append(out, fmt.Sprintf("seen n=%d now=%d cb=%d p=%d tok=%d", o.n, o.now, o.cb, idx[o.p], o.tok))
+		}
+	}
+	return append(out, fmt.Sprintf("end now=%d dispatched=%d seq=%d resumes=%d live=%d",
+		d.s.now, d.s.Dispatched(), d.s.seq, d.s.resumes, d.s.Live()))
 }
 
 // shutdown releases the harness's processes without observing their unwind.

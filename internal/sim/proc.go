@@ -56,8 +56,8 @@ const gcYieldEvery = 256
 // direct coroutine switches between the dispatching goroutine and the
 // process's own, so no handoff waits in the Go scheduler. A parking process
 // may first run the event callbacks queued ahead of its own wakeup on its own
-// goroutine (see park); still exactly one goroutine runs simulation code at
-// any moment.
+// goroutine, and dispatch the next process itself (see park); still exactly
+// one goroutine runs simulation code at any moment.
 type Proc struct {
 	sim    *Simulator
 	name   string
@@ -65,6 +65,10 @@ type Proc struct {
 	yield  func(struct{}) bool     // from inside the process: back to next's caller
 	done   bool
 	killed bool
+	// dispatching is set while the process, draining, has dispatched
+	// another one: it is an ancestor in the chain, and resumes only when
+	// the chain unwinds back to it.
+	dispatching bool
 	// wakeSeq invalidates stale wakeups: every park increments it and a
 	// wakeup only dispatches if it carries the current value. This makes
 	// patterns like "wait with timeout" safe — the losing waker is a no-op.
@@ -132,15 +136,10 @@ func (p *Proc) prepare() uint64 {
 	return p.wakeSeq
 }
 
-// wake dispatches the process if tok is still current. Stale or post-mortem
-// wakeups are ignored. Only the Run loop calls it, on the dispatching
-// goroutine, never a process.
-func (p *Proc) wake(tok uint64) {
-	if p.done || tok != p.wakeSeq {
-		return
-	}
-	p.dispatch()
-}
+// awaits reports whether p still waits for the wakeup carrying tok: p
+// has not ended, and has not parked again since tok was issued. Only such
+// a wakeup dispatches p.
+func (p *Proc) awaits(tok uint64) bool { return !p.done && tok == p.wakeSeq }
 
 // resume counts a process resume, giving the Go scheduler a turn on every
 // gcYieldEvery-th.
@@ -151,29 +150,50 @@ func (s *Simulator) resume() {
 	}
 }
 
-// dispatch switches to the process and returns when it yields or ends. A
-// callback panic the process recovered while draining is re-raised here.
+// dispatch switches to the process from the goroutine that called Run or
+// Shutdown, and returns when it yields or ends. A panic that came back up
+// the chain, the process's own or one a process or callback it dispatched
+// kept, is re-raised here.
 func (p *Proc) dispatch() {
 	s := p.sim
-	s.resume()
-	s.switches++
-	prev := s.current
-	s.current = p
-	defer func() { s.current = prev }() // also when a panic passes through
-	p.next()
-	if r := s.panicked; r != nil {
+	if !s.handoff(p) {
+		r := s.panicked
 		s.panicked = nil
 		panic(r)
 	}
 }
 
+// handoff switches to process q, from the goroutine that called Run or
+// Shutdown or from a draining process's, and returns when q yields or
+// ends. It reports false when a panic came back: q's own *ProcPanic, or a
+// panic kept further down the chain. Either is left in s.panicked for the
+// chain's root, dispatch, to re-raise.
+func (s *Simulator) handoff(q *Proc) (ok bool) {
+	s.resume()
+	s.switches++
+	prev := s.current
+	s.current = q
+	s.chain++
+	defer func() {
+		s.chain--
+		s.current = prev
+		if !ok && s.panicked == nil {
+			s.panicked = recover()
+		}
+	}()
+	q.next()
+	return s.panicked == nil
+}
+
 // park blocks the process until its wakeup. The caller must already have
-// arranged one (via prepare + some event calling wake). Inside Run, park
-// first drains: on the process's own goroutine it runs the events ahead of
-// its next dispatch, in the order the Run loop would, and when the next
-// live event is its own wakeup it resumes with no coroutine switch. It
-// yields to the dispatching goroutine only at another process's live wakeup
-// or at the Run's bounds.
+// arranged one (via prepare + an atWake event carrying the token). Inside
+// Run, park first drains: on the process's own goroutine it runs the events
+// ahead of its next dispatch, in the order the Run loop would. It
+// dispatches a process whose live wakeup comes next itself, and when the
+// next live event is its own wakeup it resumes with no coroutine switch.
+// It yields to its dispatcher only at the live wakeup of an ancestor in
+// the chain, once the chain is maxChain processes long, or at the Run's
+// bounds.
 func (p *Proc) park() {
 	if !p.sim.drain(p) {
 		p.yield(struct{}{})
@@ -184,9 +204,9 @@ func (p *Proc) park() {
 }
 
 // drain runs events for parking process p, reporting true when it popped
-// p's own live wakeup. Callbacks see Current() == nil, as on the dispatching
-// goroutine; a panicking one is recovered and kept for dispatch to re-raise,
-// and p yields.
+// p's own live wakeup. Callbacks see Current() == nil, as on the goroutine
+// that called Run. A panic that comes back, from a callback or from a
+// process p dispatched, is kept for dispatch to re-raise, and p yields.
 func (s *Simulator) drain(p *Proc) bool {
 	s.current = nil
 	for {
@@ -198,12 +218,22 @@ func (s *Simulator) drain(p *Proc) bool {
 			if !s.call(fn) {
 				return false
 			}
-		case q == p && tok == p.wakeSeq:
+		case !q.awaits(tok):
+			// A stale wakeup, dropped as the Run loop drops it.
+		case q == p:
 			s.current = p
 			s.resume()
 			return true
+		default:
+			// Another process's live wakeup: next pops one only while p
+			// may dispatch it.
+			p.dispatching = true
+			ok = s.handoff(q)
+			p.dispatching = false
+			if !ok {
+				return false
+			}
 		}
-		// Otherwise a stale wakeup, dropped as wake would drop it.
 	}
 }
 

@@ -349,20 +349,27 @@ func TestDrainSwitchCounts(t *testing.T) {
 	}
 
 	// Two processes whose wakeups alternate: every wakeup is another
-	// process's, so each one still takes a coroutine switch.
-	s = New(1)
-	for i, name := range []string{"a", "b"} {
-		start := Time(time.Duration(i+1) * time.Microsecond)
-		s.Spawn(name, func(p *Proc) {
-			p.SleepUntil(start)
-			for j := 0; j < n; j++ {
-				p.Sleep(2 * time.Microsecond)
-			}
-		})
-	}
-	s.Run(Time(time.Second))
-	if s.switches != s.resumes || s.resumes != 2*(n+2) {
-		t.Errorf("alternating pair: %d switches, %d resumes; want %d of each", s.switches, s.resumes, 2*(n+2))
+	// process's. With handoff, a parks, dispatches b itself, and resumes
+	// inline when b yields at a's wakeup, so only b's resumes switch, plus
+	// a's first dispatch. Without it (the bound at 1) every resume is a
+	// switch through the dispatching goroutine.
+	for _, c := range []struct{ maxChain, switches int }{{maxChain, n + 3}, {1, 2 * (n + 2)}} {
+		s = New(1)
+		s.maxChain = c.maxChain
+		for i, name := range []string{"a", "b"} {
+			start := Time(time.Duration(i+1) * time.Microsecond)
+			s.Spawn(name, func(p *Proc) {
+				p.SleepUntil(start)
+				for j := 0; j < n; j++ {
+					p.Sleep(2 * time.Microsecond)
+				}
+			})
+		}
+		s.Run(Time(time.Second))
+		if s.switches != uint64(c.switches) || s.resumes != 2*(n+2) {
+			t.Errorf("alternating pair, bound %d: %d switches, %d resumes; want %d, %d",
+				c.maxChain, s.switches, s.resumes, c.switches, 2*(n+2))
+		}
 	}
 }
 
@@ -441,10 +448,18 @@ func TestDrainStopsAtRunHorizon(t *testing.T) {
 
 func TestDrainKillFromCallback(t *testing.T) {
 	// The same kill, issued from a callback the victim runs in its own
-	// drain and from one the dispatching goroutine runs while a second
-	// process holds the victim's place, must unwind the victim alike.
-	for _, viaDrain := range []bool{true, false} {
+	// drain, from one it runs after dispatching a second process itself,
+	// and, without handoff, from one the dispatching goroutine runs while
+	// the second process holds the victim's place, must unwind the victim
+	// alike.
+	for _, c := range []struct {
+		viaDrain bool // no second process
+		maxChain int
+		inline   bool // the kill runs in the victim's drain
+	}{{true, maxChain, true}, {false, maxChain, true}, {true, 1, true}, {false, 1, false}} {
+		viaDrain := c.viaDrain
 		s := New(1)
+		s.maxChain = c.maxChain
 		var woke int
 		var unwoundAt Time = -1
 		victim := s.Spawn("victim", func(p *Proc) {
@@ -455,10 +470,10 @@ func TestDrainKillFromCallback(t *testing.T) {
 			}
 		})
 		if !viaDrain {
-			// Its wakeup at 2.5 ms is queued ahead of the kill, so the
-			// victim, parked at 2 ms, yields to it instead of running the
-			// kill itself, and the dispatching goroutine runs the kill
-			// after "other" ends.
+			// Its wakeup at 2.5 ms is queued ahead of the kill. The victim,
+			// parked at 2 ms, dispatches it and runs the kill itself after
+			// "other" ends; without handoff it yields, and the dispatching
+			// goroutine runs the kill.
 			s.Spawn("other", func(p *Proc) { p.SleepUntil(Time(2500 * time.Microsecond)) })
 		}
 		inline := false
@@ -469,8 +484,8 @@ func TestDrainKillFromCallback(t *testing.T) {
 			})
 		})
 		s.RunUntilIdle(100)
-		if inline != viaDrain {
-			t.Errorf("viaDrain=%v: callback ran in a drain = %v", viaDrain, inline)
+		if inline != c.inline {
+			t.Errorf("viaDrain=%v, bound %d: callback ran in a drain = %v", viaDrain, c.maxChain, inline)
 		}
 		if woke != 2 || unwoundAt != Time(2500*time.Microsecond) {
 			t.Errorf("viaDrain=%v: woke %d times, unwound at %v; want 2, 2.5ms", viaDrain, woke, unwoundAt)

@@ -131,11 +131,19 @@ func (r *eventRing) pop() {
 	r.n--
 }
 
+// maxChain bounds how many processes one chain of dispatches holds: the
+// process the Run loop dispatched, and each one a draining process in the
+// chain dispatched in turn (see Proc.park). A process at the bound yields
+// instead, so its dispatcher, one level up, dispatches the next process.
+// Fig. 7 and Fig. 8 chains stay below it; without a bound one round-robin
+// run of 5,000 cluster domains would nest every process into one chain.
+const maxChain = 8
+
 // Simulator owns the simulated clock and the event queue. It is not safe for
 // use from multiple goroutines except through the process model, which
 // guarantees only one goroutine touches it at a time: the goroutine that
 // called Run, or the process it is switched into (whose park may run event
-// callbacks itself, see Proc.park).
+// callbacks and dispatch processes itself, see Proc.park).
 type Simulator struct {
 	now     Time
 	events  eventHeap // future events, and restored or donated seqs
@@ -160,8 +168,16 @@ type Simulator struct {
 	resumes  uint64
 	switches uint64
 
-	// panicked holds a callback's panic recovered on a draining process's
-	// goroutine, for dispatch to re-raise on the goroutine that called Run.
+	// chain counts the processes dispatched and not yet returned: the one
+	// running and its dispatching ancestors. maxChain is the package
+	// constant; tests lower it to 1, which is the dispatcher without
+	// handoff, where only the Run loop switches into a process.
+	chain    int
+	maxChain int
+
+	// panicked holds a panic recovered on a draining process's goroutine,
+	// a callback's or a dispatched process's, for dispatch to re-raise on
+	// the goroutine that called Run.
 	panicked any
 
 	// dispatched counts events run since construction; a deterministic
@@ -181,7 +197,7 @@ type Simulator struct {
 // and a Fork can clone the position exactly.
 func New(seed int64) *Simulator {
 	src := newCountingSource(seed)
-	return &Simulator{src: src, rng: rand.New(src)}
+	return &Simulator{src: src, rng: rand.New(src), maxChain: maxChain}
 }
 
 // Now returns the current simulated instant.
@@ -327,12 +343,13 @@ func (s *Simulator) peekLive() (ev *event, lane bool) {
 }
 
 // next pops the earliest live event within the active Run's bounds,
-// advancing the clock, and returns what it does: a callback fn, or a wakeup
-// of p with token tok. It is the one place that decides event order, for
-// the Run loop and for a draining process alike. For a draining process
-// self, a live wakeup of any other process stays queued: only the
-// dispatching goroutine switches into a process. ok is false when nothing
-// is popped.
+// advancing the clock, and returns what it does: a callback fn, or a
+// wakeup of p with token tok, which dispatches p only while p.awaits(tok).
+// It is the one place that decides event order, for the Run loop and for
+// a draining process alike. For a draining process self, a live wakeup of
+// another process stays queued when that process is an ancestor in the
+// chain or the chain is full: self yields, and the dispatcher above it
+// takes the event. ok is false when nothing is popped.
 func (s *Simulator) next(self *Proc) (fn func(), p *Proc, tok uint64, ok bool) {
 	if s.dispatched >= s.stopAt {
 		return nil, nil, 0, false
@@ -341,7 +358,8 @@ func (s *Simulator) next(self *Proc) (fn func(), p *Proc, tok uint64, ok bool) {
 	if ev == nil || ev.t > s.until {
 		return nil, nil, 0, false
 	}
-	if q := ev.p; self != nil && q != nil && q != self && !q.done && ev.tok == q.wakeSeq {
+	if q := ev.p; self != nil && q != nil && q != self && q.awaits(ev.tok) &&
+		(q.dispatching || s.chain >= s.maxChain) {
 		return nil, nil, 0, false
 	}
 	if lane {
@@ -369,10 +387,11 @@ func (s *Simulator) run(until Time, stopAt int64) {
 		if !ok {
 			break
 		}
-		if p != nil {
-			p.wake(tok)
-		} else {
+		switch {
+		case p == nil:
 			fn()
+		case p.awaits(tok):
+			p.dispatch()
 		}
 	}
 	s.until, s.stopAt = prevUntil, prevStop
@@ -380,10 +399,10 @@ func (s *Simulator) run(until Time, stopAt int64) {
 
 // Run executes events until the queue is exhausted or the clock would pass
 // until. On return the clock reads min(until, time of last event run), and
-// is advanced to until if the queue drained earlier. Callbacks run on the
-// calling goroutine or on a parking process's (see Proc.park); either way
-// one goroutine runs simulation code at a time, and a panic in a callback
-// or a process reaches the caller of Run.
+// is advanced to until if the queue drained earlier. Callbacks and process
+// dispatches run on the calling goroutine or on a parking process's (see
+// Proc.park); either way one goroutine runs simulation code at a time, and
+// a panic in a callback or a process reaches the caller of Run.
 func (s *Simulator) Run(until Time) {
 	s.run(until, math.MaxInt64)
 	if s.now < until {

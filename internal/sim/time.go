@@ -11,11 +11,12 @@
 //     a coroutine (iter.Pull) on its own goroutine, but exactly one process
 //     runs at any instant; control passes between the scheduler and a
 //     process by direct coroutine switches. A parking process first runs
-//     the event callbacks queued ahead of its next dispatch itself, and
-//     resumes without a switch when the next live event is its own wakeup,
-//     so a callback may run on a process's goroutine. Events still run in
-//     one (time, seq) order, and exactly one goroutine runs simulation code
-//     at a time.
+//     the event callbacks queued ahead of its next dispatch itself,
+//     dispatches the next process itself when that one's wakeup comes
+//     first, and resumes without a switch when the next live event is its
+//     own wakeup, so a callback may run on a process's goroutine. Events
+//     still run in one (time, seq) order, and exactly one goroutine runs
+//     simulation code at a time.
 //     This keeps application-style code (threads that block on page faults,
 //     worker threads, schedulers) natural to write while preserving strict
 //     determinism.

@@ -16,6 +16,11 @@ var ErrNoVictim = errors.New("stretchdrv: no pages to evict")
 // PagerStats counts a pager engine's activity. One struct serves every
 // driver; fields that a configuration cannot produce simply stay zero.
 type PagerStats struct {
+	// Faults counts the faults the driver was asked to resolve, each once:
+	// at its first entry, the notification handler's fast path, whichever
+	// driver takes it there (Streaming counts one that waits for a
+	// prefetch). A fault the fast path retries to a worker is not counted
+	// again there. FastFaults counts those the fast path resolved.
 	Faults     int64
 	FastFaults int64
 	PageIns    int64
@@ -204,7 +209,9 @@ func (e *Engine) ClearReferenced(va vm.VA) {
 // allocator; with one, it prefers TryAllocFrame and falls back to evicting
 // one of the domain's own pages.
 func (e *Engine) SatisfyFault(p *sim.Proc, f *vm.Fault, canIDC bool) domain.Result {
-	e.Stats.Faults++
+	if !canIDC {
+		e.Stats.Faults++
+	}
 	if f.Class != vm.PageFault || !e.st.Contains(f.VA) {
 		return domain.Failure
 	}

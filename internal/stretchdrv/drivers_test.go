@@ -253,22 +253,45 @@ func TestStreamingDriverBasics(t *testing.T) {
 	if drv.Prefetches == 0 {
 		t.Fatal("no prefetches on a sequential scan")
 	}
+	// A fault that waited for a prefetch in flight counts once, as every
+	// other fault on the stretch does.
+	if drv.PrefetchedUsed == 0 {
+		t.Fatal("no fault waited for a prefetch")
+	}
+	if got, want := drv.Stats.Faults, d.Stats().PageFaults; got != want {
+		t.Fatalf("driver counted %d faults, the domain took %d", got, want)
+	}
 	sys.Shutdown()
 	sys.RunUntilIdle(1 << 22)
 }
 
-// BenchmarkPagedWorkerFault prices one worker-path fault on the host. A
-// paged stretch of three pages runs on two frames, and every page already
-// has a current swap copy, so each read in the cyclic loop faults: the
-// worker evicts one clean page and pages the faulting one in from swap
-// through the USD.
+// BenchmarkPagedWorkerFault prices one worker-path fault on the host: see
+// workerFaults.
 func BenchmarkPagedWorkerFault(b *testing.B) {
+	b.ReportAllocs()
+	workerFaults(b, b.N, b.ResetTimer)
+	b.StopTimer()
+}
+
+// TestWorkerPathFaultCountsOnce pins PagerStats.Faults to faults, not
+// driver entries: a worker-path fault enters the driver twice.
+func TestWorkerPathFaultCountsOnce(t *testing.T) {
+	workerFaults(t, 10, func() {})
+}
+
+// workerFaults makes n worker-path faults after calling start. A paged
+// stretch of three pages runs on two frames, and every page already has a
+// current swap copy, so each read in the cyclic loop faults: the worker
+// evicts one clean page and pages the faulting one in from swap through
+// the USD. It fails tb unless the driver counted n faults, none of them
+// fast, n clean victims and n page-ins.
+func workerFaults(tb testing.TB, n int, start func()) {
 	const pages = 3
 	sys := rig(256)
 	d, _ := sys.NewDomain("app", cpuQ(), mem.Contract{Guaranteed: 2})
 	st, drv, err := sys.NewPagedStretch(d, pages*vm.PageSize, 32*vm.PageSize, diskQ())
 	if err != nil {
-		b.Fatal(err)
+		tb.Fatal(err)
 	}
 	warmed := false
 	d.Go("warm", func(th *domain.Thread) {
@@ -284,10 +307,9 @@ func BenchmarkPagedWorkerFault(b *testing.B) {
 	}
 	before := drv.Stats
 	done := false
-	b.ReportAllocs()
-	b.ResetTimer()
+	start()
 	d.Go("main", func(th *domain.Thread) {
-		for i := 0; i < b.N; i++ {
+		for i := 0; i < n; i++ {
 			if err := th.Touch(st.PageBase(i%pages), vm.PageSize, vm.AccessRead); err != nil {
 				return
 			}
@@ -297,14 +319,12 @@ func BenchmarkPagedWorkerFault(b *testing.B) {
 	for !done {
 		sys.Run(time.Second)
 	}
-	b.StopTimer()
-	// Each fault enters the driver twice: the fast path retries it to the
-	// worker, which evicts and pages in.
+	// Each fault enters the driver twice, and counts once: the fast path
+	// retries it to the worker, which evicts and pages in.
 	s := drv.Stats
-	n := int64(b.N)
-	if s.Faults-before.Faults != 2*n || s.FastFaults != before.FastFaults ||
-		s.CleanVictims-before.CleanVictims != n || s.PageIns-before.PageIns != n || s.PageOuts != before.PageOuts {
-		b.Fatalf("%d touches gave %+v, from %+v", b.N, s, before)
+	if k := int64(n); s.Faults-before.Faults != k || s.FastFaults != before.FastFaults ||
+		s.CleanVictims-before.CleanVictims != k || s.PageIns-before.PageIns != k || s.PageOuts != before.PageOuts {
+		tb.Fatalf("%d touches gave %+v, from %+v", n, s, before)
 	}
 	sys.Shutdown()
 }

@@ -83,6 +83,7 @@ func (s *Streaming) SatisfyFault(p *sim.Proc, f *vm.Fault, canIDC bool) domain.R
 	vpn := vm.PageOf(f.VA)
 	if e, busy := s.inflight[vpn]; busy {
 		if !canIDC {
+			s.Stats.Faults++ // the fault's first entry, as Engine counts it
 			return domain.Retry
 		}
 		f.Span.BeginHop("prefetch.wait")

@@ -85,7 +85,7 @@ func (ts *TranslationSystem) Fork(ramtab *mem.RamTab) (*TranslationSystem, *Fork
 func (t *TLB) fork(pt *PageTable) *TLB {
 	nt := &TLB{cursor: t.cursor, nSuper: t.nSuper, hits: t.hits, misses: t.misses}
 	if t.idx != nil {
-		nt.idx = make(map[tlbKey]int, len(t.idx))
+		nt.idx = make(map[VPN]uint64, len(t.idx))
 		for k, v := range t.idx {
 			nt.idx[k] = v
 		}

@@ -1,6 +1,10 @@
 package vm
 
-import "nemesis/internal/mem"
+import (
+	"math/bits"
+
+	"nemesis/internal/mem"
+)
 
 // Attr carries the machine-dependent PTE attribute bits exposed through the
 // low-level map interface. FOR/FOW (fault-on-read / fault-on-write) are the
@@ -175,19 +179,15 @@ const TLBSize = 64
 type TLB struct {
 	slots  [TLBSize]tlbEntry
 	cursor int
-	// idx finds the valid width-0 slot for (vpn, asn) without scanning all
-	// 64 slots; the slot array stays the ground truth. nSuper counts valid
-	// superpage slots so the scan fallback runs only when one could hit.
-	idx    map[tlbKey]int
+	// idx holds, per page, a mask of the valid width-0 slots caching it
+	// (bit i for slot i, any ASN), so a lookup or a shootdown finds its
+	// slots without scanning all 64; the slot array stays the ground
+	// truth. nSuper counts valid superpage slots so the scan fallback runs
+	// only when one could hit.
+	idx    map[VPN]uint64
 	nSuper int
 	hits   int64
 	misses int64
-}
-
-// tlbKey indexes width-0 translations.
-type tlbKey struct {
-	vpn VPN
-	asn uint16
 }
 
 // dropSlot invalidates slot i and unhooks it from the index bookkeeping.
@@ -198,13 +198,30 @@ func (t *TLB) dropSlot(i int) {
 	}
 	e.valid = false
 	if e.width == 0 {
-		k := tlbKey{e.vpn, e.asn}
-		if j, ok := t.idx[k]; ok && j == i {
-			delete(t.idx, k)
+		if m := t.idx[e.vpn] &^ (1 << i); m != 0 {
+			t.idx[e.vpn] = m
+		} else {
+			delete(t.idx, e.vpn)
 		}
 	} else {
 		t.nSuper--
 	}
+}
+
+// newest returns the most recently filled slot of mask m whose ASN is
+// asn. The cursor is the oldest slot, so with m rotated to start there the
+// highest set bit is the newest. A page cached twice for one ASN (a refill
+// while the first copy is valid) thus resolves to the later fill, whose
+// copy FIFO eviction always keeps the longer.
+func (t *TLB) newest(m uint64, asn uint16) (int, bool) {
+	for r := bits.RotateLeft64(m, -t.cursor); r != 0; {
+		k := 63 - bits.LeadingZeros64(r)
+		if i := (k + t.cursor) % TLBSize; t.slots[i].asn == asn {
+			return i, true
+		}
+		r &^= 1 << k
+	}
+	return 0, false
 }
 
 // Hits returns the hit count.
@@ -216,7 +233,7 @@ func (t *TLB) Misses() int64 { return t.misses }
 // Lookup returns the cached PTE for (vpn, asn), if any. Superpage entries
 // hit for every page they cover.
 func (t *TLB) Lookup(vpn VPN, asn uint16) *PTE {
-	if i, ok := t.idx[tlbKey{vpn, asn}]; ok {
+	if i, ok := t.newest(t.idx[vpn], asn); ok {
 		t.hits++
 		return t.slots[i].ptes[0]
 	}
@@ -236,14 +253,14 @@ func (t *TLB) Lookup(vpn VPN, asn uint16) *PTE {
 // Fill installs a normal (width 0) translation, evicting FIFO.
 func (t *TLB) Fill(vpn VPN, asn uint16, pte *PTE) {
 	if t.idx == nil {
-		t.idx = make(map[tlbKey]int, TLBSize)
+		t.idx = make(map[VPN]uint64, TLBSize)
 	}
 	t.dropSlot(t.cursor)
 	e := &t.slots[t.cursor]
 	*e = tlbEntry{valid: true, vpn: vpn, asn: asn}
 	e.pte0[0] = pte
 	e.ptes = e.pte0[:1]
-	t.idx[tlbKey{vpn, asn}] = t.cursor
+	t.idx[vpn] |= 1 << t.cursor
 	t.cursor = (t.cursor + 1) % TLBSize
 }
 
@@ -260,9 +277,14 @@ func (t *TLB) FillSuper(base VPN, asn uint16, width uint8, ptes []*PTE) {
 // shootdown unmap performs. A superpage entry containing the page is
 // dropped whole.
 func (t *TLB) InvalidateVA(vpn VPN) {
-	for i := range t.slots {
-		if t.slots[i].covers(vpn) {
-			t.dropSlot(i)
+	for m := t.idx[vpn]; m != 0; m &= m - 1 {
+		t.dropSlot(bits.TrailingZeros64(m))
+	}
+	if t.nSuper > 0 {
+		for i := range t.slots {
+			if t.slots[i].width > 0 && t.slots[i].covers(vpn) {
+				t.dropSlot(i)
+			}
 		}
 	}
 }

@@ -190,14 +190,18 @@ func TestTLBIndexConsistencyUnderEviction(t *testing.T) {
 			super++
 			continue
 		}
-		if j, ok := tlb.idx[tlbKey{e.vpn, e.asn}]; !ok || j != i {
-			t.Fatalf("valid slot %d (vpn=%d asn=%d) not indexed (idx -> %d, %v)", i, e.vpn, e.asn, j, ok)
+		if m := tlb.idx[e.vpn]; m&(1<<i) == 0 {
+			t.Fatalf("valid slot %d (vpn=%d asn=%d) not indexed (idx -> %#x)", i, e.vpn, e.asn, m)
 		}
 	}
-	for k, i := range tlb.idx {
-		e := &tlb.slots[i]
-		if !e.valid || e.width != 0 || e.vpn != k.vpn || e.asn != k.asn {
-			t.Fatalf("index entry %+v -> slot %d is stale (%+v)", k, i, e)
+	for vpn, m := range tlb.idx {
+		if m == 0 {
+			t.Fatalf("index entry for vpn %d holds no slot", vpn)
+		}
+		for i := range tlb.slots {
+			if e := &tlb.slots[i]; m&(1<<i) != 0 && (!e.valid || e.width != 0 || e.vpn != vpn) {
+				t.Fatalf("index entry for vpn %d -> slot %d is stale (%+v)", vpn, i, e)
+			}
 		}
 	}
 	if super != tlb.nSuper {
