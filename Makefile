@@ -87,33 +87,34 @@ ci-lint: lint
 	echo "Non-test Go lines outside hostbench/: $$($(MAKE) -s loc)" | tee -a "$${GITHUB_STEP_SUMMARY:-/dev/null}"
 
 # Tier-1, then a 15 s fuzz of each fuzz target, then every example.
+# Minimizing a new input re-runs the harness thousands of times and stalls
+# the exec counter while it does, so each fuzz step gives it at most a
+# second and the rest of the 15 s goes to fuzzing.
 ci-test: build test
 # The disk block store: zero, data and partial writes, reads and forks over
 # two chunks against a flat reference.
-	$(GO) test -run '^$$' -fuzz '^FuzzBlockStore$$' -fuzztime 15s ./internal/disk
+	$(GO) test -run '^$$' -fuzz '^FuzzBlockStore$$' -fuzztime 15s -fuzzminimizetime 1s ./internal/disk
 # Spec normalization: every body serve would decode is rejected with
 # ErrInvalidSpec or normalizes, inside the service bounds, to a fixed point.
-	$(GO) test -run '^$$' -fuzz '^FuzzNormalize$$' -fuzztime 15s ./internal/experiments
+	$(GO) test -run '^$$' -fuzz '^FuzzNormalize$$' -fuzztime 15s -fuzzminimizetime 1s ./internal/experiments
 # Spec canonicalization: every JSON body canonicalizes to a fixed point that
 # ignores whitespace and key order, and a spec keys like its normalized form.
-	$(GO) test -run '^$$' -fuzz '^FuzzCanonicalJSON$$' -fuzztime 15s ./internal/serve
+	$(GO) test -run '^$$' -fuzz '^FuzzCanonicalJSON$$' -fuzztime 15s -fuzzminimizetime 1s ./internal/serve
 # The linear page table: inserts, deletes and lookups at chunk edges, below
 # the first chunk and at the far end of the VA window against a map
 # reference, with stable entry pointers.
-	$(GO) test -run '^$$' -fuzz '^FuzzPageTable$$' -fuzztime 15s ./internal/vm
+	$(GO) test -run '^$$' -fuzz '^FuzzPageTable$$' -fuzztime 15s -fuzzminimizetime 1s ./internal/vm
 # The event queue: callbacks and processes filing events now, later and in
 # the past, stops, kills, and restored and donated seqs on a fork, against a
 # (time, seq) reference queue.
-	$(GO) test -run '^$$' -fuzz '^FuzzEventQueue$$' -fuzztime 15s ./internal/sim
+	$(GO) test -run '^$$' -fuzz '^FuzzEventQueue$$' -fuzztime 15s -fuzzminimizetime 1s ./internal/sim
 # Process handoff: random process programs with sleeps, waits, timeouts,
 # kills, spawns, callbacks and a panic leave the same log of popped events,
 # observed instants and dispatch counts at the handoff bound and at bound 1.
-	$(GO) test -run '^$$' -fuzz '^FuzzProcHandoff$$' -fuzztime 15s ./internal/sim
+	$(GO) test -run '^$$' -fuzz '^FuzzProcHandoff$$' -fuzztime 15s -fuzzminimizetime 1s ./internal/sim
 # The Atropos core: the input's bytes drive admits, removals, charges,
 # readiness flips, refreshes and picks on the indexed core beside the linear
-# reference. Minimizing a new byte input re-runs the harness thousands of
-# times, so each gets at most a second and the rest of the 15 s goes to
-# fuzzing.
+# reference.
 	$(GO) test -run '^$$' -fuzz '^FuzzCoreMatchesReference$$' -fuzztime 15s -fuzzminimizetime 1s ./internal/atropos
 # Each example must run to completion.
 	for ex in examples/*/; do echo "$$ex"; $(GO) run "./$$ex"; done

@@ -150,7 +150,8 @@ func New(cfg Config) *System {
 		frames.SetObs(reg)
 		// Exact sim-time attribution: spans drive the fault states, the CPU
 		// scheduler drives running/runnable, admission starts the clock.
-		sched.Attr = reg.EnableAttribution()
+		reg.EnableAttribution()
+		sched.Obs = reg
 	}
 	d := disk.New(s, cfg.DiskGeometry)
 	d.SetObs(reg)

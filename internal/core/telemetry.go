@@ -30,7 +30,7 @@ func (sys *System) StartCrosstalkMonitor(cfg obs.CrosstalkConfig) *obs.Crosstalk
 		for _, d := range changed {
 			st := d.Stats()
 			out = append(out, obs.DomainSample{
-				Name:        d.Name(),
+				Dom:         d.TelemetryNum(),
 				Faults:      st.Faults,
 				Progress:    st.BytesTouched,
 				Revocations: st.Revocations,

@@ -1,10 +1,12 @@
 package core
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 	"time"
 
+	"nemesis/internal/atropos"
 	"nemesis/internal/domain"
 	"nemesis/internal/mem"
 	"nemesis/internal/obs"
@@ -206,4 +208,81 @@ func TestCrosstalkMonitorTicksInSystem(t *testing.T) {
 	if smallSystem().StartCrosstalkMonitor(cfg) != nil {
 		t.Fatal("monitor started without telemetry")
 	}
+}
+
+// admitMany admits n domains named app0… to a telemetry system with room
+// for them, one frame and a sliver of CPU each.
+func admitMany(t *testing.T, n int) *System {
+	t.Helper()
+	cfg := DefaultConfig()
+	cfg.Telemetry = true
+	sys := New(cfg)
+	for i := 0; i < n; i++ {
+		if _, err := sys.NewDomain(fmt.Sprintf("app%d", i), sliverQoS, mem.Contract{Guaranteed: 1}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return sys
+}
+
+var sliverQoS = atropos.QoS{P: 100 * time.Millisecond, S: 10 * time.Microsecond, X: true}
+
+// A domain registers its telemetry once, under its name: admitting N
+// domains interns N names beside the system's empty one (the next name
+// gets number N+1), and the frames allocator registers no placeholder
+// "dom<id>" metrics before the domain's name is known.
+func TestDomainTelemetryRegisteredOnce(t *testing.T) {
+	const n = 40
+	sys := admitMany(t, n)
+	if got := sys.Obs.DomainNum("probe"); got != obs.DomainNum(n+1) {
+		t.Fatalf("admitting %d domains interned %d names, want %d", n, got, n+1)
+	}
+	for _, d := range sys.Domains() {
+		if num := sys.Obs.DomainNum(d.Name()); num != d.TelemetryNum() {
+			t.Fatalf("%s has telemetry number %d, its name %d", d.Name(), d.TelemetryNum(), num)
+		}
+		if sys.Obs.LookupGauge("frames", "held", d.Name()) == nil || sys.Obs.LookupHistogram("frames", "alloc_wait", d.Name()) == nil {
+			t.Fatalf("%s has no frames metrics", d.Name())
+		}
+	}
+	placeholders := map[string]bool{}
+	for _, d := range sys.Domains() {
+		placeholders[fmt.Sprintf("dom%d", d.ID())] = true
+	}
+	var b strings.Builder
+	if err := sys.Obs.WriteMetricsTSV(&b); err != nil {
+		t.Fatal(err)
+	}
+	for _, line := range strings.Split(b.String(), "\n") {
+		if f := strings.Split(line, "\t"); len(f) > 3 && placeholders[f[3]] {
+			t.Fatalf("placeholder metric registered: %q", line)
+		}
+	}
+}
+
+// domainObjects is the number of heap objects admitting one more domain
+// to a telemetry system allocates, amortized over a few hundred domains:
+// its protection domain, CPU and memory clients, MMEntry and worker, and
+// its registry entries. A change that makes idle domains cost more
+// telemetry fails here.
+const domainObjects = 29
+
+func TestDomainAdmissionFootprint(t *testing.T) {
+	const runs = 600
+	sys := admitMany(t, 0)
+	names := make([]string, runs+1)
+	for i := range names {
+		names[i] = fmt.Sprintf("app%d", i)
+	}
+	next := 0
+	got := testing.AllocsPerRun(runs, func() {
+		if _, err := sys.NewDomain(names[next], sliverQoS, mem.Contract{Guaranteed: 1}); err != nil {
+			t.Fatal(err)
+		}
+		next++
+	})
+	if got > domainObjects {
+		t.Fatalf("admitting a domain allocated %.0f objects, want at most %d", got, domainObjects)
+	}
+	t.Logf("admitting a domain allocated %.0f objects", got)
 }

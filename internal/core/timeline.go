@@ -76,7 +76,7 @@ func (sys *System) trackDomain(rc *obs.Recorder, d *domain.Domain) {
 	// accrued in each coarse state. Together the four series sum to ~1e6,
 	// so a stacked view shows the whole processor-second accounted for.
 	if attr := sys.Obs.Attr(); attr != nil {
-		da := attr.Track(name)
+		da := attr.Track(d.TelemetryNum())
 		for _, st := range obs.AttrStates {
 			st := st
 			rc.TrackRate("attr", st.String(), name, "us_per_s", func() int64 {

@@ -18,10 +18,11 @@ type Scheduler struct {
 	core  *atropos.Core
 	Costs Costs
 
-	// Attr, when set before domains are admitted, feeds the sim-time
-	// attribution profiler with wait/run/yield transitions. Nil costs
-	// nothing: the per-domain handle's methods are no-ops on nil.
-	Attr *obs.Attribution
+	// Obs, when set before domains are admitted, is the registry whose
+	// sim-time attribution profiler (if enabled) the scheduler feeds with
+	// wait/run/yield transitions. Nil costs nothing: the per-domain
+	// handle's methods are no-ops on nil.
+	Obs *obs.Registry
 
 	busy    bool
 	pending int // waiting threads across all domains
@@ -68,8 +69,8 @@ func (s *Scheduler) Admit(name string, q atropos.QoS) (*DomainCPU, error) {
 	w := &waiter{cond: sim.NewCond(s.sim)}
 	ac.Rec = w
 	d := &DomainCPU{s: s, ac: ac, name: name, w: w}
-	if s.Attr != nil {
-		d.attr = s.Attr.Track(name)
+	if a := s.Obs.Attr(); a != nil {
+		d.attr = a.Track(s.Obs.DomainNum(name))
 	}
 	return d, nil
 }

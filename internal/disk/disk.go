@@ -117,6 +117,12 @@ func (g Geometry) sectorAngle(block int64) float64 {
 	return float64(block%int64(g.SectorsPerTrack)) / float64(g.SectorsPerTrack)
 }
 
+// fracPart returns the fractional part of x, for finite x >= 0. There it
+// equals math.Mod(x, 1) bit for bit: both are exact, since x - floor(x)
+// subtracts within a factor of two (Sterbenz's lemma) or subtracts zero,
+// and it skips math.Mod's software loop.
+func fracPart(x float64) float64 { return x - math.Floor(x) }
+
 // SeekTime returns the seek cost between two cylinders.
 func (g Geometry) SeekTime(from, to int64) time.Duration {
 	if from == to {
@@ -324,7 +330,7 @@ func (d *Disk) ServiceTime(now sim.Time, op Op, block int64, count int) time.Dur
 
 	// Rotational delay: wait for the target sector to come under the head.
 	rot := g.RotationTime()
-	headAngle := math.Mod(float64(afterSeek)/float64(rot), 1.0)
+	headAngle := fracPart(float64(afterSeek) / float64(rot))
 	target := g.sectorAngle(block)
 	wait := target - headAngle
 	if wait < 0 {

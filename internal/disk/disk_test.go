@@ -2,6 +2,8 @@ package disk
 
 import (
 	"bytes"
+	"math"
+	"math/rand"
 	"testing"
 	"testing/quick"
 	"time"
@@ -319,5 +321,39 @@ func TestZeroWriteAllocatesNothing(t *testing.T) {
 	}
 	if got := d.PeekBlock(51*chunkBlocks + 40); !bytes.Equal(got, zeros[:BlockSize]) {
 		t.Fatal("PeekBlock of a zero chunk nonzero")
+	}
+}
+
+// fracPart must equal math.Mod(x, 1) bit for bit on every finite x >= 0
+// the head angle can take: random bit patterns over the whole range,
+// random head-angle quotients, and the boundaries around integers, the
+// subnormals and the largest values.
+func TestFracPartMatchesMod(t *testing.T) {
+	check := func(x float64) {
+		t.Helper()
+		if got, want := fracPart(x), math.Mod(x, 1); math.Float64bits(got) != math.Float64bits(want) {
+			t.Fatalf("fracPart(%v) = %v (%#x), math.Mod = %v (%#x)", x, got, math.Float64bits(got), want, math.Float64bits(want))
+		}
+	}
+	for _, x := range []float64{
+		0, math.SmallestNonzeroFloat64, 0.5, math.Nextafter(1, 0), 1, math.Nextafter(1, 2),
+		1.5, 2, math.Nextafter(2, 3), 3, 1 << 52, math.Nextafter(1<<52, 0), 1<<52 + 0.5,
+		1 << 53, math.Nextafter(1<<53, 0), 1 << 63, math.MaxFloat64,
+	} {
+		check(x)
+	}
+	rng := rand.New(rand.NewSource(1))
+	rot := float64(VP3221().RotationTime())
+	for i := 0; i < 100000; i++ {
+		x := math.Float64frombits(rng.Uint64() &^ (1 << 63))
+		if math.IsInf(x, 0) || math.IsNaN(x) {
+			continue
+		}
+		check(x)
+		check(float64(rng.Int63()) / rot)
+		n := float64(rng.Int63n(1 << 52))
+		check(n)
+		check(math.Nextafter(n, 0))
+		check(math.Nextafter(n, math.Inf(1)))
 	}
 }

@@ -121,8 +121,11 @@ type Domain struct {
 	killed  bool
 	stats   Stats
 
-	// Cached telemetry handles (nil when Env.Obs is nil → no-ops, and the
-	// fault fast path stays allocation-free).
+	// num is the domain's telemetry identity in Env.Obs (zero without
+	// telemetry): its fault spans and its attribution account are found by
+	// it. The cached handles are nil when Env.Obs is nil → no-ops, and the
+	// fault fast path stays allocation-free.
+	num          obs.DomainNum
 	cFaults      *obs.Counter
 	cFast        *obs.Counter
 	cWorker      *obs.Counter
@@ -150,6 +153,7 @@ func New(env Env, id mem.DomainID, name string, pd *vm.ProtectionDomain, cpuDom 
 		handlers: make(map[vm.FaultClass]FaultHandler),
 	}
 	if env.Obs != nil {
+		d.num = env.Obs.DomainNum(name)
 		d.cFaults = env.Obs.Counter("domain", "faults", name)
 		d.cFast = env.Obs.Counter("domain", "faults_fast", name)
 		d.cWorker = env.Obs.Counter("domain", "faults_worker", name)
@@ -165,6 +169,10 @@ func (d *Domain) ID() mem.DomainID { return d.id }
 // Name returns the domain's name.
 func (d *Domain) Name() string { return d.name }
 
+// TelemetryNum returns the domain's number in its telemetry registry (zero
+// without telemetry).
+func (d *Domain) TelemetryNum() obs.DomainNum { return d.num }
+
 // PD returns the domain's protection domain.
 func (d *Domain) PD() *vm.ProtectionDomain { return d.pd }
 
@@ -179,8 +187,9 @@ func (d *Domain) MemClient() *mem.Client { return d.memc }
 // allocator admits it, so the facade wires this in after admission.
 func (d *Domain) SetMemClient(c *mem.Client) { d.memc = c }
 
-// Env returns the system environment.
-func (d *Domain) Env() Env { return d.env }
+// Env returns the system environment. Callers read through the pointer:
+// Env holds the cost table by value, too large to copy per fault.
+func (d *Domain) Env() *Env { return &d.env }
 
 // Stats returns a copy of the counters.
 func (d *Domain) Stats() Stats { return d.stats }
@@ -246,7 +255,7 @@ func (d *Domain) Kill() {
 	// A killed domain's faulting threads unwind without finishing their
 	// spans and its CPU waiters never report back; close its attribution
 	// accounting at the kill instant so time stays conserved.
-	d.env.Obs.Attr().DomainKilled(d.name)
+	d.env.Obs.Attr().DomainKilled(d.num)
 	d.mm.kill()
 	// Kill the calling thread (if any) last: Proc.Kill on the running
 	// process unwinds immediately, which would skip the remaining ones.
@@ -317,7 +326,7 @@ func (d *Domain) dispatchFault(t *Thread, f *vm.Fault) error {
 	// application and send an event to the faulting domain — then the
 	// kernel is done. The span opens here: hop "dispatch" covers the trap
 	// and activation delivery.
-	sp := d.env.Obs.StartSpan(d.name, f.Class.String())
+	sp := d.env.Obs.StartSpan(d.num, f.Class.String())
 	sp.SetThread(t.name)
 	sp.BeginHop("dispatch")
 	f.Span = sp

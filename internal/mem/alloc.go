@@ -254,32 +254,36 @@ type Client struct {
 	pendingTimer    sim.Timer
 	killed          bool
 
-	// label names this client in telemetry and the audit log ("dom<id>"
-	// until the system facade renames it to the domain's name).
+	// label names this client in telemetry and the audit log: the
+	// domain's name once the system facade sets it, "dom<id>" until then.
 	label string
 
-	// Telemetry handles (nil when disabled).
+	// Telemetry handles, registered once under the domain's name by
+	// SetTelemetryName (nil until then, and when disabled).
 	gHeld      *obs.Gauge
 	gStack     *obs.Gauge
 	hAllocWait *obs.Histogram
 }
 
-// initTelemetry (re)creates the client's cached metric handles under label.
-func (c *Client) initTelemetry(label string) {
-	c.gHeld = c.fa.obs.Gauge("frames", "held", label)
-	c.gStack = c.fa.obs.Gauge("frames", "stack_depth", label)
-	c.hAllocWait = c.fa.obs.Histogram("frames", "alloc_wait", label)
-}
-
-// SetTelemetryName relabels the client's metrics and audit-log entries (the
-// allocator only knows domain IDs; the system facade knows names).
+// SetTelemetryName names the client in the audit log and registers its
+// metrics under that name (the allocator only knows domain IDs; the system
+// facade knows names). Call it once, at admission.
 func (c *Client) SetTelemetryName(name string) {
 	c.label = name
-	if c.fa.obs == nil {
-		return
+	if r := c.fa.obs; r != nil {
+		c.gHeld = r.Gauge("frames", "held", name)
+		c.gStack = r.Gauge("frames", "stack_depth", name)
+		c.hAllocWait = r.Histogram("frames", "alloc_wait", name)
+		c.updateGauges()
 	}
-	c.initTelemetry(name)
-	c.updateGauges()
+}
+
+// name is the client's audit-log name.
+func (c *Client) name() string {
+	if c.label == "" {
+		return fmt.Sprintf("dom%d", c.domain)
+	}
+	return c.label
 }
 
 // updateGauges refreshes the client's level gauges and the allocator's
@@ -301,11 +305,7 @@ func (fa *FramesAllocator) Admit(domain DomainID, ct Contract, h RevocationHandl
 		return nil, fmt.Errorf("%w: %d + %d > %d frames", ErrOverbooked,
 			fa.guaranteed, ct.Guaranteed, fa.store.NFrames())
 	}
-	c := &Client{fa: fa, domain: domain, contract: ct, handler: h,
-		label: fmt.Sprintf("dom%d", domain)}
-	if fa.obs != nil {
-		c.initTelemetry(c.label)
-	}
+	c := &Client{fa: fa, domain: domain, contract: ct, handler: h}
 	fa.clients[domain] = c
 	fa.guaranteed += ct.Guaranteed
 	return c, nil
@@ -598,7 +598,7 @@ func (fa *FramesAllocator) ensureRevocation(requester *Client) {
 		// happen for a within-guarantee request, but be safe
 	}
 	if requester != nil && victim != requester {
-		fa.obs.Audit(obs.AuditGuaranteeViolation, victim.label, requester.label,
+		fa.obs.Audit(obs.AuditGuaranteeViolation, victim.name(), requester.name(),
 			int(victim.n-victim.contract.Guaranteed),
 			"within-guarantee allocation found memory exhausted")
 	}
@@ -632,15 +632,15 @@ func (fa *FramesAllocator) revokeFrom(victim *Client, k int) {
 		return
 	}
 	fa.revoking = true
-	fa.obs.Audit(obs.AuditRevokeBegin, victim.label, "", k, "")
+	fa.obs.Audit(obs.AuditRevokeBegin, victim.name(), "", k, "")
 
 	// Transparent revocation: if the top of the victim's stack is unused,
 	// reclaim it without troubling the application.
 	if got := fa.reclaimTopUnused(victim, k); got > 0 {
-		fa.obs.Audit(obs.AuditRevokeTransparent, victim.label, "", got, "")
+		fa.obs.Audit(obs.AuditRevokeTransparent, victim.name(), "", got, "")
 		if got >= k {
 			fa.cTransparent.Inc()
-			fa.obs.Audit(obs.AuditRevokeComplete, victim.label, "", got, "transparent")
+			fa.obs.Audit(obs.AuditRevokeComplete, victim.name(), "", got, "transparent")
 			fa.revoking = false
 			return
 		}
@@ -653,7 +653,7 @@ func (fa *FramesAllocator) revokeFrom(victim *Client, k int) {
 	victim.pendingDeadline = deadline
 	victim.pendingSince = fa.sim.Now()
 	victim.pendingTimer = fa.sim.At(deadline, func() { fa.revocationTimeout(victim) })
-	fa.obs.Audit(obs.AuditRevokeIntrusive, victim.label, "", k,
+	fa.obs.Audit(obs.AuditRevokeIntrusive, victim.name(), "", k,
 		fmt.Sprintf("deadline %.1fms", deadline.Milliseconds()))
 	if victim.handler != nil {
 		victim.handler.RevokeNotification(k, deadline)
@@ -705,7 +705,7 @@ func (c *Client) RevocationComplete() {
 	if fa.reclaimTopUnused(c, k) < k {
 		fa.kill(c)
 	} else {
-		fa.obs.Audit(obs.AuditRevokeComplete, c.label, "", k, "intrusive")
+		fa.obs.Audit(obs.AuditRevokeComplete, c.name(), "", k, "intrusive")
 	}
 	fa.revoking = false
 }
@@ -717,7 +717,7 @@ func (fa *FramesAllocator) revocationTimeout(victim *Client) {
 	}
 	victim.pendingK = 0
 	fa.cTimeouts.Inc()
-	fa.obs.Audit(obs.AuditRevokeTimeout, victim.label, "", 0, "revocation deadline passed")
+	fa.obs.Audit(obs.AuditRevokeTimeout, victim.name(), "", 0, "revocation deadline passed")
 	fa.kill(victim)
 	fa.revoking = false
 }
@@ -726,7 +726,7 @@ func (fa *FramesAllocator) revocationTimeout(victim *Client) {
 // system so the domain itself can be destroyed.
 func (fa *FramesAllocator) kill(c *Client) {
 	c.killed = true
-	fa.obs.Audit(obs.AuditRevokeKill, c.label, "", int(c.n), "non-compliant revocation")
+	fa.obs.Audit(obs.AuditRevokeKill, c.name(), "", int(c.n), "non-compliant revocation")
 	for _, pfn := range fa.ramtab.OwnedBy(c.domain) {
 		// Force release regardless of state: the domain is dead.
 		fa.ramtab.entries[pfn] = ramtabEntry{}

@@ -75,7 +75,7 @@ type Server struct {
 	store *sfs.SwapFile
 	blok  *stretchdrv.BlokAllocator
 
-	clients map[string]map[vm.VPN]int64 // per-client page -> blok
+	clients map[string]serverClient
 	queue   []*request
 	work    *sim.Cond
 	procs   []*sim.Proc
@@ -111,7 +111,7 @@ func NewServer(s *sim.Simulator, cfg ServerConfig) (*Server, error) {
 		usd:     u,
 		store:   store,
 		blok:    stretchdrv.NewBlokAllocator(store.Blocks()/blokBlocks, blokBlocks),
-		clients: make(map[string]map[vm.VPN]int64),
+		clients: make(map[string]serverClient),
 		work:    sim.NewCond(s),
 	}
 	for i := 0; i < cfg.Workers; i++ {
@@ -148,7 +148,7 @@ func (srv *Server) Stop() {
 // span opens: the "queue" hop runs from arrival to worker pickup.
 func (srv *Server) handle(req *request) {
 	if srv.obs != nil {
-		req.ssp = srv.obs.StartSpan(req.Client, "service")
+		req.ssp = srv.obs.StartSpan(srv.client(req.Client).num, "service")
 		req.ssp.SetFlow(req.Flow)
 		req.ssp.BeginHop("queue")
 	}
@@ -180,14 +180,22 @@ func (srv *Server) serve(p *sim.Proc) {
 	}
 }
 
-// pages returns (creating if needed) the blok map for a client.
-func (srv *Server) pages(client string) map[vm.VPN]int64 {
-	m, ok := srv.clients[client]
+// serverClient is the server's record of one client: its page -> blok map
+// and, with a registry installed, its number there, which its service spans
+// carry.
+type serverClient struct {
+	pages map[vm.VPN]int64
+	num   obs.DomainNum
+}
+
+// client returns (creating if needed) the server's record of a client.
+func (srv *Server) client(name string) serverClient {
+	c, ok := srv.clients[name]
 	if !ok {
-		m = make(map[vm.VPN]int64)
-		srv.clients[client] = m
+		c = serverClient{pages: make(map[vm.VPN]int64), num: srv.obs.DomainNum(name)}
+		srv.clients[name] = c
 	}
-	return m
+	return c
 }
 
 // service runs one RPC against the store, blocking p on the server's USD.
@@ -201,7 +209,7 @@ func (srv *Server) service(p *sim.Proc, req *request) *reply {
 			rep.Err = "malformed read"
 			return rep
 		}
-		blok, ok := srv.pages(req.Client)[req.VPNs[0]]
+		blok, ok := srv.client(req.Client).pages[req.VPNs[0]]
 		if !ok {
 			srv.Stats.Errors++
 			rep.Err = "no remote copy"
@@ -255,7 +263,7 @@ func (srv *Server) service(p *sim.Proc, req *request) *reply {
 // exhaustion) and writes disk-adjacent pages as merged spanned transactions.
 // ServiceStart/ServiceEnd on the eventual reply bracket the disk work.
 func (srv *Server) writeBatch(p *sim.Proc, req *request) (int, error) {
-	m := srv.pages(req.Client)
+	m := srv.client(req.Client).pages
 	bloks := make([]int64, len(req.VPNs))
 	var need []int
 	for i, vpn := range req.VPNs {

@@ -58,32 +58,37 @@ type AttrAccount struct {
 // Attribution is the per-domain sim-time accounting state machine. It is
 // driven by the registry's fault spans (StartSpan/BeginHop/SplitHop/Finish)
 // and by the CPU scheduler's grant/release events, so instrumented code
-// needs no extra call sites. All methods are safe on a nil receiver.
+// needs no extra call sites. Each domain's account lives in a dense table
+// indexed by its number, and a span carries its domain's account from
+// StartSpan to Finish. All methods are safe on a nil receiver.
 type Attribution struct {
-	now     Clock
-	domains map[string]*DomainAttr
-	order   []string
-}
-
-func newAttribution(now Clock) *Attribution {
-	return &Attribution{now: now, domains: make(map[string]*DomainAttr)}
+	reg   *Registry
+	accts table[DomainAttr] // by domain number; tracked entries have a non-nil a
+	order []DomainNum       // tracked domains, first-tracked order
 }
 
 // Track returns (creating at the current instant if needed) the accounting
 // state for a domain. Conservation is measured from the instant of first
 // tracking, which the system facade arranges to be domain admission.
-func (a *Attribution) Track(domain string) *DomainAttr {
+func (a *Attribution) Track(dom DomainNum) *DomainAttr {
 	if a == nil {
 		return nil
 	}
-	d, ok := a.domains[domain]
-	if !ok {
-		now := a.now()
-		d = &DomainAttr{a: a, name: domain, start: now, since: now, accounts: make([]AttrAccount, 0, attrAccountCap)}
-		a.domains[domain] = d
-		a.order = append(a.order, domain)
+	d := a.accts.at(uint32(dom))
+	if d.a == nil {
+		now := a.reg.now()
+		*d = DomainAttr{a: a, dom: dom, start: now, since: now, accounts: make([]AttrAccount, 0, attrAccountCap)}
+		a.order = append(a.order, dom)
 	}
 	return d
+}
+
+// tracked returns a tracked domain's account, or nil.
+func (a *Attribution) tracked(dom DomainNum) *DomainAttr {
+	if d := a.accts.get(uint32(dom)); d != nil && d.a != nil {
+		return d
+	}
+	return nil
 }
 
 // Restart discards every domain's accrued accounts and restarts the
@@ -95,8 +100,9 @@ func (a *Attribution) Restart() {
 	if a == nil {
 		return
 	}
-	now := a.now()
-	for _, d := range a.domains {
+	now := a.reg.now()
+	for _, dom := range a.order {
+		d := a.accts.at(uint32(dom))
 		d.accounts = d.accounts[:0]
 		d.start, d.since = now, now
 	}
@@ -104,10 +110,14 @@ func (a *Attribution) Restart() {
 
 // Domains returns the tracked domain names in first-tracked order.
 func (a *Attribution) Domains() []string {
-	if a == nil {
+	if a == nil || len(a.order) == 0 {
 		return nil
 	}
-	return a.order
+	out := make([]string, len(a.order))
+	for i, dom := range a.order {
+		out[i] = a.reg.doms[dom]
+	}
+	return out
 }
 
 // DomainAttr accounts one domain's simulated time. Exactly one (state, hop)
@@ -115,7 +125,7 @@ func (a *Attribution) Domains() []string {
 // into its bucket and reclassifies.
 type DomainAttr struct {
 	a     *Attribution
-	name  string
+	dom   DomainNum
 	start sim.Time // tracking began
 	since sim.Time // current interval began
 
@@ -145,7 +155,7 @@ func (d *DomainAttr) Name() string {
 	if d == nil {
 		return ""
 	}
-	return d.name
+	return d.a.reg.doms[d.dom]
 }
 
 // add accrues dt into the (state, hop) bucket.
@@ -208,7 +218,7 @@ func (d *DomainAttr) CPUWait() {
 		return
 	}
 	d.waiting++
-	d.retarget(d.a.now())
+	d.retarget(d.a.reg.now())
 }
 
 // CPURun records the scheduler granting the CPU to a waiting thread.
@@ -218,7 +228,7 @@ func (d *DomainAttr) CPURun() {
 	}
 	d.waiting--
 	d.running++
-	d.retarget(d.a.now())
+	d.retarget(d.a.reg.now())
 }
 
 // CPUYield records the thread releasing the CPU at the end of a quantum.
@@ -227,36 +237,32 @@ func (d *DomainAttr) CPUYield() {
 		return
 	}
 	d.running--
-	d.retarget(d.a.now())
+	d.retarget(d.a.reg.now())
 }
 
-// spanStarted registers a newly opened fault span.
+// spanStarted registers a newly opened fault span and hands it its
+// domain's account.
 func (a *Attribution) spanStarted(s *Span) {
 	if a == nil {
 		return
 	}
-	d := a.Track(s.Domain)
+	d := a.Track(s.dom)
 	d.open = append(d.open, s)
-	d.retarget(a.now())
+	s.acct = d
+	d.retarget(a.reg.now())
 }
 
 // spanHop reclassifies after a hop change at instant at (which may lie in
 // the past when the span recorded a retroactive split).
-func (a *Attribution) spanHop(s *Span, at sim.Time) {
-	if a == nil {
+func (d *DomainAttr) spanHop(at sim.Time) {
+	if d == nil {
 		return
 	}
-	if d := a.domains[s.Domain]; d != nil {
-		d.retarget(at)
-	}
+	d.retarget(at)
 }
 
 // spanFinished removes a finished fault span.
-func (a *Attribution) spanFinished(s *Span) {
-	if a == nil {
-		return
-	}
-	d := a.domains[s.Domain]
+func (d *DomainAttr) spanFinished(s *Span) {
 	if d == nil {
 		return
 	}
@@ -266,24 +272,25 @@ func (a *Attribution) spanFinished(s *Span) {
 			break
 		}
 	}
-	d.retarget(a.now())
+	d.retarget(d.a.reg.now())
 }
 
 // DomainKilled finalises a killed domain's accounting: its unwinding
 // threads and abandoned fault spans will never report back, so the counters
 // are cleared and the domain accrues idle time from the kill instant on.
-func (a *Attribution) DomainKilled(domain string) {
+func (a *Attribution) DomainKilled(dom DomainNum) {
 	if a == nil {
 		return
 	}
-	d := a.domains[domain]
+	d := a.tracked(dom)
 	if d == nil || d.killed {
 		return
 	}
-	d.retarget(a.now()) // close the pre-kill interval under the old state
+	now := a.reg.now()
+	d.retarget(now) // close the pre-kill interval under the old state
 	d.killed = true
 	d.running, d.waiting, d.open = 0, 0, nil
-	d.retarget(a.now())
+	d.retarget(now)
 }
 
 // StateTotal returns the domain's accrued time in one state (all hops
@@ -299,7 +306,7 @@ func (d *DomainAttr) StateTotal(state AttrState) time.Duration {
 		}
 	}
 	if d.curState == state {
-		sum += d.a.now().Sub(d.since)
+		sum += d.a.reg.now().Sub(d.since)
 	}
 	return sum
 }
@@ -338,7 +345,7 @@ func (p *DomainProfile) Share(state AttrState) float64 {
 
 // profile snapshots one domain at the current instant.
 func (d *DomainAttr) profile(now sim.Time) DomainProfile {
-	p := DomainProfile{Domain: d.name, Start: d.start, End: now}
+	p := DomainProfile{Domain: d.Name(), Start: d.start, End: now}
 	p.Accounts = make([]AttrAccount, len(d.accounts))
 	copy(p.Accounts, d.accounts)
 	if dt := now.Sub(d.since); dt > 0 {
@@ -362,10 +369,10 @@ func (a *Attribution) Profiles() []DomainProfile {
 	if a == nil {
 		return nil
 	}
-	now := a.now()
+	now := a.reg.now()
 	out := make([]DomainProfile, 0, len(a.order))
-	for _, name := range a.order {
-		out = append(out, a.domains[name].profile(now))
+	for _, dom := range a.order {
+		out = append(out, a.accts.at(uint32(dom)).profile(now))
 	}
 	return out
 }
@@ -375,11 +382,15 @@ func (a *Attribution) Profile(domain string) (DomainProfile, bool) {
 	if a == nil {
 		return DomainProfile{}, false
 	}
-	d, ok := a.domains[domain]
+	dom, ok := a.reg.domIdx[domain]
 	if !ok {
 		return DomainProfile{}, false
 	}
-	return d.profile(a.now()), true
+	d := a.tracked(dom)
+	if d == nil {
+		return DomainProfile{}, false
+	}
+	return d.profile(a.reg.now()), true
 }
 
 // CheckConservation asserts the invariant that makes the attribution exact:
@@ -390,20 +401,20 @@ func (a *Attribution) CheckConservation() error {
 	if a == nil {
 		return nil
 	}
-	now := a.now()
-	for _, name := range a.order {
-		d := a.domains[name]
+	now := a.reg.now()
+	for _, dom := range a.order {
+		d := a.accts.at(uint32(dom))
 		var sum time.Duration
 		for _, acc := range d.accounts {
 			if acc.Total < 0 {
-				return fmt.Errorf("obs: attribution for %q: negative account %s/%s = %v", name, acc.State, acc.Hop, acc.Total)
+				return fmt.Errorf("obs: attribution for %q: negative account %s/%s = %v", d.Name(), acc.State, acc.Hop, acc.Total)
 			}
 			sum += acc.Total
 		}
 		sum += now.Sub(d.since)
 		if elapsed := now.Sub(d.start); sum != elapsed {
 			return fmt.Errorf("obs: attribution for %q does not conserve time: accounts sum to %v, elapsed %v (diff %v)",
-				name, sum, elapsed, elapsed-sum)
+				d.Name(), sum, elapsed, elapsed-sum)
 		}
 	}
 	return nil

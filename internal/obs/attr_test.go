@@ -9,7 +9,7 @@ import (
 // driveFault walks one span through dispatch→mmentry→driver→usd.queue and
 // finishes it, advancing the clock per hop.
 func driveFault(r *Registry, fc *fakeClock, domain string, hop time.Duration) {
-	sp := r.StartSpan(domain, "page")
+	sp := r.StartSpan(r.DomainNum(domain), "page")
 	sp.BeginHop("dispatch")
 	fc.advance(hop)
 	sp.BeginHop("mmentry")
@@ -24,7 +24,7 @@ func driveFault(r *Registry, fc *fakeClock, domain string, hop time.Duration) {
 func TestAttributionExactFaultBreakdown(t *testing.T) {
 	r, fc := newTestRegistry()
 	a := r.EnableAttribution()
-	d := a.Track("d1")
+	d := a.Track(r.DomainNum("d1"))
 
 	// 2 ms idle, then a fault with 1 ms per hop, then 3 ms idle.
 	fc.advance(2 * time.Millisecond)
@@ -69,7 +69,7 @@ func TestAttributionExactFaultBreakdown(t *testing.T) {
 func TestAttributionCPUStates(t *testing.T) {
 	r, fc := newTestRegistry()
 	a := r.EnableAttribution()
-	d := a.Track("d1")
+	d := a.Track(r.DomainNum("d1"))
 
 	// Wait 2 ms for the CPU, run 5 ms, then idle 1 ms.
 	d.CPUWait()
@@ -99,9 +99,9 @@ func TestAttributionFaultDominatesCPU(t *testing.T) {
 	// fault hop — the paper's "pay with your own resources" story.
 	r, fc := newTestRegistry()
 	a := r.EnableAttribution()
-	d := a.Track("d1")
+	d := a.Track(r.DomainNum("d1"))
 
-	sp := r.StartSpan("d1", "page")
+	sp := r.StartSpan(r.DomainNum("d1"), "page")
 	sp.BeginHop("mmentry")
 	d.CPUWait()
 	fc.advance(time.Millisecond)
@@ -128,7 +128,7 @@ func TestAttributionRetroactiveSplitHop(t *testing.T) {
 	r, fc := newTestRegistry()
 	a := r.EnableAttribution()
 
-	sp := r.StartSpan("d1", "page")
+	sp := r.StartSpan(r.DomainNum("d1"), "page")
 	sp.BeginHop("usd.queue")
 	start := r.Now().Add(2 * time.Millisecond)
 	fc.advance(6 * time.Millisecond)
@@ -159,14 +159,14 @@ func TestAttributionRetroactiveSplitHop(t *testing.T) {
 func TestAttributionKilledDomainConserves(t *testing.T) {
 	r, fc := newTestRegistry()
 	a := r.EnableAttribution()
-	d := a.Track("victim")
+	d := a.Track(r.DomainNum("victim"))
 
 	// A fault is in flight and a thread is waiting when the kill lands.
-	sp := r.StartSpan("victim", "page")
+	sp := r.StartSpan(r.DomainNum("victim"), "page")
 	sp.BeginHop("driver")
 	d.CPUWait()
 	fc.advance(2 * time.Millisecond)
-	a.DomainKilled("victim")
+	a.DomainKilled(r.DomainNum("victim"))
 	// The span never finishes and the waiter never reports back.
 	fc.advance(3 * time.Millisecond)
 
@@ -190,7 +190,7 @@ func TestAttributionKilledDomainConserves(t *testing.T) {
 func TestAttributionFoldedOutput(t *testing.T) {
 	r, fc := newTestRegistry()
 	a := r.EnableAttribution()
-	a.Track("d1")
+	a.Track(r.DomainNum("d1"))
 
 	fc.advance(time.Millisecond)
 	driveFault(r, fc, "d1", 500*time.Microsecond)
@@ -214,8 +214,8 @@ func TestAttributionFoldedOutput(t *testing.T) {
 func TestAttributionNilSafe(t *testing.T) {
 	var a *Attribution
 	var d *DomainAttr
-	a.Track("x")
-	a.DomainKilled("x")
+	a.Track(0)
+	a.DomainKilled(0)
 	d.CPUWait()
 	d.CPURun()
 	d.CPUYield()
@@ -234,7 +234,7 @@ func TestAttributionNilSafe(t *testing.T) {
 	// A registry without EnableAttribution records spans without feeding
 	// any attribution.
 	r, _ := newTestRegistry()
-	sp := r.StartSpan("d1", "page")
+	sp := r.StartSpan(r.DomainNum("d1"), "page")
 	sp.BeginHop("dispatch")
 	sp.Finish("fast")
 	if r.Attr() != nil {
@@ -253,14 +253,14 @@ func TestAttributionAccountsSizedOnce(t *testing.T) {
 	r, fc := newTestRegistry()
 	r.SetSpanCap(1) // evicted spans are recycled, so a cycle reuses one
 	a := r.EnableAttribution()
-	d := a.Track("d1")
+	d := a.Track(r.DomainNum("d1"))
 	accounts := cap(d.accounts)
 	cycle := func() {
 		d.CPUWait()
 		fc.advance(time.Millisecond)
 		d.CPURun()
 		fc.advance(time.Millisecond)
-		sp := r.StartSpan("d1", "page")
+		sp := r.StartSpan(r.DomainNum("d1"), "page")
 		sp.BeginHop("dispatch")
 		fc.advance(time.Millisecond)
 		sp.BeginHop("mmentry")
@@ -282,7 +282,7 @@ func TestAttributionAccountsSizedOnce(t *testing.T) {
 	if len(d.accounts) != attrAccountCap || cap(d.accounts) != accounts {
 		t.Fatalf("first cycle: %d accounts, capacity %d → %d", len(d.accounts), accounts, cap(d.accounts))
 	}
-	if ss := r.spanStats[spanKey{"d1", "page"}]; len(ss.hops) != popHopCap || cap(ss.hops) != popHopCap {
+	if ss := r.class("page").pops.get(uint32(r.DomainNum("d1"))); len(ss.hops) != popHopCap || cap(ss.hops) != popHopCap {
 		t.Fatalf("first cycle: %d hop slots, capacity %d", len(ss.hops), cap(ss.hops))
 	}
 	if n := testing.AllocsPerRun(20, cycle); n != 0 {

@@ -9,7 +9,7 @@ import (
 // faultPathObsCalls replicates the exact telemetry call sequence the fault
 // fast path makes, against a possibly-nil registry and cached handles.
 func faultPathObsCalls(r *Registry, faults, fast *Counter, lat *Histogram) {
-	sp := r.StartSpan("d1", "page")
+	sp := r.StartSpan(r.DomainNum("d1"), "page")
 	sp.BeginHop("dispatch")
 	faults.Inc()
 	sp.BeginHop("driver")

@@ -14,13 +14,14 @@ import (
 // monitor each period. All fields are running totals; the monitor differences
 // successive samples to obtain per-window rates.
 type DomainSample struct {
-	Name        string
-	Faults      int64 // cumulative faults dispatched
-	Progress    int64 // cumulative useful-work units (e.g. accesses completed)
-	Revocations int64 // cumulative frames revoked from the domain
-	// Order is the domain's stable processing rank (registration order).
-	// The monitor processes each window's domains sorted by it, so every
-	// source must set it, one that reports every domain included.
+	Dom         DomainNum // the domain's number in the monitor's registry
+	Faults      int64     // cumulative faults dispatched
+	Progress    int64     // cumulative useful-work units (e.g. accesses completed)
+	Revocations int64     // cumulative frames revoked from the domain
+	// Order is the domain's stable processing rank (registration order),
+	// dense from 0. The monitor keeps the domain's history at this index
+	// and processes each window's domains sorted by it, so every source
+	// must set it, one that reports every domain included.
 	Order int64
 }
 
@@ -129,13 +130,13 @@ type domainHistory struct {
 	havePrev bool
 	progress []float64 // recent per-window progress rates (per second)
 	faults   []float64 // recent per-window fault rates (per second)
-	order    int64     // processing rank (DomainSample.Order)
 	lastTick int64     // tick at which this domain was last processed
 	sampled  int64     // latest tick whose sample reported this domain
 
 	// gProgress and gFault publish the rates, created the first time the
-	// domain is rated.
+	// domain is rated; cRevoked counts revocations, created at the first.
 	gProgress, gFault *Gauge
+	cRevoked          *Counter
 }
 
 // hot reports whether any baseline window still carries activity; a cold
@@ -168,15 +169,16 @@ type CrosstalkMonitor struct {
 	// sample returns the cumulative activity of at least every domain that
 	// changed since the last call, and the current memory pressure.
 	sample func() ([]DomainSample, Pressure)
-	// cooling holds recently active domains the monitor keeps processing
-	// itself until their baselines decay to zero.
-	cooling map[string]bool
+	// cooling lists, by Order, the recently active domains the monitor
+	// keeps processing itself until their baselines decay to zero.
+	cooling []int64
 
 	// Per-window scratch, reused so that a steady window allocates nothing.
 	merged []DomainSample
 	rates  []windowRates
 
-	hist    map[string]*domainHistory
+	hist    table[domainHistory] // by DomainSample.Order
+	gFree   *Gauge               // created on the first window
 	timer   sim.Timer
 	running bool
 	ticks   int64
@@ -202,18 +204,13 @@ type CrosstalkMonitor struct {
 //
 // DomainSample.Order carries each domain's registration rank, and the
 // monitor processes the union of sampled and cooling domains sorted by it,
-// preserving the full scan's tie-breaks. The monitor copies the samples out
-// before it returns, so the source may reuse its slice on the next call.
+// preserving the full scan's tie-breaks; it is also the index of the
+// domain's history, so a window finds each domain without a name. The
+// monitor copies the samples out before it returns, so the source may reuse
+// its slice on the next call.
 func NewCrosstalkMonitor(reg *Registry, s *sim.Simulator, cfg CrosstalkConfig, sample func() ([]DomainSample, Pressure)) *CrosstalkMonitor {
 	cfg.fillDefaults()
-	return &CrosstalkMonitor{
-		reg:     reg,
-		s:       s,
-		cfg:     cfg,
-		sample:  sample,
-		cooling: make(map[string]bool),
-		hist:    make(map[string]*domainHistory),
-	}
+	return &CrosstalkMonitor{reg: reg, s: s, cfg: cfg, sample: sample}
 }
 
 // Start schedules the first sampling tick one period from now. Safe on a
@@ -278,7 +275,7 @@ func mean(xs []float64) float64 {
 
 // windowRates holds one domain's rates for the just-closed window.
 type windowRates struct {
-	name         string
+	dom          DomainNum
 	progressRate float64
 	faultRate    float64
 	progressBase float64
@@ -303,19 +300,12 @@ func (m *CrosstalkMonitor) tick() {
 func (m *CrosstalkMonitor) withCooling(changed []DomainSample) []DomainSample {
 	merged := append(slices.Grow(m.merged[:0], len(changed)+len(m.cooling)), changed...)
 	for i := range changed {
-		// A cooling domain has a history; a domain without one is fresh.
-		if h := m.hist[changed[i].Name]; h != nil {
-			h.sampled = m.ticks
-		}
+		m.hist.at(uint32(changed[i].Order)).sampled = m.ticks
 	}
-	for name := range m.cooling {
-		h := m.hist[name]
-		if h.sampled == m.ticks {
-			continue
+	for _, order := range m.cooling {
+		if h := m.hist.at(uint32(order)); h.sampled != m.ticks {
+			merged = append(merged, h.prev)
 		}
-		s := h.prev
-		s.Order = h.order
-		merged = append(merged, s)
 	}
 	slices.SortFunc(merged, func(a, b DomainSample) int { return cmp.Compare(a.Order, b.Order) })
 	m.merged = merged
@@ -344,15 +334,15 @@ func (m *CrosstalkMonitor) sampleWindow(secs float64) {
 	m.lastAt = m.s.Now()
 	samples = m.withCooling(samples)
 
-	m.reg.Gauge("crosstalk", "free_frames", "").Set(int64(pressure.FreeFrames))
+	if m.gFree == nil {
+		m.gFree = m.reg.gaugeAt(m.reg.internFam("crosstalk", "free_frames"), systemDomain)
+	}
+	m.gFree.Set(int64(pressure.FreeFrames))
 
 	rates := slices.Grow(m.rates[:0], len(samples))
+	cooling := m.cooling[:0] // rebuilt from this window's processed domains
 	for _, s := range samples {
-		h, ok := m.hist[s.Name]
-		if !ok {
-			h = &domainHistory{order: s.Order}
-			m.hist[s.Name] = h
-		}
+		h := m.hist.at(uint32(s.Order))
 		if !h.havePrev {
 			h.prev = s
 			h.havePrev = true
@@ -379,17 +369,20 @@ func (m *CrosstalkMonitor) sampleWindow(secs float64) {
 		h.prev = s
 
 		if h.gProgress == nil {
-			h.gProgress = m.reg.Gauge("crosstalk", "progress_rate", s.Name)
-			h.gFault = m.reg.Gauge("crosstalk", "fault_rate", s.Name)
+			h.gProgress = m.reg.gaugeAt(m.reg.internFam("crosstalk", "progress_rate"), s.Dom)
+			h.gFault = m.reg.gaugeAt(m.reg.internFam("crosstalk", "fault_rate"), s.Dom)
 		}
 		h.gProgress.Set(int64(pr))
 		h.gFault.Set(int64(fr))
 		if rv > 0 {
-			m.reg.Counter("crosstalk", "revocations_seen", s.Name).Add(rv)
+			if h.cRevoked == nil {
+				h.cRevoked = m.reg.counterAt(m.reg.internFam("crosstalk", "revocations_seen"), s.Dom)
+			}
+			h.cRevoked.Add(rv)
 		}
 
 		rates = append(rates, windowRates{
-			name:         s.Name,
+			dom:          s.Dom,
 			progressRate: pr,
 			faultRate:    fr,
 			progressBase: mean(h.progress),
@@ -403,12 +396,11 @@ func (m *CrosstalkMonitor) sampleWindow(secs float64) {
 		// processed next window even if it goes quiet; once the baseline is
 		// all zeros it can be dropped until it reactivates.
 		if h.hot() {
-			m.cooling[s.Name] = true
-		} else {
-			delete(m.cooling, s.Name)
+			cooling = append(cooling, s.Order)
 		}
 	}
 	m.rates = rates
+	m.cooling = cooling
 
 	// Victims: progress collapsed below DegradeFrac of baseline.
 	for _, v := range rates {
@@ -422,7 +414,7 @@ func (m *CrosstalkMonitor) sampleWindow(secs float64) {
 		best := -1
 		bestRatio := 0.0
 		for i, s := range rates {
-			if s.name == v.name || !s.baselineOK {
+			if s.dom == v.dom || !s.baselineOK {
 				continue
 			}
 			var ratio float64
@@ -446,14 +438,14 @@ func (m *CrosstalkMonitor) sampleWindow(secs float64) {
 		m.reg.addFlag(Flag{
 			At:              m.reg.Now(),
 			Window:          time.Duration(secs * float64(time.Second)),
-			Victim:          v.name,
-			Suspect:         s.name,
+			Victim:          m.reg.doms[v.dom],
+			Suspect:         m.reg.doms[s.dom],
 			VictimRate:      v.progressRate,
 			VictimBaseline:  v.progressBase,
 			SuspectRate:     s.faultRate,
 			SuspectBaseline: s.faultBase,
 			FreeFrames:      pressure.FreeFrames,
 		})
-		m.reg.Counter("crosstalk", "flags", v.name).Inc()
+		m.reg.counterAt(m.reg.internFam("crosstalk", "flags"), v.dom).Inc()
 	}
 }

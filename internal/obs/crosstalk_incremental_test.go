@@ -57,12 +57,24 @@ func ctDelta(name string, t int) (progress, faults, revocations int64) {
 
 var ctNames = []string{"steady", "attacker", "victim", "sleeper", "fader", "revoker", "idle0", "idle1", "idle2", "idle3"}
 
+// ctRegistry returns a registry that numbers ctNames[i] i+1, after the
+// system's empty name, as ctWorld's samples do.
+func ctRegistry(t *testing.T, s *sim.Simulator) *Registry {
+	r := NewRegistry(s.Now)
+	for i, n := range ctNames {
+		if got := r.DomainNum(n); got != DomainNum(i+1) {
+			t.Fatalf("%s numbered %d, want %d", n, got, i+1)
+		}
+	}
+	return r
+}
+
 // ctWorld precomputes cumulative samples per tick.
 func ctWorld() [][]DomainSample {
 	world := make([][]DomainSample, ctWindows+1)
 	cum := make([]DomainSample, len(ctNames))
-	for i, n := range ctNames {
-		cum[i] = DomainSample{Name: n, Order: int64(i)}
+	for i := range ctNames {
+		cum[i] = DomainSample{Dom: DomainNum(i + 1), Order: int64(i)}
 	}
 	world[0] = append([]DomainSample(nil), cum...)
 	for t := 1; t <= ctWindows; t++ {
@@ -84,7 +96,7 @@ func TestIncrementalCrosstalkMatchesFullScan(t *testing.T) {
 
 	// Full scan: every domain, every window, each with its Order set.
 	fullSim := sim.New(1)
-	fullReg := NewRegistry(fullSim.Now)
+	fullReg := ctRegistry(t, fullSim)
 	fullTick := 0
 	full := NewCrosstalkMonitor(fullReg, fullSim, cfg, func() ([]DomainSample, Pressure) {
 		fullTick++
@@ -97,7 +109,7 @@ func TestIncrementalCrosstalkMatchesFullScan(t *testing.T) {
 	// Incremental: first window reports everyone (fresh), then only domains
 	// whose cumulative counters moved.
 	incSim := sim.New(1)
-	incReg := NewRegistry(incSim.Now)
+	incReg := ctRegistry(t, incSim)
 	incTick := 0
 	inc := NewCrosstalkMonitor(incReg, incSim, cfg, func() ([]DomainSample, Pressure) {
 		incTick++
@@ -141,18 +153,12 @@ func TestIncrementalCrosstalkMatchesFullScan(t *testing.T) {
 
 	// Gauges and counters must agree for every domain that was ever active
 	// (a changed-only source never creates gauges for never-active ones).
-	for _, name := range ctNames {
+	for i, name := range ctNames {
 		for _, metric := range []string{"progress_rate", "fault_rate"} {
 			fg := fullReg.LookupGauge("crosstalk", metric, name)
 			ig := incReg.LookupGauge("crosstalk", metric, name)
 			if ig == nil {
-				last := world[ctWindows][0]
-				for _, s := range world[ctWindows] {
-					if s.Name == name {
-						last = s
-					}
-				}
-				if last.Progress != 0 || last.Faults != 0 {
+				if last := world[ctWindows][i]; last.Progress != 0 || last.Faults != 0 {
 					t.Fatalf("%s/%s: incremental gauge missing for active domain", metric, name)
 				}
 				continue
@@ -180,7 +186,7 @@ func TestCrosstalkSteadyWindowsAllocateNothing(t *testing.T) {
 	reg := NewRegistry(s.Now)
 	cum := make([]DomainSample, n)
 	for i := range cum {
-		cum[i] = DomainSample{Name: fmt.Sprintf("d%d", i), Order: int64(i)}
+		cum[i] = DomainSample{Dom: reg.DomainNum(fmt.Sprintf("d%d", i)), Order: int64(i)}
 	}
 	var out []DomainSample
 	tick := 0

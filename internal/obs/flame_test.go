@@ -64,11 +64,11 @@ func TestFlameSVGDeterministic(t *testing.T) {
 func TestFlameSVGRoundTripFromAttribution(t *testing.T) {
 	r, fc := newTestRegistry()
 	attr := r.EnableAttribution()
-	d := attr.Track("d1")
+	d := attr.Track(r.DomainNum("d1"))
 	d.CPUWait()
 	d.CPURun()
 	fc.t += 2_000_000 // 2ms running
-	s := r.StartSpan("d1", "page")
+	s := r.StartSpan(r.DomainNum("d1"), "page")
 	s.BeginHop("usd.read")
 	fc.t += 3_000_000 // 3ms fault
 	s.Finish("ok")

@@ -215,7 +215,7 @@ func TestSummarizeMatchesSnapshotFold(t *testing.T) {
 	for trial := 0; trial < 50; trial++ {
 		r, fc := newTestRegistry()
 		for s, n := 0, rng.Intn(60); s < n; s++ {
-			sp := r.StartSpan(fmt.Sprintf("d%d", rng.Intn(8)), []string{"page", "protection"}[rng.Intn(2)])
+			sp := r.StartSpan(r.DomainNum(fmt.Sprintf("d%d", rng.Intn(8))), []string{"page", "protection"}[rng.Intn(2)])
 			for _, hop := range hopNames[:1+rng.Intn(len(hopNames))] {
 				sp.BeginHop(hop)
 				if d := sampleDuration(rng); d > 0 {
@@ -226,7 +226,7 @@ func TestSummarizeMatchesSnapshotFold(t *testing.T) {
 		}
 		for e := rng.Intn(3); e > 0; e-- {
 			h := r.hops.add()
-			h.r, h.fam, h.dom = r, r.internFam("page", hopNames[rng.Intn(len(hopNames))]), r.internDom("idle")
+			h.r, h.fam, h.dom = r, r.internFam("page", hopNames[rng.Intn(len(hopNames))]), r.DomainNum("idle")
 		}
 		got, err := json.Marshal(r.Summarize(4).Hops)
 		if err != nil {

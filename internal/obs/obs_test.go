@@ -93,7 +93,7 @@ func TestNilRegistryIsNoOp(t *testing.T) {
 	r.Counter("a", "b", "c").Inc()
 	r.Gauge("a", "b", "c").Set(1)
 	r.Histogram("a", "b", "c").Observe(time.Second)
-	sp := r.StartSpan("d", "page")
+	sp := r.StartSpan(r.DomainNum("d"), "page")
 	sp.BeginHop("dispatch")
 	sp.SplitHop(0, "x")
 	sp.SetThread("t")
@@ -124,7 +124,7 @@ func TestNilRegistryIsNoOp(t *testing.T) {
 
 func TestSpanHopsAreContiguous(t *testing.T) {
 	r, fc := newTestRegistry()
-	sp := r.StartSpan("d1", "page")
+	sp := r.StartSpan(r.DomainNum("d1"), "page")
 	sp.SetThread("t0")
 	sp.BeginHop("dispatch")
 	fc.advance(2 * time.Microsecond)
@@ -169,7 +169,7 @@ func TestSpanRecordingAndRing(t *testing.T) {
 	r, fc := newTestRegistry()
 	r.SetSpanCap(3)
 	for i := 0; i < 5; i++ {
-		sp := r.StartSpan("d1", "page")
+		sp := r.StartSpan(r.DomainNum("d1"), "page")
 		sp.BeginHop("dispatch")
 		fc.advance(time.Duration(i+1) * time.Millisecond)
 		sp.Finish("fast")
@@ -202,7 +202,7 @@ func TestExports(t *testing.T) {
 	r.Counter("domain", "faults", "d1").Add(7)
 	r.Gauge("mem", "free", "").Set(42)
 	r.Histogram("usd", "service", "d1").Observe(3 * time.Millisecond)
-	sp := r.StartSpan("d1", "page")
+	sp := r.StartSpan(r.DomainNum("d1"), "page")
 	sp.BeginHop("dispatch")
 	fc.advance(time.Millisecond)
 	sp.Finish("fast")
@@ -258,8 +258,8 @@ func TestCrosstalkMonitorFlagsDegradedWindow(t *testing.T) {
 	// Cumulative counters for two domains. d1 is steady; in the attack
 	// window d2's faults surge while d1's progress collapses.
 	var tick int
-	var d1 DomainSample = DomainSample{Name: "d1"}
-	var d2 DomainSample = DomainSample{Name: "d2", Order: 1}
+	var d1 DomainSample = DomainSample{Dom: reg.DomainNum("d1")}
+	var d2 DomainSample = DomainSample{Dom: reg.DomainNum("d2"), Order: 1}
 	sample := func() ([]DomainSample, Pressure) {
 		tick++
 		switch {
@@ -323,7 +323,7 @@ func TestCrosstalkMonitorFlagsDegradedWindow(t *testing.T) {
 func TestCrosstalkSteadyStateNoFlags(t *testing.T) {
 	s := sim.New(1)
 	reg := NewRegistry(s.Now)
-	d := DomainSample{Name: "only"}
+	d := DomainSample{Dom: reg.DomainNum("only")}
 	sample := func() ([]DomainSample, Pressure) {
 		d.Progress += 100
 		d.Faults += 5
@@ -350,7 +350,7 @@ func TestPooledSpansPreserveHopsUnderChurn(t *testing.T) {
 	wantPerHop := make(map[string]int64)
 	for i := 0; i < total; i++ {
 		nHops := i%len(hopNames) + 1
-		sp := r.StartSpan("d1", "page")
+		sp := r.StartSpan(r.DomainNum("d1"), "page")
 		for h := 0; h < nHops; h++ {
 			sp.BeginHop(hopNames[h])
 			fc.advance(time.Microsecond)

@@ -65,31 +65,59 @@ const (
 	numKinds
 )
 
-// slabChunk is the number of metrics in one slab chunk: 5,000 domains'
-// metrics fit in a few hundred chunks, and a registry of a few metrics
-// wastes at most one partly used chunk per kind.
-const slabChunk = 512
+// chunkLen is the number of entries in one chunk of a table: 5,000
+// domains' metrics or per-domain records fit in a few dozen chunks, and a
+// small registry wastes at most one partly used chunk per table.
+const chunkLen = 512
 
-// slab holds metrics by value in creation order, in fixed-size chunks that
-// are never reallocated, so a pointer into it stays valid for the
-// registry's lifetime.
+// table is a dense array indexed by a small number (a domain's number, a
+// crosstalk rank, a slab position), held in fixed-size chunks that are never
+// reallocated: growing it copies nothing and leaves no garbage, and a
+// pointer to an entry stays valid for the table's lifetime.
+type table[T any] struct {
+	chunks []*[chunkLen]T
+}
+
+// at returns entry i, growing the table to reach it.
+func (t *table[T]) at(i uint32) *T {
+	for int(i/chunkLen) >= len(t.chunks) {
+		t.chunks = append(t.chunks, new([chunkLen]T))
+	}
+	return &t.chunks[i/chunkLen][i%chunkLen]
+}
+
+// get returns entry i, or nil if the table has never grown to reach it.
+func (t *table[T]) get(i uint32) *T {
+	if int(i/chunkLen) >= len(t.chunks) {
+		return nil
+	}
+	return &t.chunks[i/chunkLen][i%chunkLen]
+}
+
+// slab holds metrics by value in creation order.
 type slab[T any] struct {
-	chunks []*[slabChunk]T
-	n      int32
+	table[T]
+	n int32
 }
 
 // add appends a zero metric and returns it.
 func (s *slab[T]) add() *T {
-	if s.n%slabChunk == 0 {
-		s.chunks = append(s.chunks, new([slabChunk]T))
-	}
-	m := s.at(s.n)
 	s.n++
-	return m
+	return s.table.at(uint32(s.n - 1))
 }
 
 // at returns the metric at position i.
-func (s *slab[T]) at(i int32) *T { return &s.chunks[i/slabChunk][i%slabChunk] }
+func (s *slab[T]) at(i int32) *T { return s.table.at(uint32(i)) }
+
+// DomainNum is a domain's telemetry identity: its number in the registry's
+// name index, dense from 0 in first-seen order. A domain's name is looked up
+// once, when it registers (Registry.DomainNum); its metrics, span statistics
+// and attribution account are found by this number from then on.
+type DomainNum uint32
+
+// systemDomain is the number of the empty name, which system-wide metrics
+// belong to: every registry numbers it first.
+const systemDomain DomainNum = 0
 
 // Registry holds all metrics, finished fault spans and crosstalk flags for
 // one simulated system. It must only be touched from simulator context (one
@@ -99,27 +127,29 @@ type Registry struct {
 
 	// Metrics live by value in one slab per kind, in creation order, the
 	// order every export walks. Each carries its interned family and
-	// domain: fams and doms number each one the first time it is seen.
-	// index[kind][family] is a dense row indexed by domain number, holding
-	// 1 + the metric's slab position (0 = none); a row grows only to the
-	// highest domain its family has a metric for. Hop histograms are found
-	// through spanStats, not index.
+	// domain: fams and doms number each one the first time it is seen, and
+	// domIdx is the one index of domain names. index[kind][family] is a
+	// dense row indexed by domain number, holding 1 + the metric's slab
+	// position (0 = none); a row grows a chunk at a time, only as far as
+	// the highest domain its family has a metric for. Hop histograms are
+	// found through classes, not index.
 	fams    []family
 	famIdx  map[family]uint32
 	doms    []string
-	domIdx  map[string]uint32
-	lastDom uint32 // the domain interned last: one domain's metrics register back to back
-	index   [numKinds][][]int32
+	domIdx  map[string]DomainNum
+	lastDom DomainNum // the domain interned last: one domain's metrics register back to back
+	index   [numKinds][]table[int32]
 
 	counters slab[Counter]
 	gauges   slab[Gauge]
 	hists    slab[Histogram]
 	hops     slab[Histogram]
 
-	// spanStats caches, per (domain, class), the e2e histogram and the hop
-	// histograms a finished span observes into, so the per-fault recording
-	// path does no string concatenation and at most one map lookup.
-	spanStats map[spanKey]*spanStats
+	// classes holds, per fault class, each domain's span population: the
+	// e2e histogram and the hop histograms its finished spans observe
+	// into, found by the span's domain number, so the per-fault recording
+	// path does no string concatenation and looks up no name.
+	classes []spanClass
 
 	spanCap   int
 	spans     []*Span // ring buffer once full
@@ -158,14 +188,15 @@ func NewRegistry(now Clock) *Registry {
 	if now == nil {
 		now = func() sim.Time { return 0 }
 	}
-	return &Registry{
-		now:       now,
-		famIdx:    make(map[family]uint32),
-		domIdx:    make(map[string]uint32),
-		spanStats: make(map[spanKey]*spanStats),
-		spanCap:   DefaultSpanCap,
-		auditCap:  DefaultAuditCap,
+	r := &Registry{
+		now:      now,
+		famIdx:   make(map[family]uint32),
+		domIdx:   make(map[string]DomainNum),
+		spanCap:  DefaultSpanCap,
+		auditCap: DefaultAuditCap,
 	}
+	r.DomainNum("") // systemDomain
+	return r
 }
 
 // SetSpanCap resizes the finished-span ring (minimum 1). Must be called
@@ -212,7 +243,7 @@ func (r *Registry) EnableAttribution() *Attribution {
 		return nil
 	}
 	if r.attr == nil {
-		r.attr = newAttribution(r.now)
+		r.attr = &Attribution{reg: r}
 	}
 	return r.attr
 }
@@ -231,8 +262,16 @@ func (r *Registry) HopHistogram(domain, class, hop string) *Histogram {
 	if r == nil {
 		return nil
 	}
-	if ss := r.spanStats[spanKey{domain, class}]; ss != nil {
-		return ss.hop(hop)
+	dom, ok := r.domIdx[domain]
+	if !ok {
+		return nil
+	}
+	for i := range r.classes {
+		if c := &r.classes[i]; c.name == class {
+			if ss := c.pops.get(uint32(dom)); ss != nil {
+				return ss.hop(hop)
+			}
+		}
 	}
 	return nil
 }
@@ -246,10 +285,10 @@ func (r *Registry) Now() sim.Time {
 }
 
 // intern returns v's number in table, numbering it on first sight.
-func intern[K comparable](idx map[K]uint32, table *[]K, v K) uint32 {
+func intern[K comparable, N ~uint32](idx map[K]N, table *[]K, v K) N {
 	id, ok := idx[v]
 	if !ok {
-		id = uint32(len(*table))
+		id = N(len(*table))
 		*table = append(*table, v)
 		idx[v] = id
 	}
@@ -260,36 +299,35 @@ func (r *Registry) internFam(sub, name string) uint32 {
 	return intern(r.famIdx, &r.fams, family{sub, name})
 }
 
-func (r *Registry) internDom(domain string) uint32 {
-	if int(r.lastDom) < len(r.doms) && r.doms[r.lastDom] == domain {
+// DomainNum returns the number of the named domain, numbering it on first
+// sight (zero for a nil registry). It is the one place a domain's name is
+// looked up: a domain registers under its name once and is found by this
+// number afterwards. System-wide metrics belong to the empty name, number 0.
+func (r *Registry) DomainNum(name string) DomainNum {
+	if r == nil {
+		return 0
+	}
+	if int(r.lastDom) < len(r.doms) && r.doms[r.lastDom] == name {
 		return r.lastDom
 	}
-	r.lastDom = intern(r.domIdx, &r.doms, domain)
+	r.lastDom = intern(r.domIdx, &r.doms, name)
 	return r.lastDom
 }
 
 // key rebuilds the exported key of an interned (family, domain).
-func (r *Registry) key(fam, dom uint32) Key {
+func (r *Registry) key(fam uint32, dom DomainNum) Key {
 	f := r.fams[fam]
 	return Key{f.sub, f.name, r.doms[dom]}
 }
 
 // slot returns the index cell of (kind, family, domain), growing the
-// kind's table and the family's row to reach it. A row at least doubles:
-// past 256 cells append grows by about 1.25×, so building a row of n cells
-// one domain at a time would allocate about 5n.
-func (r *Registry) slot(kind metricKind, fam, dom uint32) *int32 {
+// kind's table and the family's row to reach it.
+func (r *Registry) slot(kind metricKind, fam uint32, dom DomainNum) *int32 {
 	rows := &r.index[kind]
 	if n := int(fam) + 1; n > len(*rows) {
-		*rows = append(*rows, make([][]int32, n-len(*rows))...)
+		*rows = append(*rows, make([]table[int32], n-len(*rows))...)
 	}
-	row := &(*rows)[fam]
-	if n := int(dom) + 1; n > len(*row) {
-		grown := make([]int32, max(n, 2*len(*row)))
-		copy(grown, *row)
-		*row = grown
-	}
-	return &(*row)[dom]
+	return (*rows)[fam].at(uint32(dom))
 }
 
 // lookup returns 1 + the slab position of an existing metric, or 0,
@@ -303,8 +341,8 @@ func (r *Registry) lookup(kind metricKind, subsystem, name, domain string) int32
 		return 0
 	}
 	dom, ok := r.domIdx[domain]
-	if row := r.index[kind][fam]; ok && int(dom) < len(row) {
-		return row[dom]
+	if i := r.index[kind][fam].get(uint32(dom)); ok && i != nil {
+		return *i
 	}
 	return 0
 }
@@ -315,7 +353,10 @@ func (r *Registry) Counter(subsystem, name, domain string) *Counter {
 	if r == nil {
 		return nil
 	}
-	fam, dom := r.internFam(subsystem, name), r.internDom(domain)
+	return r.counterAt(r.internFam(subsystem, name), r.DomainNum(domain))
+}
+
+func (r *Registry) counterAt(fam uint32, dom DomainNum) *Counter {
 	i := r.slot(kindCounter, fam, dom)
 	if *i == 0 {
 		c := r.counters.add()
@@ -330,7 +371,10 @@ func (r *Registry) Gauge(subsystem, name, domain string) *Gauge {
 	if r == nil {
 		return nil
 	}
-	fam, dom := r.internFam(subsystem, name), r.internDom(domain)
+	return r.gaugeAt(r.internFam(subsystem, name), r.DomainNum(domain))
+}
+
+func (r *Registry) gaugeAt(fam uint32, dom DomainNum) *Gauge {
 	i := r.slot(kindGauge, fam, dom)
 	if *i == 0 {
 		g := r.gauges.add()
@@ -346,7 +390,10 @@ func (r *Registry) Histogram(subsystem, name, domain string) *Histogram {
 	if r == nil {
 		return nil
 	}
-	fam, dom := r.internFam(subsystem, name), r.internDom(domain)
+	return r.histAt(r.internFam(subsystem, name), r.DomainNum(domain))
+}
+
+func (r *Registry) histAt(fam uint32, dom DomainNum) *Histogram {
 	i := r.slot(kindHistogram, fam, dom)
 	if *i == 0 {
 		h := r.hists.add()
@@ -387,10 +434,11 @@ func (r *Registry) LookupHistogram(subsystem, name, domain string) *Histogram {
 // Counter is a monotonically increasing count, stamped with the simulated
 // time of its last update.
 type Counter struct {
-	r        *Registry
-	fam, dom uint32
-	v        int64
-	at       sim.Time
+	r   *Registry
+	fam uint32
+	dom DomainNum
+	v   int64
+	at  sim.Time
 }
 
 // Inc adds one.
@@ -423,10 +471,11 @@ func (c *Counter) Updated() sim.Time {
 
 // Gauge is an instantaneous level (queue depth, free frames, stack depth).
 type Gauge struct {
-	r        *Registry
-	fam, dom uint32
-	v        int64
-	at       sim.Time
+	r   *Registry
+	fam uint32
+	dom DomainNum
+	v   int64
+	at  sim.Time
 }
 
 // Set stores v. Safe on a nil receiver.
@@ -498,15 +547,16 @@ const inlineSamples = 4
 // samples are kept inline; the fifth allocates the bucket array and moves
 // them into it. Every reader derives the same bucket counts either way.
 type Histogram struct {
-	r        *Registry
-	fam, dom uint32
-	inline   [inlineSamples]time.Duration // the samples while counts is nil
-	counts   *[numBuckets + 1]int64       // last is overflow; nil until count > inlineSamples
-	count    int64
-	sum      time.Duration
-	min      time.Duration
-	max      time.Duration
-	at       sim.Time
+	r      *Registry
+	fam    uint32
+	dom    DomainNum
+	inline [inlineSamples]time.Duration // the samples while counts is nil
+	counts *[numBuckets + 1]int64       // last is overflow; nil until count > inlineSamples
+	count  int64
+	sum    time.Duration
+	min    time.Duration
+	max    time.Duration
+	at     sim.Time
 }
 
 // Observe records one latency sample. Safe on a nil receiver.

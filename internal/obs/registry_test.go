@@ -30,7 +30,7 @@ func exports(t *testing.T, r *Registry) string {
 // the value written through it.
 func TestSlabHandlesStayValid(t *testing.T) {
 	r, _ := newTestRegistry()
-	n := 3*slabChunk + 7
+	n := 3*chunkLen + 7
 	cs := make([]*Counter, n)
 	gs := make([]*Gauge, n)
 	hs := make([]*Histogram, n)
@@ -110,7 +110,7 @@ func TestLookupsAddNothing(t *testing.T) {
 	r, fc := newTestRegistry()
 	r.Counter("domain", "faults", "d1").Inc()
 	r.Gauge("frames", "held", "d2").Set(3)
-	sp := r.StartSpan("d1", "page")
+	sp := r.StartSpan(r.DomainNum("d1"), "page")
 	sp.BeginHop("dispatch")
 	fc.advance(time.Millisecond)
 	sp.Finish("fast")
@@ -213,7 +213,7 @@ func TestExportOrderIsCreationOrder(t *testing.T) {
 
 	spans := []struct{ dom, class string }{{"d2", "page"}, {"d1", "page"}, {"d2", "protection"}, {"d2", "page"}}
 	for _, s := range spans {
-		sp := r.StartSpan(s.dom, s.class)
+		sp := r.StartSpan(r.DomainNum(s.dom), s.class)
 		sp.BeginHop("dispatch")
 		fc.advance(time.Microsecond)
 		if s.class == "page" {

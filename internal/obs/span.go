@@ -25,7 +25,9 @@ func (h Hop) Duration() time.Duration { return h.End.Sub(h.Start) }
 // and finished when the faulting thread resumes. A nil *Span is a valid
 // no-op, so the fault path pays nothing when telemetry is disabled.
 type Span struct {
-	reg *Registry
+	reg  *Registry
+	dom  DomainNum   // the domain's number, from StartSpan to Finish
+	acct *DomainAttr // the domain's attribution account, nil without attribution
 
 	Domain  string
 	Class   string // fault class: "page", "protection", "unallocated"
@@ -55,12 +57,13 @@ type Span struct {
 // free list keeps the grown span.
 const spanHopCap = 10
 
-// StartSpan opens a fault span for the given domain and fault class at the
-// current simulated time. A nil registry returns a nil span. Spans are drawn
-// from a free list fed by ring eviction, so a steady-state fault path reuses
-// the same handful of spans; holders of Spans() snapshots must therefore
-// consume them before recording more spans.
-func (r *Registry) StartSpan(domain, class string) *Span {
+// StartSpan opens a fault span for the given domain (a number from
+// DomainNum) and fault class at the current simulated time. A nil registry
+// returns a nil span. Spans are drawn from a free list fed by ring
+// eviction, so a steady-state fault path reuses the same handful of spans;
+// holders of Spans() snapshots must therefore consume them before recording
+// more spans.
+func (r *Registry) StartSpan(dom DomainNum, class string) *Span {
 	if r == nil {
 		return nil
 	}
@@ -69,10 +72,11 @@ func (r *Registry) StartSpan(domain, class string) *Span {
 		s = r.freeSpans[n-1]
 		r.freeSpans[n-1] = nil
 		r.freeSpans = r.freeSpans[:n-1]
-		*s = Span{reg: r, Domain: domain, Class: class, Start: r.now(), hops: s.hops[:0]}
+		*s = Span{hops: s.hops[:0]}
 	} else {
-		s = &Span{reg: r, Domain: domain, Class: class, Start: r.now(), hops: make([]Hop, 0, spanHopCap)}
+		s = &Span{hops: make([]Hop, 0, spanHopCap)}
 	}
+	s.reg, s.dom, s.Domain, s.Class, s.Start = r, dom, r.doms[dom], class, r.now()
 	r.attr.spanStarted(s)
 	return s
 }
@@ -131,7 +135,7 @@ func (s *Span) BeginHop(name string) {
 	s.closeOpen(now)
 	s.hops = append(s.hops, Hop{Name: name, Start: now})
 	s.open = true
-	s.reg.attr.spanHop(s, now)
+	s.acct.spanHop(now)
 }
 
 // SplitHop closes the open hop at instant at (which may lie in the past —
@@ -145,7 +149,7 @@ func (s *Span) SplitHop(at sim.Time, name string) {
 		// No open hop to split: behave like BeginHop at the given instant.
 		s.hops = append(s.hops, Hop{Name: name, Start: at})
 		s.open = true
-		s.reg.attr.spanHop(s, at)
+		s.acct.spanHop(at)
 		return
 	}
 	last := &s.hops[len(s.hops)-1]
@@ -154,7 +158,7 @@ func (s *Span) SplitHop(at sim.Time, name string) {
 	}
 	last.End = at
 	s.hops = append(s.hops, Hop{Name: name, Start: at})
-	s.reg.attr.spanHop(s, at)
+	s.acct.spanHop(at)
 }
 
 // EndHop closes the open hop at the current instant without opening a new
@@ -179,7 +183,7 @@ func (s *Span) Finish(outcome string) {
 	s.Outcome = outcome
 	// Release the attribution's reference before recordSpan may recycle
 	// the span into the free list.
-	s.reg.attr.spanFinished(s)
+	s.acct.spanFinished(s)
 	s.reg.recordSpan(s)
 }
 
@@ -214,15 +218,19 @@ func (s *Span) HopSum() time.Duration {
 	return sum
 }
 
-// spanKey identifies one (domain, fault class) span population.
-type spanKey struct {
-	Domain string
-	Class  string
+// spanClass is one fault class's span populations: each domain's, found by
+// the domain's number. e2e is the family of the class's end-to-end
+// histograms ("span", "e2e."+name), interned when the class is first seen.
+type spanClass struct {
+	name string
+	e2e  uint32
+	pops table[spanStats]
 }
 
-// spanStats holds the pre-resolved histogram handles for one span
-// population: the e2e latency histogram and, per hop name, the population's
-// own hop histogram in the registry's hop slab. It is the only index of hop
+// spanStats holds the pre-resolved histogram handles for one (domain, fault
+// class) span population: the e2e latency histogram (nil until the
+// population's first span finishes) and, per hop name, the population's own
+// hop histogram in the registry's hop slab. It is the only index of hop
 // histograms. Hop counts per class are small, so a linear name scan beats a
 // map lookup.
 type spanStats struct {
@@ -252,28 +260,40 @@ func (ss *spanStats) hop(name string) *Histogram {
 // reads pages back from the local swap file records 10 and grows once.
 const popHopCap = 9
 
+// class returns the populations of a fault class, adding the class on
+// first sight. A registry sees a handful of classes, so a scan finds it.
+func (r *Registry) class(name string) *spanClass {
+	for i := range r.classes {
+		if r.classes[i].name == name {
+			return &r.classes[i]
+		}
+	}
+	r.classes = append(r.classes, spanClass{name: name, e2e: r.internFam("span", "e2e."+name)})
+	return &r.classes[len(r.classes)-1]
+}
+
 // statsFor returns (creating on first finish, which preserves the registry's
 // first-seen metric ordering) the handles for a span population, with room
 // for popHopCap hops.
-func (r *Registry) statsFor(domain, class string) *spanStats {
-	k := spanKey{domain, class}
-	ss, ok := r.spanStats[k]
-	if !ok {
-		ss = &spanStats{e2e: r.Histogram("span", "e2e."+class, domain), hops: make([]hopSlot, 0, popHopCap)}
-		r.spanStats[k] = ss
+func (r *Registry) statsFor(dom DomainNum, class string) *spanStats {
+	c := r.class(class)
+	ss := c.pops.at(uint32(dom))
+	if ss.e2e == nil {
+		ss.e2e = r.histAt(c.e2e, dom)
+		ss.hops = make([]hopSlot, 0, popHopCap)
 	}
 	return ss
 }
 
 // recordSpan folds a finished span into the aggregates and the ring.
 func (r *Registry) recordSpan(s *Span) {
-	ss := r.statsFor(s.Domain, s.Class)
+	ss := r.statsFor(s.dom, s.Class)
 	ss.e2e.Observe(s.Duration())
 	for _, h := range s.hops {
 		hist := ss.hop(h.Name)
 		if hist == nil {
 			hist = r.hops.add()
-			hist.r, hist.fam, hist.dom = r, r.internFam(s.Class, h.Name), r.internDom(s.Domain)
+			hist.r, hist.fam, hist.dom = r, r.internFam(s.Class, h.Name), s.dom
 			ss.hops = append(ss.hops, hopSlot{h.Name, hist})
 		}
 		hist.Observe(h.Duration())
@@ -288,7 +308,7 @@ func (r *Registry) recordSpan(s *Span) {
 	r.spanHead = (r.spanHead + 1) % r.spanCap
 	r.freeSpans = append(r.freeSpans, old)
 	if r.cEvicted == nil {
-		r.cEvicted = r.Counter("obs", "spans_evicted", "")
+		r.cEvicted = r.counterAt(r.internFam("obs", "spans_evicted"), systemDomain)
 	}
 	r.cEvicted.Inc()
 }

@@ -16,7 +16,7 @@ func summarySource(t *testing.T, i int) *Summary {
 	t.Helper()
 	r, fc := newTestRegistry()
 	for d := 0; d < 3+i; d++ {
-		sp := r.StartSpan(fmt.Sprintf("d%d", (i+d)%5), "page")
+		sp := r.StartSpan(r.DomainNum(fmt.Sprintf("d%d", (i+d)%5)), "page")
 		sp.BeginHop("queue")
 		fc.advance(time.Duration(1+i+d) * time.Millisecond)
 		sp.BeginHop("net.out")
@@ -103,7 +103,7 @@ func TestSummaryTruncateAfterMerge(t *testing.T) {
 	mk := func(prefix string, blocked map[string]time.Duration) *Summary {
 		r, fc := newTestRegistry()
 		for dom, d := range blocked {
-			sp := r.StartSpan(dom, "page")
+			sp := r.StartSpan(r.DomainNum(dom), "page")
 			fc.advance(d)
 			sp.Finish("ok")
 		}

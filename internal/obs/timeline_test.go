@@ -52,7 +52,7 @@ func TestSpansEvictedCounter(t *testing.T) {
 	r, fc := newTestRegistry()
 	// Below capacity: no counter appears at all.
 	for i := 0; i < DefaultSpanCap; i++ {
-		sp := r.StartSpan("d", "page")
+		sp := r.StartSpan(r.DomainNum("d"), "page")
 		fc.advance(time.Microsecond)
 		sp.Finish("fast")
 	}
@@ -65,7 +65,7 @@ func TestSpansEvictedCounter(t *testing.T) {
 	// Push past the ring.
 	const extra = 137
 	for i := 0; i < extra; i++ {
-		sp := r.StartSpan("d", "page")
+		sp := r.StartSpan(r.DomainNum("d"), "page")
 		fc.advance(time.Microsecond)
 		sp.Finish("fast")
 	}
@@ -216,8 +216,8 @@ func TestCrosstalkFlushTrailingWindow(t *testing.T) {
 	var victimProgress, suspectFaults int64
 	m := NewCrosstalkMonitor(r, s, cfg, func() ([]DomainSample, Pressure) {
 		return []DomainSample{
-			{Name: "victim", Progress: victimProgress},
-			{Name: "suspect", Faults: suspectFaults, Order: 1},
+			{Dom: r.DomainNum("victim"), Progress: victimProgress},
+			{Dom: r.DomainNum("suspect"), Faults: suspectFaults, Order: 1},
 		}, Pressure{FreeFrames: 1}
 	})
 	m.Start()
@@ -272,7 +272,7 @@ func TestCrosstalkStopAtTickBoundaryNoEmptyFlush(t *testing.T) {
 	s := sim.New(1)
 	r := NewRegistry(s.Now)
 	m := NewCrosstalkMonitor(r, s, CrosstalkConfig{Period: time.Second}, func() ([]DomainSample, Pressure) {
-		return []DomainSample{{Name: "d"}}, Pressure{}
+		return []DomainSample{{Dom: r.DomainNum("d")}}, Pressure{}
 	})
 	m.Start()
 	s.RunFor(3 * time.Second)
@@ -296,7 +296,7 @@ func buildDump(t *testing.T) *TimelineDump {
 	rc.Start()
 
 	s.RunFor(50 * time.Millisecond)
-	sp := r.StartSpan("dom1", "page")
+	sp := r.StartSpan(r.DomainNum("dom1"), "page")
 	sp.SetThread("worker")
 	sp.BeginHop("kernel")
 	s.RunFor(time.Millisecond)

@@ -1,9 +1,10 @@
 package stretchdrv
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
-	"sort"
+	"slices"
 
 	"nemesis/internal/disk"
 	"nemesis/internal/obs"
@@ -47,13 +48,15 @@ type Backing interface {
 var ErrNoCopy = errors.New("stretchdrv: no backing copy of page")
 
 // writeScratch is the per-WritePages working set: the write buffer holding
-// the whole batch in disk order, and the batch-ordering slices. Scratches
-// are pooled per backing and checked out for the duration of a call, so
-// overlapping WritePages calls (worker eviction racing a user-thread Sync)
-// each hold their own.
+// the whole batch in disk order, the batch-ordering slices and the pages
+// still needing bloks. Scratches are pooled per backing and checked out for
+// the duration of a call, so overlapping WritePages calls (worker eviction
+// racing a user-thread Sync) each hold their own, and a steady-state batch
+// allocates nothing.
 type writeScratch struct {
 	buf   []byte
 	infos []*pageInfo
+	need  []*pageInfo
 	order []int
 }
 
@@ -83,10 +86,10 @@ func (sc *writeScratch) fill(pages []DirtyPage) []byte {
 
 func (p *scratchPool) put(s *writeScratch) {
 	s.buf = s.buf[:0]
-	for i := range s.infos {
-		s.infos[i] = nil
-	}
+	clear(s.infos)
 	s.infos = s.infos[:0]
+	clear(s.need)
+	s.need = s.need[:0]
 	s.order = s.order[:0]
 	p.free = append(p.free, s)
 }
@@ -180,8 +183,7 @@ func (b *SwapBacking) Drop(va vm.VA) {
 func (b *SwapBacking) WritePages(p *sim.Proc, pages []DirtyPage, sp *obs.Span) (int, error) {
 	sc := b.scratch.get()
 	defer b.scratch.put(sc)
-	infos := sc.infos
-	var need []*pageInfo
+	infos, need := sc.infos, sc.need
 	for _, pg := range pages {
 		pi := b.pages.Ensure(vm.PageOf(pg.VA))
 		infos = append(infos, pi)
@@ -189,7 +191,7 @@ func (b *SwapBacking) WritePages(p *sim.Proc, pages []DirtyPage, sp *obs.Span) (
 			need = append(need, pi)
 		}
 	}
-	sc.infos = infos
+	sc.infos, sc.need = infos, need
 	if len(need) > 0 {
 		if start, err := b.blok.AllocRun(len(need)); err == nil {
 			for i, pi := range need {
@@ -219,7 +221,7 @@ func (b *SwapBacking) WritePages(p *sim.Proc, pages []DirtyPage, sp *obs.Span) (
 		order = append(order, i)
 	}
 	sc.order = order
-	sort.Slice(order, func(i, j int) bool { return infos[order[i]].blok < infos[order[j]].blok })
+	slices.SortFunc(order, func(i, j int) int { return cmp.Compare(infos[i].blok, infos[j].blok) })
 
 	buf := sc.fill(pages)
 	blocks := int(b.blok.BlokBlocks())
@@ -288,7 +290,7 @@ func (b *MappedBacking) WritePages(p *sim.Proc, pages []DirtyPage, sp *obs.Span)
 		order = append(order, i)
 	}
 	sc.order = order
-	sort.Slice(order, func(i, j int) bool { return pages[order[i]].VA < pages[order[j]].VA })
+	slices.SortFunc(order, func(i, j int) int { return cmp.Compare(pages[i].VA, pages[j].VA) })
 
 	buf := sc.fill(pages)
 	pageBlocks := int(vm.PageSize / int64(disk.BlockSize))

@@ -12,7 +12,7 @@ type base struct {
 	dom *domain.Domain
 }
 
-func (b *base) env() domain.Env        { return b.dom.Env() }
+func (b *base) env() *domain.Env       { return b.dom.Env() }
 func (b *base) memc() *mem.Client      { return b.dom.MemClient() }
 func (b *base) stack() *mem.FrameStack { return b.dom.MemClient().Stack() }
 
