@@ -136,7 +136,7 @@ func TestMappedFileTooSmall(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := stretchdrv.NewMapped(d, st, file); err == nil {
+	if _, err := stretchdrv.NewMapped(d, st, file, stretchdrv.PagerOptions{}); err == nil {
 		t.Fatal("oversized mapping accepted")
 	}
 }

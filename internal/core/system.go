@@ -26,55 +26,39 @@ import (
 	"nemesis/internal/vm"
 )
 
-// Config sizes a System.
+// Config sizes a System. The platform itself is the paper's and fixed: the
+// Quantum VP3221 disk with swap on its second half, the CPU cost model
+// cpu.DefaultCosts, one global virtual address window and the revocation
+// deadline T.
 type Config struct {
 	// Seed drives every random choice; identical seeds give identical runs.
 	Seed int64
 	// MemoryFrames is the number of 8 KB frames of main memory.
 	MemoryFrames int
-	// DiskGeometry describes the drive; disk.VP3221() is the paper's.
-	DiskGeometry disk.Geometry
-	// SwapPartition is the disk region the SFS manages. Zero means "the
-	// second half of the disk".
-	SwapPartition usd.Extent
-	// Costs is the CPU cost model; cpu.DefaultCosts() is the paper's.
-	Costs cpu.Costs
-	// VALow/VAHigh bound the single global virtual address space used for
-	// stretch allocation.
-	VALow, VAHigh vm.VA
-	// RevocationTimeout is the deadline T for intrusive revocation. It
-	// must be long enough to cover cleaning dirty pages through the USD —
-	// i.e. comfortably more than a disk QoS period — or cooperative
-	// domains get killed for waiting on their own disk slice.
-	RevocationTimeout time.Duration
 	// Telemetry enables the observability registry: fault spans, metric
 	// series and the crosstalk monitor. Off by default; when off, the
 	// fault fast path carries no instrumentation cost at all.
 	Telemetry bool
 	// NetSwap configures the remote-paging fabric (link, remote swap
-	// server, client defaults) for stretches that page to a remote or
-	// tiered backing. Nil means netswap.DefaultConfig() when such a
-	// stretch is first created; the fabric is only built on demand, so
-	// purely local systems carry no server machinery.
+	// server, client RPC and tiering options) for stretches that page to a
+	// remote or tiered backing. Nil means netswap.DefaultConfig() when
+	// such a stretch is first created; the fabric is only built on demand,
+	// so purely local systems carry no server machinery.
 	NetSwap *netswap.Config
-	// SpanCap bounds the retained-span ring (0 = obs.DefaultSpanCap).
-	SpanCap int
 }
 
-// DefaultConfig returns the paper's evaluation platform: 64 MB of memory
-// and the Quantum VP3221 disk, with swap on the second half of the disk.
+// The single global virtual address space stretches are allocated from.
+const vaLow, vaHigh vm.VA = 0x0000001000000000, 0x0000002000000000
+
+// revocationTimeout is the deadline T for intrusive revocation. It must be
+// long enough to cover cleaning dirty pages through the USD — i.e.
+// comfortably more than a disk QoS period — or cooperative domains get
+// killed for waiting on their own disk slice.
+const revocationTimeout = 600 * time.Millisecond
+
+// DefaultConfig returns the paper's evaluation platform: 64 MB of memory.
 func DefaultConfig() Config {
-	g := disk.VP3221()
-	return Config{
-		Seed:              1,
-		MemoryFrames:      8192, // 64 MB
-		DiskGeometry:      g,
-		SwapPartition:     usd.Extent{Start: g.TotalBlocks / 2, Count: g.TotalBlocks / 2},
-		Costs:             cpu.DefaultCosts(),
-		VALow:             0x0000001000000000,
-		VAHigh:            0x0000002000000000,
-		RevocationTimeout: 600 * time.Millisecond,
-	}
+	return Config{Seed: 1, MemoryFrames: 8192}
 }
 
 // System is a complete simulated Nemesis machine.
@@ -138,32 +122,25 @@ func New(cfg Config) *System {
 	ramtab := mem.NewRamTab(cfg.MemoryFrames)
 	frames := mem.NewFramesAllocator(s, store, ramtab)
 	ts := vm.NewTranslationSystem(ramtab)
-	sa := vm.NewStretchAllocator(ts, cfg.VALow, cfg.VAHigh)
+	sa := vm.NewStretchAllocator(ts, vaLow, vaHigh)
 	sched := cpu.NewScheduler(s)
-	sched.Costs = cfg.Costs
 	var reg *obs.Registry
 	if cfg.Telemetry {
 		reg = obs.NewRegistry(s.Now)
-		if cfg.SpanCap > 0 {
-			reg.SetSpanCap(cfg.SpanCap)
-		}
 		frames.SetObs(reg)
 		// Exact sim-time attribution: spans drive the fault states, the CPU
 		// scheduler drives running/runnable, admission starts the clock.
 		reg.EnableAttribution()
 		sched.Obs = reg
 	}
-	d := disk.New(s, cfg.DiskGeometry)
+	d := disk.New(s, disk.VP3221())
 	d.SetObs(reg)
 	u := usd.New(s, d)
 	u.Obs = reg
 	log := &trace.Log{}
 	u.Log = log
-	swapPart := cfg.SwapPartition
-	if swapPart.Count == 0 {
-		swapPart = usd.Extent{Start: cfg.DiskGeometry.TotalBlocks / 2, Count: cfg.DiskGeometry.TotalBlocks / 2}
-	}
-	fs := sfs.New(u, swapPart)
+	half := d.Geom.TotalBlocks / 2
+	fs := sfs.New(u, usd.Extent{Start: half, Count: half}) // swap: the disk's second half
 
 	sys := &System{
 		Config:  cfg,
@@ -185,9 +162,7 @@ func New(cfg Config) *System {
 	if reg != nil {
 		sys.tracker = domain.NewActivityTracker()
 	}
-	if cfg.RevocationTimeout > 0 {
-		frames.RevocationTimeout = cfg.RevocationTimeout
-	}
+	frames.RevocationTimeout = revocationTimeout
 	frames.OnKill = func(id mem.DomainID) {
 		if dom := sys.domains[id]; dom != nil {
 			dom.Kill()
@@ -207,32 +182,36 @@ func (sys *System) env() domain.Env {
 		SA:     sys.SA,
 		Store:  sys.Store,
 		RamTab: sys.RamTab,
-		Costs:  sys.Config.Costs,
+		Costs:  sys.CPU.Costs,
 		Obs:    sys.Obs,
 	}
 }
 
 // NewDomain admits a domain with the given CPU contract and physical-memory
 // contract, creating its protection domain and memory-management machinery.
+// Both admissions are checked before anything registers telemetry or
+// spawns a process, so a refused domain leaves nothing behind.
 func (sys *System) NewDomain(name string, cpuQoS atropos.QoS, ct mem.Contract) (*domain.Domain, error) {
 	id := sys.nextID
 	pd, err := sys.TS.NewProtectionDomain()
 	if err != nil {
 		return nil, err
 	}
+	// Memory admission registers nothing, so it goes first; the domain
+	// becomes the client's revocation handler once it exists.
+	memc, err := sys.Frames.Admit(id, ct, nil)
+	if err != nil {
+		sys.TS.DestroyProtectionDomain(pd)
+		return nil, err
+	}
 	cpuDom, err := sys.CPU.Admit(name, cpuQoS)
 	if err != nil {
+		sys.Frames.Remove(id)
 		sys.TS.DestroyProtectionDomain(pd)
 		return nil, err
 	}
-	dom := domain.New(sys.env(), id, name, pd, cpuDom, nil)
-	memc, err := sys.Frames.Admit(id, ct, dom)
-	if err != nil {
-		sys.CPU.Remove(name)
-		sys.TS.DestroyProtectionDomain(pd)
-		return nil, err
-	}
-	dom.SetMemClient(memc)
+	dom := domain.New(sys.env(), id, name, pd, cpuDom, memc)
+	memc.SetHandler(dom)
 	memc.SetTelemetryName(name)
 	sys.domains[id] = dom
 	sys.nextID++
@@ -257,15 +236,12 @@ func (sys *System) Domains() []*domain.Domain {
 	return out
 }
 
-// StretchKind selects the driver family a PagerSpec builds.
+// StretchKind selects the driver family a PagerSpec builds. The zero value
+// names no kind, so a spec without one is rejected.
 type StretchKind int
 
 const (
-	// KindAuto infers the kind from the populated spec fields: Thread set
-	// means nailed, File means mapped, Window > 0 means streaming,
-	// SwapBytes > 0 means paged, else physical.
-	KindAuto StretchKind = iota
-	KindPaged
+	KindPaged StretchKind = iota + 1
 	KindStreaming
 	KindPhysical
 	KindNailed
@@ -281,7 +257,7 @@ type PagerSpec struct {
 	// Size is the stretch size in bytes. For mapped stretches, zero means
 	// "the whole file".
 	Size uint64
-	// Kind picks the driver family; KindAuto infers it from the fields.
+	// Kind picks the driver family.
 	Kind StretchKind
 
 	// Policy, Writeback and ClusterSize parameterise the pager engine
@@ -298,14 +274,9 @@ type PagerSpec struct {
 	// Backing selects where a paged stretch cleans to: the local swap
 	// file (default), the remote swap server, or the tiered composition
 	// of both. Non-default values build the system's netswap fabric on
-	// first use.
+	// first use, and the client takes its RPC and tiering options from
+	// the fabric's config (Config.NetSwap).
 	Backing BackingKind
-	// Remote overrides the fabric's default RPC options (window, timeout,
-	// retries, batch) for this stretch's client. Nil = fabric defaults.
-	Remote *netswap.RemoteOptions
-	// Tiered overrides the fabric's default tiering options (deadline
-	// budget, cooldown) for BackingTiered. Nil = fabric defaults.
-	Tiered *netswap.TieredOptions
 
 	// Window and PrefetchQoS configure the streaming driver's read-ahead
 	// pipeline.
@@ -335,25 +306,6 @@ const (
 	BackingTiered BackingKind = "tiered"
 )
 
-// kind resolves KindAuto from the populated fields.
-func (spec PagerSpec) kind() StretchKind {
-	if spec.Kind != KindAuto {
-		return spec.Kind
-	}
-	switch {
-	case spec.Thread != nil:
-		return KindNailed
-	case spec.File != nil:
-		return KindMapped
-	case spec.Window > 0:
-		return KindStreaming
-	case spec.SwapBytes > 0 || spec.Backing != BackingSwap:
-		return KindPaged
-	default:
-		return KindPhysical
-	}
-}
-
 // engineOpts extracts the pager-engine options from the spec.
 func (spec PagerSpec) engineOpts() stretchdrv.PagerOptions {
 	return stretchdrv.PagerOptions{
@@ -369,7 +321,7 @@ func (spec PagerSpec) engineOpts() stretchdrv.PagerOptions {
 // driver is the concrete *stretchdrv type behind the domain.Driver
 // interface.
 func (sys *System) NewStretch(dom *domain.Domain, spec PagerSpec) (*vm.Stretch, domain.Driver, error) {
-	switch spec.kind() {
+	switch spec.Kind {
 	case KindPaged:
 		st, paged, err := sys.newPaged(dom, spec)
 		return st, paged, err
@@ -429,14 +381,14 @@ func (sys *System) NewStretch(dom *domain.Domain, spec PagerSpec) (*vm.Stretch, 
 		if err != nil {
 			return nil, nil, err
 		}
-		drv, err := stretchdrv.NewMappedOpts(dom, st, spec.File, spec.engineOpts())
+		drv, err := stretchdrv.NewMapped(dom, st, spec.File, spec.engineOpts())
 		if err != nil {
 			return nil, nil, err
 		}
 		return st, drv, nil
 
 	default:
-		return nil, nil, fmt.Errorf("core: unknown stretch kind %d", spec.Kind)
+		return nil, nil, fmt.Errorf("core: PagerSpec.Kind %d names no stretch kind", spec.Kind)
 	}
 }
 
@@ -483,7 +435,7 @@ func (sys *System) newPaged(dom *domain.Domain, spec PagerSpec) (*vm.Stretch, *s
 			return nil, err
 		}
 		client := fmt.Sprintf("%s-net-%d", dom.Name(), st.ID())
-		return fab.NewRemoteBacking(client, dom.Name(), spec.Remote)
+		return fab.NewRemoteBacking(client, dom.Name())
 	}
 
 	var backing stretchdrv.Backing
@@ -514,17 +466,13 @@ func (sys *System) newPaged(dom *domain.Domain, spec PagerSpec) (*vm.Stretch, *s
 		if err != nil {
 			return nil, nil, err
 		}
-		topt := sys.NetSwap.Config().Tiered
-		if spec.Tiered != nil {
-			topt = *spec.Tiered
-		}
-		backing = netswap.NewTieredBacking(sys.Sim, sys.Obs, local, remote, dom.Name(), topt)
+		backing = netswap.NewTieredBacking(sys.Sim, sys.Obs, local, remote, dom.Name(), sys.NetSwap.Config().Tiered)
 
 	default:
 		return nil, nil, fmt.Errorf("core: unknown backing kind %q", spec.Backing)
 	}
 
-	drv, err := stretchdrv.NewPagedBacking(dom, st, backing, spec.engineOpts())
+	drv, err := stretchdrv.NewPaged(dom, st, backing, spec.engineOpts())
 	if err != nil {
 		return nil, nil, err
 	}

@@ -218,6 +218,27 @@ func TestForgetfulDriverNeverPagesIn(t *testing.T) {
 	sys.RunUntilIdle(1 << 22)
 }
 
+// NewStretch builds no driver for a spec that does not name one it can
+// build; in particular, it infers no kind from the other fields.
+func TestNewStretchRejectsSpec(t *testing.T) {
+	sys := smallSystem()
+	d, _ := sys.NewDomain("app", cpuShare(), mem.Contract{Guaranteed: 2})
+	for _, c := range []struct {
+		name string
+		spec PagerSpec
+	}{
+		{"no kind", PagerSpec{Size: 4 * vm.PageSize, SwapBytes: 8 * vm.PageSize, DiskQoS: diskShare()}},
+		{"streaming over remote", PagerSpec{Kind: KindStreaming, Size: 4 * vm.PageSize, Backing: BackingRemote}},
+		{"nailed without thread", PagerSpec{Kind: KindNailed, Size: 4 * vm.PageSize}},
+		{"mapped without file", PagerSpec{Kind: KindMapped}},
+		{"tiered without local tier", PagerSpec{Kind: KindPaged, Size: 4 * vm.PageSize, Backing: BackingTiered}},
+	} {
+		if _, drv, err := sys.NewStretch(d, c.spec); err == nil {
+			t.Errorf("%s: built a %T", c.name, drv)
+		}
+	}
+}
+
 // TestNailedStretchNeverFaults: after binding, accesses are fault-free.
 func TestNailedStretchNeverFaults(t *testing.T) {
 	sys := smallSystem()

@@ -52,34 +52,25 @@ func (sys *System) CrosstalkMonitor() *obs.CrosstalkMonitor { return sys.monitor
 // frames held, and the end-to-end page-fault latency distribution. Returns
 // an error if telemetry is disabled.
 func (sys *System) WriteTopTable(w io.Writer) error {
-	if sys.Obs == nil {
-		return fmt.Errorf("core: telemetry disabled (Config.Telemetry)")
+	d, err := sys.TopDump()
+	if err != nil {
+		return err
 	}
 	tw := tabwriter.NewWriter(w, 2, 4, 2, ' ', tabwriter.AlignRight)
 	fmt.Fprintf(tw, "DOMAIN\tFAULTS\tFAST\tWORKER\tPGIN\tPGOUT\tREVOKE\tFRAMES\tP50ms\tP95ms\tP99ms\tMAXms\t\n")
-	for _, d := range sys.Domains() {
-		st := d.Stats()
-		name := d.Name()
-		pgin := sys.Obs.LookupCounter("driver", "pageins", name)
-		pgout := sys.Obs.LookupCounter("driver", "pageouts", name)
-		e2e := sys.Obs.LookupHistogram("span", "e2e.page", name)
-		frames := uint64(0)
-		if c := d.MemClient(); c != nil {
-			frames = c.Allocated()
-		}
+	for _, r := range d.Domains {
 		fmt.Fprintf(tw, "%s\t%d\t%d\t%d\t%d\t%d\t%d\t%d\t%s\t%s\t%s\t%s\t\n",
-			name, st.Faults, st.FastPath, st.WorkerPath,
-			pgin.Value(), pgout.Value(), st.Revocations, frames,
-			quantMs(e2e, 0.50), quantMs(e2e, 0.95), quantMs(e2e, 0.99), maxMs(e2e))
+			r.Domain, r.Faults, r.FastPath, r.WorkerPath, r.PageIns, r.PageOuts, r.Revocations, r.Frames,
+			quantMs(r.E2E, 0.50), quantMs(r.E2E, 0.95), quantMs(r.E2E, 0.99), quantMs(r.E2E, 1))
 	}
 	if err := tw.Flush(); err != nil {
 		return err
 	}
 	fmt.Fprintf(w, "free frames: %d   spans recorded: %d   spans evicted: %d   crosstalk flags: %d   t=%.0fms\n",
-		sys.Frames.FreeFrames(), sys.Obs.SpanTotal(), sys.Obs.SpansEvicted(),
+		d.FreeFrames, sys.Obs.SpanTotal(), sys.Obs.SpansEvicted(),
 		len(sys.Obs.Flags()), sys.Obs.Now().Milliseconds())
 	fmt.Fprintln(w)
-	if err := sys.Obs.Summarize(topTableTopK).WriteText(w); err != nil {
+	if err := d.Summary.WriteText(w); err != nil {
 		return err
 	}
 	return sys.writeAttributionTable(w)
@@ -184,9 +175,8 @@ func (sys *System) writeAttributionTable(w io.Writer) error {
 			}
 			q50, q95, q99 := "-", "-", "-"
 			if acc.State == obs.AttrFault {
-				if h := sys.Obs.HopHistogram(p.Domain, "page", acc.Hop); h.Count() > 0 {
-					q50, q95, q99 = quantMs(h, 0.50), quantMs(h, 0.95), quantMs(h, 0.99)
-				}
+				h := sys.Obs.HopHistogram(p.Domain, "page", acc.Hop).Snapshot()
+				q50, q95, q99 = quantMs(h, 0.50), quantMs(h, 0.95), quantMs(h, 0.99)
 			}
 			fmt.Fprintf(tw, "%s\t%s\t%.3f\t%.1f\t%s\t%s\t%s\t\n",
 				p.Domain, label, float64(acc.Total)/1e6, share, q50, q95, q99)
@@ -195,16 +185,11 @@ func (sys *System) writeAttributionTable(w io.Writer) error {
 	return tw.Flush()
 }
 
-func quantMs(h *obs.Histogram, q float64) string {
-	if h == nil || h.Count() == 0 {
+// quantMs renders h's q-quantile in milliseconds (q = 1 is the maximum),
+// or "-" when h is empty.
+func quantMs(h obs.HistSnapshot, q float64) string {
+	if h.Count == 0 {
 		return "-"
 	}
 	return fmt.Sprintf("%.3f", h.Quantile(q).Seconds()*1e3)
-}
-
-func maxMs(h *obs.Histogram) string {
-	if h == nil || h.Count() == 0 {
-		return "-"
-	}
-	return fmt.Sprintf("%.3f", h.Max().Seconds()*1e3)
 }

@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -285,4 +286,58 @@ func TestDomainAdmissionFootprint(t *testing.T) {
 		t.Fatalf("admitting a domain allocated %.0f objects, want at most %d", got, domainObjects)
 	}
 	t.Logf("admitting a domain allocated %.0f objects", got)
+}
+
+// A domain that either admission refuses leaves nothing behind: no
+// interned name, attribution account, metric, folded-stack line or
+// process, and no frames reserved.
+func TestRefusedDomainLeavesNothing(t *testing.T) {
+	for _, c := range []struct {
+		refuser string
+		cpu     atropos.QoS
+		ct      mem.Contract
+	}{
+		{"memory", sliverQoS, mem.Contract{Guaranteed: 100}},
+		{"cpu", atropos.QoS{P: 100 * time.Millisecond, S: 200 * time.Millisecond}, mem.Contract{Guaranteed: 1}},
+	} {
+		cfg := DefaultConfig()
+		cfg.MemoryFrames = 16
+		cfg.Telemetry = true
+		sys := New(cfg)
+		if _, err := sys.NewDomain("app", sliverQoS, mem.Contract{Guaranteed: 1}); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := sys.NewDomain("ghost", c.cpu, c.ct); err == nil {
+			t.Fatalf("%s: ghost admitted", c.refuser)
+		}
+		sys.Run(time.Second)
+
+		var metrics, folded strings.Builder
+		if err := sys.Obs.WriteMetricsTSV(&metrics); err != nil {
+			t.Fatal(err)
+		}
+		if err := sys.WriteAttributionFolded(&folded); err != nil {
+			t.Fatal(err)
+		}
+		for _, line := range strings.Split(metrics.String(), "\n") {
+			if f := strings.Split(line, "\t"); len(f) > 3 && f[3] == "ghost" {
+				t.Errorf("%s refused ghost, which left a metric: %q", c.refuser, line)
+			}
+		}
+		for _, l := range []struct {
+			what string
+			left bool
+		}{
+			{"its interned name", sys.Obs.DomainNum("probe") != 2},
+			{"an attribution account", slices.Contains(sys.Obs.Attr().Domains(), "ghost")},
+			{"folded stacks", strings.Contains(folded.String(), "ghost;")},
+			{"a running mm-worker", slices.Contains(sys.Sim.LiveProcNames(), "ghost/mm-worker")},
+			{"guaranteed frames", sys.Frames.GuaranteedTotal() != 1},
+		} {
+			if l.left {
+				t.Errorf("%s refused ghost, which left %s", c.refuser, l.what)
+			}
+		}
+		sys.Shutdown()
+	}
 }

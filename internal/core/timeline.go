@@ -13,13 +13,14 @@ import (
 // resident frames against the (g, o) contract, and the netswap in-flight
 // window where one exists. Domains admitted later are
 // tracked automatically (their earlier samples read zero). Requires
-// Config.Telemetry; returns nil with telemetry off. The recorder is stopped
-// by Shutdown; calling StartRecorder twice returns the first recorder.
-func (sys *System) StartRecorder(cfg obs.RecorderConfig) *obs.Recorder {
+// Config.Telemetry; returns nil with telemetry off. The recorder samples on
+// obs.RecorderConfig's defaults and is stopped by Shutdown; calling
+// StartRecorder twice returns the first recorder.
+func (sys *System) StartRecorder() *obs.Recorder {
 	if sys.Obs == nil || sys.recorder != nil {
 		return sys.recorder
 	}
-	rc := obs.NewRecorder(sys.Obs, sys.Sim, cfg)
+	rc := obs.NewRecorder(sys.Obs, sys.Sim, obs.RecorderConfig{})
 	rc.TrackGauge("", "free_frames", "", "frames", func() int64 {
 		return int64(sys.Frames.FreeFrames())
 	})

@@ -182,11 +182,6 @@ func (d *Domain) CPU() *cpu.DomainCPU { return d.cpu }
 // MemClient returns the domain's frames-allocator client.
 func (d *Domain) MemClient() *mem.Client { return d.memc }
 
-// SetMemClient installs the frames-allocator client. Construction order
-// requires the domain to exist (it is the revocation handler) before the
-// allocator admits it, so the facade wires this in after admission.
-func (d *Domain) SetMemClient(c *mem.Client) { d.memc = c }
-
 // Env returns the system environment. Callers read through the pointer:
 // Env holds the cost table by value, too large to copy per fault.
 func (d *Domain) Env() *Env { return &d.env }

@@ -47,12 +47,13 @@ func (r *rig) domain(t *testing.T, name string, frames uint64) *Domain {
 	if err != nil {
 		t.Fatal(err)
 	}
-	d := New(r.env, r.nextID(), name, pd, cpuDom, nil)
-	memc, err := r.frames.Admit(d.ID(), mem.Contract{Guaranteed: frames}, d)
+	id := r.nextID()
+	memc, err := r.frames.Admit(id, mem.Contract{Guaranteed: frames}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	d.SetMemClient(memc)
+	d := New(r.env, id, name, pd, cpuDom, memc)
+	memc.SetHandler(d)
 	return d
 }
 

@@ -9,17 +9,16 @@ import (
 )
 
 // AttributionOptions parameterises the attribution-profiling experiment: a
-// scaled Fig. 7 or Fig. 8 run with exact sim-time attribution on, optionally
-// with a hog domain contending for the disk.
+// Fig. 7 or Fig. 8 run scaled to 2 MB applications (the benchmark scale)
+// with exact sim-time attribution on, optionally with a hog domain
+// contending for the disk.
 type AttributionOptions struct {
 	// Fig selects the workload: 7 (paging in) or 8 (paging out).
 	Fig int
 	// Hog admits the 5%-slice unbounded-appetite fourth application.
-	Hog bool
-	// VirtBytes sizes each application (0 = 2 MB, the benchmark scale).
-	VirtBytes uint64
-	Measure   time.Duration
-	Seed      int64
+	Hog     bool
+	Measure time.Duration
+	Seed    int64
 }
 
 // AttributionResult is the outcome of an attribution run.
@@ -54,9 +53,6 @@ func RunAttribution(opt AttributionOptions) (*AttributionResult, error) {
 	}
 	popt := DefaultPagingOptions()
 	popt.VirtBytes = 2 << 20
-	if opt.VirtBytes > 0 {
-		popt.VirtBytes = opt.VirtBytes
-	}
 	if opt.Measure > 0 {
 		popt.Measure = opt.Measure
 	}

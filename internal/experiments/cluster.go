@@ -236,6 +236,8 @@ func runClusterMachine(machine int, opt ClusterOptions) (*ClusterMachine, error)
 	// share the machine's simulated clock but nothing else.
 	ns := netswap.DefaultConfig()
 	ns.Server.StoreBytes = (int64(n)*stretchBytes)/int64(opt.Servers) + 2*stretchBytes
+	ns.Remote.Timeout = 2 * time.Second
+	ns.Remote.MaxRetries = -1
 	pool, err := netswap.NewPool(sys.Sim, sys.Obs, opt.Servers, ns)
 	if err != nil {
 		return nil, err
@@ -262,7 +264,6 @@ func runClusterMachine(machine int, opt ClusterOptions) (*ClusterMachine, error)
 	if cpuQoS.S <= 0 {
 		cpuQoS.S = time.Microsecond
 	}
-	remote := &netswap.RemoteOptions{Timeout: 2 * time.Second, MaxRetries: -1}
 
 	cell := &ClusterMachine{Machine: machine, Domains: n, HotDomains: hot}
 	var bytesTouched int64
@@ -279,11 +280,11 @@ func runClusterMachine(machine int, opt ClusterOptions) (*ClusterMachine, error)
 		if err != nil {
 			return nil, err
 		}
-		rb, err := pool.Place(name, name, stretchBytes, remote)
+		rb, err := pool.Place(name, name, stretchBytes)
 		if err != nil {
 			return nil, fmt.Errorf("cluster: place %s: %w", name, err)
 		}
-		if _, err := stretchdrv.NewPagedBacking(dom, st, rb, stretchdrv.PagerOptions{}); err != nil {
+		if _, err := stretchdrv.NewPaged(dom, st, rb, stretchdrv.PagerOptions{}); err != nil {
 			return nil, err
 		}
 		doms = append(doms, dom)

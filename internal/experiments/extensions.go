@@ -7,6 +7,7 @@ import (
 
 	"nemesis/internal/atropos"
 	"nemesis/internal/core"
+	"nemesis/internal/cpu"
 	"nemesis/internal/domain"
 	"nemesis/internal/experiments/sweep"
 	"nemesis/internal/mem"
@@ -182,7 +183,7 @@ func (r *GPTResult) Slowdown() float64 {
 func ExtensionGuardedPT() (*GPTResult, error) {
 	const pages = 100
 	const iters = 4096
-	costs := core.DefaultConfig().Costs
+	costs := cpu.DefaultCosts()
 
 	run := func(table vm.Table) float64 {
 		// Populate like a real system: several stretches' NULL mappings

@@ -147,6 +147,10 @@ func RunNetswapOutage(phase time.Duration) (*NetswapOutageResult, error) {
 	cfg := core.DefaultConfig()
 	cfg.MemoryFrames = 1024
 	cfg.Telemetry = true
+	ns := netswap.DefaultConfig()
+	// The remote domain would rather stall than die: retry forever.
+	ns.Remote.MaxRetries = -1
+	cfg.NetSwap = &ns
 	sys := core.New(cfg)
 
 	local := workload.DefaultPagerConfig("local", 62500*time.Microsecond)
@@ -163,8 +167,6 @@ func RunNetswapOutage(phase time.Duration) (*NetswapOutageResult, error) {
 	remote.PhysFrames = 8
 	remote.VirtBytes = 1 << 20
 	remote.Backing = core.BackingRemote
-	// The remote domain would rather stall than die: retry forever.
-	remote.Remote = &netswap.RemoteOptions{MaxRetries: -1}
 	remote.Write = true
 	remote.SkipInit = true
 	rp, err := workload.StartPager(sys, remote, nil)

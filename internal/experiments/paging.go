@@ -51,11 +51,9 @@ type PagingOptions struct {
 	// application writes instead of reading, over the forgetful stretch
 	// driver that never pages in.
 	Forgetful bool
-	// VirtBytes, PhysFrames, SwapBytes size each application
-	// (paper: 4 MB, 2 frames, 16 MB).
-	VirtBytes  uint64
-	PhysFrames int
-	SwapBytes  int64
+	// VirtBytes is each application's stretch (paper: 4 MB); each keeps
+	// the paper's 2 frames and 16 MB of swap.
+	VirtBytes uint64
 	// Measure is the measured window after every application has
 	// initialised.
 	Measure time.Duration
@@ -92,8 +90,6 @@ func DefaultPagingOptions() PagingOptions {
 		Laxity:        10 * time.Millisecond,
 		LaxityEnabled: true,
 		VirtBytes:     4 << 20,
-		PhysFrames:    2,
-		SwapBytes:     16 << 20,
 		Measure:       40 * time.Second,
 		SampleEvery:   5 * time.Second,
 		Seed:          1,
@@ -162,8 +158,6 @@ func WarmPaging(opt PagingOptions) (*PagingWarm, error) {
 		pc := workload.DefaultPagerConfig(name, slice)
 		pc.DiskQoS = atropos.QoS{P: opt.Period, S: slice, X: false, L: opt.Laxity}
 		pc.VirtBytes = opt.VirtBytes
-		pc.PhysFrames = opt.PhysFrames
-		pc.SwapBytes = opt.SwapBytes
 		pc.Write = opt.Forgetful
 		pc.Forgetful = opt.Forgetful
 		pc.SampleEvery = opt.SampleEvery
@@ -256,7 +250,7 @@ func (w *PagingWarm) Measure(measure time.Duration) (*PagingResult, error) {
 		sys.StartCrosstalkMonitor(obs.DefaultCrosstalkConfig())
 	}
 	if opt.Timeline {
-		sys.StartRecorder(obs.RecorderConfig{})
+		sys.StartRecorder()
 		if err := startRevocationEpisode(sys, measure/2); err != nil {
 			sys.Shutdown()
 			return nil, err
@@ -295,7 +289,9 @@ func RunPaging(opt PagingOptions) (*PagingResult, error) {
 	return w.Measure(opt.Measure)
 }
 
-// Fig9Options parameterises the file-system isolation experiment.
+// Fig9Options parameterises the file-system isolation experiment. The
+// client keeps the paper's pipeline depth of 8, and every series samples
+// every 5 s.
 type Fig9Options struct {
 	// FSQoS is the file-system client's contract (paper: 125/250 ms).
 	FSQoS atropos.QoS
@@ -303,9 +299,7 @@ type Fig9Options struct {
 	PagerSlices []time.Duration
 	Period      time.Duration
 	Laxity      time.Duration
-	Depth       int
 	Measure     time.Duration
-	SampleEvery time.Duration
 	Seed        int64
 	// Timeline enables telemetry plus the time-series recorder on the
 	// contended run, exposing it as Fig9Result.ContendedSys for export.
@@ -319,9 +313,7 @@ func DefaultFig9Options() Fig9Options {
 		PagerSlices: []time.Duration{25 * time.Millisecond, 50 * time.Millisecond},
 		Period:      250 * time.Millisecond,
 		Laxity:      10 * time.Millisecond,
-		Depth:       8,
 		Measure:     30 * time.Second,
-		SampleEvery: 5 * time.Second,
 		Seed:        1,
 	}
 }
@@ -369,7 +361,6 @@ func RunFig9(opt Fig9Options) (*Fig9Result, error) {
 				name := fmt.Sprintf("pager%d-%d%%", i+1, int(100*float64(slice)/float64(opt.Period)))
 				pc := workload.DefaultPagerConfig(name, slice)
 				pc.DiskQoS = atropos.QoS{P: opt.Period, S: slice, X: false, L: opt.Laxity}
-				pc.SampleEvery = opt.SampleEvery
 				pg, err := workload.WarmPager(sys, pc, set.New(name))
 				if err != nil {
 					return nil, 0, nil, err
@@ -385,7 +376,7 @@ func RunFig9(opt Fig9Options) (*Fig9Result, error) {
 		measureStart := sys.Sim.Now()
 		sys.Obs.Attr().Restart()
 		if cfg.Telemetry {
-			sys.StartRecorder(obs.RecorderConfig{})
+			sys.StartRecorder()
 			res.ContendedSys = sys
 		}
 		// FS data lives on the first quarter of the disk; swap files are
@@ -393,8 +384,6 @@ func RunFig9(opt Fig9Options) (*Fig9Result, error) {
 		part := usd.Extent{Start: 0, Count: sys.Disk.Geom.TotalBlocks / 4}
 		fcfg := workload.DefaultFSClientConfig("fs", part)
 		fcfg.DiskQoS = opt.FSQoS
-		fcfg.Depth = opt.Depth
-		fcfg.SampleEvery = opt.SampleEvery
 		fc, err := workload.StartFSClient(sys, fcfg, set.New("fs"))
 		if err != nil {
 			sys.Shutdown()

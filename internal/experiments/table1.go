@@ -105,7 +105,7 @@ func runTable1Row(w *table1World, name string) (Table1Row, error) {
 	sys, dom, st, st1 := w.sys, w.dom, w.st, w.st1
 	const pages = table1Pages
 	const iters = table1Iters
-	costs := sys.Config.Costs
+	costs := sys.CPU.Costs
 	osf1 := baseline.DefaultOSF1Costs()
 	ts := sys.TS
 	var row Table1Row

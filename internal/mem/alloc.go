@@ -311,6 +311,11 @@ func (fa *FramesAllocator) Admit(domain DomainID, ct Contract, h RevocationHandl
 	return c, nil
 }
 
+// SetHandler binds the client's revocation handler. A domain is admitted
+// before it is built, so it becomes its client's handler afterwards; a
+// fork's copy of a client is rebound to the forked domain.
+func (c *Client) SetHandler(h RevocationHandler) { c.handler = h }
+
 // Lookup returns the client for a domain, or nil.
 func (fa *FramesAllocator) Lookup(domain DomainID) *Client { return fa.clients[domain] }
 
@@ -368,7 +373,7 @@ func (c *Client) TryAllocFrame() (PFN, error) {
 	if c.n >= c.contract.Guaranteed+c.contract.Optimistic {
 		// Sentinel, unwrapped: the try path runs on every fault once a
 		// domain is at quota, and formatting a fresh error there dominates.
-		return 0, ErrQuota
+		return 0, ErrContractExhausted
 	}
 	if c.fa.nfree == 0 {
 		return 0, ErrNoMemory
@@ -422,7 +427,7 @@ func (c *Client) AllocSpecific(pfn PFN) error {
 		return ErrKilledByAlloc
 	}
 	if c.n >= c.contract.Guaranteed+c.contract.Optimistic {
-		return fmt.Errorf("%w: n=%d", ErrQuota, c.n)
+		return fmt.Errorf("%w: n=%d", ErrContractExhausted, c.n)
 	}
 	fa := c.fa
 	if int(pfn) < len(fa.nodes) && fa.nodes[pfn].free {
@@ -446,7 +451,7 @@ func (c *Client) AllocColoured(colour, ncolours int) (PFN, error) {
 		return 0, fmt.Errorf("mem: bad colour %d of %d", colour, ncolours)
 	}
 	if c.n >= c.contract.Guaranteed+c.contract.Optimistic {
-		return 0, fmt.Errorf("%w: n=%d", ErrQuota, c.n)
+		return 0, fmt.Errorf("%w: n=%d", ErrContractExhausted, c.n)
 	}
 	fa := c.fa
 	if ncolours == fa.ncolours {
@@ -484,7 +489,7 @@ func (c *Client) AllocContiguous(n int) (PFN, error) {
 		return 0, fmt.Errorf("mem: contiguous run of %d is not a power of two", n)
 	}
 	if c.n+uint64(n) > c.contract.Guaranteed+c.contract.Optimistic {
-		return 0, fmt.Errorf("%w: n=%d + %d", ErrQuota, c.n, n)
+		return 0, fmt.Errorf("%w: n=%d + %d", ErrContractExhausted, c.n, n)
 	}
 	fa := c.fa
 	// Exhaustion fast path: fewer free frames than the run needs means no
@@ -531,7 +536,7 @@ func (c *Client) AllocInRegion(lo, hi PFN) (PFN, error) {
 		return 0, ErrKilledByAlloc
 	}
 	if c.n >= c.contract.Guaranteed+c.contract.Optimistic {
-		return 0, fmt.Errorf("%w: n=%d", ErrQuota, c.n)
+		return 0, fmt.Errorf("%w: n=%d", ErrContractExhausted, c.n)
 	}
 	fa := c.fa
 	for i := fa.freeHead; i >= 0; i = fa.nodes[i].next {

@@ -35,8 +35,7 @@ func TestAdmissionControlFrames(t *testing.T) {
 	}
 }
 
-// TestSentinelErrors: the canonical sentinel names are reachable via
-// errors.Is, and the historical ErrQuota alias still matches.
+// TestSentinelErrors: the sentinel names are reachable via errors.Is.
 func TestSentinelErrors(t *testing.T) {
 	_, fa := newAlloc(4)
 	c, _ := fa.Admit(1, Contract{Guaranteed: 2}, nil)
@@ -45,9 +44,6 @@ func TestSentinelErrors(t *testing.T) {
 	_, err := c.TryAllocFrame()
 	if !errors.Is(err, ErrContractExhausted) {
 		t.Fatalf("not ErrContractExhausted: %v", err)
-	}
-	if !errors.Is(err, ErrQuota) {
-		t.Fatalf("ErrQuota alias broken: %v", err)
 	}
 	if _, err := fa.Admit(1, Contract{}, nil); !errors.Is(err, ErrAlreadyAdmitted) {
 		t.Fatalf("not ErrAlreadyAdmitted: %v", err)
@@ -66,7 +62,7 @@ func TestGuaranteedAllocationAlwaysSucceeds(t *testing.T) {
 		t.Fatalf("n = %d", c.Allocated())
 	}
 	// Beyond g+o: quota error.
-	if _, err := c.TryAllocFrame(); !errors.Is(err, ErrQuota) {
+	if _, err := c.TryAllocFrame(); !errors.Is(err, ErrContractExhausted) {
 		t.Fatalf("err = %v", err)
 	}
 	if fa.FreeFrames() != 3 {
@@ -85,7 +81,7 @@ func TestOptimisticAllocation(t *testing.T) {
 	if !c.HoldsOptimistic() {
 		t.Fatal("HoldsOptimistic = false")
 	}
-	if _, err := c.TryAllocFrame(); !errors.Is(err, ErrQuota) {
+	if _, err := c.TryAllocFrame(); !errors.Is(err, ErrContractExhausted) {
 		t.Fatalf("err = %v", err)
 	}
 }

@@ -28,10 +28,6 @@ func (rt *RamTab) Fork() *RamTab {
 	return &RamTab{entries: append([]ramtabEntry(nil), rt.entries...)}
 }
 
-// SetHandler rebinds the client's revocation handler. Forks use it to point
-// a copied client at the forked domain's handler instead of the parent's.
-func (c *Client) SetHandler(h RevocationHandler) { c.handler = h }
-
 // FreeOrder returns the PFNs of the global free list in FIFO order. A fork
 // must preserve the list exactly — future allocations pop the same frames in
 // the same order on both sides — and snapshot tests compare it element-wise.

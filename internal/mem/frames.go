@@ -41,10 +41,6 @@ var (
 	ErrKilledByAlloc     = errors.New("mem: domain killed for failing revocation")
 )
 
-// ErrQuota is the historical name for ErrContractExhausted; errors.Is
-// matches either.
-var ErrQuota = ErrContractExhausted
-
 // FrameStore is the simulated physical memory: nframes frames of PageSize
 // bytes. A frame costs host memory only once something writes it: Frame,
 // the writers' entry point, allocates it, while View and Zero treat a

@@ -21,7 +21,7 @@ func BenchmarkNetswapRoundTrip(b *testing.B) {
 		b.Fatal(err)
 	}
 	defer fab.Stop()
-	rb, err := fab.NewRemoteBacking("c1", "dom", nil)
+	rb, err := fab.NewRemoteBacking("c1", "dom")
 	if err != nil {
 		b.Fatal(err)
 	}

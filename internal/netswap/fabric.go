@@ -8,7 +8,7 @@ import (
 )
 
 // Config bundles the whole remote-paging fabric: one link, one server, and
-// the default client/tiering options new backings inherit.
+// the client and tiering options every backing on the fabric uses.
 type Config struct {
 	Link   LinkConfig
 	Server ServerConfig
@@ -75,17 +75,13 @@ func (f *Fabric) toServer(req *request) {
 }
 
 // NewRemoteBacking registers a client endpoint named client (which keys the
-// server-side blok map) for telemetry domain domName. opt nil = the fabric's
-// default remote options.
-func (f *Fabric) NewRemoteBacking(client, domName string, opt *RemoteOptions) (*RemoteBacking, error) {
+// server-side blok map) for telemetry domain domName, on the fabric's
+// remote options.
+func (f *Fabric) NewRemoteBacking(client, domName string) (*RemoteBacking, error) {
 	if _, ok := f.clients[client]; ok {
 		return nil, fmt.Errorf("netswap: client %q already registered", client)
 	}
-	o := f.cfg.Remote
-	if opt != nil {
-		o = *opt
-	}
-	r := newRemoteBacking(f, client, domName, o)
+	r := newRemoteBacking(f, client, domName, f.cfg.Remote)
 	f.clients[client] = r
 	return r, nil
 }

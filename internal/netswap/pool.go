@@ -58,7 +58,7 @@ func (p *Pool) Clients() int { return p.clients }
 // deterministic) and returns its remote backing. It fails if every server
 // would be oversubscribed, or if the client name is already taken on the
 // chosen server.
-func (p *Pool) Place(client, domName string, reserveBytes int64, opt *RemoteOptions) (*RemoteBacking, error) {
+func (p *Pool) Place(client, domName string, reserveBytes int64) (*RemoteBacking, error) {
 	if reserveBytes <= 0 {
 		return nil, fmt.Errorf("netswap: placement of %q needs a positive reservation, got %d", client, reserveBytes)
 	}
@@ -74,7 +74,7 @@ func (p *Pool) Place(client, domName string, reserveBytes int64, opt *RemoteOpti
 	if best < 0 {
 		return nil, fmt.Errorf("%w: %q needs %d bytes but every server is full", ErrPoolAdmission, client, reserveBytes)
 	}
-	rb, err := p.fabrics[best].NewRemoteBacking(client, domName, opt)
+	rb, err := p.fabrics[best].NewRemoteBacking(client, domName)
 	if err != nil {
 		return nil, err
 	}

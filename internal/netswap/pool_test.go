@@ -21,7 +21,7 @@ func TestPoolPlacement(t *testing.T) {
 	// Equal reservations alternate servers: ties go to the lowest index.
 	for i, want := range []int{0, 1, 0, 1} {
 		name := string(rune('a' + i))
-		if _, err := p.Place(name, name, 256<<10, nil); err != nil {
+		if _, err := p.Place(name, name, 256<<10); err != nil {
 			t.Fatalf("place %d: %v", i, err)
 		}
 		other := 1 - want
@@ -35,13 +35,13 @@ func TestPoolPlacement(t *testing.T) {
 
 	// A large reservation still fits one server; the next copy fits the
 	// other; the third fits nowhere.
-	if _, err := p.Place("big1", "big1", 512<<10, nil); err != nil {
+	if _, err := p.Place("big1", "big1", 512<<10); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := p.Place("big2", "big2", 512<<10, nil); err != nil {
+	if _, err := p.Place("big2", "big2", 512<<10); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := p.Place("big3", "big3", 512<<10, nil); !errors.Is(err, ErrPoolAdmission) {
+	if _, err := p.Place("big3", "big3", 512<<10); !errors.Is(err, ErrPoolAdmission) {
 		t.Fatalf("err = %v", err)
 	}
 	// A refused placement reserves nothing.
@@ -50,17 +50,17 @@ func TestPoolPlacement(t *testing.T) {
 	}
 
 	// Bad reservations and duplicate client names are refused.
-	if _, err := p.Place("zero", "zero", 0, nil); err == nil {
+	if _, err := p.Place("zero", "zero", 0); err == nil {
 		t.Fatal("zero reservation admitted")
 	}
 	p2, err := NewPool(s, nil, 1, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := p2.Place("dup", "dup", 1<<10, nil); err != nil {
+	if _, err := p2.Place("dup", "dup", 1<<10); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := p2.Place("dup", "dup", 1<<10, nil); err == nil {
+	if _, err := p2.Place("dup", "dup", 1<<10); err == nil {
 		t.Fatal("duplicate client admitted")
 	}
 

@@ -54,7 +54,7 @@ func TestRemoteWriteReadRoundTrip(t *testing.T) {
 	s := sim.New(1)
 	fab := newFabric(t, s, netswap.DefaultConfig())
 	defer fab.Stop()
-	rb, err := fab.NewRemoteBacking("c1", "dom", nil)
+	rb, err := fab.NewRemoteBacking("c1", "dom")
 	if err != nil {
 		t.Fatalf("NewRemoteBacking: %v", err)
 	}
@@ -136,7 +136,7 @@ func TestRemoteWindowBound(t *testing.T) {
 	cfg.Remote.MaxBatch = 2
 	fab := newFabric(t, s, cfg)
 	defer fab.Stop()
-	rb, err := fab.NewRemoteBacking("c1", "dom", nil)
+	rb, err := fab.NewRemoteBacking("c1", "dom")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -166,7 +166,7 @@ func TestRemoteRetriesUnderLoss(t *testing.T) {
 	cfg.Remote.Backoff = 5 * time.Millisecond
 	fab := newFabric(t, s, cfg)
 	defer fab.Stop()
-	rb, err := fab.NewRemoteBacking("c1", "dom", nil)
+	rb, err := fab.NewRemoteBacking("c1", "dom")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -202,7 +202,7 @@ func TestRemoteTimeoutExhaustsBudget(t *testing.T) {
 	cfg.Remote.MaxRetries = 2
 	fab := newFabric(t, s, cfg)
 	defer fab.Stop()
-	rb, err := fab.NewRemoteBacking("c1", "dom", nil)
+	rb, err := fab.NewRemoteBacking("c1", "dom")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -223,7 +223,7 @@ func TestRemoteErrNoCopy(t *testing.T) {
 	s := sim.New(1)
 	fab := newFabric(t, s, netswap.DefaultConfig())
 	defer fab.Stop()
-	rb, err := fab.NewRemoteBacking("c1", "dom", nil)
+	rb, err := fab.NewRemoteBacking("c1", "dom")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -240,11 +240,11 @@ func TestRemoteClientsIsolated(t *testing.T) {
 	s := sim.New(1)
 	fab := newFabric(t, s, netswap.DefaultConfig())
 	defer fab.Stop()
-	a, err := fab.NewRemoteBacking("a", "doma", nil)
+	a, err := fab.NewRemoteBacking("a", "doma")
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := fab.NewRemoteBacking("b", "domb", nil)
+	b, err := fab.NewRemoteBacking("b", "domb")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -278,7 +278,7 @@ func TestRemoteDeterministicUnderLoss(t *testing.T) {
 			panic(err)
 		}
 		defer fab.Stop()
-		rb, err := fab.NewRemoteBacking("c1", "dom", nil)
+		rb, err := fab.NewRemoteBacking("c1", "dom")
 		if err != nil {
 			panic(err)
 		}

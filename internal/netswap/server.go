@@ -15,44 +15,28 @@ import (
 )
 
 // ServerConfig sizes the remote swap server: a separate simulated machine
-// with its own disk, USD and swap store, sharing only the simulated clock.
+// with the paper's drive, its own USD and swap store, sharing only the
+// simulated clock.
 type ServerConfig struct {
-	// Geometry describes the server's drive (zero = disk.VP3221()).
-	Geometry disk.Geometry
 	// StoreBytes is the capacity of the remote swap store (default 64 MB).
 	StoreBytes int64
-	// QoS is the store's contract on the server's own USD.
-	QoS atropos.QoS
-	// Workers is the number of concurrent service processes (default 1:
-	// strictly serial disk service; more overlap queueing with service).
-	Workers int
 }
 
-// DefaultServerConfig returns a 64 MB store on the paper's drive, serviced
-// serially under a 90% contract on the otherwise idle server disk.
+// DefaultServerConfig returns a 64 MB store.
 func DefaultServerConfig() ServerConfig {
-	return ServerConfig{
-		StoreBytes: 64 << 20,
-		QoS:        atropos.QoS{P: 100 * time.Millisecond, S: 90 * time.Millisecond, X: true, L: 10 * time.Millisecond},
-		Workers:    1,
-	}
+	return ServerConfig{StoreBytes: 64 << 20}
 }
 
 func (c *ServerConfig) fillDefaults() {
-	d := DefaultServerConfig()
-	if c.Geometry.TotalBlocks == 0 {
-		c.Geometry = disk.VP3221()
-	}
 	if c.StoreBytes <= 0 {
-		c.StoreBytes = d.StoreBytes
-	}
-	if c.QoS.P == 0 {
-		c.QoS = d.QoS
-	}
-	if c.Workers < 1 {
-		c.Workers = d.Workers
+		c.StoreBytes = DefaultServerConfig().StoreBytes
 	}
 }
+
+// storeQoS is the store's contract on the server's own USD: 90% of the
+// otherwise idle server disk. One service process drains it, so disk
+// service is strictly serial.
+var storeQoS = atropos.QoS{P: 100 * time.Millisecond, S: 90 * time.Millisecond, X: true, L: 10 * time.Millisecond}
 
 // ServerStats counts remote-store activity.
 type ServerStats struct {
@@ -63,13 +47,12 @@ type ServerStats struct {
 	Errors        int64 // definitive error replies
 }
 
-// Server is the remote swap server: a simulated process (or several) that
-// drains an RPC queue, services page reads and batched page writes against
+// Server is the remote swap server: one simulated process that drains an
+// RPC queue, services page reads and batched page writes against
 // its own disk through its own USD contract, and replies over the link. It
 // keeps one blok map per client, so clients never see each other's pages.
 type Server struct {
 	s     *sim.Simulator
-	cfg   ServerConfig
 	disk  *disk.Disk
 	usd   *usd.USD
 	store *sfs.SwapFile
@@ -78,7 +61,7 @@ type Server struct {
 	clients map[string]serverClient
 	queue   []*request
 	work    *sim.Cond
-	procs   []*sim.Proc
+	proc    *sim.Proc
 	reply   func(*reply) // installed by the Fabric
 
 	// obs, when set via SetObs, is the server machine's own registry: every
@@ -91,14 +74,14 @@ type Server struct {
 }
 
 // NewServer builds and starts the server's machine: disk, USD, store and
-// service workers.
+// service process.
 func NewServer(s *sim.Simulator, cfg ServerConfig) (*Server, error) {
 	cfg.fillDefaults()
-	d := disk.New(s, cfg.Geometry)
+	d := disk.New(s, disk.VP3221())
 	u := usd.New(s, d)
 	u.SlackEnabled = true // the server disk serves only the store
-	fs := sfs.New(u, usd.Extent{Start: 0, Count: cfg.Geometry.TotalBlocks})
-	store, err := fs.CreateSwapFile("netswap-store", cfg.StoreBytes, cfg.QoS, cfg.Workers)
+	fs := sfs.New(u, usd.Extent{Start: 0, Count: d.Geom.TotalBlocks})
+	store, err := fs.CreateSwapFile("netswap-store", cfg.StoreBytes, storeQoS, 1)
 	if err != nil {
 		u.Stop()
 		return nil, fmt.Errorf("netswap: creating remote store: %w", err)
@@ -106,7 +89,6 @@ func NewServer(s *sim.Simulator, cfg ServerConfig) (*Server, error) {
 	blokBlocks := int64(vm.PageSize / disk.BlockSize)
 	srv := &Server{
 		s:       s,
-		cfg:     cfg,
 		disk:    d,
 		usd:     u,
 		store:   store,
@@ -114,10 +96,7 @@ func NewServer(s *sim.Simulator, cfg ServerConfig) (*Server, error) {
 		clients: make(map[string]serverClient),
 		work:    sim.NewCond(s),
 	}
-	for i := 0; i < cfg.Workers; i++ {
-		name := fmt.Sprintf("netswap-server-%d", i)
-		srv.procs = append(srv.procs, s.Spawn(name, srv.serve))
-	}
+	srv.proc = s.Spawn("netswap-server-0", srv.serve)
 	return srv, nil
 }
 
@@ -134,18 +113,16 @@ func (srv *Server) FreeBloks() int64 { return srv.blok.Free() }
 // QueueLen returns the number of RPCs awaiting service.
 func (srv *Server) QueueLen() int { return len(srv.queue) }
 
-// Stop kills the service workers and the server's USD so an idle-drain run
+// Stop kills the service process and the server's USD so an idle-drain run
 // terminates.
 func (srv *Server) Stop() {
-	for _, p := range srv.procs {
-		p.Kill()
-	}
+	srv.proc.Kill()
 	srv.usd.Stop()
 }
 
 // handle enqueues one arrived request. Called from scheduler context (a link
 // delivery event). With a registry installed this is where the server-side
-// span opens: the "queue" hop runs from arrival to worker pickup.
+// span opens: the "queue" hop runs from arrival to service pickup.
 func (srv *Server) handle(req *request) {
 	if srv.obs != nil {
 		req.ssp = srv.obs.StartSpan(srv.client(req.Client).num, "service")
@@ -156,7 +133,7 @@ func (srv *Server) handle(req *request) {
 	srv.work.Signal()
 }
 
-// serve is one worker's loop: pop a request, service it against the store,
+// serve is the service loop: pop a request, service it against the store,
 // send the reply back through the link.
 func (srv *Server) serve(p *sim.Proc) {
 	for {

@@ -26,9 +26,6 @@ type TieredOptions struct {
 	// copy to fall back on (only the faulting domain sleeps). Default
 	// 100 ms.
 	RetryEvery time.Duration
-	// NoPromote disables promote-on-fault (writing a remote-read page
-	// into the local tier so the next fault on it is fast).
-	NoPromote bool
 }
 
 // DefaultTieredOptions returns the defaults documented on TieredOptions.
@@ -197,9 +194,7 @@ func (t *TieredBacking) ReadPage(p *sim.Proc, va vm.VA, buf []byte, sp *obs.Span
 	}
 	t.Stats.RemoteReads++
 	t.cRemoteReads.Inc()
-	if !t.opt.NoPromote {
-		t.promote(p, va, buf)
-	}
+	t.promote(p, va, buf)
 	return nil
 }
 

@@ -47,7 +47,7 @@ func newTieredRig(t *testing.T, cfg netswap.Config, localPages int64, topt netsw
 	s := sim.New(1)
 	fab := newFabric(t, s, cfg)
 	local, stopLocal := newLocalTier(t, s, localPages)
-	rb, err := fab.NewRemoteBacking("c1", "dom", nil)
+	rb, err := fab.NewRemoteBacking("c1", "dom")
 	if err != nil {
 		t.Fatal(err)
 	}

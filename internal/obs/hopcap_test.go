@@ -27,7 +27,10 @@ func TestRemoteWorkerSpanFitsHopCap(t *testing.T) {
 	cfg.MemoryFrames = frames + 256
 	sys := core.New(cfg)
 	defer sys.Shutdown()
-	pool, err := netswap.NewPool(sys.Sim, sys.Obs, 1, netswap.DefaultConfig())
+	ns := netswap.DefaultConfig()
+	ns.Remote.Timeout = 2 * time.Second
+	ns.Remote.MaxRetries = -1
+	pool, err := netswap.NewPool(sys.Sim, sys.Obs, 1, ns)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -40,11 +43,11 @@ func TestRemoteWorkerSpanFitsHopCap(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rb, err := pool.Place("d0", "d0", pages*vm.PageSize, &netswap.RemoteOptions{Timeout: 2 * time.Second, MaxRetries: -1})
+	rb, err := pool.Place("d0", "d0", pages*vm.PageSize)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := stretchdrv.NewPagedBacking(dom, st, rb, stretchdrv.PagerOptions{}); err != nil {
+	if _, err := stretchdrv.NewPaged(dom, st, rb, stretchdrv.PagerOptions{}); err != nil {
 		t.Fatal(err)
 	}
 	dom.Go("idle", func(th *domain.Thread) {

@@ -26,7 +26,7 @@ func diskQ() atropos.QoS {
 
 func rig(frames int) *core.System {
 	cfg := core.DefaultConfig()
-	cfg.MemoryFrames = 256
+	cfg.MemoryFrames = frames
 	return core.New(cfg)
 }
 

@@ -191,20 +191,23 @@ func TestPageIntegrityMappedBacking(t *testing.T) {
 	})
 }
 
-// slowRemote gives each RPC attempt less time than the swap server, which
-// stores serially at disk speed, needs once a few requests queue, so calls
-// retransmit and replies arrive for attempts already given up on.
-func slowRemote() *netswap.RemoteOptions {
-	return &netswap.RemoteOptions{Timeout: 15 * time.Millisecond, MaxRetries: -1, Backoff: time.Millisecond}
-}
-
 func TestPageIntegrityRemoteBacking(t *testing.T) {
-	sys := rig(256)
+	// Each RPC attempt gets less time than the swap server, which stores
+	// serially at disk speed, needs once a few requests queue, so calls
+	// retransmit and replies arrive for attempts already given up on.
+	ns := netswap.DefaultConfig()
+	ns.Remote.Timeout = 15 * time.Millisecond
+	ns.Remote.MaxRetries = -1
+	ns.Remote.Backoff = time.Millisecond
+	cfg := core.DefaultConfig()
+	cfg.MemoryFrames = 256
+	cfg.NetSwap = &ns
+	sys := core.New(cfg)
 	var rb *netswap.RemoteBacking
 	checkPageIntegrity(t, sys, func(d *domain.Domain) (*vm.Stretch, *stretchdrv.Engine) {
 		st, drv, err := sys.NewStretch(d, core.PagerSpec{
 			Kind: core.KindPaged, Size: integrityPages * vm.PageSize, Backing: core.BackingRemote,
-			Remote: slowRemote(), ClusterSize: 4,
+			ClusterSize: 4,
 		})
 		if err != nil {
 			t.Fatal(err)

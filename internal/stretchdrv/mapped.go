@@ -25,14 +25,9 @@ type Mapped struct {
 	backing *MappedBacking
 }
 
-// NewMapped binds st to file with default options. The file must be at
-// least as large as the stretch.
-func NewMapped(dom *domain.Domain, st *vm.Stretch, file *sfs.SwapFile) (*Mapped, error) {
-	return NewMappedOpts(dom, st, file, PagerOptions{})
-}
-
-// NewMappedOpts is NewMapped with explicit policy choices.
-func NewMappedOpts(dom *domain.Domain, st *vm.Stretch, file *sfs.SwapFile, opt PagerOptions) (*Mapped, error) {
+// NewMapped binds st to file with the engine options opt. The file must be
+// at least as large as the stretch.
+func NewMapped(dom *domain.Domain, st *vm.Stretch, file *sfs.SwapFile, opt PagerOptions) (*Mapped, error) {
 	pageBlocks := int64(vm.PageSize / int64(disk.BlockSize))
 	if file.Blocks() < int64(st.Pages())*pageBlocks {
 		return nil, fmt.Errorf("stretchdrv: file %q (%d blocks) smaller than %v", file.Name(), file.Blocks(), st)

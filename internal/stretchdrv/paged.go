@@ -31,26 +31,10 @@ type Paged struct {
 	swap *SwapBacking
 }
 
-// NewPaged creates a paged stretch driver for st with the default options
-// (the paper's driver), swapping to swap, and binds it. Each blok holds
-// exactly one page.
-func NewPaged(dom *domain.Domain, st *vm.Stretch, swap *sfs.SwapFile) *Paged {
-	d, err := NewPagedOpts(dom, st, swap, PagerOptions{})
-	if err != nil {
-		panic(err) // zero options cannot fail
-	}
-	return d
-}
-
-// NewPagedOpts is NewPaged with explicit policy choices.
-func NewPagedOpts(dom *domain.Domain, st *vm.Stretch, swap *sfs.SwapFile, opt PagerOptions) (*Paged, error) {
-	return NewPagedBacking(dom, st, NewSwapBacking(swap), opt)
-}
-
-// NewPagedBacking builds a paged driver over an arbitrary Backing (a local
-// swap file, a remote store, a tiered composition...) and binds it. The
-// engine is identical in every case; only where cleaned pages go differs.
-func NewPagedBacking(dom *domain.Domain, st *vm.Stretch, backing Backing, opt PagerOptions) (*Paged, error) {
+// NewPaged builds a paged driver over an arbitrary Backing (a local swap
+// file, a remote store, a tiered composition...) and binds it. The engine
+// is identical in every case; only where cleaned pages go differs.
+func NewPaged(dom *domain.Domain, st *vm.Stretch, backing Backing, opt PagerOptions) (*Paged, error) {
 	policy, err := NewPolicy(opt.Policy)
 	if err != nil {
 		return nil, err

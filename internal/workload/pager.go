@@ -14,7 +14,6 @@ import (
 	"nemesis/internal/disk"
 	"nemesis/internal/domain"
 	"nemesis/internal/mem"
-	"nemesis/internal/netswap"
 	"nemesis/internal/sim"
 	"nemesis/internal/stretchdrv"
 	"nemesis/internal/trace"
@@ -22,11 +21,11 @@ import (
 	"nemesis/internal/vm"
 )
 
-// PagerConfig describes one paging test application.
+// PagerConfig describes one paging test application. Its processor
+// contract is pagerCPU and its pager the paper's driver: FIFO replacement
+// and demand writeback (forgetful with Forgetful), no write clustering.
 type PagerConfig struct {
 	Name string
-	// CPUQoS is the domain's processor contract.
-	CPUQoS atropos.QoS
 	// DiskQoS is the domain's USD contract for its swap file.
 	DiskQoS atropos.QoS
 	// PhysFrames is the guaranteed physical allocation (the paper uses 2
@@ -40,26 +39,12 @@ type PagerConfig struct {
 	// (the page-out experiment).
 	Write bool
 	// Forgetful installs the modified stretch driver that never pages in
-	// (shorthand for Writeback = stretchdrv.WritebackForgetful).
+	// (stretchdrv.WritebackForgetful).
 	Forgetful bool
-	// Policy selects the replacement policy ("" = FIFO).
-	Policy stretchdrv.PolicyKind
-	// Writeback selects the writeback policy ("" = demand, unless
-	// Forgetful is set).
-	Writeback stretchdrv.WritebackKind
-	// ClusterSize caps how many dirty pages one eviction cleans in a
-	// single batch (<= 1 disables write clustering).
-	ClusterSize int
 	// Backing selects where the pager cleans to: the local swap file
-	// (default), the remote swap server, or the tiered composition.
+	// (default), the remote swap server, or the tiered composition, on
+	// the options of the system's netswap fabric.
 	Backing core.BackingKind
-	// Remote overrides the netswap fabric's default RPC options for this
-	// pager's client (nil = fabric defaults; only used with a remote or
-	// tiered backing).
-	Remote *netswap.RemoteOptions
-	// Tiered overrides the fabric's default tiering options (nil =
-	// fabric defaults; only used with a tiered backing).
-	Tiered *netswap.TieredOptions
 	// SkipInit skips the initialisation passes (demand-zero read and
 	// dirtying write) — used by ablations that only need steady traffic.
 	SkipInit bool
@@ -67,11 +52,13 @@ type PagerConfig struct {
 	SampleEvery time.Duration
 }
 
+// pagerCPU is every paging application's processor contract.
+var pagerCPU = atropos.QoS{P: 100 * time.Millisecond, S: 20 * time.Millisecond, X: true}
+
 // DefaultPagerConfig returns the paper's application parameters.
 func DefaultPagerConfig(name string, slice time.Duration) PagerConfig {
 	return PagerConfig{
 		Name:        name,
-		CPUQoS:      atropos.QoS{P: 100 * time.Millisecond, S: 20 * time.Millisecond, X: true},
 		DiskQoS:     atropos.QoS{P: 250 * time.Millisecond, S: slice, X: false, L: 10 * time.Millisecond},
 		PhysFrames:  2,
 		VirtBytes:   4 << 20,
@@ -143,25 +130,21 @@ func (pg *Pager) Resume() {
 
 // newPager admits the pager's domain and creates its stretch and driver.
 func newPager(sys *core.System, cfg PagerConfig, series *trace.Series) (*Pager, error) {
-	dom, err := sys.NewDomain(cfg.Name, cfg.CPUQoS, mem.Contract{Guaranteed: uint64(cfg.PhysFrames)})
+	dom, err := sys.NewDomain(cfg.Name, pagerCPU, mem.Contract{Guaranteed: uint64(cfg.PhysFrames)})
 	if err != nil {
 		return nil, err
 	}
-	wb := cfg.Writeback
-	if wb == "" && cfg.Forgetful {
+	var wb stretchdrv.WritebackKind
+	if cfg.Forgetful {
 		wb = stretchdrv.WritebackForgetful
 	}
 	st, gdrv, err := sys.NewStretch(dom, core.PagerSpec{
-		Kind:        core.KindPaged,
-		Size:        cfg.VirtBytes,
-		SwapBytes:   cfg.SwapBytes,
-		DiskQoS:     cfg.DiskQoS,
-		Policy:      cfg.Policy,
-		Writeback:   wb,
-		ClusterSize: cfg.ClusterSize,
-		Backing:     cfg.Backing,
-		Remote:      cfg.Remote,
-		Tiered:      cfg.Tiered,
+		Kind:      core.KindPaged,
+		Size:      cfg.VirtBytes,
+		SwapBytes: cfg.SwapBytes,
+		DiskQoS:   cfg.DiskQoS,
+		Writeback: wb,
+		Backing:   cfg.Backing,
 	})
 	if err != nil {
 		return nil, err
