@@ -319,76 +319,115 @@ func (spec PagerSpec) engineOpts() stretchdrv.PagerOptions {
 // and binds the driver the spec describes. The five historical constructors
 // (NewPagedStretch and friends) are one-line wrappers over it. The returned
 // driver is the concrete *stretchdrv type behind the domain.Driver
-// interface.
+// interface. A rejected spec leaves nothing behind: what the spec alone
+// decides is checked before the stretch exists, and a backing that fails
+// afterwards gives back the stretch and any swap file it made.
 func (sys *System) NewStretch(dom *domain.Domain, spec PagerSpec) (*vm.Stretch, domain.Driver, error) {
-	switch spec.Kind {
-	case KindPaged:
-		st, paged, err := sys.newPaged(dom, spec)
-		return st, paged, err
+	size, err := spec.check(dom)
+	if err != nil {
+		return nil, nil, err
+	}
+	st, err := dom.NewStretch(size)
+	if err != nil {
+		return nil, nil, err
+	}
+	drv, err := sys.bind(dom, st, spec)
+	if err != nil {
+		// A nailed bind that failed partway holds mapped frames, which
+		// Destroy refuses; that stretch stays as it is.
+		if sys.SA.Destroy(st) == nil {
+			sys.TS.GrantInitial(dom.PD(), st.ID(), 0)
+			dom.Unbind(st.ID())
+		}
+		return nil, nil, err
+	}
+	return st, drv, nil
+}
 
-	case KindStreaming:
-		if spec.Backing != BackingSwap {
-			return nil, nil, fmt.Errorf("core: streaming stretches need a local swap backing, not %q", spec.Backing)
+// check rejects what the spec alone decides is wrong, before NewStretch
+// allocates anything, and returns the size of the stretch to allocate.
+func (spec PagerSpec) check(dom *domain.Domain) (uint64, error) {
+	size := spec.Size
+	switch spec.Kind {
+	case KindPaged, KindStreaming:
+		if spec.Kind == KindStreaming && spec.Backing != BackingSwap {
+			return 0, fmt.Errorf("core: streaming stretches need a local swap backing, not %q", spec.Backing)
 		}
-		st, paged, err := sys.newPaged(dom, spec)
-		if err != nil {
-			return nil, nil, err
+		switch spec.Backing {
+		case BackingSwap, BackingRemote:
+		case BackingTiered:
+			if spec.SwapBytes <= 0 {
+				return 0, fmt.Errorf("core: tiered backing needs SwapBytes to size the local tier")
+			}
+		default:
+			return 0, fmt.Errorf("core: unknown backing kind %q", spec.Backing)
 		}
-		window := spec.Window
-		if window < 1 {
-			window = 1
-		}
-		pfCh, err := sys.SFS.OpenAlias(paged.Swap(), paged.Swap().Name()+"-pf", spec.PrefetchQoS, window)
-		if err != nil {
-			return nil, nil, err
-		}
-		return st, stretchdrv.NewStreaming(dom, paged, pfCh, window), nil
 
 	case KindPhysical:
-		st, err := dom.NewStretch(spec.Size)
-		if err != nil {
-			return nil, nil, err
-		}
-		return st, stretchdrv.NewPhysical(dom, st), nil
+		return size, nil
 
 	case KindNailed:
 		t := spec.Thread
 		if t == nil {
-			return nil, nil, fmt.Errorf("core: nailed stretch needs PagerSpec.Thread")
+			return 0, fmt.Errorf("core: nailed stretch needs PagerSpec.Thread")
 		}
 		if t.Domain() != dom {
-			return nil, nil, fmt.Errorf("core: PagerSpec.Thread belongs to %q, not %q", t.Domain().Name(), dom.Name())
+			return 0, fmt.Errorf("core: PagerSpec.Thread belongs to %q, not %q", t.Domain().Name(), dom.Name())
 		}
-		st, err := dom.NewStretch(spec.Size)
-		if err != nil {
-			return nil, nil, err
-		}
-		drv, err := stretchdrv.BindNailed(t.Proc(), dom, st)
-		if err != nil {
-			return nil, nil, err
-		}
-		return st, drv, nil
+		return size, nil
 
 	case KindMapped:
 		if spec.File == nil {
-			return nil, nil, fmt.Errorf("core: mapped stretch needs PagerSpec.File")
+			return 0, fmt.Errorf("core: mapped stretch needs PagerSpec.File")
 		}
-		size := spec.Size
+		fileBytes := uint64(spec.File.Blocks()) * disk.BlockSize
 		if size == 0 {
-			size = uint64(spec.File.Blocks()) * disk.BlockSize
+			size = fileBytes
 		}
-		st, err := dom.NewStretch(size)
-		if err != nil {
-			return nil, nil, err
+		if pages := (size + vm.PageSize - 1) / vm.PageSize; fileBytes < pages*vm.PageSize {
+			return 0, fmt.Errorf("core: file %q (%d bytes) smaller than a %d-page stretch", spec.File.Name(), fileBytes, pages)
 		}
-		drv, err := stretchdrv.NewMapped(dom, st, spec.File, spec.engineOpts())
-		if err != nil {
-			return nil, nil, err
-		}
-		return st, drv, nil
 
 	default:
-		return nil, nil, fmt.Errorf("core: PagerSpec.Kind %d names no stretch kind", spec.Kind)
+		return 0, fmt.Errorf("core: PagerSpec.Kind %d names no stretch kind", spec.Kind)
+	}
+	// The pager kinds build an engine: its policies must exist.
+	if _, err := stretchdrv.NewPolicy(spec.Policy); err != nil {
+		return 0, err
+	}
+	if _, err := stretchdrv.NewWriteback(spec.Writeback); err != nil {
+		return 0, err
+	}
+	return size, nil
+}
+
+// bind builds the driver a checked spec describes over st, and binds it.
+func (sys *System) bind(dom *domain.Domain, st *vm.Stretch, spec PagerSpec) (domain.Driver, error) {
+	switch spec.Kind {
+	case KindPaged:
+		return sys.newPaged(dom, st, spec)
+
+	case KindStreaming:
+		paged, err := sys.newPaged(dom, st, spec)
+		if err != nil {
+			return nil, err
+		}
+		window := max(spec.Window, 1)
+		pfCh, err := sys.SFS.OpenAlias(paged.Swap(), paged.Swap().Name()+"-pf", spec.PrefetchQoS, window)
+		if err != nil {
+			sys.SFS.DeleteSwapFile(paged.Swap().Name())
+			return nil, err
+		}
+		return stretchdrv.NewStreaming(dom, paged, pfCh, window), nil
+
+	case KindPhysical:
+		return stretchdrv.NewPhysical(dom, st), nil
+
+	case KindNailed:
+		return stretchdrv.BindNailed(spec.Thread.Proc(), dom, st)
+
+	default: // KindMapped
+		return stretchdrv.NewMapped(dom, st, spec.File, spec.engineOpts())
 	}
 }
 
@@ -411,16 +450,11 @@ func (sys *System) EnableNetSwap() (*netswap.Fabric, error) {
 	return fab, nil
 }
 
-// newPaged builds the stretch + backing + paged driver of a spec (the shared
-// base of the paged and streaming kinds). Local swap files use pipeline
-// depth 1, as pagers cannot pipeline; remote backings pipeline through their
-// RPC window instead.
-func (sys *System) newPaged(dom *domain.Domain, spec PagerSpec) (*vm.Stretch, *stretchdrv.Paged, error) {
-	st, err := dom.NewStretch(spec.Size)
-	if err != nil {
-		return nil, nil, err
-	}
-
+// newPaged builds the backing and paged driver of a checked spec over st
+// (the shared base of the paged and streaming kinds). Local swap files use
+// pipeline depth 1, as pagers cannot pipeline; remote backings pipeline
+// through their RPC window instead.
+func (sys *System) newPaged(dom *domain.Domain, st *vm.Stretch, spec PagerSpec) (*stretchdrv.Paged, error) {
 	newSwap := func() (*stretchdrv.SwapBacking, error) {
 		swapName := fmt.Sprintf("%s-swap-%d", dom.Name(), st.ID())
 		swap, err := sys.SFS.CreateSwapFile(swapName, spec.SwapBytes, spec.DiskQoS, 1)
@@ -443,40 +477,30 @@ func (sys *System) newPaged(dom *domain.Domain, spec PagerSpec) (*vm.Stretch, *s
 	case BackingSwap:
 		b, err := newSwap()
 		if err != nil {
-			return nil, nil, err
+			return nil, err
 		}
 		backing = b
 
 	case BackingRemote:
 		b, err := newRemote()
 		if err != nil {
-			return nil, nil, err
+			return nil, err
 		}
 		backing = b
 
-	case BackingTiered:
-		if spec.SwapBytes <= 0 {
-			return nil, nil, fmt.Errorf("core: tiered backing needs SwapBytes to size the local tier")
-		}
+	default: // BackingTiered
 		local, err := newSwap()
 		if err != nil {
-			return nil, nil, err
+			return nil, err
 		}
 		remote, err := newRemote()
 		if err != nil {
-			return nil, nil, err
+			sys.SFS.DeleteSwapFile(local.File().Name())
+			return nil, err
 		}
 		backing = netswap.NewTieredBacking(sys.Sim, sys.Obs, local, remote, dom.Name(), sys.NetSwap.Config().Tiered)
-
-	default:
-		return nil, nil, fmt.Errorf("core: unknown backing kind %q", spec.Backing)
 	}
-
-	drv, err := stretchdrv.NewPaged(dom, st, backing, spec.engineOpts())
-	if err != nil {
-		return nil, nil, err
-	}
-	return st, drv, nil
+	return stretchdrv.NewPaged(dom, st, backing, spec.engineOpts())
 }
 
 // NewPagedStretch allocates a stretch of size bytes for dom, creates a swap

@@ -6,6 +6,7 @@ import (
 	"time"
 
 	"nemesis/internal/atropos"
+	"nemesis/internal/disk"
 	"nemesis/internal/domain"
 	"nemesis/internal/mem"
 	"nemesis/internal/stretchdrv"
@@ -236,6 +237,48 @@ func TestNewStretchRejectsSpec(t *testing.T) {
 		if _, drv, err := sys.NewStretch(d, c.spec); err == nil {
 			t.Errorf("%s: built a %T", c.name, drv)
 		}
+	}
+}
+
+// A spec NewStretch rejects leaves nothing behind, whether the spec alone
+// is wrong (a tiered backing without a local tier) or its backing fails
+// once the stretch exists (a swap file larger than the partition, a
+// prefetch channel the disk cannot admit): no stretch in the VA window the
+// failed calls reached, no rights or driver for their stretch IDs, and no
+// swap space taken.
+func TestRejectedSpecLeavesNothing(t *testing.T) {
+	sys := smallSystem()
+	d, _ := sys.NewDomain("app", cpuShare(), mem.Contract{Guaranteed: 2})
+	free := sys.SFS.FreeBlocks()
+	for _, spec := range []PagerSpec{
+		{Kind: KindPaged, Size: 4 * vm.PageSize, Backing: BackingTiered},
+		{Kind: KindPaged, Size: 4 * vm.PageSize, SwapBytes: (free + 1) * disk.BlockSize, DiskQoS: diskShare()},
+		{Kind: KindStreaming, Size: 4 * vm.PageSize, SwapBytes: 8 * vm.PageSize, DiskQoS: diskShare(), PrefetchQoS: diskShare()},
+	} {
+		if _, drv, err := sys.NewStretch(d, spec); err == nil {
+			t.Fatalf("%+v: built a %T", spec, drv)
+		}
+	}
+	// The next stretch shows how far the failed calls got.
+	next, _, err := sys.NewStretch(d, PagerSpec{Kind: KindPhysical, Size: vm.PageSize})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for va := vaLow; va < next.Base(); va += vm.PageSize {
+		if st := sys.SA.Find(va); st != nil {
+			t.Fatalf("rejected spec left %v", st)
+		}
+	}
+	for id := vm.StretchID(0); id < next.ID(); id++ {
+		if r := d.PD().RightsOn(id); r != 0 {
+			t.Errorf("rights %v left on stretch %d", r, id)
+		}
+		if drv := d.DriverFor(id); drv != nil {
+			t.Errorf("driver %T left on stretch %d", drv, id)
+		}
+	}
+	if got := sys.SFS.FreeBlocks(); got != free {
+		t.Errorf("swap space: %d blocks free, want %d", got, free)
 	}
 }
 

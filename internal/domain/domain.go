@@ -212,6 +212,10 @@ func (d *Domain) Bind(st *vm.Stretch, drv Driver) {
 	d.drivers[st.ID()] = drv
 }
 
+// Unbind drops a stretch's driver binding: the system gives back a stretch
+// whose construction failed after its driver was bound.
+func (d *Domain) Unbind(sid vm.StretchID) { delete(d.drivers, sid) }
+
 // DriverFor returns the driver bound to a stretch, or nil.
 func (d *Domain) DriverFor(sid vm.StretchID) Driver { return d.drivers[sid] }
 

@@ -3,6 +3,7 @@ package experiments
 import (
 	"context"
 	"fmt"
+	"math/rand"
 	"time"
 
 	"nemesis/internal/atropos"
@@ -196,7 +197,7 @@ func ExtensionGuardedPT() (*GPTResult, error) {
 		for i := vm.VPN(0); i < 64; i++ { // a neighbouring stretch
 			table.Insert(base+4096+i, 2)
 		}
-		rng := core.New(core.DefaultConfig()).Sim.Rand()
+		rng := rand.New(rand.NewSource(core.DefaultConfig().Seed))
 		var total time.Duration
 		for i := 0; i < iters; i++ {
 			vpn := base + vm.VPN(rng.Intn(pages))

@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"context"
+	"runtime"
 	"testing"
 	"time"
 
@@ -98,6 +99,17 @@ func TestExtensionGuardedPT(t *testing.T) {
 	// stretch splitting the upper trie levels).
 	if s := r.Slowdown(); s < 2.5 || s > 4.5 {
 		t.Fatalf("GPT slowdown = %.2fx (%.3fus), want ~3x", s, r.GuardedUS)
+	}
+}
+
+// ExtensionGuardedPT builds no system, so it leaves no process behind.
+func TestExtensionGuardedPTLeavesNoGoroutine(t *testing.T) {
+	before := runtime.NumGoroutine()
+	if _, err := ExtensionGuardedPT(); err != nil {
+		t.Fatal(err)
+	}
+	if after := runtime.NumGoroutine(); after > before {
+		t.Fatalf("goroutines %d -> %d", before, after)
 	}
 }
 

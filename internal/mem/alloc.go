@@ -27,19 +27,13 @@ type Contract struct {
 	Optimistic uint64
 }
 
-// DefaultColours is the number of cache colours the allocator indexes by
-// default (SetColourCount rebuilds for other platforms).
-const DefaultColours = 8
-
 // freeNode is one slot of the PFN-indexed free-frame table. Free frames are
-// threaded onto two intrusive doubly-linked lists: the global FIFO queue
-// (whose order is exactly the order of the old free-list slice — ascending at
-// init, freed frames appended at the tail) and the sublist of their cache
-// colour. Links are PFNs; -1 terminates.
+// threaded onto one intrusive doubly-linked FIFO queue, whose order is
+// exactly the order of the old free-list slice: ascending at init, freed
+// frames appended at the tail. Links are PFNs; -1 terminates.
 type freeNode struct {
-	prev, next   int32 // global FIFO queue
-	cprev, cnext int32 // per-colour sublist
-	free         bool
+	prev, next int32
+	free       bool
 }
 
 // FramesAllocator is the central physical-memory allocator. Unlike a
@@ -48,13 +42,12 @@ type freeNode struct {
 // allocated frames — with the *selection* of which frames to lose under the
 // control of the losing application (via its frame stack).
 //
-// The free set is indexed three ways so the allocation paths scale with the
-// request, not with memory size: the FIFO queue gives O(1) unspecific
-// allocation and O(1) removal by PFN (AllocSpecific), the colour sublists
-// give O(1) AllocColoured for the indexed colour count, and an occupancy
-// bitmap backs AllocContiguous with word-at-a-time aligned-run probes plus
-// an exhaustion fast path. All three stay exactly consistent with the old
-// single-slice semantics: same allocation order, same selections.
+// The free set is one PFN-indexed FIFO queue: O(1) unspecific allocation,
+// O(1) removal by PFN (AllocSpecific) and an O(1) free test per frame.
+// The platform-knowledge paths (AllocColoured, AllocInRegion,
+// AllocContiguous) search it; no experiment or example calls them. The
+// queue keeps the old single-slice semantics: same allocation order, same
+// selections.
 type FramesAllocator struct {
 	sim    *sim.Simulator
 	store  *FrameStore
@@ -63,12 +56,8 @@ type FramesAllocator struct {
 	nodes      []freeNode
 	freeHead   int32
 	freeTail   int32
-	colourHead []int32
-	colourTail []int32
-	ncolours   int
 	nfree      int
-	freeBits   []uint64 // bit set = frame free
-	guaranteed uint64   // running sum of admitted guarantees
+	guaranteed uint64 // running sum of admitted guarantees
 
 	clients map[DomainID]*Client
 	freed   *sim.Cond
@@ -117,48 +106,17 @@ func NewFramesAllocator(s *sim.Simulator, store *FrameStore, ramtab *RamTab) *Fr
 		freed:             sim.NewCond(s),
 		RevocationTimeout: 100 * time.Millisecond,
 	}
-	fa.initIndex(DefaultColours)
+	// Every frame starts free, in ascending queue order.
+	fa.nodes = make([]freeNode, store.NFrames())
+	fa.freeHead, fa.freeTail = -1, -1
+	for i := range fa.nodes {
+		fa.pushTail(PFN(i))
+	}
 	return fa
 }
 
-// initIndex (re)builds the free-frame index with every frame free, in
-// ascending queue order.
-func (fa *FramesAllocator) initIndex(ncolours int) {
-	n := fa.store.NFrames()
-	fa.nodes = make([]freeNode, n)
-	fa.freeBits = make([]uint64, (n+63)/64)
-	fa.ncolours = ncolours
-	fa.colourHead = make([]int32, ncolours)
-	fa.colourTail = make([]int32, ncolours)
-	fa.freeHead, fa.freeTail = -1, -1
-	for i := range fa.colourHead {
-		fa.colourHead[i], fa.colourTail[i] = -1, -1
-	}
-	fa.nfree = 0
-	for i := 0; i < n; i++ {
-		fa.pushTail(PFN(i))
-	}
-}
-
-// SetColourCount re-indexes the colour sublists for a platform with n cache
-// colours. Call before any allocation: the rebuild requires every frame
-// free. AllocColoured requests for a different colour count fall back to the
-// queue walk.
-func (fa *FramesAllocator) SetColourCount(n int) error {
-	if n <= 0 {
-		return fmt.Errorf("mem: bad colour count %d", n)
-	}
-	if fa.nfree != fa.store.NFrames() {
-		return fmt.Errorf("mem: cannot re-colour with %d frames allocated",
-			fa.store.NFrames()-fa.nfree)
-	}
-	fa.initIndex(n)
-	return nil
-}
-
-// pushTail appends a free frame at the tail of the FIFO queue and its colour
-// sublist — the same position a freed PFN took in the old append-to-slice
-// scheme.
+// pushTail appends a free frame at the tail of the FIFO queue — the same
+// position a freed PFN took in the old append-to-slice scheme.
 func (fa *FramesAllocator) pushTail(pfn PFN) {
 	nd := &fa.nodes[pfn]
 	if nd.free {
@@ -172,20 +130,10 @@ func (fa *FramesAllocator) pushTail(pfn PFN) {
 		fa.freeHead = int32(pfn)
 	}
 	fa.freeTail = int32(pfn)
-	colour := int(pfn) % fa.ncolours
-	nd.cnext, nd.cprev = -1, fa.colourTail[colour]
-	if fa.colourTail[colour] >= 0 {
-		fa.nodes[fa.colourTail[colour]].cnext = int32(pfn)
-	} else {
-		fa.colourHead[colour] = int32(pfn)
-	}
-	fa.colourTail[colour] = int32(pfn)
-	fa.freeBits[pfn>>6] |= 1 << (uint(pfn) & 63)
 	fa.nfree++
 }
 
-// unlink removes a free frame from the queue, its colour sublist and the
-// bitmap, by PFN, in O(1).
+// unlink removes a free frame from the queue, by PFN, in O(1).
 func (fa *FramesAllocator) unlink(pfn PFN) {
 	nd := &fa.nodes[pfn]
 	if !nd.free {
@@ -202,18 +150,6 @@ func (fa *FramesAllocator) unlink(pfn PFN) {
 	} else {
 		fa.freeTail = nd.prev
 	}
-	colour := int(pfn) % fa.ncolours
-	if nd.cprev >= 0 {
-		fa.nodes[nd.cprev].cnext = nd.cnext
-	} else {
-		fa.colourHead[colour] = nd.cnext
-	}
-	if nd.cnext >= 0 {
-		fa.nodes[nd.cnext].cprev = nd.cprev
-	} else {
-		fa.colourTail[colour] = nd.cprev
-	}
-	fa.freeBits[pfn>>6] &^= 1 << (uint(pfn) & 63)
 	fa.nfree--
 }
 
@@ -453,19 +389,8 @@ func (c *Client) AllocColoured(colour, ncolours int) (PFN, error) {
 	if c.n >= c.contract.Guaranteed+c.contract.Optimistic {
 		return 0, fmt.Errorf("%w: n=%d", ErrContractExhausted, c.n)
 	}
+	// The first frame of this colour in queue order.
 	fa := c.fa
-	if ncolours == fa.ncolours {
-		// Indexed colour: the sublist head is the first frame of this
-		// colour in queue order — the frame the old slice scan found.
-		if head := fa.colourHead[colour]; head >= 0 {
-			pfn := PFN(head)
-			fa.unlink(pfn)
-			fa.grant(c, pfn)
-			return pfn, nil
-		}
-		return 0, fmt.Errorf("%w: no free frame of colour %d/%d", ErrNoMemory, colour, ncolours)
-	}
-	// Unindexed colour count: walk the queue in allocation order.
 	for i := fa.freeHead; i >= 0; i = fa.nodes[i].next {
 		if int(i)%ncolours == colour {
 			pfn := PFN(i)
@@ -497,36 +422,29 @@ func (c *Client) AllocContiguous(n int) (PFN, error) {
 	if fa.nfree < n {
 		return 0, fmt.Errorf("%w: no aligned free run of %d frames", ErrNoMemory, n)
 	}
-	// Probe aligned bases in the occupancy bitmap, lowest first — the same
-	// base selection as the old full scan, without materialising a set.
-	for base := PFN(0); int(base)+n <= fa.store.NFrames(); base += PFN(n) {
+	// Probe aligned bases in the frame table, lowest first — the same base
+	// selection as the old full scan, without materialising a set.
+	for base := 0; base+n <= len(fa.nodes); base += n {
 		if !fa.runFree(base, n) {
 			continue
 		}
 		for i := 0; i < n; i++ {
-			fa.unlink(base + PFN(i))
-			fa.grant(c, base+PFN(i))
+			fa.unlink(PFN(base + i))
+			fa.grant(c, PFN(base+i))
 		}
-		return base, nil
+		return PFN(base), nil
 	}
 	return 0, fmt.Errorf("%w: no aligned free run of %d frames", ErrNoMemory, n)
 }
 
-// runFree reports whether frames [base, base+n) are all free. n is a power
-// of two and base is n-aligned, so runs of 64+ frames cover whole bitmap
-// words and shorter runs sit within one word.
-func (fa *FramesAllocator) runFree(base PFN, n int) bool {
-	if n >= 64 {
-		w := int(base) >> 6
-		for k := 0; k < n>>6; k++ {
-			if fa.freeBits[w+k] != ^uint64(0) {
-				return false
-			}
+// runFree reports whether frames [base, base+n) are all free.
+func (fa *FramesAllocator) runFree(base, n int) bool {
+	for _, nd := range fa.nodes[base : base+n] {
+		if !nd.free {
+			return false
 		}
-		return true
 	}
-	mask := (uint64(1)<<uint(n) - 1) << (uint(base) & 63)
-	return fa.freeBits[base>>6]&mask == mask
+	return true
 }
 
 // AllocInRegion allocates a free frame with lo <= pfn < hi (e.g. a

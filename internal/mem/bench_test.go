@@ -26,9 +26,9 @@ func BenchmarkTryAllocFree(b *testing.B) {
 
 // BenchmarkAllocFreeClients measures the frame alloc/free cycle with 10,
 // 100 and 1,000 admitted clients over proportionally sized memory. The
-// indexed free structures keep the cycle O(1) regardless of client count or
+// indexed free queue keeps the cycle O(1) regardless of client count or
 // memory size; each iteration exercises the unspecific pop-head path, the
-// O(1) coloured path and the tail free.
+// coloured queue walk (a few frames from the head) and the tail free.
 func BenchmarkAllocFreeClients(b *testing.B) {
 	for _, n := range []int{10, 100, 1000} {
 		b.Run(strconv.Itoa(n), func(b *testing.B) {
@@ -49,7 +49,7 @@ func BenchmarkAllocFreeClients(b *testing.B) {
 				if err != nil {
 					b.Fatal(err)
 				}
-				cpfn, err := c.AllocColoured(i%DefaultColours, DefaultColours)
+				cpfn, err := c.AllocColoured(i%8, 8)
 				if err != nil {
 					b.Fatal(err)
 				}

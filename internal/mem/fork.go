@@ -68,11 +68,7 @@ func (fa *FramesAllocator) Fork(s *sim.Simulator, store *FrameStore, ramtab *Ram
 		nodes:             append([]freeNode(nil), fa.nodes...),
 		freeHead:          fa.freeHead,
 		freeTail:          fa.freeTail,
-		colourHead:        append([]int32(nil), fa.colourHead...),
-		colourTail:        append([]int32(nil), fa.colourTail...),
-		ncolours:          fa.ncolours,
 		nfree:             fa.nfree,
-		freeBits:          append([]uint64(nil), fa.freeBits...),
 		guaranteed:        fa.guaranteed,
 		clients:           make(map[DomainID]*Client, len(fa.clients)),
 		freed:             sim.NewCond(s),

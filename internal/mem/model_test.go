@@ -6,14 +6,13 @@ import (
 	"testing"
 )
 
-// The model suite pins the indexed free-frame structures (FIFO queue +
-// colour sublists + occupancy bitmap) to a brute-force model that replicates
-// the original single-slice free list operation by operation: pop-front
-// unspecific allocation, linear scans for specific/coloured/region requests,
-// the aligned full scan for contiguous runs, and append-at-back frees. After
-// every operation the allocator's queue walk must equal the model slice
-// exactly — same frames, same order — so every future allocation decision is
-// forced to agree too.
+// The model suite pins the indexed free-frame queue to a brute-force model
+// that replicates the original single-slice free list operation by
+// operation: pop-front unspecific allocation, linear scans for
+// specific/coloured/region requests, the aligned full scan for contiguous
+// runs, and append-at-back frees. After every operation the allocator's
+// queue walk must equal the model slice exactly — same frames, same order —
+// so every future allocation decision is forced to agree too.
 
 // sliceModel is the old free-list representation.
 type sliceModel struct {
@@ -167,8 +166,8 @@ func TestAllocatorMatchesSliceModel(t *testing.T) {
 				if err == nil {
 					held = append(held, pfn)
 				}
-			case 2: // coloured; alternate the indexed count and a fallback count
-				nc := DefaultColours
+			case 2: // coloured; alternate two colour counts
+				nc := 8
 				if rng.Intn(2) == 0 {
 					nc = 3
 				}
@@ -230,27 +229,6 @@ func TestAllocatorMatchesSliceModel(t *testing.T) {
 	}
 }
 
-// TestSetColourCount re-indexes the sublists and verifies the indexed path
-// serves the re-coloured lists.
-func TestSetColourCount(t *testing.T) {
-	_, fa := newAlloc(16)
-	if err := fa.SetColourCount(4); err != nil {
-		t.Fatal(err)
-	}
-	c, _ := fa.Admit(1, Contract{Guaranteed: 16}, nil)
-	pfn, err := c.AllocColoured(3, 4)
-	if err != nil || pfn != 3 {
-		t.Fatalf("AllocColoured(3,4) = %d, %v", pfn, err)
-	}
-	// Rebuild requires all frames free.
-	if err := fa.SetColourCount(2); err == nil {
-		t.Fatal("SetColourCount succeeded with a frame allocated")
-	}
-	if err := fa.SetColourCount(0); err == nil {
-		t.Fatal("SetColourCount(0) succeeded")
-	}
-}
-
 // TestAllocContiguousFragmentedFastPath is the AllocContiguous worst-case
 // regression: with memory fragmented so no run can exist, the request must
 // fail via the exhaustion fast path (free count below the run length)
@@ -278,7 +256,7 @@ func TestAllocContiguousFragmentedFastPath(t *testing.T) {
 	}
 
 	// Now free every second frame: half of memory is free, yet no aligned
-	// pair exists; the bitmap probe must reject every base and fail.
+	// pair exists; the frame-table probe must reject every base and fail.
 	for i := 0; i < nframes; i += 2 {
 		if fa.nodes[i].free {
 			continue

@@ -14,7 +14,6 @@ import (
 // trace.
 type TimelineDump struct {
 	NowNs int64
-	Times []int64 // shared sample instants
 	// Machines lists the per-machine lanes of a merged cluster dump, in
 	// merge order; empty for a single-machine dump. When set, WriteTrace
 	// renders one Perfetto process per machine with flow arrows linking
@@ -25,9 +24,9 @@ type TimelineDump struct {
 	Audit    []AuditEvent
 }
 
-// TrackDump is one recorded series, values aligned with TimelineDump.Times —
-// or with the track's own TimesNs when set (merged dumps, where machines
-// sample on their own clocks).
+// TrackDump is one recorded series, values aligned with TimesNs, the
+// sample instants of the machine that recorded it (one slice shared by all
+// of that machine's tracks).
 type TrackDump struct {
 	Group   string
 	Name    string
@@ -77,17 +76,19 @@ func (tl Timeline) Dump() *TimelineDump {
 	}
 	d.NowNs = int64(tl.Reg.Now())
 	if tl.Rec != nil {
+		var times []int64
 		for _, at := range tl.Rec.Times() {
-			d.Times = append(d.Times, int64(at))
+			times = append(times, int64(at))
 		}
 		for _, t := range tl.Rec.Tracks() {
 			d.Tracks = append(d.Tracks, TrackDump{
-				Group:  t.Group,
-				Name:   t.Name,
-				Domain: t.Domain,
-				Unit:   t.Unit,
-				Rate:   t.Rate,
-				Values: tl.Rec.Values(t),
+				Group:   t.Group,
+				Name:    t.Name,
+				Domain:  t.Domain,
+				Unit:    t.Unit,
+				Rate:    t.Rate,
+				TimesNs: times,
+				Values:  tl.Rec.Values(t),
 			})
 		}
 	}
@@ -108,6 +109,44 @@ func (tl Timeline) Dump() *TimelineDump {
 	}
 	d.Audit = append(d.Audit, tl.Reg.AuditLog()...)
 	return d
+}
+
+// MachineTimeline names one machine's timeline dump for merging.
+type MachineTimeline struct {
+	Machine string
+	Dump    *TimelineDump
+}
+
+// MergeTimelines folds per-machine dumps into one cluster dump: every
+// track, span and audit event is stamped with its machine lane, tracks keep
+// their own sample instants (machines sample on their own clocks), and
+// NowNs becomes the latest machine clock. Merge order is the lane order of
+// the rendered trace, so callers pass machines in a canonical order.
+func MergeTimelines(parts []MachineTimeline) *TimelineDump {
+	m := &TimelineDump{}
+	for _, p := range parts {
+		m.Machines = append(m.Machines, p.Machine)
+		d := p.Dump
+		if d == nil {
+			continue
+		}
+		if d.NowNs > m.NowNs {
+			m.NowNs = d.NowNs
+		}
+		for _, t := range d.Tracks {
+			t.Machine = p.Machine
+			m.Tracks = append(m.Tracks, t)
+		}
+		for _, s := range d.Spans {
+			s.Machine = p.Machine
+			m.Spans = append(m.Spans, s)
+		}
+		for _, e := range d.Audit {
+			e.Machine = p.Machine
+			m.Audit = append(m.Audit, e)
+		}
+	}
+	return m
 }
 
 // usec renders a microsecond timestamp with fixed three-decimal precision
@@ -136,47 +175,66 @@ type traceEvent struct {
 	Args map[string]any `json:"args,omitempty"`
 }
 
-// counterKey identifies one rendered counter track.
-type counterKey struct {
-	domain string
-	name   string
-}
-
 // WriteTrace renders the dump as Chrome trace-event JSON, loadable in
-// ui.perfetto.dev: one process per domain (plus a "system" process), fault
-// spans as complete-event slices with nested hop slices on the faulting
-// thread's lane, recorder series as counter tracks (grouped tracks share one
-// multi-series counter), and audit events as instants.
+// ui.perfetto.dev. Fault spans become complete-event slices with nested
+// hop slices, recorder series counter tracks (grouped tracks share one
+// multi-series counter), and audit events instants. The dump picks the
+// layout. A single machine's dump renders one process per domain (plus a
+// "system" process) and lanes each span by its faulting thread. A merged
+// cluster dump (Machines set) renders one process per machine lane, lanes
+// client spans by domain and service spans by server worker, and draws
+// flow arrows (s/t/f events bound to enclosing slices) from each client's
+// net.out hop to the service slices that answered it.
 func (d *TimelineDump) WriteTrace(w io.Writer) error {
-	// Merged cluster dumps render machine process lanes with flow arrows.
-	if len(d.Machines) > 0 {
-		return d.WriteClusterTrace(w)
-	}
-	// Process ids: "system" is pid 1; domains follow in first-appearance
-	// order across tracks, spans and audit events.
-	pids := map[string]int{"": 1}
-	var order []string
-	pidOf := func(domain string) int {
-		if pid, ok := pids[domain]; ok {
-			return pid
+	merged := len(d.Machines) > 0
+	// Processes: a domain on one machine, a machine lane in a merged dump.
+	// Pids follow first appearance: the declared processes ("system" is
+	// pid 1 on one machine), then tracks, spans and audit events.
+	proc := func(machine, domain string) string {
+		if merged {
+			return machine
 		}
-		pid := len(pids) + 1
-		pids[domain] = pid
-		order = append(order, domain)
-		return pid
+		return domain
+	}
+	unnamed, declared := "system", []string{""}
+	if merged {
+		unnamed, declared = "cluster", d.Machines
+	}
+	pids := map[string]int{}
+	var order []string
+	pidOf := func(p string) {
+		if _, ok := pids[p]; !ok {
+			pids[p] = len(pids) + 1
+			order = append(order, p)
+		}
+	}
+	for _, p := range declared {
+		pidOf(p)
 	}
 	for _, t := range d.Tracks {
-		pidOf(t.Domain)
+		pidOf(proc(t.Machine, t.Domain))
 	}
 	for _, s := range d.Spans {
-		pidOf(s.Domain)
+		pidOf(proc(s.Machine, s.Domain))
 	}
 	for _, e := range d.Audit {
-		pidOf(e.Domain)
+		pidOf(proc(e.Machine, e.Domain))
 	}
 
-	// Thread ids within each process: tid 1 is the events lane; fault
-	// threads follow in first-appearance order.
+	// Thread lanes within each process: tid 1 is the events lane; span
+	// lanes follow in first-appearance order. One machine lanes a span by
+	// its faulting thread; a merged dump lanes service spans by server
+	// worker and client spans by domain.
+	laneOf := func(s SpanDump) string {
+		lane := s.Thread
+		if merged && (s.Class != "service" || s.Thread == "") {
+			lane = s.Domain
+		}
+		if lane == "" {
+			lane = "faults"
+		}
+		return lane
+	}
 	type threadKey struct {
 		pid int
 		nm  string
@@ -194,49 +252,55 @@ func (d *TimelineDump) WriteTrace(w io.Writer) error {
 		return tid
 	}
 
-	bw := bufio.NewWriter(w)
-	if _, err := bw.WriteString(`{"traceEvents":[`); err != nil {
-		return err
+	// Flows (merged dumps): a flow draws an arrow once both ends appear,
+	// its client span (the first non-service span with a net.out hop) and
+	// at least one service span echoing it.
+	flowFrom, flowTo := map[uint64]int{}, map[uint64]int{}
+	for i, s := range d.Spans {
+		if !merged || s.Flow == 0 {
+			continue
+		}
+		if s.Class == "service" {
+			flowTo[s.Flow] = i // the last answer finishes the arrow
+			continue
+		}
+		if _, ok := flowFrom[s.Flow]; !ok && netOut(s) != nil {
+			flowFrom[s.Flow] = i
+		}
 	}
-	first := true
-	emit := func(ev traceEvent) error {
-		b, err := json.Marshal(ev)
+
+	// Every event goes out through emit; the first error stops the
+	// output, and bufio keeps a write error for Flush.
+	bw := bufio.NewWriter(w)
+	bw.WriteString(`{"traceEvents":[`)
+	var err error
+	sep := "\n"
+	emit := func(ev traceEvent) {
 		if err != nil {
-			return err
+			return
 		}
-		if !first {
-			if err := bw.WriteByte(','); err != nil {
-				return err
-			}
+		var b []byte
+		if b, err = json.Marshal(ev); err == nil {
+			bw.WriteString(sep)
+			bw.Write(b)
+			sep = ",\n"
 		}
-		first = false
-		if _, err := bw.WriteString("\n"); err != nil {
-			return err
-		}
-		_, err = bw.Write(b)
-		return err
 	}
 
 	// Metadata: process names in pid order.
-	meta := func(pid int, name string) error {
-		if err := emit(traceEvent{Name: "process_name", Ph: "M", Pid: pid,
-			Args: map[string]any{"name": name}}); err != nil {
-			return err
+	for _, p := range order {
+		name := p
+		if name == "" {
+			name = unnamed
 		}
-		return emit(traceEvent{Name: "process_sort_index", Ph: "M", Pid: pid,
-			Args: map[string]any{"sort_index": pid}})
-	}
-	if err := meta(1, "system"); err != nil {
-		return err
-	}
-	for _, dom := range order {
-		if err := meta(pids[dom], dom); err != nil {
-			return err
-		}
+		emit(traceEvent{Name: "process_name", Ph: "M", Pid: pids[p], Args: map[string]any{"name": name}})
+		emit(traceEvent{Name: "process_sort_index", Ph: "M", Pid: pids[p], Args: map[string]any{"sort_index": pids[p]}})
 	}
 
-	// Counter tracks: grouped series merge into one counter; samples in
-	// time order per counter, counters in track-registration order.
+	// Counter tracks: grouped series merge into one counter per process
+	// and domain (a merged dump names it domain/group); samples in time
+	// order per counter, counters in track order.
+	type counterKey struct{ proc, domain, name string }
 	var ckeys []counterKey
 	groups := map[counterKey][]TrackDump{}
 	for _, t := range d.Tracks {
@@ -244,7 +308,10 @@ func (d *TimelineDump) WriteTrace(w io.Writer) error {
 		if name == "" {
 			name = t.Name
 		}
-		k := counterKey{t.Domain, name}
+		if merged && t.Domain != "" {
+			name = t.Domain + "/" + name
+		}
+		k := counterKey{proc(t.Machine, t.Domain), t.Domain, name}
 		if _, ok := groups[k]; !ok {
 			ckeys = append(ckeys, k)
 		}
@@ -252,57 +319,69 @@ func (d *TimelineDump) WriteTrace(w io.Writer) error {
 	}
 	for _, k := range ckeys {
 		tracks := groups[k]
-		pid := pids[k.domain]
-		for i, at := range d.Times {
+		for i, at := range tracks[0].TimesNs {
 			args := make(map[string]any, len(tracks))
 			for _, t := range tracks {
 				if i < len(t.Values) {
 					args[t.Name] = t.Values[i]
 				}
 			}
-			if err := emit(traceEvent{Name: k.name, Ph: "C", Ts: usec(at), Pid: pid, Args: args}); err != nil {
-				return err
-			}
+			emit(traceEvent{Name: k.name, Ph: "C", Ts: usec(at), Pid: pids[k.proc], Args: args})
 		}
 	}
 
-	// Fault spans: a slice for the whole span, then one nested slice per
-	// hop, all on the faulting thread's lane.
-	for _, s := range d.Spans {
-		pid := pids[s.Domain]
-		lane := s.Thread
-		if lane == "" {
-			lane = "faults"
+	// Spans: a slice for the whole span, then one nested slice per hop,
+	// then any flow event, anchored to the slice it binds to, so the
+	// emission order is a deterministic function of the dump alone.
+	for i, s := range d.Spans {
+		pid := pids[proc(s.Machine, s.Domain)]
+		tid := tidOf(pid, laneOf(s))
+		name := "fault:" + s.Class
+		args := map[string]any{"outcome": s.Outcome, "thread": s.Thread}
+		if merged && s.Class == "service" {
+			name = "service"
+			args["client"] = s.Domain
 		}
-		tid := tidOf(pid, lane)
+		if merged && s.Flow != 0 {
+			args["flow"] = s.Flow
+		}
 		dur := usec(s.EndNs - s.StartNs)
-		if err := emit(traceEvent{
-			Name: "fault:" + s.Class, Ph: "X", Ts: usec(s.StartNs), Dur: &dur,
-			Pid: pid, Tid: tid, Cat: "fault",
-			Args: map[string]any{"outcome": s.Outcome, "thread": s.Thread},
-		}); err != nil {
-			return err
-		}
+		emit(traceEvent{Name: name, Ph: "X", Ts: usec(s.StartNs), Dur: &dur, Pid: pid, Tid: tid, Cat: "fault", Args: args})
 		for _, h := range s.Hops {
 			hdur := usec(h.EndNs - h.StartNs)
-			if err := emit(traceEvent{
-				Name: h.Name, Ph: "X", Ts: usec(h.StartNs), Dur: &hdur,
-				Pid: pid, Tid: tid, Cat: "hop",
-			}); err != nil {
-				return err
-			}
+			emit(traceEvent{Name: h.Name, Ph: "X", Ts: usec(h.StartNs), Dur: &hdur, Pid: pid, Tid: tid, Cat: "hop"})
 		}
+		from, ok := flowFrom[s.Flow]
+		last, answered := flowTo[s.Flow]
+		if !ok || !answered {
+			continue
+		}
+		// The arrow starts inside the client's net.out hop slice, steps
+		// through every answer but the last (a batched write is one client
+		// hop answered by several server RPCs) and finishes on the last,
+		// bound to the enclosing service slice.
+		id := s.Flow
+		ev := traceEvent{Name: "netswap", Ph: "t", Ts: usec(s.StartNs), Pid: pid, Tid: tid, Cat: "flow", ID: &id}
+		switch i {
+		case from:
+			ev.Ph, ev.Ts = "s", usec(netOut(s).StartNs)
+		case last:
+			ev.Ph, ev.Bp = "f", "e"
+		}
+		emit(ev)
 	}
 
-	// Audit log: instant events on the owning domain's events lane
-	// (process-scoped), system events global.
+	// Audit log: instants on the owning process's events lane. One
+	// machine's system events are global; a merged dump names the domain.
 	for _, e := range d.Audit {
-		pid := pids[e.Domain]
 		scope := "p"
-		if e.Domain == "" {
+		args := map[string]any{}
+		if !merged && e.Domain == "" {
 			scope = "g"
 		}
-		args := map[string]any{}
+		if merged && e.Domain != "" {
+			args["domain"] = e.Domain
+		}
 		if e.Other != "" {
 			args["other"] = e.Other
 		}
@@ -312,50 +391,39 @@ func (d *TimelineDump) WriteTrace(w io.Writer) error {
 		if e.Detail != "" {
 			args["detail"] = e.Detail
 		}
-		if err := emit(traceEvent{
-			Name: string(e.Kind), Ph: "i", Ts: usec(e.At), Pid: pid, Tid: 1,
-			S: scope, Cat: "audit", Args: args,
-		}); err != nil {
-			return err
-		}
+		emit(traceEvent{Name: string(e.Kind), Ph: "i", Ts: usec(e.At), Pid: pids[proc(e.Machine, e.Domain)], Tid: 1,
+			S: scope, Cat: "audit", Args: args})
 	}
 
 	// Thread-name metadata last: tids are known only after span emission.
-	if err := emit(traceEvent{Name: "thread_name", Ph: "M", Pid: 1, Tid: 1,
-		Args: map[string]any{"name": "events"}}); err != nil {
-		return err
+	// Span lanes are named in span order, each (pid, tid) once.
+	for _, p := range order {
+		emit(traceEvent{Name: "thread_name", Ph: "M", Pid: pids[p], Tid: 1, Args: map[string]any{"name": "events"}})
 	}
-	for _, dom := range order {
-		pid := pids[dom]
-		if err := emit(traceEvent{Name: "thread_name", Ph: "M", Pid: pid, Tid: 1,
-			Args: map[string]any{"name": "events"}}); err != nil {
-			return err
-		}
-	}
-	// Deterministic order for span lanes: re-walk spans, emitting each
-	// (pid, tid) name once.
 	named := map[threadKey]bool{}
 	for _, s := range d.Spans {
-		pid := pids[s.Domain]
-		lane := s.Thread
-		if lane == "" {
-			lane = "faults"
-		}
-		k := threadKey{pid, lane}
-		if named[k] {
-			continue
-		}
-		named[k] = true
-		if err := emit(traceEvent{Name: "thread_name", Ph: "M", Pid: pid, Tid: tids[k],
-			Args: map[string]any{"name": lane}}); err != nil {
-			return err
+		k := threadKey{pids[proc(s.Machine, s.Domain)], laneOf(s)}
+		if !named[k] {
+			named[k] = true
+			emit(traceEvent{Name: "thread_name", Ph: "M", Pid: k.pid, Tid: tids[k], Args: map[string]any{"name": k.nm}})
 		}
 	}
 
-	if _, err := bw.WriteString("\n],\"displayTimeUnit\":\"ms\"}\n"); err != nil {
+	if err != nil {
 		return err
 	}
+	bw.WriteString("\n],\"displayTimeUnit\":\"ms\"}\n")
 	return bw.Flush()
+}
+
+// netOut returns a span's first net.out hop, or nil.
+func netOut(s SpanDump) *HopDump {
+	for i := range s.Hops {
+		if s.Hops[i].Name == "net.out" {
+			return &s.Hops[i]
+		}
+	}
+	return nil
 }
 
 // ValidateTrace checks that r holds minimally well-formed trace-event JSON:

@@ -316,8 +316,8 @@ func TestTimelineDumpShape(t *testing.T) {
 	if len(d.Tracks) != 3 || len(d.Spans) != 1 || len(d.Audit) != 2 {
 		t.Fatalf("dump: %d tracks, %d spans, %d audit", len(d.Tracks), len(d.Spans), len(d.Audit))
 	}
-	if len(d.Times) != len(d.Tracks[0].Values) {
-		t.Fatalf("times %d != values %d", len(d.Times), len(d.Tracks[0].Values))
+	if len(d.Tracks[0].TimesNs) != len(d.Tracks[0].Values) {
+		t.Fatalf("times %d != values %d", len(d.Tracks[0].TimesNs), len(d.Tracks[0].Values))
 	}
 	sp := d.Spans[0]
 	if sp.Domain != "dom1" || len(sp.Hops) != 2 || sp.Hops[1].Name != "usd.read" {
