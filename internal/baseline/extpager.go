@@ -31,7 +31,7 @@ type ExternalPager struct {
 	pages map[pageKey]*extPage
 	fifo  []*extPage
 	queue []*pageReq
-	wake  *sim.Cond
+	wake  sim.Cond
 
 	// Reusable transfer requests: handle runs serially on the pager
 	// thread and Do is synchronous, so one of each suffices.
@@ -59,7 +59,7 @@ type extPage struct {
 
 type pageReq struct {
 	f    *vm.Fault
-	done *sim.Cond
+	done sim.Cond
 	ok   bool
 	fin  bool
 }
@@ -85,7 +85,6 @@ func NewExternalPager(sys *core.System, poolFrames int, swapBytes int64, diskQoS
 		blok:        stretchdrv.NewBlokAllocator(swap.Blocks()/blokBlocks, blokBlocks),
 		base:        swap.Extent().Start,
 		pages:       make(map[pageKey]*extPage),
-		wake:        sim.NewCond(sys.Sim),
 		ServiceCost: 20 * time.Microsecond,
 	}
 	dom.Go("server", func(t *domain.Thread) {
@@ -132,7 +131,7 @@ func (d *extDriver) SatisfyFault(p *sim.Proc, f *vm.Fault, canIDC bool) domain.R
 	if !canIDC {
 		return domain.Retry // IPC to the pager needs a worker thread
 	}
-	req := &pageReq{f: f, done: sim.NewCond(d.ep.sys.Sim)}
+	req := &pageReq{f: f}
 	d.ep.queue = append(d.ep.queue, req)
 	d.ep.wake.Signal()
 	for !req.fin {

@@ -123,13 +123,13 @@ func (sys *System) Fork() (_ *Snapshot, err error) {
 		domains: make(map[mem.DomainID]*domain.Domain, len(sys.domains)),
 		nextID:  sys.nextID,
 	}
+	sys2.env = sys2.newEnv()
 	frames.OnKill = func(id mem.DomainID) {
 		if dom := sys2.domains[id]; dom != nil {
 			dom.Kill()
 		}
 	}
 
-	env := sys2.env()
 	for _, dom := range sys.Domains() {
 		npd := vmaps.PD[dom.PD()]
 		if npd == nil {
@@ -139,7 +139,7 @@ func (sys *System) Fork() (_ *Snapshot, err error) {
 		if err != nil {
 			return nil, err
 		}
-		ndom := dom.Fork(env, npd, ncpu, frames.Lookup(dom.ID()))
+		ndom := dom.Fork(sys2.env, npd, ncpu, frames.Lookup(dom.ID()))
 		sys2.domains[dom.ID()] = ndom
 		for _, b := range dom.Bindings() {
 			if _, err := b.Driver.(*stretchdrv.Paged).Fork(ndom, vmaps, fileMap); err != nil {

@@ -83,6 +83,8 @@ type System struct {
 	// stretch is created (or EnableNetSwap is called).
 	NetSwap *netswap.Fabric
 
+	// env is the one environment every domain of the system shares.
+	env      *domain.Env
 	domains  map[mem.DomainID]*domain.Domain
 	nextID   mem.DomainID
 	monitor  *obs.CrosstalkMonitor
@@ -159,6 +161,7 @@ func New(cfg Config) *System {
 		domains: make(map[mem.DomainID]*domain.Domain),
 		nextID:  1, // 0 is the system domain
 	}
+	sys.env = sys.newEnv()
 	if reg != nil {
 		sys.tracker = domain.NewActivityTracker()
 	}
@@ -174,9 +177,10 @@ func New(cfg Config) *System {
 	return sys
 }
 
-// env bundles what domains need.
-func (sys *System) env() domain.Env {
-	return domain.Env{
+// newEnv bundles what the system's domains need. New and Fork call it once
+// per system.
+func (sys *System) newEnv() *domain.Env {
+	return &domain.Env{
 		Sim:    sys.Sim,
 		TS:     sys.TS,
 		SA:     sys.SA,
@@ -210,7 +214,7 @@ func (sys *System) NewDomain(name string, cpuQoS atropos.QoS, ct mem.Contract) (
 		sys.TS.DestroyProtectionDomain(pd)
 		return nil, err
 	}
-	dom := domain.New(sys.env(), id, name, pd, cpuDom, memc)
+	dom := domain.New(sys.env, id, name, pd, cpuDom, memc)
 	memc.SetHandler(dom)
 	memc.SetTelemetryName(name)
 	sys.domains[id] = dom
@@ -333,8 +337,8 @@ func (sys *System) NewStretch(dom *domain.Domain, spec PagerSpec) (*vm.Stretch, 
 	}
 	drv, err := sys.bind(dom, st, spec)
 	if err != nil {
-		// A nailed bind that failed partway holds mapped frames, which
-		// Destroy refuses; that stretch stays as it is.
+		// Destroy refuses a stretch with a page still mapped, and a failed
+		// bind maps none: a nailed one gives back the frames it took.
 		if sys.SA.Destroy(st) == nil {
 			sys.TS.GrantInitial(dom.PD(), st.ID(), 0)
 			dom.Unbind(st.ID())

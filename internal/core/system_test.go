@@ -282,6 +282,59 @@ func TestRejectedSpecLeavesNothing(t *testing.T) {
 	}
 }
 
+// A nailed stretch whose binding runs out of frames partway leaves nothing
+// behind: the pages it nailed are unnailed, unmapped and freed, and the
+// stretch is destroyed, so the domain holds no stretch in its window, no
+// rights, no driver and no frames, and the frames it took nail a smaller
+// stretch next.
+func TestFailedNailedBindLeavesNothing(t *testing.T) {
+	sys := smallSystem()
+	d, _ := sys.NewDomain("app", cpuShare(), mem.Contract{Guaranteed: 2})
+	var bindErr error
+	var next *vm.Stretch
+	d.Go("main", func(th *domain.Thread) {
+		_, _, bindErr = sys.NewNailedStretch(th, 4*vm.PageSize)
+		var err error
+		if next, _, err = sys.NewNailedStretch(th, 2*vm.PageSize); err != nil {
+			t.Error(err)
+		}
+	})
+	sys.Run(time.Second)
+	if !errors.Is(bindErr, mem.ErrContractExhausted) {
+		t.Fatalf("4 pages under a 2-frame contract: err = %v", bindErr)
+	}
+	if next == nil {
+		t.Fatal("second stretch not created")
+	}
+	for va := vaLow; va < next.Base(); va += vm.PageSize {
+		if st := sys.SA.Find(va); st != nil {
+			t.Fatalf("failed binding left %v", st)
+		}
+	}
+	for id := vm.StretchID(0); id < next.ID(); id++ {
+		if r := d.PD().RightsOn(id); r != 0 {
+			t.Errorf("rights %v left on stretch %d", r, id)
+		}
+		if drv := d.DriverFor(id); drv != nil {
+			t.Errorf("driver %T left on stretch %d", drv, id)
+		}
+	}
+	if n := d.MemClient().Allocated(); n != 2 {
+		t.Errorf("domain holds %d frames, want the second stretch's 2", n)
+	}
+	for i := 0; i < next.Pages(); i++ {
+		pfn, _, err := sys.TS.Trans(next.PageBase(i))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if s, _ := sys.RamTab.State(pfn); s != mem.Nailed {
+			t.Errorf("page %d of the second stretch: frame %d is %v", i, pfn, s)
+		}
+	}
+	sys.Shutdown()
+	sys.RunUntilIdle(1 << 20)
+}
+
 // TestNailedStretchNeverFaults: after binding, accesses are fault-free.
 func TestNailedStretchNeverFaults(t *testing.T) {
 	sys := smallSystem()

@@ -265,8 +265,8 @@ func TestDomainTelemetryRegisteredOnce(t *testing.T) {
 // to a telemetry system allocates, amortized over a few hundred domains:
 // its protection domain, CPU and memory clients, MMEntry and worker, and
 // its registry entries. A change that makes idle domains cost more
-// telemetry fails here.
-const domainObjects = 29
+// telemetry, or gives a domain a map or side object again, fails here.
+const domainObjects = 23
 
 func TestDomainAdmissionFootprint(t *testing.T) {
 	const runs = 600

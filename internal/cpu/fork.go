@@ -31,7 +31,7 @@ func (s *Scheduler) Fork(ns *sim.Simulator) (*Scheduler, []uint64, error) {
 	}
 	nsch.scheduleFn = nsch.schedule
 	for _, ac := range core.Clients() {
-		ac.Rec = &waiter{cond: sim.NewCond(ns)}
+		ac.Rec = &waiter{}
 	}
 	var claimed []uint64
 	if at, seq, ok := s.timer.When(); ok {

@@ -36,7 +36,7 @@ type Scheduler struct {
 
 // waiter is a domain's scheduler record, linked from its Atropos client.
 type waiter struct {
-	cond    *sim.Cond
+	cond    sim.Cond
 	pending int
 }
 
@@ -66,7 +66,7 @@ func (s *Scheduler) Admit(name string, q atropos.QoS) (*DomainCPU, error) {
 	if err != nil {
 		return nil, err
 	}
-	w := &waiter{cond: sim.NewCond(s.sim)}
+	w := &waiter{}
 	ac.Rec = w
 	d := &DomainCPU{s: s, ac: ac, name: name, w: w}
 	if a := s.Obs.Attr(); a != nil {

@@ -180,12 +180,12 @@ type Disk struct {
 	Geom Geometry
 	sim  *sim.Simulator
 	// data is a two-level block store: chunk index -> chunkBlocks*BlockSize
-	// bytes. A chunk is nil until written, zeroChunk while every write to it
-	// was all zeros, and private from its first non-zero write on; nil and
-	// zeroChunk read as zeros. Indexing is two array derefs instead of a
-	// per-block map hash, and contiguous chunks let multi-block transfers
-	// copy in one run.
-	data [][]byte
+	// bytes. A chunk is nil until written, &zeroChunk while every write to
+	// it was all zeros, and private from its first non-zero write on; nil
+	// and zeroChunk read as zeros. Indexing is two array derefs instead of
+	// a per-block map hash, contiguous chunks let multi-block transfers
+	// copy in one run, and the index costs one pointer per chunk.
+	data []*[ChunkBytes]byte
 	// shared marks chunks frozen by a Fork: both sides of a fork see the
 	// same backing array until one of them writes, at which point the writer
 	// copies the chunk privately. nil until the first Fork, so an unforked
@@ -224,8 +224,8 @@ var zeroChunk [ChunkBytes]byte
 
 // private returns chunk idx's private bytes, or nil if it holds only zeros.
 func (d *Disk) private(idx int64) []byte {
-	if c := d.data[idx]; c != nil && &c[0] != &zeroChunk[0] {
-		return c
+	if c := d.data[idx]; c != nil && c != &zeroChunk {
+		return c[:]
 	}
 	return nil
 }
@@ -233,7 +233,7 @@ func (d *Disk) private(idx int64) []byte {
 // New returns a drive with the given geometry attached to s.
 func New(s *sim.Simulator, g Geometry) *Disk {
 	nChunks := (g.TotalBlocks + chunkBlocks - 1) >> chunkShift
-	return &Disk{Geom: g, sim: s, data: make([][]byte, nChunks)}
+	return &Disk{Geom: g, sim: s, data: make([]*[ChunkBytes]byte, nChunks)}
 }
 
 // Stats returns a copy of the accumulated counters.
@@ -421,19 +421,19 @@ func (d *Disk) WriteAt(p *sim.Proc, block int64, count int, buf []byte) error {
 		i += run
 		c := d.private(idx)
 		if c == nil && bytes.Equal(src, zeroChunk[:len(src)]) {
-			d.data[idx] = zeroChunk[:]
+			d.data[idx] = &zeroChunk
 			continue
 		}
 		if c == nil || d.shared != nil && d.shared[idx] {
 			// The first data write to a chunk of zeros, or copy-on-write of
 			// a chunk frozen by a fork: the chunk gets bytes of its own.
-			nc := make([]byte, chunkBlocks*BlockSize)
-			copy(nc, c)
+			nc := new([ChunkBytes]byte)
+			copy(nc[:], c)
 			d.data[idx] = nc
 			if d.shared != nil {
 				d.shared[idx] = false
 			}
-			c = nc
+			c = nc[:]
 		}
 		copy(c[off*BlockSize:], src)
 	}

@@ -22,7 +22,7 @@ func (d *Disk) Fork(s *sim.Simulator) *Disk {
 	nd := &Disk{
 		Geom:   d.Geom,
 		sim:    s,
-		data:   make([][]byte, len(d.data)),
+		data:   make([]*[ChunkBytes]byte, len(d.data)),
 		shared: make([]bool, len(d.data)),
 		segs:   append([]segment(nil), d.segs...),
 		tick:   d.tick,

@@ -8,8 +8,10 @@
 package domain
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
+	"slices"
 
 	"nemesis/internal/cpu"
 	"nemesis/internal/fault"
@@ -74,7 +76,8 @@ type Driver interface {
 // in activation-handler context; returning true marks the fault resolved.
 type FaultHandler func(t *Thread, f *vm.Fault) bool
 
-// Env carries the system-wide pieces a domain needs.
+// Env carries the system-wide pieces a domain needs. A system builds one
+// and every domain in it holds a pointer to it.
 type Env struct {
 	Sim    *sim.Simulator
 	TS     *vm.TranslationSystem
@@ -102,7 +105,7 @@ type Stats struct {
 // Domain is one application: a protection domain, a CPU contract, a frames
 // allocator client, a set of stretch-driver bindings and some threads.
 type Domain struct {
-	env  Env
+	env  *Env
 	id   mem.DomainID
 	name string
 
@@ -110,7 +113,12 @@ type Domain struct {
 	cpu  *cpu.DomainCPU
 	memc *mem.Client
 
-	drivers  map[vm.StretchID]Driver
+	// bindings holds the stretch-driver bindings in stretch-id order. A
+	// domain binds a handful of stretches, so a search of the slice finds
+	// one without a map.
+	bindings []Binding
+	// handlers is nil until SetFaultHandler installs a handler: most
+	// domains never do.
 	handlers map[vm.FaultClass]FaultHandler
 
 	faultEvent  fault.Event
@@ -139,18 +147,17 @@ type Domain struct {
 	trackDirty bool
 }
 
-// New creates a domain. pd/cpuDom/memc come from the system facade, which
-// admitted the domain with the system-wide allocators.
-func New(env Env, id mem.DomainID, name string, pd *vm.ProtectionDomain, cpuDom *cpu.DomainCPU, memc *mem.Client) *Domain {
+// New creates a domain in the system whose environment is env. pd/cpuDom/
+// memc come from the system facade, which admitted the domain with the
+// system-wide allocators.
+func New(env *Env, id mem.DomainID, name string, pd *vm.ProtectionDomain, cpuDom *cpu.DomainCPU, memc *mem.Client) *Domain {
 	d := &Domain{
-		env:      env,
-		id:       id,
-		name:     name,
-		pd:       pd,
-		cpu:      cpuDom,
-		memc:     memc,
-		drivers:  make(map[vm.StretchID]Driver),
-		handlers: make(map[vm.FaultClass]FaultHandler),
+		env:  env,
+		id:   id,
+		name: name,
+		pd:   pd,
+		cpu:  cpuDom,
+		memc: memc,
 	}
 	if env.Obs != nil {
 		d.num = env.Obs.DomainNum(name)
@@ -182,9 +189,8 @@ func (d *Domain) CPU() *cpu.DomainCPU { return d.cpu }
 // MemClient returns the domain's frames-allocator client.
 func (d *Domain) MemClient() *mem.Client { return d.memc }
 
-// Env returns the system environment. Callers read through the pointer:
-// Env holds the cost table by value, too large to copy per fault.
-func (d *Domain) Env() *Env { return &d.env }
+// Env returns the system environment, shared by every domain of the system.
+func (d *Domain) Env() *Env { return d.env }
 
 // Stats returns a copy of the counters.
 func (d *Domain) Stats() Stats { return d.stats }
@@ -206,26 +212,49 @@ func (d *Domain) NewStretch(size uint64) (*vm.Stretch, error) {
 	return st, nil
 }
 
+// binding returns where sid's binding is, or would be inserted, in
+// d.bindings, and whether it is there.
+func (d *Domain) binding(sid vm.StretchID) (int, bool) {
+	return slices.BinarySearchFunc(d.bindings, sid, func(b Binding, sid vm.StretchID) int {
+		return cmp.Compare(b.SID, sid)
+	})
+}
+
 // Bind associates a stretch with a stretch driver: only then is it
-// meaningful to talk about the stretch's contents.
+// meaningful to talk about the stretch's contents. Binding a bound stretch
+// again replaces its driver.
 func (d *Domain) Bind(st *vm.Stretch, drv Driver) {
-	d.drivers[st.ID()] = drv
+	i, ok := d.binding(st.ID())
+	if ok {
+		d.bindings[i].Driver = drv
+		return
+	}
+	d.bindings = slices.Insert(d.bindings, i, Binding{SID: st.ID(), Driver: drv})
 }
 
 // Unbind drops a stretch's driver binding: the system gives back a stretch
 // whose construction failed after its driver was bound.
-func (d *Domain) Unbind(sid vm.StretchID) { delete(d.drivers, sid) }
+func (d *Domain) Unbind(sid vm.StretchID) {
+	if i, ok := d.binding(sid); ok {
+		d.bindings = slices.Delete(d.bindings, i, i+1)
+	}
+}
 
 // DriverFor returns the driver bound to a stretch, or nil.
-func (d *Domain) DriverFor(sid vm.StretchID) Driver { return d.drivers[sid] }
+func (d *Domain) DriverFor(sid vm.StretchID) Driver {
+	if i, ok := d.binding(sid); ok {
+		return d.bindings[i].Driver
+	}
+	return nil
+}
 
 // ResidentPages sums the resident page counts of every bound stretch driver
 // that reports one (the pager engines do). The timeline recorder samples it
 // as the domain's paging working set.
 func (d *Domain) ResidentPages() int {
 	total := 0
-	for _, drv := range d.drivers {
-		if rp, ok := drv.(interface{ ResidentPages() int }); ok {
+	for _, b := range d.bindings {
+		if rp, ok := b.Driver.(interface{ ResidentPages() int }); ok {
 			total += rp.ResidentPages()
 		}
 	}
@@ -234,11 +263,15 @@ func (d *Domain) ResidentPages() int {
 
 // SetFaultHandler installs a custom handler for one fault class,
 // overriding the default dispatch (kill for protection/unallocated faults,
-// stretch-driver resolution for page faults).
+// stretch-driver resolution for page faults). A nil h removes the class's
+// handler.
 func (d *Domain) SetFaultHandler(c vm.FaultClass, h FaultHandler) {
 	if h == nil {
 		delete(d.handlers, c)
 		return
+	}
+	if d.handlers == nil {
+		d.handlers = make(map[vm.FaultClass]FaultHandler)
 	}
 	d.handlers[c] = h
 }
@@ -277,7 +310,6 @@ func (d *Domain) Kill() {
 // Go spawns a user-level thread executing fn.
 func (d *Domain) Go(name string, fn func(t *Thread)) *Thread {
 	t := &Thread{dom: d, name: name}
-	t.done = sim.NewCond(d.env.Sim)
 	d.threads = append(d.threads, t)
 	t.proc = d.env.Sim.Spawn(d.name+"/"+name, func(p *sim.Proc) {
 		t.proc = p
@@ -354,7 +386,7 @@ func (d *Domain) dispatchFault(t *Thread, f *vm.Fault) error {
 		return fmt.Errorf("%w: %v", ErrFaulted, f)
 	}
 
-	drv := d.drivers[f.SID]
+	drv := d.DriverFor(f.SID)
 	if drv == nil {
 		sp.Finish("fatal")
 		d.Kill()

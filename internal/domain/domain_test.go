@@ -52,7 +52,7 @@ func (r *rig) domain(t *testing.T, name string, frames uint64) *Domain {
 	if err != nil {
 		t.Fatal(err)
 	}
-	d := New(r.env, id, name, pd, cpuDom, memc)
+	d := New(&r.env, id, name, pd, cpuDom, memc)
 	memc.SetHandler(d)
 	return d
 }

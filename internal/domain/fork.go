@@ -2,7 +2,6 @@ package domain
 
 import (
 	"fmt"
-	"sort"
 
 	"nemesis/internal/cpu"
 	"nemesis/internal/mem"
@@ -34,11 +33,11 @@ func (d *Domain) Forkable() error {
 // forked translation system, CPU scheduler and frames allocator. Stretch
 // drivers are NOT carried over — the caller forks each driver against the
 // returned domain (drivers need the new domain for their base) and Bind
-// re-populates the map. The MMEntry's worker is respawned; at a valid fork
-// point it is parked on an empty queue, so the respawned worker parks
+// re-populates the bindings. The MMEntry's worker is respawned; at a valid
+// fork point it is parked on an empty queue, so the respawned worker parks
 // identically. A forked world has no telemetry, so the copy has neither
 // counters nor an activity tracker. The caller has checked Forkable.
-func (d *Domain) Fork(env Env, npd *vm.ProtectionDomain, ncpu *cpu.DomainCPU, memc *mem.Client) *Domain {
+func (d *Domain) Fork(env *Env, npd *vm.ProtectionDomain, ncpu *cpu.DomainCPU, memc *mem.Client) *Domain {
 	nd := &Domain{
 		env:         env,
 		id:          d.id,
@@ -46,8 +45,7 @@ func (d *Domain) Fork(env Env, npd *vm.ProtectionDomain, ncpu *cpu.DomainCPU, me
 		pd:          npd,
 		cpu:         ncpu,
 		memc:        memc,
-		drivers:     make(map[vm.StretchID]Driver, len(d.drivers)),
-		handlers:    make(map[vm.FaultClass]FaultHandler),
+		bindings:    make([]Binding, 0, len(d.bindings)),
 		faultEvent:  d.faultEvent,
 		revokeEvent: d.revokeEvent,
 		killed:      d.killed,
@@ -72,11 +70,5 @@ type Binding struct {
 
 // Bindings returns the domain's stretch-driver bindings in stretch-id order.
 // The snapshot orchestrator walks them to fork each driver exactly once.
-func (d *Domain) Bindings() []Binding {
-	out := make([]Binding, 0, len(d.drivers))
-	for sid, drv := range d.drivers {
-		out = append(out, Binding{SID: sid, Driver: drv})
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].SID < out[j].SID })
-	return out
-}
+// The slice is the domain's own: callers read it and do not keep it.
+func (d *Domain) Bindings() []Binding { return d.bindings }

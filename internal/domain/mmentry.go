@@ -1,6 +1,8 @@
 package domain
 
 import (
+	"slices"
+
 	"nemesis/internal/obs"
 	"nemesis/internal/sim"
 	"nemesis/internal/vm"
@@ -11,7 +13,7 @@ import (
 type job struct {
 	fault  *vm.Fault // nil for revocation jobs
 	k      int       // frames to free, for revocation jobs
-	done   *sim.Cond
+	done   sim.Cond
 	ok     bool
 	isDone bool
 }
@@ -24,8 +26,8 @@ type MMEntry struct {
 	dom     *Domain
 	queue   []*job
 	qhead   int
-	free    []*job // recycled jobs (each keeps its done Cond)
-	wake    *sim.Cond
+	free    []*job // recycled jobs
+	wake    sim.Cond
 	worker  *sim.Proc
 	stopped bool
 
@@ -34,7 +36,7 @@ type MMEntry struct {
 }
 
 func newMMEntry(d *Domain) *MMEntry {
-	mm := &MMEntry{dom: d, wake: sim.NewCond(d.env.Sim)}
+	mm := &MMEntry{dom: d}
 	if d.env.Obs != nil {
 		mm.gQueue = d.env.Obs.Gauge("domain", "mm_queue", d.name)
 	}
@@ -45,8 +47,9 @@ func newMMEntry(d *Domain) *MMEntry {
 // QueueLen returns the number of outstanding jobs (for tests).
 func (mm *MMEntry) QueueLen() int { return len(mm.queue) - mm.qhead }
 
-// getJob checks a job out of the free list. The done Cond is created once
-// per job and survives recycling; every other field is reset.
+// getJob checks a job out of the free list. The done Cond is empty whenever
+// a job is recycled (its one waiter has been woken); every other field is
+// reset.
 func (mm *MMEntry) getJob() *job {
 	if n := len(mm.free); n > 0 {
 		j := mm.free[n-1]
@@ -55,7 +58,7 @@ func (mm *MMEntry) getJob() *job {
 		j.fault, j.k, j.ok, j.isDone = nil, 0, false, false
 		return j
 	}
-	return &job{done: sim.NewCond(mm.dom.env.Sim)}
+	return &job{}
 }
 
 // putJob recycles a finished job. Fault jobs are returned by the resolver
@@ -102,9 +105,7 @@ func (mm *MMEntry) kill() {
 	// Fail outstanding jobs so blocked threads unwind via their own kill.
 	for _, j := range mm.queue[mm.qhead:] {
 		j.isDone = true
-		if j.done != nil {
-			j.done.Broadcast()
-		}
+		j.done.Broadcast()
 	}
 	mm.queue, mm.qhead = nil, 0
 }
@@ -127,7 +128,7 @@ func (mm *MMEntry) run(p *sim.Proc) {
 		d.cpu.Compute(p, d.env.Costs.IDCRoundTrip)
 
 		if j.fault != nil {
-			drv := d.drivers[j.fault.SID]
+			drv := d.DriverFor(j.fault.SID)
 			if drv == nil {
 				j.ok = false
 			} else {
@@ -155,26 +156,14 @@ func (mm *MMEntry) run(p *sim.Proc) {
 	}
 }
 
-// driverList returns the bound drivers in deterministic (stretch id) order,
-// without duplicates.
+// driverList returns the bound drivers in stretch-id order, without
+// duplicates. It is a copy: the drivers' Relinquish calls block, and a
+// stretch bound meanwhile must not shift the revocation's walk.
 func (d *Domain) driverList() []Driver {
-	seen := make(map[Driver]bool)
-	var ids []vm.StretchID
-	for id := range d.drivers {
-		ids = append(ids, id)
-	}
-	// Insertion order of map iteration is random; sort ids.
-	for i := 1; i < len(ids); i++ {
-		for j := i; j > 0 && ids[j] < ids[j-1]; j-- {
-			ids[j], ids[j-1] = ids[j-1], ids[j]
-		}
-	}
-	var out []Driver
-	for _, id := range ids {
-		drv := d.drivers[id]
-		if !seen[drv] {
-			seen[drv] = true
-			out = append(out, drv)
+	out := make([]Driver, 0, len(d.bindings))
+	for _, b := range d.bindings {
+		if !slices.Contains(out, b.Driver) {
+			out = append(out, b.Driver)
 		}
 	}
 	return out

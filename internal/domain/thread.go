@@ -15,7 +15,7 @@ type Thread struct {
 	dom  *Domain
 	name string
 	proc *sim.Proc
-	done *sim.Cond
+	done sim.Cond
 	// fbuf is the thread's reusable fault record. Fault dispatch is
 	// synchronous (the thread blocks until resolution) and nothing retains
 	// the record past the next fault, so one per thread suffices.

@@ -60,7 +60,7 @@ type FramesAllocator struct {
 	guaranteed uint64 // running sum of admitted guarantees
 
 	clients map[DomainID]*Client
-	freed   *sim.Cond
+	freed   sim.Cond
 
 	// RevocationTimeout is the deadline T granted to intrusive
 	// revocations (the paper suggests ~100 ms, "relatively far in the
@@ -103,7 +103,6 @@ func NewFramesAllocator(s *sim.Simulator, store *FrameStore, ramtab *RamTab) *Fr
 		store:             store,
 		ramtab:            ramtab,
 		clients:           make(map[DomainID]*Client),
-		freed:             sim.NewCond(s),
 		RevocationTimeout: 100 * time.Millisecond,
 	}
 	// Every frame starts free, in ascending queue order.

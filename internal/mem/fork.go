@@ -71,7 +71,6 @@ func (fa *FramesAllocator) Fork(s *sim.Simulator, store *FrameStore, ramtab *Ram
 		nfree:             fa.nfree,
 		guaranteed:        fa.guaranteed,
 		clients:           make(map[DomainID]*Client, len(fa.clients)),
-		freed:             sim.NewCond(s),
 		RevocationTimeout: fa.RevocationTimeout,
 	}
 	for id, c := range fa.clients {

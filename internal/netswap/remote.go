@@ -105,10 +105,11 @@ type RemoteBacking struct {
 	client string
 	opt    RemoteOptions
 
-	nextID   uint64
-	pending  map[uint64]*call
-	inflight int
-	wake     *sim.Cond
+	nextID uint64
+	// inflight holds the calls with an attempt in flight, at most
+	// Window of them, so a scan finds a reply's call without a map.
+	inflight []*call
+	wake     sim.Cond
 
 	remote pageBits // pages with a current remote copy
 
@@ -169,8 +170,6 @@ func newRemoteBacking(fab *Fabric, client, domName string, opt RemoteOptions) *R
 		fab:       fab,
 		client:    client,
 		opt:       opt,
-		pending:   make(map[uint64]*call),
-		wake:      sim.NewCond(fab.s),
 		cRPCs:     reg.Counter("netswap", "rpcs", domName),
 		cRetries:  reg.Counter("netswap", "retries", domName),
 		cTimeouts: reg.Counter("netswap", "timeouts", domName),
@@ -194,18 +193,30 @@ func (r *RemoteBacking) HasCopy(va vm.VA) bool { return r.remote.has(vm.PageOf(v
 // allocated and is reused on the next write of the same page.
 func (r *RemoteBacking) Invalidate(va vm.VA) { r.remote.clear(vm.PageOf(va)) }
 
+// land takes the call whose attempt in flight has ID id out of the window,
+// and returns it, or nil if no attempt in flight has that ID.
+func (r *RemoteBacking) land(id uint64) *call {
+	for i, c := range r.inflight {
+		if c.id == id {
+			last := len(r.inflight) - 1
+			r.inflight[i], r.inflight[last] = r.inflight[last], nil
+			r.inflight = r.inflight[:last]
+			c.id = 0
+			r.gInflight.Set(int64(len(r.inflight)))
+			return c
+		}
+	}
+	return nil
+}
+
 // deliver routes one arrived reply. Runs in scheduler context (link event).
 func (r *RemoteBacking) deliver(rep *reply) {
-	c, ok := r.pending[rep.ID]
-	if !ok {
+	c := r.land(rep.ID)
+	if c == nil {
 		r.Stats.LateReplies++ // timed-out attempt, or a duplicated frame
 		r.cLate.Inc()
 		return
 	}
-	delete(r.pending, rep.ID)
-	c.id = 0
-	r.inflight--
-	r.gInflight.Set(int64(r.inflight))
 	r.Stats.RPCs++
 	r.cRPCs.Inc()
 	r.hRTT.Observe(r.fab.s.Now().Sub(c.sentAt))
@@ -226,12 +237,11 @@ func (r *RemoteBacking) sendAttempt(c *call) {
 	c.deadline = c.sentAt.Add(r.opt.Timeout)
 	req := *c.req // shallow copy so the retransmit carries its own ID
 	req.ID = c.id
-	r.pending[c.id] = c
-	r.inflight++
-	if r.inflight > r.Stats.MaxInflight {
-		r.Stats.MaxInflight = r.inflight
+	r.inflight = append(r.inflight, c)
+	if len(r.inflight) > r.Stats.MaxInflight {
+		r.Stats.MaxInflight = len(r.inflight)
 	}
-	r.gInflight.Set(int64(r.inflight))
+	r.gInflight.Set(int64(len(r.inflight)))
 	r.fab.toServer(&req)
 }
 
@@ -252,10 +262,7 @@ func (r *RemoteBacking) do(p *sim.Proc, calls []*call) error {
 			live++
 			if c.id != 0 && now >= c.deadline {
 				// Attempt timed out: free the slot, decide on a retry.
-				delete(r.pending, c.id)
-				c.id = 0
-				r.inflight--
-				r.gInflight.Set(int64(r.inflight))
+				r.land(c.id)
 				r.Stats.Timeouts++
 				r.cTimeouts.Inc()
 				r.wake.Broadcast() // the freed slot may unblock a peer
@@ -273,7 +280,7 @@ func (r *RemoteBacking) do(p *sim.Proc, calls []*call) error {
 				}
 				c.resendAt = now.Add(r.opt.Backoff << uint(shift))
 			}
-			if c.id == 0 && now >= c.resendAt && r.inflight < r.opt.Window {
+			if c.id == 0 && now >= c.resendAt && len(r.inflight) < r.opt.Window {
 				r.sendAttempt(c)
 			}
 			switch {

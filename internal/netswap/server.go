@@ -60,7 +60,7 @@ type Server struct {
 
 	clients map[string]serverClient
 	queue   []*request
-	work    *sim.Cond
+	work    sim.Cond
 	proc    *sim.Proc
 	reply   func(*reply) // installed by the Fabric
 
@@ -94,7 +94,6 @@ func NewServer(s *sim.Simulator, cfg ServerConfig) (*Server, error) {
 		store:   store,
 		blok:    stretchdrv.NewBlokAllocator(store.Blocks()/blokBlocks, blokBlocks),
 		clients: make(map[string]serverClient),
-		work:    sim.NewCond(s),
 	}
 	srv.proc = s.Spawn("netswap-server-0", srv.serve)
 	return srv, nil

@@ -13,7 +13,6 @@ import (
 // QoS/revocation audit log. WriteTrace renders it as a Perfetto-loadable
 // trace.
 type TimelineDump struct {
-	NowNs int64
 	// Machines lists the per-machine lanes of a merged cluster dump, in
 	// merge order; empty for a single-machine dump. When set, WriteTrace
 	// renders one Perfetto process per machine with flow arrows linking
@@ -74,7 +73,6 @@ func (tl Timeline) Dump() *TimelineDump {
 	if tl.Reg == nil {
 		return d
 	}
-	d.NowNs = int64(tl.Reg.Now())
 	if tl.Rec != nil {
 		var times []int64
 		for _, at := range tl.Rec.Times() {
@@ -118,10 +116,10 @@ type MachineTimeline struct {
 }
 
 // MergeTimelines folds per-machine dumps into one cluster dump: every
-// track, span and audit event is stamped with its machine lane, tracks keep
-// their own sample instants (machines sample on their own clocks), and
-// NowNs becomes the latest machine clock. Merge order is the lane order of
-// the rendered trace, so callers pass machines in a canonical order.
+// track, span and audit event is stamped with its machine lane, and tracks
+// keep their own sample instants (machines sample on their own clocks).
+// Merge order is the lane order of the rendered trace, so callers pass
+// machines in a canonical order.
 func MergeTimelines(parts []MachineTimeline) *TimelineDump {
 	m := &TimelineDump{}
 	for _, p := range parts {
@@ -129,9 +127,6 @@ func MergeTimelines(parts []MachineTimeline) *TimelineDump {
 		d := p.Dump
 		if d == nil {
 			continue
-		}
-		if d.NowNs > m.NowNs {
-			m.NowNs = d.NowNs
 		}
 		for _, t := range d.Tracks {
 			t.Machine = p.Machine

@@ -3,6 +3,7 @@ package obs
 import (
 	"fmt"
 	"io"
+	"slices"
 	"sort"
 	"strings"
 	"text/tabwriter"
@@ -209,25 +210,61 @@ func (r *Registry) Summarize(topK int) *Summary {
 
 	// Per-domain fault-blocked time: every finished span observes its e2e
 	// latency into a ("span", "e2e."+class, domain) histogram, so the sums
-	// survive span-ring eviction.
-	didx := make([]int, len(r.doms))
+	// survive span-ring eviction. The sums go in one slice indexed by
+	// domain number; only the topK ranked domains become entries.
+	type blocked struct {
+		spans, ns int64
+		seen      bool
+	}
+	sums := make([]blocked, len(r.doms))
 	for i := range r.hists.n {
 		h := r.hists.at(i)
 		f := r.fams[h.fam]
 		if f.sub != "span" || !strings.HasPrefix(f.name, "e2e.") {
 			continue
 		}
-		if didx[h.dom] == 0 {
-			s.TopDomains = append(s.TopDomains, SummaryDomain{Domain: r.doms[h.dom], ElapsedNs: s.NowNs})
-			didx[h.dom] = len(s.TopDomains)
-		}
-		d := &s.TopDomains[didx[h.dom]-1]
-		d.Spans += h.count
-		d.BlockedNs += int64(h.sum)
+		b := &sums[h.dom]
+		b.spans += h.count
+		b.ns += int64(h.sum)
+		b.seen = true
 	}
-	sortDomains(s.TopDomains)
-	s.Truncate(topK)
+	for dom, b := range sums {
+		if b.seen {
+			s.TopDomains = rankDomain(s.TopDomains, topK, SummaryDomain{Domain: r.doms[dom], Spans: b.spans, BlockedNs: b.ns, ElapsedNs: s.NowNs})
+		}
+	}
+	if topK <= 0 {
+		sortDomains(s.TopDomains)
+	}
 	return s
+}
+
+// rankDomain adds d to top, the k highest-ranked domains so far in
+// sortDomains order, and returns top. For k <= 0 it appends d unranked.
+func rankDomain(top []SummaryDomain, k int, d SummaryDomain) []SummaryDomain {
+	if k <= 0 {
+		return append(top, d)
+	}
+	if len(top) == k {
+		if !ranksBefore(d, top[k-1]) {
+			return top
+		}
+		top = top[:k-1]
+	}
+	i := len(top)
+	for i > 0 && ranksBefore(d, top[i-1]) {
+		i--
+	}
+	return slices.Insert(top, i, d)
+}
+
+// ranksBefore is the domain ranking: fault-blocked time descending, then
+// name.
+func ranksBefore(a, b SummaryDomain) bool {
+	if a.BlockedNs != b.BlockedNs {
+		return a.BlockedNs > b.BlockedNs
+	}
+	return a.Domain < b.Domain
 }
 
 // Merge folds o into s. The zero Summary is an identity and slices stay
@@ -329,12 +366,7 @@ func sortHops(hs []SummaryHop) {
 }
 
 func sortDomains(ds []SummaryDomain) {
-	sort.Slice(ds, func(i, j int) bool {
-		if ds[i].BlockedNs != ds[j].BlockedNs {
-			return ds[i].BlockedNs > ds[j].BlockedNs
-		}
-		return ds[i].Domain < ds[j].Domain
-	})
+	sort.Slice(ds, func(i, j int) bool { return ranksBefore(ds[i], ds[j]) })
 }
 
 // WriteText renders the rollup as the aligned report WriteTopTable and the

@@ -5,6 +5,9 @@ import (
 	"encoding/json"
 	"fmt"
 	"math/rand"
+	"reflect"
+	"sort"
+	"strings"
 	"testing"
 	"time"
 )
@@ -126,5 +129,74 @@ func TestSummaryTruncateAfterMerge(t *testing.T) {
 	}
 	if a.TopDomains[0].BlockedNs != int64(14*time.Millisecond) {
 		t.Fatalf("shared blocked = %d", a.TopDomains[0].BlockedNs)
+	}
+}
+
+// referenceTopDomains is the ranking Summarize built before it kept a top-K:
+// an entry for every domain with an e2e histogram, in registry order, all
+// sorted by blocked time descending, then name, and then truncated to topK.
+func referenceTopDomains(r *Registry, topK int) []SummaryDomain {
+	s := &Summary{}
+	now := int64(r.now())
+	didx := make([]int, len(r.doms))
+	for i := range r.hists.n {
+		h := r.hists.at(i)
+		f := r.fams[h.fam]
+		if f.sub != "span" || !strings.HasPrefix(f.name, "e2e.") {
+			continue
+		}
+		if didx[h.dom] == 0 {
+			s.TopDomains = append(s.TopDomains, SummaryDomain{Domain: r.doms[h.dom], ElapsedNs: now})
+			didx[h.dom] = len(s.TopDomains)
+		}
+		d := &s.TopDomains[didx[h.dom]-1]
+		d.Spans += h.count
+		d.BlockedNs += int64(h.sum)
+	}
+	ds := s.TopDomains
+	sort.Slice(ds, func(i, j int) bool {
+		if ds[i].BlockedNs != ds[j].BlockedNs {
+			return ds[i].BlockedNs > ds[j].BlockedNs
+		}
+		return ds[i].Domain < ds[j].Domain
+	})
+	s.Truncate(topK)
+	return s.TopDomains
+}
+
+// Summarize ranks domains with a top-K instead of building and sorting an
+// entry for every domain. Over random populations whose blocked times tie
+// often (so the name order decides), with domains that record in two fault
+// classes, domains with an empty e2e histogram and domains with none, its
+// ranking must equal the full sort and truncate for topK 0, 1, 10 and more
+// than the number of domains.
+func TestSummarizeTopKMatchesFullSort(t *testing.T) {
+	rng := rand.New(rand.NewSource(36))
+	for trial := 0; trial < 40; trial++ {
+		r, fc := newTestRegistry()
+		fc.advance(time.Second)
+		n := rng.Intn(60)
+		for _, i := range rng.Perm(n) {
+			name := fmt.Sprintf("d%02d", i)
+			switch rng.Intn(6) {
+			case 0: // no e2e histogram: not ranked
+				r.Counter("domain", "faults", name).Inc()
+			case 1: // an e2e histogram that has observed nothing
+				r.Histogram("span", "e2e.page", name)
+			default:
+				for _, class := range []string{"page", "protection"}[:1+rng.Intn(2)] {
+					h := r.Histogram("span", "e2e."+class, name)
+					for k := rng.Intn(3); k >= 0; k-- {
+						h.Observe(time.Duration(1+rng.Intn(3)) * time.Millisecond)
+					}
+				}
+			}
+		}
+		for _, k := range []int{0, 1, 10, n + 1} {
+			want := referenceTopDomains(r, k)
+			if got := r.Summarize(k).TopDomains; !reflect.DeepEqual(got, want) {
+				t.Fatalf("trial %d, %d domains, topK %d:\n got %+v\nwant %+v", trial, n, k, got, want)
+			}
+		}
 	}
 }

@@ -79,7 +79,7 @@ func BenchmarkProcSwitchPair(b *testing.B) {
 
 func BenchmarkCondSignalWait(b *testing.B) {
 	s := New(1)
-	c := NewCond(s)
+	c := new(Cond)
 	n := 0
 	s.Spawn("waiter", func(p *Proc) {
 		for n < b.N {
@@ -100,7 +100,7 @@ func BenchmarkCondSignalWait(b *testing.B) {
 
 func BenchmarkQueueSendRecv(b *testing.B) {
 	s := New(1)
-	q := NewQueue[int](s, 64)
+	q := NewQueue[int](64)
 	n := 0
 	s.Spawn("producer", func(p *Proc) {
 		for i := 0; i < b.N; i++ {
@@ -145,7 +145,7 @@ func BenchmarkSpawnShutdown(b *testing.B) {
 // down the chain itself, and yields back up it at an ancestor's wakeup.
 func BenchmarkProcHandoffChain(b *testing.B) {
 	s := New(1)
-	fault, req, done, resolved := NewCond(s), NewCond(s), NewCond(s), NewCond(s)
+	var fault, req, done, resolved Cond
 	n := 0
 	s.Spawn("worker", func(p *Proc) {
 		for {

@@ -10,17 +10,15 @@ type waiter struct {
 
 // Cond is a FIFO condition variable on the simulated timeline. Unlike
 // sync.Cond there is no associated lock: the process model guarantees mutual
-// exclusion already. The waiter queue is head-indexed so that steady-state
-// signal/wait traffic reuses one backing array instead of reslicing (and
-// eventually reallocating) on every Signal.
+// exclusion already. The zero value is ready to use, so owners embed a Cond
+// by value: a wake is scheduled on the waiter's own simulator. The waiter
+// queue is head-indexed so that steady-state signal/wait traffic reuses one
+// backing array instead of reslicing (and eventually reallocating) on every
+// Signal.
 type Cond struct {
-	sim     *Simulator
 	waiters []waiter
 	head    int
 }
-
-// NewCond returns a condition variable bound to s.
-func NewCond(s *Simulator) *Cond { return &Cond{sim: s} }
 
 // Waiting reports the number of processes currently parked on the condition.
 // Stale entries (woken by a timeout, killed) are excluded.
@@ -74,7 +72,7 @@ func (c *Cond) Signal() bool {
 		if !w.p.awaits(w.tok) {
 			continue // stale: timed out, killed, or rewoken elsewhere
 		}
-		c.sim.atWake(c.sim.now, w.p, w.tok)
+		w.p.sim.atWake(w.p.sim.now, w.p, w.tok)
 		return true
 	}
 	if c.head > 0 {

@@ -1,13 +1,14 @@
 package sim
 
 import (
+	"slices"
 	"testing"
 	"time"
 )
 
 func TestCondSignalFIFO(t *testing.T) {
 	s := New(1)
-	c := NewCond(s)
+	c := new(Cond)
 	var order []string
 	for _, name := range []string{"first", "second", "third"} {
 		name := name
@@ -31,8 +32,7 @@ func TestCondSignalFIFO(t *testing.T) {
 }
 
 func TestCondSignalNoWaiters(t *testing.T) {
-	s := New(1)
-	c := NewCond(s)
+	var c Cond
 	if c.Signal() {
 		t.Fatal("Signal with no waiters reported true")
 	}
@@ -40,7 +40,7 @@ func TestCondSignalNoWaiters(t *testing.T) {
 
 func TestCondBroadcast(t *testing.T) {
 	s := New(1)
-	c := NewCond(s)
+	c := new(Cond)
 	woken := 0
 	for i := 0; i < 5; i++ {
 		s.Spawn("w", func(p *Proc) {
@@ -58,7 +58,7 @@ func TestCondBroadcast(t *testing.T) {
 
 func TestCondWaitTimeout(t *testing.T) {
 	s := New(1)
-	c := NewCond(s)
+	c := new(Cond)
 	var signalled bool
 	var at Time
 	s.Spawn("w", func(p *Proc) {
@@ -76,7 +76,7 @@ func TestCondWaitTimeout(t *testing.T) {
 
 func TestCondWaitTimeoutSignalledFirst(t *testing.T) {
 	s := New(1)
-	c := NewCond(s)
+	c := new(Cond)
 	var signalled bool
 	s.Spawn("w", func(p *Proc) {
 		signalled = c.WaitTimeout(p, 5*time.Millisecond)
@@ -90,7 +90,7 @@ func TestCondWaitTimeoutSignalledFirst(t *testing.T) {
 
 func TestCondTimedOutWaiterNotCounted(t *testing.T) {
 	s := New(1)
-	c := NewCond(s)
+	c := new(Cond)
 	s.Spawn("w", func(p *Proc) {
 		c.WaitTimeout(p, time.Millisecond)
 		p.Sleep(time.Hour) // stays alive, but no longer waiting on c
@@ -107,7 +107,7 @@ func TestCondTimedOutWaiterNotCounted(t *testing.T) {
 
 func TestCondSignalSkipsKilled(t *testing.T) {
 	s := New(1)
-	c := NewCond(s)
+	c := new(Cond)
 	var ran []string
 	a := s.Spawn("a", func(p *Proc) { c.Wait(p); ran = append(ran, "a") })
 	s.Spawn("b", func(p *Proc) { c.Wait(p); ran = append(ran, "b") })
@@ -121,7 +121,7 @@ func TestCondSignalSkipsKilled(t *testing.T) {
 
 func TestCondWaiting(t *testing.T) {
 	s := New(1)
-	c := NewCond(s)
+	c := new(Cond)
 	for i := 0; i < 3; i++ {
 		s.Spawn("w", func(p *Proc) { c.Wait(p) })
 	}
@@ -131,4 +131,72 @@ func TestCondWaiting(t *testing.T) {
 	}
 	c.Broadcast()
 	s.RunUntilIdle(100)
+}
+
+// condOwner embeds its condition variable by value, as the simulator's
+// users do: the zero Cond needs no constructor and no simulator.
+type condOwner struct {
+	woken int
+	c     Cond
+}
+
+// A zero-value Cond embedded in a struct works through the whole API: Wait
+// and Signal in FIFO order, WaitTimeout both ways, Waiting counting only
+// live waiters, and Signal and Broadcast skipping waiters that timed out
+// or were killed.
+func TestZeroCondEmbedded(t *testing.T) {
+	s := New(1)
+	o := &condOwner{}
+	var order []string
+	waiter := func(name string) func(*Proc) {
+		return func(p *Proc) {
+			o.c.Wait(p)
+			o.woken++
+			order = append(order, name)
+		}
+	}
+	s.Spawn("a", waiter("a"))
+	killed := s.Spawn("killed", waiter("killed"))
+	var timedOut, signalled bool
+	s.Spawn("timeout", func(p *Proc) {
+		timedOut = !o.c.WaitTimeout(p, time.Millisecond)
+	})
+	s.Spawn("b", waiter("b"))
+	s.Spawn("c", waiter("c"))
+	s.Spawn("d", waiter("d"))
+	s.Run(Time(time.Millisecond / 2))
+	if n := o.c.Waiting(); n != 6 {
+		t.Fatalf("Waiting = %d, want 6", n)
+	}
+	killed.Kill()
+	s.Run(Time(2 * time.Millisecond)) // the timeout fires
+	if !timedOut {
+		t.Fatal("WaitTimeout did not time out")
+	}
+	if n := o.c.Waiting(); n != 4 {
+		t.Fatalf("Waiting = %d after a kill and a timeout, want 4", n)
+	}
+	// Signal wakes a, the oldest; the next skips the killed and timed-out
+	// waiters and wakes b.
+	if !o.c.Signal() || !o.c.Signal() {
+		t.Fatal("Signal found no live waiter")
+	}
+	s.Run(Time(3 * time.Millisecond))
+	if n := o.c.Broadcast(); n != 2 {
+		t.Fatalf("Broadcast woke %d, want 2", n)
+	}
+	s.Spawn("late", func(p *Proc) {
+		signalled = o.c.WaitTimeout(p, time.Second)
+	})
+	s.At(Time(4*time.Millisecond), func() { o.c.Signal() })
+	s.RunUntilIdle(100)
+	if want := []string{"a", "b", "c", "d"}; !slices.Equal(order, want) || o.woken != len(want) {
+		t.Fatalf("woken in order %v, want %v", order, want)
+	}
+	if !signalled {
+		t.Fatal("WaitTimeout timed out although signalled")
+	}
+	if o.c.Waiting() != 0 || o.c.Signal() {
+		t.Fatal("waiters left after every waiter woke")
+	}
 }

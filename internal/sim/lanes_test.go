@@ -51,7 +51,7 @@ type queueHarness struct {
 	recs   map[uint64]*qrec
 	log    []qlog
 	timers []Timer // callback timers, for Stop
-	cond   *Cond
+	cond   Cond
 	procs  []*Proc
 	nextCB int
 	closed bool // Shutdown's unwinding dispatches no event
@@ -62,7 +62,7 @@ type queueHarness struct {
 
 func newQueueHarness(tb testing.TB, s *Simulator, rng *rand.Rand, ops int) *queueHarness {
 	return &queueHarness{tb: tb, s: s, rng: rng, left: ops, base: s.Dispatched(),
-		recs: make(map[uint64]*qrec), cond: NewCond(s)}
+		recs: make(map[uint64]*qrec)}
 }
 
 func (d *queueHarness) add(r *qrec) {
@@ -480,7 +480,7 @@ func TestSameInstantDispatchAllocatesNothing(t *testing.T) {
 			s.At(s.Now(), link)
 		}
 	}
-	c := NewCond(s)
+	c := new(Cond)
 	for i := 0; i < 2; i++ {
 		s.Spawn("yielder", func(p *Proc) {
 			for {

@@ -132,7 +132,7 @@ func TestStaleWakeupIgnored(t *testing.T) {
 	// timer if an external event re-dispatches it in between. The token
 	// scheme guarantees this; simulate the hazard via Cond timeout.
 	s := New(1)
-	c := NewCond(s)
+	c := new(Cond)
 	var woke []Time
 	s.Spawn("w", func(p *Proc) {
 		// Wait with a 10ms timeout, get signalled at 2ms.
@@ -209,10 +209,10 @@ func TestNegativeSleepIsImmediate(t *testing.T) {
 func TestShutdownReleasesGoroutines(t *testing.T) {
 	before := runtime.NumGoroutine()
 	s := New(1)
-	c := NewCond(s)
-	full := NewQueue[int](s, 1)
+	c := new(Cond)
+	full := NewQueue[int](1)
 	full.TrySend(0)
-	empty := NewQueue[int](s, 1)
+	empty := NewQueue[int](1)
 	// A mix of states at shutdown: parked at every park point, never
 	// dispatched, and already finished.
 	parkPoints := []struct {

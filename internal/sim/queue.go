@@ -6,27 +6,21 @@ package sim
 // Items live in a fixed ring buffer sized at construction, so steady-state
 // send/recv traffic never allocates.
 type Queue[T any] struct {
-	sim      *Simulator
 	buf      []T
 	head     int // index of the oldest item
 	n        int // buffered item count
-	notEmpty *Cond
-	notFull  *Cond
+	notEmpty Cond
+	notFull  Cond
 	closed   bool
 }
 
 // NewQueue returns a queue holding at most capacity items. capacity must be
 // at least 1.
-func NewQueue[T any](s *Simulator, capacity int) *Queue[T] {
+func NewQueue[T any](capacity int) *Queue[T] {
 	if capacity < 1 {
 		capacity = 1
 	}
-	return &Queue[T]{
-		sim:      s,
-		buf:      make([]T, capacity),
-		notEmpty: NewCond(s),
-		notFull:  NewCond(s),
-	}
+	return &Queue[T]{buf: make([]T, capacity)}
 }
 
 // Len returns the number of buffered items.

@@ -7,7 +7,7 @@ import (
 
 func TestQueueSendRecv(t *testing.T) {
 	s := New(1)
-	q := NewQueue[int](s, 4)
+	q := NewQueue[int](4)
 	var got []int
 	s.Spawn("producer", func(p *Proc) {
 		for i := 1; i <= 6; i++ {
@@ -38,7 +38,7 @@ func TestQueueSendRecv(t *testing.T) {
 
 func TestQueueBlocksWhenFull(t *testing.T) {
 	s := New(1)
-	q := NewQueue[int](s, 2)
+	q := NewQueue[int](2)
 	var sendDone Time = -1
 	s.Spawn("producer", func(p *Proc) {
 		q.Send(p, 1)
@@ -58,7 +58,7 @@ func TestQueueBlocksWhenFull(t *testing.T) {
 
 func TestQueueRecvBlocksWhenEmpty(t *testing.T) {
 	s := New(1)
-	q := NewQueue[string](s, 2)
+	q := NewQueue[string](2)
 	var recvAt Time = -1
 	s.Spawn("consumer", func(p *Proc) {
 		v, ok := q.Recv(p)
@@ -78,8 +78,7 @@ func TestQueueRecvBlocksWhenEmpty(t *testing.T) {
 }
 
 func TestQueueTryOps(t *testing.T) {
-	s := New(1)
-	q := NewQueue[int](s, 1)
+	q := NewQueue[int](1)
 	if _, ok := q.TryRecv(); ok {
 		t.Fatal("TryRecv on empty queue succeeded")
 	}
@@ -102,7 +101,7 @@ func TestQueueTryOps(t *testing.T) {
 
 func TestQueueCloseUnblocksWaiters(t *testing.T) {
 	s := New(1)
-	q := NewQueue[int](s, 1)
+	q := NewQueue[int](1)
 	var recvOK, sendOK = true, true
 	s.Spawn("consumer", func(p *Proc) {
 		_, recvOK = q.Recv(p)
@@ -125,8 +124,7 @@ func TestQueueCloseUnblocksWaiters(t *testing.T) {
 }
 
 func TestQueueMinCapacity(t *testing.T) {
-	s := New(1)
-	q := NewQueue[int](s, 0)
+	q := NewQueue[int](0)
 	if q.Cap() != 1 {
 		t.Fatalf("Cap = %d, want clamped to 1", q.Cap())
 	}

@@ -17,7 +17,7 @@ import (
 type batchWriter struct {
 	s      *sim.Simulator
 	file   *sfs.SwapFile
-	wake   *sim.Cond
+	wake   sim.Cond
 	rounds int
 	err    error
 }
@@ -34,7 +34,7 @@ func newBatchWriter(t *testing.T) *batchWriter {
 		t.Fatal(err)
 	}
 	t.Cleanup(s.Shutdown)
-	return &batchWriter{s: s, file: file, wake: sim.NewCond(s)}
+	return &batchWriter{s: s, file: file}
 }
 
 // start spawns the cleaner: each round it runs before, then writes batch.

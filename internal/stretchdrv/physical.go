@@ -72,24 +72,48 @@ type Nailed struct {
 
 // BindNailed allocates, maps and nails frames for every page of st. It
 // must run with activations on (it allocates frames), i.e. from a thread.
+// A binding that fails partway gives back every frame it took, so st is
+// left unmapped.
 func BindNailed(p *sim.Proc, dom *domain.Domain, st *vm.Stretch) (*Nailed, error) {
 	n := &Nailed{base: base{dom: dom}, st: st}
-	env := dom.Env()
 	for i := 0; i < st.Pages(); i++ {
-		pfn, err := dom.MemClient().AllocFrame(p)
-		if err != nil {
-			return nil, err
-		}
-		va := st.PageBase(i)
-		if err := n.mapFrame(va, pfn); err != nil {
-			return nil, err
-		}
-		if err := env.TS.Nail(dom.PD(), dom.ID(), va); err != nil {
+		if err := n.nail(p, st.PageBase(i)); err != nil {
+			n.release(i)
 			return nil, err
 		}
 	}
 	dom.Bind(st, n)
 	return n, nil
+}
+
+// nail allocates, maps and nails a frame for the page at va. A step that
+// fails gives back what the earlier steps took; undoing a step this call
+// just made on a frame it owns cannot fail, and the caller reports err.
+func (n *Nailed) nail(p *sim.Proc, va vm.VA) error {
+	pfn, err := n.memc().AllocFrame(p)
+	if err != nil {
+		return err
+	}
+	if err := n.mapFrame(va, pfn); err != nil {
+		n.memc().FreeFrame(pfn)
+		return err
+	}
+	if err := n.env().TS.Nail(n.dom.PD(), n.dom.ID(), va); err != nil {
+		n.unmapVA(va)
+		n.memc().FreeFrame(pfn)
+		return err
+	}
+	return nil
+}
+
+// release unnails, unmaps and frees the stretch's first pages, which nail
+// has taken, so none of the steps can fail.
+func (n *Nailed) release(pages int) {
+	for i := 0; i < pages; i++ {
+		if pfn, err := n.env().TS.Unnail(n.dom.PD(), n.dom.ID(), n.st.PageBase(i)); err == nil {
+			n.memc().FreeFrame(pfn)
+		}
+	}
 }
 
 // DriverName implements domain.Driver.

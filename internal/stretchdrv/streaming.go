@@ -13,7 +13,7 @@ import (
 // pfEntry tracks one in-flight prefetch so a demand fault on the same page
 // waits for it instead of issuing a duplicate read.
 type pfEntry struct {
-	done      *sim.Cond
+	done      sim.Cond
 	completed bool
 	ok        bool
 }
@@ -33,7 +33,7 @@ type Streaming struct {
 
 	pfCh     *usd.Channel
 	inflight map[vm.VPN]*pfEntry
-	kick     *sim.Cond
+	kick     sim.Cond
 	freeReqs []*usd.Request // completed prefetch requests, for resubmission
 
 	lastVPN  vm.VPN
@@ -62,7 +62,6 @@ func NewStreaming(dom *domain.Domain, paged *Paged, pfCh *usd.Channel, window in
 		Window:   window,
 		pfCh:     pfCh,
 		inflight: make(map[vm.VPN]*pfEntry),
-		kick:     sim.NewCond(dom.Env().Sim),
 	}
 	if r := dom.Env().Obs; r != nil {
 		s.cPrefetches = r.Counter("driver", "prefetches", dom.Name())
@@ -181,7 +180,7 @@ func (s *Streaming) prefetchLoop(t *domain.Thread) {
 			if !onDisk {
 				break // raced with a forgetful discard; nothing to read
 			}
-			e := &pfEntry{done: sim.NewCond(s.env().Sim)}
+			e := &pfEntry{}
 			s.inflight[vpn] = e
 			var req *usd.Request
 			if n := len(s.freeReqs); n > 0 {

@@ -29,7 +29,6 @@ func (u *USD) Fork(ns *sim.Simulator) (*USD, map[*Channel]*Channel, []uint64, er
 	nu := &USD{
 		sim:           ns,
 		core:          core,
-		wake:          sim.NewCond(ns),
 		Log:           u.Log.Clone(),
 		SlackEnabled:  u.SlackEnabled,
 		LaxityEnabled: u.LaxityEnabled,
@@ -50,8 +49,8 @@ func (u *USD) Fork(ns *sim.Simulator) (*USD, map[*Channel]*Channel, []uint64, er
 		}
 		nch := &Channel{
 			usd:    nu,
-			reqs:   sim.NewQueue[*Request](ns, cl.ch.reqs.Cap()),
-			comps:  sim.NewQueue[*Request](ns, cl.ch.comps.Cap()),
+			reqs:   sim.NewQueue[*Request](cl.ch.reqs.Cap()),
+			comps:  sim.NewQueue[*Request](cl.ch.comps.Cap()),
 			closed: cl.ch.closed,
 		}
 		ncl := &client{

@@ -93,7 +93,7 @@ type USD struct {
 	disk *disk.Disk
 	core *atropos.Core
 
-	wake    *sim.Cond
+	wake    sim.Cond
 	proc    *sim.Proc
 	stopped bool
 
@@ -122,7 +122,6 @@ func New(s *sim.Simulator, d *disk.Disk) *USD {
 		sim:           s,
 		disk:          d,
 		core:          atropos.NewCore(1.0),
-		wake:          sim.NewCond(s),
 		LaxityEnabled: true,
 	}
 	u.proc = s.Spawn("usd", u.run)
@@ -161,13 +160,13 @@ func (u *USD) Open(name string, q atropos.QoS, depth int) (*Channel, error) {
 	}
 	ch := &Channel{
 		usd:  u,
-		reqs: sim.NewQueue[*Request](u.sim, depth),
+		reqs: sim.NewQueue[*Request](depth),
 		// The completion FIFO holds twice the pipeline depth: a client
 		// draining completions no slower than it submits can never lose
 		// one. A client that ignores its completion ring loses them —
 		// its own problem, never the USD's (it must not block the
 		// service thread).
-		comps: sim.NewQueue[*Request](u.sim, 2*depth),
+		comps: sim.NewQueue[*Request](2 * depth),
 	}
 	cl := &client{ac: ac, ch: ch}
 	ch.cl, ac.Rec = cl, cl

@@ -2,6 +2,7 @@ package vm
 
 import (
 	"fmt"
+	"slices"
 
 	"nemesis/internal/mem"
 )
@@ -19,7 +20,7 @@ type ForkMaps struct {
 // Fork returns a deep copy of the translation system over the forked
 // ramtab: the linear page table with every chunk copied, TLB with its slots
 // re-pointed by VPN at the copied PTEs (tags, FIFO cursor and hit/miss
-// counters preserved), all protection domains with their rights maps, and
+// counters preserved), all protection domains with their rights, and
 // the stretch allocator with every stretch. The returned maps let callers
 // translate parent pointers to forked ones. Only the linear table forks,
 // the one core.New builds; Fork refuses any other.
@@ -47,11 +48,8 @@ func (ts *TranslationSystem) Fork(ramtab *mem.RamTab) (*TranslationSystem, *Fork
 		npd := &ProtectionDomain{
 			id:      pd.id,
 			asn:     pd.asn,
-			rights:  make(map[StretchID]Rights, len(pd.rights)),
+			rights:  slices.Clone(pd.rights),
 			changes: pd.changes,
-		}
-		for sid, r := range pd.rights {
-			npd.rights[sid] = r
 		}
 		nts.pds.pds[i] = npd
 		m.PD[pd] = npd

@@ -245,6 +245,31 @@ func (ts *TranslationSystem) Nail(caller *ProtectionDomain, domain mem.DomainID,
 	return ts.ramtab.SetState(pte.PFN, domain, mem.Nailed)
 }
 
+// Unnail undoes Nail and the Map before it: the frame backing va loses its
+// pin and its mapping and is returned Unused, as Unmap returns a frame. A
+// nailed stretch driver whose binding fails partway gives its pages back
+// this way.
+func (ts *TranslationSystem) Unnail(caller *ProtectionDomain, domain mem.DomainID, va VA) (mem.PFN, error) {
+	pte := ts.pt.Lookup(PageOf(va))
+	if pte == nil || !pte.Present {
+		return 0, fmt.Errorf("%w: %#x", ErrNotAllocated, uint64(va))
+	}
+	if err := ts.checkMeta(caller, pte.SID); err != nil {
+		return 0, err
+	}
+	if !pte.Valid {
+		return 0, fmt.Errorf("%w: %#x", ErrNotMapped, uint64(va))
+	}
+	if st, _ := ts.ramtab.State(pte.PFN); st != mem.Nailed {
+		return 0, fmt.Errorf("vm: frame %d at %#x is %s, not nailed", pte.PFN, uint64(va), st)
+	}
+	if err := ts.ramtab.SetState(pte.PFN, domain, mem.Unused); err != nil {
+		return 0, err
+	}
+	pfn, _, err := ts.Unmap(caller, domain, va)
+	return pfn, err
+}
+
 // --- MMU walk (the simulated hardware/PALcode path) ---
 
 // Access performs a memory access check as the MMU would: TLB lookup, page
